@@ -150,8 +150,7 @@ def cmd_decompose(scenario, args, options):
     spec = _invariant(scenario, args[1])
     try:
         ledger = evaluate_decomposition(
-            setup, spec, bounds=_bounds(options), kb=_knowledge(options),
-            jobs=options.get("jobs") or 1)
+            setup, spec, bounds=_bounds(options), kb=_knowledge(options))
     except DecompositionError as e:
         raise CommandError(str(e))
     return ledger.dump(), 0
@@ -176,8 +175,7 @@ def cmd_run(scenario, args, options):
 
 def cmd_verify(scenario, args, options):
     from .acceptance import run_all
-    results = run_all(golden=options.get("golden"),
-                      jobs=options.get("jobs") or 1)
+    results = run_all(golden=options.get("golden"))
     lines, failed = [], 0
     for name, ok, detail in results:
         if ok:
@@ -235,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("scenario", help="scenario file")
         for arg in positional:
             p.add_argument(arg)
-        p.add_argument("--jobs", type=int, default=1, metavar="N")
         p.add_argument("--kb", metavar="FILE",
                        help="extra knowledge-base entries to import")
         return p

@@ -17,8 +17,6 @@ the right total genus.  Budget overflows raise; they are never silent.
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
@@ -27,6 +25,7 @@ from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimens
 from .kbeval import Evaluator, KnowledgeBase, Unknown, Value, _duals, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
+from .strata import _compositions, _exact_decompositions, _union_find
 from .vanishing import FIBER_MULTIPLE, RULED_PULLED_BACK, decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
@@ -156,31 +155,6 @@ def dual_classes(space: Space) -> dict[str, HomologyClass]:
 # effective cones
 
 
-def _sum_decompositions(pieces, area, target: HomologyClass):
-    """All multisets from `pieces` summing exactly to `target`.
-
-    Pieces have positive area and area is additive, so the recursion
-    terminates; pieces are reusable.
-    """
-    out = []
-
-    def rec(i, rest, chosen):
-        if rest.is_zero:
-            out.append(tuple(chosen))
-            return
-        if i >= len(pieces) or area(rest) <= 0:
-            return
-        rec(i + 1, rest, chosen)
-        piece = pieces[i]
-        if area(piece) <= area(rest):
-            chosen.append(piece)
-            rec(i, rest - piece, chosen)
-            chosen.pop()
-
-    rec(0, target, [])
-    return out
-
-
 def _cone_members(model: EffectiveModel, budget: int):
     """All nonzero sums of connected effective classes with area <= budget."""
     pieces = model.classes(budget)
@@ -210,7 +184,7 @@ def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
     pieces = [p for p in model.classes(model.area(alpha))
               if model.is_isolated(p)
               or all(name in model.exceptional for name, _ in p.coeffs)]
-    return bool(_sum_decompositions(pieces, model.area, alpha))
+    return bool(_exact_decompositions(pieces, alpha, model.area))
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +265,9 @@ def _groups(spec: InvariantSpec):
             for key, items in sorted(buckets.items())]
 
 
-def _count_vectors(total: int, slots: int):
-    """All ways to write total as an ordered sum of `slots` >= 0 parts."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def _connected(p: int, q: int, edges) -> bool:
-    parent = list(range(p + q))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for _, j, i in edges:
-        a, b = find(j), find(p + i)
-        if a != b:
-            parent[a] = b
-    roots = {find(v) for v in range(p + q)}
-    return len(roots) <= 1
+    find = _union_find((j, p + i) for _, j, i in edges)
+    return len({find(v) for v in range(p + q)}) <= 1
 
 
 def _skeletons(ks, ells):
@@ -536,7 +487,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 slots = [("L", j) for j in range(p)] + \
                         [("R", i) for i in range(q)]
             vectors = []
-            for vec in _count_vectors(count, len(slots)):
+            for vec in _compositions(count, [0] * len(slots)):
                 weight = Fraction(factorial(count))
                 for nslot in vec:
                     weight /= factorial(nslot)
@@ -660,12 +611,9 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
 
     def genus_plans(minima, rank):
         extra = spec.genus - sum(minima) - rank
-        if extra < 0:
-            return
         if bounds.extra_genus is not None and extra > bounds.extra_genus:
             return
-        for vec in _count_vectors(extra, len(minima)):
-            yield tuple(m + e for m, e in zip(minima, vec))
+        yield from _compositions(spec.genus - rank, minima)
 
     def configurations(alpha_tot, beta1):
         d = setup.left.contact_count(beta1)
@@ -683,7 +631,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             for genera in genus_plans(minima, 0):
                 distribute((), (comp_cls,), (), (), genera)
             return
-        splittings = _sum_decompositions(xpieces, X.area, beta1)
+        splittings = _exact_decompositions(xpieces, beta1, X.area)
         if not splittings:
             skip("ineffective-remainder")
             return
@@ -1034,34 +982,19 @@ def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
 
 def evaluate_decomposition(setup: FiberSumSetup, spec: InvariantSpec,
                            bounds: Bounds | None = None,
-                           kb: KnowledgeBase | None = None,
-                           jobs: int = 1) -> Ledger:
+                           kb: KnowledgeBase | None = None) -> Ledger:
     """Enumerate, prune, and evaluate every splitting term.
 
     Pruned terms carry their reason and contribute nothing; rows whose
     factors stay unknown are reported unresolved and left out of the total.
-    With jobs > 1 the rows are evaluated on a thread pool, each worker on
-    its own evaluator over a copy of the knowledge base, and reduced in
-    canonical order.
+    The rows are evaluated in canonical order by one evaluator, which may
+    add solver-derived entries to the knowledge base.
     """
     terms, excluded = _enumerate(setup, spec, bounds)
-    base = kb if kb is not None else seed_table()
-    ledger = Ledger(setup.name, spec.key(), excluded=excluded)
-    if jobs <= 1:
-        evaluator = Evaluator(base)
-        reports = [_evaluate_term(setup, t, evaluator) for t in terms]
-    else:
-        local = threading.local()
-
-        def run(term):
-            if not hasattr(local, "ev"):
-                local.ev = Evaluator(base.copy())
-            return _evaluate_term(setup, term, local.ev)
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, terms))
-    ledger.reports = reports
-    return ledger
+    evaluator = Evaluator(kb if kb is not None else seed_table())
+    return Ledger(setup.name, spec.key(),
+                  reports=[_evaluate_term(setup, t, evaluator) for t in terms],
+                  excluded=excluded)
 
 
 def _is_distinguished(setup: FiberSumSetup, spec: InvariantSpec,

@@ -48,8 +48,8 @@ class KBEntry:
 class KnowledgeBase:
     """Append-only store of canonical-key -> value.
 
-    Single-writer: callers evaluating in parallel must work on a `copy()` and
-    merge additions back; `merge` rejects conflicting values.
+    Entries from another base (a `--kb` file) come in through `merge`, which
+    rejects conflicting values.
     """
 
     def __init__(self, entries=()):
@@ -88,9 +88,6 @@ class KnowledgeBase:
 
     def remove(self, key: str) -> None:
         self._entries.pop(key, None)
-
-    def copy(self) -> "KnowledgeBase":
-        return KnowledgeBase(self.entries())
 
     def merge(self, other: "KnowledgeBase") -> int:
         """Fold another base in; conflicting values raise.  Returns additions."""
@@ -291,7 +288,7 @@ class Evaluator:
     """Fixed-point rewriting over a knowledge base.
 
     The base is mutated only by the splitting solver (new derived entries);
-    everything else is read-only.  One evaluator per thread.
+    everything else is read-only.
     """
 
     def __init__(self, kb: KnowledgeBase, identities=None, solver: bool = True):

@@ -7,7 +7,7 @@ coefficients are Python ints throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
@@ -160,44 +160,6 @@ def gen(basis: GradedBasis, name: str, k: int = 1) -> HomologyClass:
     return cls(basis, {name: k})
 
 
-def parse_class(basis: GradedBasis, text: str) -> HomologyClass:
-    """Parse '2*lambda - 1*eps1 + eps2' over the given basis."""
-    s = text.replace(" ", "")
-    if not s:
-        raise LatticeError("empty class expression")
-    if s == "0":
-        return cls(basis, {})
-    out: dict[str, int] = {}
-    # split into signed terms
-    terms: list[str] = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    for t in terms:
-        sign = 1
-        body = t
-        if body.startswith("+"):
-            body = body[1:]
-        elif body.startswith("-"):
-            sign = -1
-            body = body[1:]
-        if not body:
-            raise LatticeError(f"dangling sign in class expression {text!r}")
-        if "*" in body:
-            num, _, name = body.partition("*")
-            coeff = sign * int(num)
-        else:
-            name, coeff = body, sign
-        basis.grade(name)  # validates the name
-        out[name] = out.get(name, 0) + coeff
-    return cls(basis, out)
-
-
 def _same_basis(a: HomologyClass, b: HomologyClass) -> None:
     if a.basis is not b.basis and a.basis != b.basis:
         raise BasisMismatchError(f"{a.basis.name} vs {b.basis.name}")
@@ -344,29 +306,3 @@ class ProductTable:
         if acc.grade != 0:
             return 0
         return acc.coeff(self.basis.point)
-
-
-def triple_product(table: ProductTable, a: HomologyClass, b: HomologyClass,
-                   c: HomologyClass) -> int:
-    """Degree-zero three-point number: the H0 coefficient of a.b.c."""
-    return table.point_coefficient([a, b, c])
-
-
-def check_self_dual(basis: GradedBasis, form: IntersectionForm,
-                    pairing: Mapping[str, str]) -> bool:
-    """True iff the declared duality pairing diagonalizes the form.
-
-    `pairing` maps each basis element to its dual partner; requires
-    e . pairing[e] = 1 and e . f = 0 for every other complementary f.
-    """
-    for e, _ in basis.elements:
-        if e not in pairing:
-            return False
-        for f, _ in basis.elements:
-            want = 1 if f == pairing[e] else 0
-            ge, gf = basis.grade(e), basis.grade(f)
-            if ge + gf != basis.n:
-                continue
-            if form.intersect(gen(basis, e), gen(basis, f)) != want:
-                return False
-    return True

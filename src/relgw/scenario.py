@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .dimension import Insertion, InvariantError, InvariantSpec
-from .lattice import GradeError, HomologyClass, cls, gen
+from .lattice import GradeError, HomologyClass, cls
 from .spaces import CatalogError, DivisorPair, Space, builtin
 from .strata import Contact, LevelComponent, StratumType
 
@@ -63,11 +63,6 @@ class Scenario:
     strata: dict[str, StratumType] = field(default_factory=dict)
     runs: tuple[RunDirective, ...] = ()
 
-    def invariant(self, name: str) -> InvariantSpec:
-        if name not in self.invariants:
-            raise ScenarioError(f"unknown invariant {name!r}", 0)
-        return self.invariants[name]
-
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _HEADER = re.compile(r"\[\s*(" + _NAME + r")((?:\s+[^\s\]]+)*)\s*\]\s*$")
@@ -75,6 +70,7 @@ _TERM = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?P<frac>/\d+)?\s*\*\s*)?(?P<name>"
     + _NAME + r")")
 _PLACES = ("X", "Y", "split")
+_COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 
 
 def _split_list(text: str, base_col: int):
@@ -109,7 +105,10 @@ class _Parser:
         raise ScenarioError(message, line, col)
 
     def parse_comb(self, basis, text, line, col) -> HomologyClass:
-        """Integer combination of basis generators, e.g. 2*lambda - eps1."""
+        """Integer combination of basis generators, e.g. 2*lambda - eps1,
+        or 0 for the zero class."""
+        if text == "0":
+            return cls(basis, {})
         pos, coeffs = 0, {}
         while pos < len(text):
             m = _TERM.match(text, pos)
@@ -186,14 +185,20 @@ class _Parser:
 
     def parse_contact(self, divisor, text, line, col) -> Contact:
         parts = text.split(":")
-        if len(parts) not in (2, 3) or not parts[0].strip().isdigit():
+        if len(parts) not in (2, 3) or not parts[0].strip().isdecimal():
             self.fail("contacts look like mult:node or mult:node:class",
                       line, col)
         constraint = None
         if len(parts) == 3:
+            ccol = col + len(parts[0]) + len(parts[1]) + 2
             constraint = self.resolve_class(divisor, parts[2].strip(), line,
-                                            col + len(parts[0]) + len(parts[1]) + 2)
-        return Contact(parts[1].strip(), int(parts[0]), constraint)
+                                            ccol)
+            if constraint.is_zero:
+                self.fail("contact constraints must be nonzero", line, ccol)
+        try:
+            return Contact(parts[1].strip(), int(parts[0]), constraint)
+        except InvariantError as e:
+            self.fail(str(e), line, col)
 
     # -- catalog lookups -----------------------------------------------
 
@@ -350,7 +355,7 @@ class _Parser:
             target = space = self.sc.spaces[owner]
 
         value, lineno, col = got["genus"]
-        if not value.isdigit():
+        if not value.isdecimal():
             self.fail("genus must be a non-negative integer", lineno, col)
         genus = int(value)
 
@@ -440,21 +445,31 @@ class _Parser:
 
     def parse_component(self, pair, text, lineno, col, nodes) -> LevelComponent:
         got = {}
-        for chunk in text.split():
+        for m in re.finditer(r"\S+", text):
+            chunk, ccol = m.group(), col + m.start()
             if "=" not in chunk:
-                self.fail("component fields look like key=value", lineno, col)
+                self.fail("component fields look like key=value", lineno, ccol)
             key, value = chunk.split("=", 1)
+            if key not in _COMP_KEYS:
+                self.fail(f"unknown component field {key!r}", lineno, ccol)
             if key in got:
-                self.fail(f"duplicate component field {key!r}", lineno, col)
-            got[key] = value
-        if "level" not in got or not got["level"].isdigit():
+                self.fail(f"duplicate component field {key!r}", lineno, ccol)
+            got[key] = (value, ccol + len(key) + 1)
+
+        def number(key):
+            value, vcol = got.get(key, ("0", col))
+            if not value.isdecimal():
+                self.fail(f"{key} must be a non-negative integer", lineno, vcol)
+            return int(value)
+
+        if "level" not in got:
             self.fail("components need level=<int>", lineno, col)
-        level = int(got["level"])
-        genus = int(got.get("genus", "0"))
+        level, genus, fiber = number("level"), number("genus"), number("fiber")
 
         def contacts(key):
             out = []
-            for item, icol in _split_list(got.get(key, ""), col):
+            value, vcol = got.get(key, ("", col))
+            for item, icol in _split_list(value, vcol):
                 c = self.parse_contact(pair.divisor, item, lineno, icol)
                 if c.node in nodes:
                     self.fail(f"duplicate node {c.node!r}", lineno, icol)
@@ -467,17 +482,14 @@ class _Parser:
             if level == 0:
                 if "class" not in got:
                     self.fail("level-0 components need class=", lineno, col)
-                c = self.resolve_class(pair.ambient, got["class"], lineno, col)
+                c = self.resolve_class(pair.ambient, got["class"][0], lineno,
+                                       got["class"][1])
                 return LevelComponent(0, genus, cls=c, zero=zero, inf=inf)
             if "alpha" not in got:
                 self.fail("positive-level components need alpha=", lineno, col)
-            if got["alpha"] == "0":
-                alpha = cls(pair.divisor.basis, {})
-            else:
-                alpha = self.resolve_class(pair.divisor, got["alpha"],
-                                           lineno, col)
-            return LevelComponent(level, genus, alpha=alpha,
-                                  fiber=int(got.get("fiber", "0")),
+            alpha = self.resolve_class(pair.divisor, got["alpha"][0], lineno,
+                                       got["alpha"][1])
+            return LevelComponent(level, genus, alpha=alpha, fiber=fiber,
                                   zero=zero, inf=inf)
         except InvariantError as e:
             self.fail(str(e), lineno, col)

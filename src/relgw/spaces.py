@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import (GradedBasis, HomologyClass, IntersectionForm, LatticeError,
-                      LatticeMap, LinearFunctional, ProductTable, cls, gen)
+from .lattice import (GradedBasis, HomologyClass, IntersectionForm, LatticeMap,
+                      LinearFunctional, ProductTable, cls, gen)
 
 
 class CatalogError(Exception):
@@ -657,9 +657,3 @@ def _build(key: str):
         ruled = builtin("y_of:" + pair.name)
         return FiberSumSetup(key, pair, ruled)
     raise CatalogError(f"unknown catalog id {key!r}")
-
-
-def pair_registry() -> tuple[str, ...]:
-    return ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
-            "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
-            "s2xs2_antidiag")

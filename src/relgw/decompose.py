@@ -468,6 +468,10 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     for name in dnames:
         by_grade.setdefault(D.basis.grade(name), []).append(name)
     xpieces = xmodel.classes(budget)
+    # the zero class, then the divisor's cone: both the totals pushed into
+    # the neck and the classes of single neck components
+    alphas = [cls(D.basis, {})] + _cone_members(dmodel, budget)
+    alpha_areas = [dmodel.area(a) for a in alphas]
 
     def distribute(parts1, parts2, skeleton, genera1, genera2):
         """Spread constraint groups over the components, then label edges.
@@ -647,11 +651,10 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 for genera in genus_plans(minima, 0):
                     distribute(parts1, (), (), genera, ())
             return
-        neck_alphas = [cls(D.basis, {})] + \
-            [a for a in _cone_members(dmodel, budget)]
-        pool = [(ell, a) for ell in range(1, d + 1) for a in neck_alphas]
+        pool = [(ell, a) for ell in range(1, d + 1) for a in alphas]
+        pool_areas = alpha_areas * d
 
-        def neck_multisets(start, ell_left, alpha_left, acc):
+        def neck_multisets(start, ell_left, alpha_left, area_left, acc):
             if ell_left == 0:
                 if alpha_left.is_zero:
                     yield tuple(acc)
@@ -660,11 +663,17 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 ell, a = pool[pick]
                 if ell > ell_left:
                     continue
+                # the area is linear, so a remainder of negative area is a
+                # nonzero class of area <= 0 and is never built
+                rest_area = area_left - pool_areas[pick]
+                if rest_area < 0:
+                    continue
                 rest = alpha_left - a
-                if not rest.is_zero and dmodel.area(rest) <= 0:
+                if not rest.is_zero and rest_area <= 0:
                     continue
                 acc.append(pool[pick])
-                yield from neck_multisets(pick, ell_left - ell, rest, acc)
+                yield from neck_multisets(pick, ell_left - ell, rest,
+                                          rest_area, acc)
                 acc.pop()
 
         for parts1 in splittings:
@@ -675,7 +684,8 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             if any(k == 0 for k in ks):
                 skip("disconnected")
                 continue
-            for neck in neck_multisets(0, d, alpha_tot, []):
+            for neck in neck_multisets(0, d, alpha_tot,
+                                       dmodel.area(alpha_tot), []):
                 parts2 = tuple(_neck_class(setup, a, ell) for ell, a in neck)
                 ells = tuple(ell for ell, _ in neck)
                 minima = tuple(xmodel.min_genus(c) for c in parts1) + tuple(
@@ -689,8 +699,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                         distribute(parts1, parts2, skeleton,
                                    genera[:p], genera[p:])
 
-    zero_alpha = cls(D.basis, {})
-    for alpha_tot in [zero_alpha] + _cone_members(dmodel, budget):
+    for alpha_tot in alphas:
         beta1 = spec.beta - setup.left.inclusion(alpha_tot)
         if not beta1.is_zero and X.area(beta1) <= 0:
             skip("area-exhausted")

@@ -48,12 +48,20 @@ class GradedBasis:
         tops = [e for e, g in self.elements if g == self.n]
         if len(zeros) != 1 or len(tops) != 1:
             raise LatticeError(f"{self.name}: need exactly one point and one fundamental class")
+        # name -> (position, grade); an attribute, not a field, so equality
+        # and hashing still see only the declared data
+        object.__setattr__(self, "_index", {
+            e: (i, g) for i, (e, g) in enumerate(self.elements)})
+
+    def _entry(self, name: str) -> tuple[int, int]:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise LatticeError(
+                f"{self.name}: unknown basis element {name!r}") from None
 
     def grade(self, name: str) -> int:
-        for e, g in self.elements:
-            if e == name:
-                return g
-        raise LatticeError(f"{self.name}: unknown basis element {name!r}")
+        return self._entry(name)[1]
 
     def names(self, grade: int | None = None) -> tuple[str, ...]:
         return tuple(e for e, g in self.elements if grade is None or g == grade)
@@ -65,12 +73,6 @@ class GradedBasis:
     @property
     def fundamental(self) -> str:
         return next(e for e, g in self.elements if g == self.n)
-
-    def order(self, name: str) -> int:
-        for i, (e, _) in enumerate(self.elements):
-            if e == name:
-                return i
-        raise LatticeError(f"{self.name}: unknown basis element {name!r}")
 
 
 @dataclass(frozen=True)
@@ -84,18 +86,18 @@ class HomologyClass:
     coeffs: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        seen = set()
+        positions = {}
         grades = set()
         for name, c in self.coeffs:
-            if name in seen:
+            if name in positions:
                 raise LatticeError(f"repeated coefficient for {name}")
-            seen.add(name)
             if c == 0:
                 raise LatticeError("zero coefficients must be dropped")
-            grades.add(self.basis.grade(name))
+            positions[name], grade = self.basis._entry(name)
+            grades.add(grade)
         if len(grades) > 1:
             raise GradeError(f"mixed grades in class: {self.coeffs}")
-        ordered = tuple(sorted(self.coeffs, key=lambda t: self.basis.order(t[0])))
+        ordered = tuple(sorted(self.coeffs, key=lambda t: positions[t[0]]))
         object.__setattr__(self, "coeffs", ordered)
 
     @property
@@ -122,7 +124,11 @@ class HomologyClass:
         return cls(self.basis, acc)
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        return self + other.scale(-1)
+        _same_basis(self, other)
+        acc = {e: c for e, c in self.coeffs}
+        for e, c in other.coeffs:
+            acc[e] = acc.get(e, 0) - c
+        return cls(self.basis, acc)
 
     def scale(self, k: int) -> "HomologyClass":
         if k == 0:
@@ -165,6 +171,15 @@ def _same_basis(a: HomologyClass, b: HomologyClass) -> None:
         raise BasisMismatchError(f"{a.basis.name} vs {b.basis.name}")
 
 
+def _symmetric(entries) -> dict:
+    """(a, b, v) triples as a lookup table answering both (a, b) and (b, a)."""
+    t = {}
+    for a, b, v in entries:
+        t[(a, b)] = v
+        t[(b, a)] = v
+    return t
+
+
 @dataclass(frozen=True)
 class IntersectionForm:
     """Symmetric pairing on complementary grades, from declared basis pairs.
@@ -176,12 +191,8 @@ class IntersectionForm:
     basis: GradedBasis
     pairs: tuple[tuple[str, str, int], ...]
 
-    def _table(self) -> dict[tuple[str, str], int]:
-        t: dict[tuple[str, str], int] = {}
-        for a, b, v in self.pairs:
-            t[(a, b)] = v
-            t[(b, a)] = v
-        return t
+    def __post_init__(self):
+        object.__setattr__(self, "_table", _symmetric(self.pairs))
 
     def intersect(self, x: HomologyClass, y: HomologyClass) -> int:
         _same_basis(x, y)
@@ -191,7 +202,7 @@ class IntersectionForm:
             return 0
         if x.grade + y.grade != self.basis.n:
             return 0
-        t = self._table()
+        t = self._table
         total = 0
         for a, ca in x.coeffs:
             for b, cb in y.coeffs:
@@ -207,6 +218,9 @@ class LinearFunctional:
     basis: GradedBasis
     values: tuple[tuple[str, int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_table", dict(self.values))
+
     def __call__(self, x: HomologyClass) -> int:
         if x.basis != self.basis:
             raise BasisMismatchError(f"{self.name} on {self.basis.name}, class on {x.basis.name}")
@@ -214,7 +228,7 @@ class LinearFunctional:
             return 0
         if x.grade != 1:
             raise GradeError(f"{self.name} expects a curve class, got grade {x.grade}")
-        table = dict(self.values)
+        table = self._table
         total = 0
         for e, c in x.coeffs:
             if e not in table:
@@ -238,11 +252,12 @@ class LatticeMap:
             g = self.source.grade(e)
             if not img.is_zero and img.grade != g + self.grade_shift:
                 raise GradeError(f"{self.name}: {e} (grade {g}) mapped to grade {img.grade}")
+        object.__setattr__(self, "_table", dict(self.images))
 
     def __call__(self, x: HomologyClass) -> HomologyClass:
         if x.basis != self.source:
             raise BasisMismatchError(f"{self.name} expects {self.source.name}")
-        table = dict(self.images)
+        table = self._table
         out: dict[str, int] = {}
         for e, c in x.coeffs:
             if e not in table:
@@ -264,12 +279,8 @@ class ProductTable:
     basis: GradedBasis
     entries: tuple[tuple[str, str, HomologyClass], ...]
 
-    def _table(self) -> dict[tuple[str, str], HomologyClass]:
-        t: dict[tuple[str, str], HomologyClass] = {}
-        for a, b, v in self.entries:
-            t[(a, b)] = v
-            t[(b, a)] = v
-        return t
+    def __post_init__(self):
+        object.__setattr__(self, "_table", _symmetric(self.entries))
 
     def product(self, x: HomologyClass, y: HomologyClass) -> HomologyClass:
         _same_basis(x, y)
@@ -279,7 +290,7 @@ class ProductTable:
         g = x.grade + y.grade - self.basis.n
         if g < 0:
             return zero
-        t = self._table()
+        t = self._table
         out = zero
         fund = self.basis.fundamental
         for a, ca in x.coeffs:

@@ -458,6 +458,7 @@ def _exact_decompositions(parts, target, measure):
     left0 = measure(target)
     if left0 <= 0:
         return []
+    sizes = [measure(p) for p in parts]
     out = []
 
     def rec(i, acc, remaining, left):
@@ -467,7 +468,7 @@ def _exact_decompositions(parts, target, measure):
         if i == len(parts) or left <= 0:
             return
         rec(i + 1, acc, remaining, left)
-        m = measure(parts[i])
+        m = sizes[i]
         if m <= left:
             acc.append(parts[i])
             rec(i, acc, remaining - parts[i], left - m)
@@ -571,6 +572,7 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
                                           inf=main_inf),),
                     (), spec.absolutes))
 
+    known = {}   # end degrees of level components, see _attach_contacts
     budget = X.area(spec.beta)
     xcands = [(c, gc) for c in xmodel.classes(budget)
               for gc in range(xmodel.min_genus(c), spec.genus + 1)]
@@ -583,12 +585,12 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
             alpha_total = _solve_preimage(pair, spec.beta - used)
             if alpha_total is None:
                 continue
-            for s in _build_levels(spec, k, bottom, alpha_total):
+            for s in _build_levels(spec, k, bottom, alpha_total, known):
                 add(s)
     return [found[key] for key in sorted(found)]
 
 
-def _build_levels(spec, k, bottom, alpha_total):
+def _build_levels(spec, k, bottom, alpha_total, known):
     """Fill levels 1..k over the chosen level-0 components."""
     pair = spec.pair
     D = pair.divisor
@@ -647,11 +649,15 @@ def _build_levels(spec, k, bottom, alpha_total):
             acc.pop()
 
     for level_plan in rec(1, alpha_total, bottom_deg, []):
-        yield from _attach_contacts(spec, bottom, level_plan, q)
+        yield from _attach_contacts(spec, bottom, level_plan, q, known)
 
 
-def _attach_contacts(spec, bottom, level_plan, q):
-    """Choose end partitions, matchings and outer assignments."""
+def _attach_contacts(spec, bottom, level_plan, q, known):
+    """Choose end partitions, matchings and outer assignments.
+
+    `known` memoizes the end degrees of a component, keyed on (level, data);
+    it is shared by every level plan of one enumeration.
+    """
     pair = spec.pair
     D = pair.divisor
     k = len(level_plan)
@@ -661,14 +667,20 @@ def _attach_contacts(spec, bottom, level_plan, q):
         comps_by_level[i] = comps
 
     def degrees(level, data):
+        key = (level, data)
+        if key in known:
+            return known[key]
         if level == 0:
             c, _ = data
-            return None, pair.contact_count(c)
-        a, d, _ = data
-        alpha = a if a is not None else make_cls(D.basis, {})
-        beta = q.class_of(alpha, d)
-        return (q.total.intersect(beta, q.dzero_class),
-                q.total.intersect(beta, q.dinf_class))
+            out = None, pair.contact_count(c)
+        else:
+            a, d, _ = data
+            alpha = a if a is not None else make_cls(D.basis, {})
+            beta = q.class_of(alpha, d)
+            out = (q.total.intersect(beta, q.dzero_class),
+                   q.total.intersect(beta, q.dinf_class))
+        known[key] = out
+        return out
 
     def boundary_options(i):
         lower = comps_by_level[i]

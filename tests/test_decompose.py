@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from relgw import decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
                              PulledBack, compare_abs_rel, dual_classes,
                              enumerate_terms, evaluate_decomposition,
@@ -185,6 +186,19 @@ def test_quartic_multiplicity_recomputation(quartic):
     setup, _, _, ledger = quartic
     for report in ledger.reports:
         assert term_multiplicity(setup, report.term) == report.term.multiplicity
+
+
+def test_cone_enumerated_once_per_enumeration(monkeypatch):
+    calls = []
+    original = decompose._cone_members
+
+    def counting(model, budget):
+        calls.append(budget)
+        return original(model, budget)
+
+    monkeypatch.setattr(decompose, "_cone_members", counting)
+    enumerate_terms(*quartic_case())
+    assert len(calls) == 1
 
 
 # -- weights and automorphisms ------------------------------------------

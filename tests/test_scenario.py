@@ -90,3 +90,18 @@ def test_exit_two_on_malformed_file(tmp_path, capsys):
                     encoding="utf-8")
     assert status("index", path) == 2
     assert "line 5, col 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "only-two\tfields",
+    "key\tnot-a-number\tprov",
+    "pair:t2_ruled_section;g=0;b=f;abs=;rel=(1,pt)\t2/1\tconflict",
+], ids=["two-fields", "bad-value", "conflicts-with-seed"])
+def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
+    path = tmp_path / "extra.kb"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert status("eval", SCENARIOS / "vanishing_checks.gw",
+                  "ruling_absolute", "--kb", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kb file ")
+    assert "Traceback" not in err

@@ -20,8 +20,8 @@ from .kbeval import (Evaluator, KnowledgeBase, Value, _grouping_sum, evaluate,
                      seed_table, standard_identities)
 from .lattice import cls, gen
 from .spaces import builtin
-from .strata import (Contact, LevelComponent, StratumType, enumerate_strata,
-                     multilevel_index, stratum_flags)
+from .strata import (Contact, LevelComponent, StratumType, _partitions,
+                     enumerate_strata, multilevel_index, stratum_flags)
 from .vanishing import NEGATIVE_INTERSECTION, ZERO, decide
 
 __all__ = ["CheckFailure", "run_all", "CHECKS"]
@@ -134,25 +134,6 @@ def check_dimension_suite():
 # -- 2: level index equals its projection --------------------------------
 
 
-def _partitions_upto(total, max_parts):
-    """Unordered partitions of `total` into at most max_parts parts."""
-    if total == 0:
-        yield ()
-        return
-
-    def rec(left, cap, parts):
-        if left == 0:
-            yield ()
-            return
-        if parts == 0:
-            return
-        for first in range(min(left, cap), 0, -1):
-            for rest in rec(left - first, first, parts - 1):
-                yield (first,) + rest
-
-    yield from rec(total, total, max_parts)
-
-
 def check_projection_identity():
     setups = [f"{twist}_of:{pair}" for twist in ("q", "y")
               for pair in ("p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
@@ -172,10 +153,11 @@ def check_projection_identity():
                     continue
                 deg0 = setup.total.intersect(beta, setup.dzero_class)
                 degi = setup.total.intersect(beta, setup.dinf_class)
-                z_opts = [()] if deg0 < 0 else list(_partitions_upto(deg0, 4))
+                z_opts = [()] if deg0 < 0 else [
+                    zp for zp in _partitions(deg0) if len(zp) <= 4]
                 for zp in z_opts:
-                    i_opts = ([()] if degi < 0
-                              else _partitions_upto(degi, 4 - len(zp)))
+                    i_opts = [()] if degi < 0 else [
+                        ip for ip in _partitions(degi) if len(zp + ip) <= 4]
                     for ip in i_opts:
                         flat = zp + ip
                         plans = (
@@ -228,7 +210,7 @@ def check_hyperplane_vanishing():
         for d in range(1, 6):
             beta = X.gen(X.basis.names(1)[0], d)
             degree = pair.contact_count(beta)
-            for part in _partitions_upto(degree, degree):
+            for part in _partitions(degree):
                 for constraint in itertools.product(D.basis.names(),
                                                     repeat=len(part)):
                     rel = tuple(Insertion(gen(D.basis, nm), order=o)
@@ -594,7 +576,7 @@ def _oracle_graphs(setup, spec, duals, parts1, parts2):
         per_comp = []
         for j in range(p):
             options = []
-            for part in _partitions_upto(degrees1[j], degrees1[j]):
+            for part in _oracle_partitions(degrees1[j]):
                 for names in itertools.product(D.basis.names(),
                                                repeat=len(part)):
                     for targets in itertools.product(range(q),
@@ -629,6 +611,14 @@ def _oracle_graphs(setup, spec, duals, parts1, parts2):
                                   parts2[t].encode())
                                  for o, nm, j, t in edges)),
                 )
+
+
+def _oracle_partitions(total):
+    """Partitions of total, as weakly decreasing tuples, by brute force."""
+    return [part for r in range(total + 1)
+            for part in itertools.combinations_with_replacement(
+                range(total, 0, -1), r)
+            if sum(part) == total]
 
 
 def _oracle_connected(p, q, edges):

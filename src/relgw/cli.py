@@ -276,7 +276,7 @@ def main(argv=None) -> int:
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
-        except ScenarioError as e:
+        except (ScenarioError, UnicodeDecodeError) as e:
             print(f"error: {ns.scenario}: {e}", file=sys.stderr)
             return 2
 

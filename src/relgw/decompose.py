@@ -22,10 +22,12 @@ from fractions import Fraction
 from math import factorial
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
-from .kbeval import Evaluator, KnowledgeBase, Unknown, Value, _duals, seed_table
+from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, _duals,
+                     fiber_count, seed_table)
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
-from .strata import _compositions, _exact_decompositions, _union_find
+from .strata import (_compositions, _exact_decompositions, _multisets,
+                     _union_find)
 from .vanishing import FIBER_MULTIPLE, RULED_PULLED_BACK, decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
@@ -276,22 +278,8 @@ def _skeletons(ks, ells):
 
     def options(k):
         # multisets of (order, right) pairs summing to k, lexicographically
-        found = []
-
-        def rec(start, remaining, acc):
-            if remaining == 0:
-                found.append(tuple(acc))
-                return
-            for pick in range(start, len(pool)):
-                order, _ = pool[pick]
-                if order <= remaining:
-                    acc.append(pool[pick])
-                    rec(pick, remaining - order, acc)
-                    acc.pop()
-
         pool = [(o, i) for o in range(1, k + 1) for i in range(q)]
-        rec(0, k, [])
-        return found
+        return _multisets(pool, [o for o, _ in pool], k)
 
     per_left = [options(k) for k in ks]
     for choice in itertools.product(*per_left):
@@ -470,7 +458,8 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     xpieces = xmodel.classes(budget)
     # the zero class, then the divisor's cone: both the totals pushed into
     # the neck and the classes of single neck components
-    alphas = [cls(D.basis, {})] + _cone_members(dmodel, budget)
+    dzero = cls(D.basis, {})
+    alphas = [dzero] + _cone_members(dmodel, budget)
     alpha_areas = [dmodel.area(a) for a in alphas]
 
     def distribute(parts1, parts2, skeleton, genera1, genera2):
@@ -651,30 +640,13 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 for genera in genus_plans(minima, 0):
                     distribute(parts1, (), (), genera, ())
             return
+        # neck components (ell, alpha): the ells add up to d and the alphas
+        # to alpha_tot, whose area bounds the search
         pool = [(ell, a) for ell in range(1, d + 1) for a in alphas]
-        pool_areas = alpha_areas * d
-
-        def neck_multisets(start, ell_left, alpha_left, area_left, acc):
-            if ell_left == 0:
-                if alpha_left.is_zero:
-                    yield tuple(acc)
-                return
-            for pick in range(start, len(pool)):
-                ell, a = pool[pick]
-                if ell > ell_left:
-                    continue
-                # the area is linear, so a remainder of negative area is a
-                # nonzero class of area <= 0 and is never built
-                rest_area = area_left - pool_areas[pick]
-                if rest_area < 0:
-                    continue
-                rest = alpha_left - a
-                if not rest.is_zero and rest_area <= 0:
-                    continue
-                acc.append(pool[pick])
-                yield from neck_multisets(pick, ell_left - ell, rest,
-                                          rest_area, acc)
-                acc.pop()
+        necks = [neck for neck in _multisets(
+                     pool, [ell for ell, _ in pool], d,
+                     alpha_areas * d, dmodel.area(alpha_tot))
+                 if sum((a for _, a in neck), dzero) == alpha_tot]
 
         for parts1 in splittings:
             ks = tuple(setup.left.contact_count(c) for c in parts1)
@@ -684,8 +656,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             if any(k == 0 for k in ks):
                 skip("disconnected")
                 continue
-            for neck in neck_multisets(0, d, alpha_tot,
-                                       dmodel.area(alpha_tot), []):
+            for neck in necks:
                 parts2 = tuple(_neck_class(setup, a, ell) for ell, a in neck)
                 ells = tuple(ell for ell, _ in neck)
                 minima = tuple(xmodel.min_genus(c) for c in parts1) + tuple(
@@ -842,30 +813,6 @@ def prune_term(setup: FiberSumSetup, term: DecompTerm) -> str | None:
     return None
 
 
-def _fiber_factor(setup: FiberSumSetup, comp: GraphComponent, tails):
-    """Direct count for a single-fiber neck component whose pulled-back
-    constraints have no basis class; matches the evaluator's fiber rule."""
-    D = setup.left.divisor
-    table = D.products
-    if table is None:
-        return None
-    classes = [t.dual for t in tails]
-    for ins in comp.insertions:
-        if isinstance(ins, PulledBack):
-            classes.append(ins.cls)
-        elif ins.descendents:
-            return None
-        elif ins.pulled_back and ins.cls == setup.ruled.fiber:
-            classes.append(D.point)
-        elif ins.cls.grade == 0:
-            classes.append(D.point)
-        elif ins.cls == setup.ruled.total.fundamental:
-            classes.append(D.fundamental)
-        else:
-            return None
-    return Fraction(table.point_coefficient(classes))
-
-
 @dataclass(frozen=True)
 class TermReport:
     """One ledger row: the term, its status, and the factor bookkeeping."""
@@ -963,7 +910,9 @@ def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
                 elif (_alpha_part(setup, comp.cls).is_zero
                       and _fiber_degree(setup, comp.cls) == 1
                       and comp.genus == 0):
-                    direct = _fiber_factor(setup, comp, tails)
+                    direct = fiber_count(
+                        spec.pair, [t.cls for t in spec.relatives]
+                        + [m.cls for m in markers], spec.absolutes)
                     result = (Unknown(("fiber count off the product table",))
                               if direct is None else
                               Value(direct, ("fiber-count",)))

@@ -480,12 +480,23 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
         return None
     if pair.ruled.fiber_degree(spec.beta) != 1:
         return None
+    val = fiber_count(pair, [t.cls for t in spec.relatives], spec.absolutes)
+    if val is None:
+        return None
+    return (val, (), "fiber-count")
+
+
+def fiber_count(pair: DivisorPair, classes, absolutes) -> Fraction | None:
+    """Genus-zero count in one fiber class of a ruled pair: the point
+    coefficient of the divisor `classes` times the divisor class each
+    absolute constraint cuts out.  None without a product table or when a
+    constraint has no divisor counterpart."""
     D = pair.divisor
     table = D.products
     if table is None:
         return None
-    classes = [t.cls for t in spec.relatives]
-    for ins in spec.absolutes:
+    classes = list(classes)
+    for ins in absolutes:
         if ins.descendents:
             return None
         if ins.pulled_back:
@@ -499,8 +510,7 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
             classes.append(D.fundamental)
         else:
             return None
-    val = table.point_coefficient(classes)
-    return (Fraction(val), (), "fiber-count")
+    return Fraction(table.point_coefficient(classes))
 
 
 def _pullback_source(pair: DivisorPair, c: HomologyClass) -> HomologyClass | None:

@@ -376,21 +376,42 @@ def stratum_key(s: StratumType) -> str:
 # enumeration
 
 
+def _multisets(pool, sizes, budget, sizes2=None, budget2=0):
+    """Multisets drawn from `pool`, repeats allowed, whose `sizes` add up
+    to exactly `budget` and, when given, whose `sizes2` add up to exactly
+    `budget2`.
+
+    Each multiset is a tuple listing its items in pool order; the tuples
+    come in lexicographic order of the pool positions.  Sizes are
+    non-negative integers and no item is of size zero in both, so the
+    search ends.
+    """
+    if sizes2 is None:
+        sizes2 = [0] * len(pool)
+    for s, t in zip(sizes, sizes2):
+        if s < 0 or t < 0 or s == t == 0:
+            raise InvariantError("effectivity model produced a free class")
+    out, acc = [], []
+
+    def rec(start, left, left2):
+        if left == 0 and left2 == 0:
+            out.append(tuple(acc))
+            return
+        for i in range(start, len(pool)):
+            if sizes[i] <= left and sizes2[i] <= left2:
+                acc.append(pool[i])
+                rec(i, left - sizes[i], left2 - sizes2[i])
+                acc.pop()
+
+    if budget >= 0 and budget2 >= 0:
+        rec(0, budget, budget2)
+    return out
+
+
 def _partitions(total: int):
     """Multiplicity multisets (weakly decreasing) summing to total."""
-    if total <= 0:
-        yield ()
-        return
-
-    def rec(left, cap):
-        if left == 0:
-            yield ()
-            return
-        for first in range(min(left, cap), 0, -1):
-            for rest in rec(left - first, first):
-                yield (first,) + rest
-
-    yield from rec(total, total)
+    pool = range(total, 0, -1)
+    return _multisets(pool, pool, total)
 
 
 def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass | None:
@@ -435,47 +456,17 @@ def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass |
 def _multisets_with_budget(items, budget, cost):
     """Multisets of items whose costs (all positive) sum to <= budget."""
     items = list(items)
-
-    def rec(i, left):
-        if i == len(items):
-            yield []
-            return
-        c = cost(items[i])
-        if c <= 0:
-            raise InvariantError("effectivity model produced a free class")
-        top = int(left // c)
-        for count in range(0, top + 1):
-            for rest in rec(i + 1, left - count * c):
-                yield [items[i]] * count + rest
-
-    yield from rec(0, budget)
+    sizes = [cost(c) for c in items]
+    return [ms for b in range(budget + 1)
+            for ms in _multisets(items, sizes, b)]
 
 
 def _exact_decompositions(parts, target, measure):
     """Multisets drawn from `parts` summing exactly to `target`."""
-    if target.is_zero:
-        return [[]]
-    left0 = measure(target)
-    if left0 <= 0:
-        return []
-    sizes = [measure(p) for p in parts]
-    out = []
-
-    def rec(i, acc, remaining, left):
-        if remaining.is_zero:
-            out.append(list(acc))
-            return
-        if i == len(parts) or left <= 0:
-            return
-        rec(i + 1, acc, remaining, left)
-        m = sizes[i]
-        if m <= left:
-            acc.append(parts[i])
-            rec(i, acc, remaining - parts[i], left - m)
-            acc.pop()
-
-    rec(0, [], target, left0)
-    return out
+    zero = make_cls(target.basis, {})
+    return [ms for ms in _multisets(parts, [measure(p) for p in parts],
+                                    measure(target))
+            if sum(ms, zero) == target]
 
 
 def _compositions(total, mins):
@@ -612,7 +603,7 @@ def _build_levels(spec, k, bottom, alpha_total, known):
             picks = _exact_decompositions(alpha_parts, remaining_alpha, D.area)
         else:
             room = D.area(remaining_alpha)
-            picks = list(_multisets_with_budget(alpha_parts, room, D.area)) \
+            picks = _multisets_with_budget(alpha_parts, room, D.area) \
                 if room >= 0 else []
         for alphas in picks:
             gamma = make_cls(D.basis, {})
@@ -655,8 +646,9 @@ def _build_levels(spec, k, bottom, alpha_total, known):
 def _attach_contacts(spec, bottom, level_plan, q, known):
     """Choose end partitions, matchings and outer assignments.
 
-    `known` memoizes the end degrees of a component, keyed on (level, data);
-    it is shared by every level plan of one enumeration.
+    `known` memoizes the end degrees of a component, keyed on (level, data),
+    and the partitions of an end degree, keyed on the degree; it is shared
+    by every level plan of one enumeration.
     """
     pair = spec.pair
     D = pair.divisor
@@ -682,17 +674,16 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
         known[key] = out
         return out
 
+    def partitions(deg):
+        if deg not in known:
+            known[deg] = _partitions(deg) if deg >= 0 else [()]
+        return known[deg]
+
     def boundary_options(i):
         lower = comps_by_level[i]
         upper = comps_by_level[i + 1]
-        lower_infs = []
-        for data in lower:
-            _, degi = degrees(i, data)
-            lower_infs.append(list(_partitions(degi)) if degi >= 0 else [()])
-        upper_zeros = []
-        for data in upper:
-            degz, _ = degrees(i + 1, data)
-            upper_zeros.append(list(_partitions(degz)) if degz >= 0 else [()])
+        lower_infs = [partitions(degrees(i, data)[1]) for data in lower]
+        upper_zeros = [partitions(degrees(i + 1, data)[0]) for data in upper]
         for low_choice in product(*lower_infs):
             low_pool = sorted(m for p in low_choice for m in p)
             for up_choice in product(*upper_zeros):

@@ -1,6 +1,8 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relgw import cli
 from relgw.scenario import ScenarioError, parse_scenario, serialize
@@ -39,6 +41,47 @@ def test_zero_class_round_trip():
     sc = parse_scenario(ZERO_CLASS)
     assert sc.invariants["triple"].beta.is_zero
     assert parse_scenario(serialize(sc)) == sc
+
+
+# -- any text parses or fails with a ScenarioError -----------------------
+
+SHIPPED = [p.read_text(encoding="utf-8").splitlines()
+           for p in sorted(SCENARIOS.glob("*.gw"))]
+TOKENS = sorted({tok for lines in SHIPPED for line in lines
+                 for tok in re.split(r"(\W)", line) if tok})
+
+
+@st.composite
+def edited_scenarios(draw):
+    """A shipped file with a few lines dropped, copied or spliced."""
+    lines = list(draw(st.sampled_from(SHIPPED)))
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "copy", "splice")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            line = lines[i]
+            j = draw(st.integers(0, len(line)))
+            k = draw(st.integers(j, len(line)))
+            piece = draw(st.sampled_from(TOKENS) | st.text(max_size=4))
+            lines[i] = line[:j] + piece + line[k:]
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(edited_scenarios() | st.text(max_size=80))
+def test_any_text_parses_or_raises_scenario_error(text):
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError:
+        return
+    once = serialize(sc)
+    assert serialize(parse_scenario(once)) == once
 
 
 # -- malformed component lines fail at a position ------------------------
@@ -90,6 +133,10 @@ def test_exit_two_on_malformed_file(tmp_path, capsys):
                     encoding="utf-8")
     assert status("index", path) == 2
     assert "line 5, col 20" in capsys.readouterr().err
+    path.write_bytes(b"\xff")
+    assert status("dim", path, "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "decode" in err
 
 
 @pytest.mark.parametrize("line", [

@@ -1,12 +1,14 @@
+from itertools import combinations_with_replacement
+
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, expected_dimension,
                              predicted_index)
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
-from relgw.strata import (Contact, LevelComponent, StratumType,
-                          _position_filter, assemble_class, enumerate_strata,
-                          multilevel_index, stratum_flags, stratum_key,
-                          total_genus, validate)
+from relgw.strata import (Contact, LevelComponent, StratumType, _multisets,
+                          _partitions, _position_filter, assemble_class,
+                          enumerate_strata, multilevel_index, stratum_flags,
+                          stratum_key, total_genus, validate)
 
 import pytest
 
@@ -358,3 +360,52 @@ def test_enumerate_negative_contact_signals_zero():
                          absolutes=(absins(anti.ambient, "pt"),))
     with pytest.raises(DefinedZero):
         enumerate_strata(spec, 1)
+
+
+# --- the multiset enumerator ---------------------------------------------
+
+
+def brute_multisets(pool, budgets, *size_lists):
+    """Every sorted index tuple with the right sums, in lexicographic order."""
+    found = sorted(
+        idx for r in range(sum(budgets) + 1)
+        for idx in combinations_with_replacement(range(len(pool)), r)
+        if all(sum(sizes[i] for i in idx) == b
+               for sizes, b in zip(size_lists, budgets)))
+    return [tuple(pool[i] for i in idx) for idx in found]
+
+
+@pytest.mark.parametrize("sizes", [[1, 2, 2, 3], [3, 1, 2, 1], [2, 4, 5, 3]])
+def test_multisets_match_brute_force(sizes):
+    pool = "abcd"
+    for budget in range(-1, 9):
+        assert _multisets(pool, sizes, budget) == \
+            brute_multisets(pool, (budget,), sizes)
+
+
+def test_multisets_with_two_budgets_match_brute_force():
+    # (order, area) items as in the neck components; area may be zero
+    pool = "abcde"
+    orders, areas = [1, 1, 2, 2, 3], [0, 2, 0, 3, 1]
+    for b1 in range(-1, 6):
+        for b2 in range(-1, 6):
+            assert _multisets(pool, orders, b1, areas, b2) == \
+                brute_multisets(pool, (b1, b2), orders, areas)
+    # zero in the first budget only is fine too
+    assert _multisets("ab", [0, 1], 1, [1, 0], 2) == [("a", "a", "b")]
+
+
+def test_partitions_are_weakly_decreasing_and_complete():
+    counts = [len(_partitions(n)) for n in range(9)]
+    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert _partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("sizes, more", [
+    ([1, 0], ()),
+    ([2, -1], ()),
+    ([1, 0], ([1, 0], 2)),
+], ids=["zero", "negative", "zero-in-both"])
+def test_multisets_reject_free_items(sizes, more):
+    with pytest.raises(InvariantError, match="free class"):
+        _multisets("ab", sizes, 3, *more)

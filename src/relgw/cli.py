@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .decompose import Bounds, DecompositionError, evaluate_decomposition
 from .dimension import (DefinedZero, InvariantError, constraint_codim,
@@ -59,11 +58,12 @@ def _knowledge(options) -> KnowledgeBase:
 
 
 def _bounds(options) -> Bounds | None:
-    area = options.get("area_budget")
-    max_terms = options.get("max_terms")
-    if area is None and max_terms is None:
-        return None
-    return Bounds(area=area, max_terms=max_terms or 20000)
+    """The budgets given as options; `Bounds` defaults fill the rest."""
+    given = {field: options[name]
+             for name, field in (("area_budget", "area"),
+                                 ("max_terms", "max_terms"))
+             if options.get(name) is not None}
+    return Bounds(**given) if given else None
 
 
 # -- individual commands -------------------------------------------------
@@ -217,11 +217,18 @@ def run(command: str, scenario: Scenario, args=(), **options):
 # -- argument parsing ------------------------------------------------------
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"malformed rational {text!r}")
+def _at_least(least: int):
+    """An argument type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,16 +251,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("dim", "invariant", help="print raw/expected dimensions")
     p = add("index", help="print stratum keys and indices")
     p.add_argument("names", nargs="*", metavar="stratum")
-    p.add_argument("--max-levels", type=int, metavar="K")
+    p.add_argument("--max-levels", type=_at_least(0), metavar="K")
     add("vanish", "invariant", help="print the structural verdict")
     add("eval", "invariant", help="evaluate through the knowledge base")
     p = add("decompose", "setup", "invariant", help="print a splitting ledger")
-    p.add_argument("--area-budget", type=_rational, metavar="P/Q")
-    p.add_argument("--max-terms", type=int, metavar="N")
+    p.add_argument("--area-budget", type=_at_least(0), metavar="A")
+    p.add_argument("--max-terms", type=_at_least(1), metavar="N")
     p = add("run", help="execute the file's [run] directives")
-    p.add_argument("--area-budget", type=_rational, metavar="P/Q")
-    p.add_argument("--max-terms", type=int, metavar="N")
-    p.add_argument("--max-levels", type=int, metavar="K")
+    p.add_argument("--area-budget", type=_at_least(0), metavar="A")
+    p.add_argument("--max-terms", type=_at_least(1), metavar="N")
+    p.add_argument("--max-levels", type=_at_least(0), metavar="K")
     p.add_argument("--golden", metavar="DIR")
     for name in ("verify", "verify-paper"):
         p = add(name, scenario=False,

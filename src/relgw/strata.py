@@ -348,14 +348,14 @@ def stratum_key(s: StratumType) -> str:
             start = i
 
     body = "&".join(_comp_text(c) for c in comps)
+    slots = [(list(_slot_orders(c.zero)), list(_slot_orders(c.inf)))
+             for c in comps]
     best = None
     for placement in product(*[permutations(g) for g in groups]):
-        target = [None] * len(comps)
+        slot_sets = [None] * len(comps)
         for g, placed in zip(groups, placement):
             for src, dst in zip(g, placed):
-                target[dst] = comps[src]
-        slot_sets = [(list(_slot_orders(c.zero)), list(_slot_orders(c.inf)))
-                     for c in target]
+                slot_sets[dst] = slots[src]
         for zmaps in product(*[z for z, _ in slot_sets]):
             for imaps in product(*[i for _, i in slot_sets]):
                 pos = {}
@@ -649,6 +649,15 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
     `known` memoizes the end degrees of a component, keyed on (level, data),
     and the partitions of an end degree, keyed on the degree; it is shared
     by every level plan of one enumeration.
+
+    A level plan fixes the vertex count v and the genus sum G of every
+    stratum built from it, and a choice of boundary partitions fixes the
+    edge count e: every part of a lower-side partition becomes exactly one
+    matching.  `total_genus` is G + e - v + c for c connected components of
+    the matching graph, and `validate` rejects c > 1 as disconnected, so
+    every stratum that `enumerate_strata` keeps has G + e - v + 1 equal to
+    the count's genus.  Boundary choices with any other e are dropped
+    before their matchings are built; the survivors keep their order.
     """
     pair = spec.pair
     D = pair.divisor
@@ -724,9 +733,15 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
                 seen.add(key)
                 yield assign
 
+    vertices = [data for comps in comps_by_level.values() for data in comps]
+    need = spec.genus - 1 + len(vertices) - sum(data[-1] for data in vertices)
     boundaries = [list(boundary_options(i)) for i in range(0, k)]
+    choices = [chosen for chosen in product(*boundaries)
+               if sum(len(p) for low, _ in chosen for p in low) == need]
+    if not choices:
+        return
     outers = list(outer_assignments())
-    for chosen in product(*boundaries):
+    for chosen in choices:
         for outer in outers:
             yield from _materialize(spec, comps_by_level, chosen, outer, k, q)
 

@@ -152,3 +152,33 @@ def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith("error: kb file ")
     assert "Traceback" not in err
+
+
+# -- bound options are integers checked at argument parsing --------------
+
+
+def test_area_budget_runs_a_decompose(capsys):
+    assert status("decompose", SCENARIOS / "blowup_line.gw", "p2blow1_exc",
+                  "lines", "--area-budget", "3") == 0
+    assert capsys.readouterr().out.startswith("status\t")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+     "--area-budget", "1/2"),
+    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+     "--area-budget", "-1"),
+    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+     "--max-terms", "0"),
+    ("run", "blowup_line.gw", "--max-terms", "0"),
+    ("index", "conic_tangent.gw", "--max-levels", "-1"),
+], ids=["area-fraction", "area-negative", "terms-zero", "run-terms-zero",
+        "levels-negative"])
+def test_exit_two_on_bad_bound(capsys, argv):
+    command, name, *rest = argv
+    with pytest.raises(SystemExit) as info:
+        status(command, SCENARIOS / name, *rest)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {rest[-2]}: expected an integer" in err
+    assert "Traceback" not in err

@@ -1,14 +1,17 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, expected_dimension,
                              predicted_index)
+from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
-from relgw.strata import (Contact, LevelComponent, StratumType, _multisets,
-                          _partitions, _position_filter, assemble_class,
-                          enumerate_strata, multilevel_index, stratum_flags,
-                          stratum_key, total_genus, validate)
+from relgw.strata import (Contact, LevelComponent, StratumType,
+                          _graph_components, _multisets, _partitions,
+                          _position_filter, assemble_class, enumerate_strata,
+                          multilevel_index, stratum_flags, stratum_key,
+                          total_genus, validate)
 
 import pytest
 
@@ -330,9 +333,25 @@ def test_enumerate_split_scenario():
         assert multilevel_index(s) == predicted_index(spec, s.depth)
 
 
-def test_enumerate_torus_scenario():
-    spec = cubic_torus_spec()
-    strata = enumerate_strata(spec, 2)
+@pytest.fixture(scope="module")
+def torus():
+    """The torus cubic at depth 2, with (total genus, graph components) of
+    every candidate that reached `total_genus`."""
+    seen = []
+
+    def spy(s):
+        genus = total_genus(s)
+        seen.append((genus, _graph_components(s)))
+        return genus
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strata_module, "total_genus", spy)
+        strata = enumerate_strata(cubic_torus_spec(), 2)
+    return strata, seen
+
+
+def test_enumerate_torus_scenario(torus):
+    strata, _ = torus
     keys = {stratum_key(s): s for s in strata}
     kone = stratum_key(torus_stratum_one_level())
     ktwo = stratum_key(torus_stratum_two_levels())
@@ -344,6 +363,51 @@ def test_enumerate_torus_scenario():
     main = [s for s in strata if s.depth == 0]
     assert len(main) == 1
     assert multilevel_index(main[0]) == 8
+
+
+def line_genus_one_spec():
+    # has strata with no level-0 component: the whole line sinks into the
+    # divisor, so the first boundary carries no edge
+    x = P2H.ambient
+    return InvariantSpec(P2H, 1, x.gen("lambda"),
+                         relatives=(rel(P2H, 1, "fund"),))
+
+
+def key_digest(strata):
+    text = "\n".join(stratum_key(s) for s in strata)
+    return len(strata), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+TORUS_KEYS = (216, "dddb2559c579b361b1aed94d43a8269f"
+                   "3226662701ae126ed321ee0b7cfe1ba7")
+
+
+@pytest.mark.parametrize("make, count, sha", [
+    (conic_tangent_spec, 7,
+     "c8869de79f3c4ae6784086d255d79feece94c30ddbf35716d0091dba828acd56"),
+    (conic_split_spec, 11,
+     "6f523345c4addb223c76c582c85a6cfca85390e407eda30163cde89cc043647a"),
+    (line_genus_one_spec, 4,
+     "fa90fe6689e995776ca5fc878fab4324b90f6c0a15befc5b824926d844311a5b"),
+], ids=["tangent", "split", "line-genus-one"])
+def test_depth_two_enumeration_is_pinned(make, count, sha):
+    strata = enumerate_strata(make(), 2)
+    assert key_digest(strata) == (count, sha)
+    assert any(all(c.level > 0 for c in s.components) for s in strata)
+
+
+def test_torus_enumeration_is_pinned(torus):
+    strata, _ = torus
+    assert key_digest(strata) == TORUS_KEYS
+    assert any(all(c.level > 0 for c in s.components) for s in strata)
+
+
+def test_connected_candidates_have_the_count_genus(torus):
+    # a structural choice whose Euler characteristic misses the genus is
+    # rejected before its matchings are built
+    _, seen = torus
+    assert seen
+    assert {genus for genus, parts in seen if parts == 1} == {1}
 
 
 def test_enumerate_rejects_missing_contact_data():

@@ -199,7 +199,6 @@ _COMMANDS = {
     "decompose": cmd_decompose,
     "run": cmd_run,
     "verify": cmd_verify,
-    "verify-paper": cmd_verify,
 }
 
 
@@ -238,14 +237,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "curve counts relative a divisor")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *positional, scenario=True, **kwargs):
+    def add(name, *positional, scenario=True, kb=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         if scenario:
             p.add_argument("scenario", help="scenario file")
         for arg in positional:
             p.add_argument(arg)
-        p.add_argument("--kb", metavar="FILE",
-                       help="extra knowledge-base entries to import")
+        if kb:
+            p.add_argument("--kb", metavar="FILE",
+                           help="extra knowledge-base entries to import")
         return p
 
     add("dim", "invariant", help="print raw/expected dimensions")
@@ -253,20 +253,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", metavar="stratum")
     p.add_argument("--max-levels", type=_at_least(0), metavar="K")
     add("vanish", "invariant", help="print the structural verdict")
-    add("eval", "invariant", help="evaluate through the knowledge base")
-    p = add("decompose", "setup", "invariant", help="print a splitting ledger")
+    add("eval", "invariant", kb=True, help="evaluate through the knowledge base")
+    p = add("decompose", "setup", "invariant", kb=True,
+            help="print a splitting ledger")
     p.add_argument("--area-budget", type=_at_least(0), metavar="A")
     p.add_argument("--max-terms", type=_at_least(1), metavar="N")
-    p = add("run", help="execute the file's [run] directives")
+    p = add("run", kb=True, help="execute the file's [run] directives")
     p.add_argument("--area-budget", type=_at_least(0), metavar="A")
     p.add_argument("--max-terms", type=_at_least(1), metavar="N")
     p.add_argument("--max-levels", type=_at_least(0), metavar="K")
     p.add_argument("--golden", metavar="DIR")
-    for name in ("verify", "verify-paper"):
-        p = add(name, scenario=False,
-                help="run the full regression suite")
-        p.add_argument("--golden", metavar="DIR",
-                       help="directory of expected ledger reports")
+    p = add("verify", scenario=False, help="run the full regression suite")
+    p.add_argument("--golden", metavar="DIR",
+                   help="directory of expected ledger reports")
     return parser
 
 

@@ -23,12 +23,12 @@ from math import factorial
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
 from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, _duals,
-                     fiber_count, seed_table)
+                     _pullback_source, fiber_count, seed_table)
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
 from .strata import (_compositions, _exact_decompositions, _multisets,
-                     _union_find)
-from .vanishing import FIBER_MULTIPLE, RULED_PULLED_BACK, decide
+                     _union_find, graph_genus)
+from .vanishing import decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
 
@@ -143,9 +143,9 @@ class DecompTerm:
 
 def total_genus(term: DecompTerm) -> int:
     """Component genera plus the cycle rank of the connected graph."""
-    comps = len(term.gamma1) + len(term.gamma2)
-    rank = len(term.tails) - comps + 1 if comps else 0
-    return sum(c.genus for c in term.gamma1 + term.gamma2) + rank
+    comps = term.gamma1 + term.gamma2
+    return graph_genus(sum(c.genus for c in comps), len(term.tails),
+                       len(comps), 1 if comps else 0)
 
 
 def dual_classes(space: Space) -> dict[str, HomologyClass]:
@@ -201,11 +201,6 @@ def _alpha_part(setup: FiberSumSetup, c: HomologyClass) -> HomologyClass:
     return setup.ruled.projection(c)
 
 
-def _fiber_degree(setup: FiberSumSetup, c: HomologyClass) -> int:
-    (fname, _), = setup.ruled.fiber.coeffs
-    return c.coeff(fname)
-
-
 def _represent(setup: FiberSumSetup, c: HomologyClass) -> Insertion | None:
     """Preimage of a divisor class as a bundle insertion, when it exists."""
     D = setup.left.divisor
@@ -224,13 +219,14 @@ def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
 
 
 def _right_spec(setup: FiberSumSetup, comp: GraphComponent, tails):
-    """(spec over representable constraints, leftover markers)."""
+    """(spec over representable constraints, leftover markers): a marker is
+    the divisor class behind a PulledBack with no bundle class."""
     reals, markers = [], []
     for ins in comp.insertions:
         if isinstance(ins, PulledBack):
             conv = _represent(setup, ins.cls)
             if conv is None:
-                markers.append(ins)
+                markers.append(ins.cls)
             else:
                 reals.append(conv)
         else:
@@ -242,11 +238,7 @@ def _right_spec(setup: FiberSumSetup, comp: GraphComponent, tails):
 
 
 def _right_dimension(setup: FiberSumSetup, comp: GraphComponent, tails) -> int:
-    spec, markers = _right_spec(setup, comp, tails)
-    n = setup.total.n
-    # each marker is one more insertion (+1 raw) of codim n - grade - 1
-    return expected_dimension(spec) + sum(
-        m.cls.grade + 2 - n for m in markers)
+    return expected_dimension(*_right_spec(setup, comp, tails))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +594,10 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
 
             fill(0, need_left, list(need_right))
 
-    def genus_plans(minima, rank):
+    def genus_plans(minima, edges):
+        """Component genera for a connected graph with one vertex per
+        entry of `minima`, each at least its minimum."""
+        rank = graph_genus(0, edges, len(minima), 1)
         extra = spec.genus - sum(minima) - rank
         if bounds.extra_genus is not None and extra > bounds.extra_genus:
             return
@@ -665,8 +660,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 for skeleton in _skeletons(ks, ells):
                     if not _connected(p, len(parts2), skeleton):
                         continue
-                    rank = len(skeleton) - (p + len(parts2)) + 1
-                    for genera in genus_plans(minima, rank):
+                    for genera in genus_plans(minima, len(skeleton)):
                         distribute(parts1, parts2, skeleton,
                                    genera[:p], genera[p:])
 
@@ -737,37 +731,10 @@ def _prune_left(setup: FiberSumSetup, comp: GraphComponent, tails):
 
 
 def _prune_right(setup: FiberSumSetup, comp: GraphComponent, tails):
-    spec, markers = _right_spec(setup, comp, tails)
-    if not markers:
-        verdict = decide(spec)
-        if verdict.is_zero:
-            return verdict.reason
-    else:
-        reason = _prune_marked(setup, comp, spec, markers)
-        if reason is not None:
-            return reason
+    verdict = decide(*_right_spec(setup, comp, tails))
+    if verdict.is_zero:
+        return verdict.reason
     return _prune_miss(setup, comp, tails)
-
-
-def _prune_marked(setup, comp, spec, markers):
-    """The genus-zero ruled checks, with markers counted as constraints."""
-    if comp.genus != 0:
-        return None
-    fdeg = _fiber_degree(setup, comp.cls)
-    alpha = _alpha_part(setup, comp.cls)
-    if alpha.is_zero:
-        if fdeg > 1:
-            return FIBER_MULTIPLE
-        s = len(spec.absolutes) + len(markers)
-        if fdeg == 1 and s > 0 and s + len(spec.relatives) > 3:
-            return FIBER_MULTIPLE
-        return None
-    against_zero = setup.ruled.total.intersect(
-        comp.cls, setup.ruled.dzero_class)
-    invariant = all(a.pulled_back for a in spec.absolutes)
-    if against_zero >= 0 and invariant:
-        return RULED_PULLED_BACK
-    return None
 
 
 def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
@@ -778,20 +745,19 @@ def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
     alpha = _alpha_part(setup, comp.cls)
     if alpha.is_zero:
         return None
-    D = setup.left.divisor
     n = setup.total.n
     low = False
     for ins in comp.insertions:
         source = None
         if isinstance(ins, PulledBack):
             source = ins.cls
-        elif ins.pulled_back and ins.cls == setup.ruled.fiber:
-            source = D.point
+        elif ins.pulled_back:
+            source = _pullback_source(setup.right, ins.cls)
         if source is not None and source.grade <= n - 3:
             low = True
     if not low:
         return None
-    if _missable_class(D.effective, alpha):
+    if _missable_class(setup.left.divisor.effective, alpha):
         return PULLED_BACK_MISS
     return None
 
@@ -907,18 +873,17 @@ def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
                 spec, markers = _right_spec(setup, comp, tails)
                 if not markers:
                     result = evaluator.evaluate(spec)
-                elif (_alpha_part(setup, comp.cls).is_zero
-                      and _fiber_degree(setup, comp.cls) == 1
+                elif (setup.right.ruled.fiber_degree(comp.cls) == 1
                       and comp.genus == 0):
                     direct = fiber_count(
                         spec.pair, [t.cls for t in spec.relatives]
-                        + [m.cls for m in markers], spec.absolutes)
+                        + list(markers), spec.absolutes)
                     result = (Unknown(("fiber count off the product table",))
                               if direct is None else
                               Value(direct, ("fiber-count",)))
                 else:
                     result = Unknown((f"no bundle class for "
-                                      f"{markers[0].token()}",))
+                                      f"{PulledBack(markers[0]).token()}",))
             tag = f"{side}{idx}"
             if result.known:
                 factors.append(f"{tag}={result.value}")
@@ -969,9 +934,7 @@ def _is_distinguished(setup: FiberSumSetup, spec: InvariantSpec,
     for comp in term.gamma2:
         if comp.insertions or comp.genus != 0:
             return False
-        if not _alpha_part(setup, comp.cls).is_zero:
-            return False
-        if _fiber_degree(setup, comp.cls) != 1:
+        if setup.right.ruled.fiber_degree(comp.cls) != 1:
             return False
     return all(t.order == 1 and t.cls == D.fundamental for t in term.tails)
 

@@ -255,10 +255,19 @@ def constraint_codim(ins: Insertion, n: int) -> int:
     return codim
 
 
-def expected_dimension(spec: InvariantSpec) -> int:
+def expected_dimension(spec: InvariantSpec, markers=()) -> int:
+    """Raw dimension minus the codimension of every constraint.
+
+    `markers` are divisor classes whose preimages constrain the count but
+    have no class in the ambient basis; each is one more insertion (+1 raw)
+    of codimension n - grade - 1.
+    """
     total = raw_dimension(spec)
+    n = spec.n
     for ins in spec.absolutes + spec.relatives:
-        total -= constraint_codim(ins, spec.n)
+        total -= constraint_codim(ins, n)
+    for m in markers:
+        total += m.grade + 2 - n
     return total
 
 

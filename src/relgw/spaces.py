@@ -231,9 +231,8 @@ class RuledMeta:
 
     def fiber_degree(self, beta: HomologyClass) -> int | None:
         """ell if beta = ell * fiber, else None."""
-        rest = beta - self.fiber.scale(_fiber_mult(beta, self.fiber))
         m = _fiber_mult(beta, self.fiber)
-        return m if rest.is_zero else None
+        return m if (beta - self.fiber.scale(m)).is_zero else None
 
 
 def _fiber_mult(beta: HomologyClass, fiber: HomologyClass) -> int:

@@ -250,11 +250,16 @@ def assemble_class(s: StratumType) -> HomologyClass:
     return total + s.pair.inclusion(section)
 
 
+def graph_genus(genera: int, edges: int, vertices: int, components: int) -> int:
+    """Arithmetic genus of a nodal curve from its dual graph: the summed
+    component genera plus the cycle rank edges - vertices + components."""
+    return genera + edges - vertices + components
+
+
 def total_genus(s: StratumType) -> int:
     """Component genera plus the loops closed by the matching graph."""
-    e = len(s.matchings)
-    v = len(s.components)
-    return sum(c.genus for c in s.components) + e - v + _graph_components(s)
+    return graph_genus(sum(c.genus for c in s.components), len(s.matchings),
+                       len(s.components), _graph_components(s))
 
 
 def multilevel_index(s: StratumType) -> int:
@@ -734,7 +739,9 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
                 yield assign
 
     vertices = [data for comps in comps_by_level.values() for data in comps]
-    need = spec.genus - 1 + len(vertices) - sum(data[-1] for data in vertices)
+    # the edge count that, on a connected graph, closes the count's genus
+    need = spec.genus - graph_genus(sum(data[-1] for data in vertices), 0,
+                                    len(vertices), 1)
     boundaries = [list(boundary_options(i)) for i in range(0, k)]
     choices = [chosen for chosen in product(*boundaries)
                if sum(len(p) for low, _ in chosen for p in low) == need]

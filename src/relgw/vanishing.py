@@ -1,38 +1,29 @@
-"""Vanishing verdicts and the reduction of absolute counts to relative ones.
+"""Structural vanishing verdicts and the degeneration hypothesis.
 
 `decide` runs a fixed sequence of cheap structural checks against an
 invariant specification and reports the first that applies.  A verdict is
 never a computation of the number itself; it only says "this count is zero
-and here is why", "nothing rules it out", or "it equals another count".
+and here is why" or "nothing rules it out".  `check_degeneration_hypothesis`
+tests the positivity condition under which the evaluator may trade a
+genus-0 relative count for an absolute one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .dimension import (
-    DefinedZero,
-    Insertion,
-    InvariantError,
-    InvariantSpec,
-    expected_dimension,
-)
+from .dimension import DefinedZero, InvariantError, InvariantSpec, expected_dimension
 from .lattice import HomologyClass
 from .spaces import DivisorPair
 
 ZERO = "zero"
 ADMISSIBLE = "admissible"
-REDUCES = "reduces"
-UNKNOWN = "unknown"
 
 NEGATIVE_INTERSECTION = "negative-intersection"
 DIMENSION_MISMATCH = "dimension-mismatch"
 PROJECTIVE_HYPERPLANE = "projective-hyperplane"
 RULED_PULLED_BACK = "ruled-pulled-back"
 FIBER_MULTIPLE = "fiber-multiple"
-HYPOTHESIS_FAILED = "hypothesis-failed"
-NEGATIVE_CONTACT = "negative-contact"
 
 # pairs whose divisor is a linear hyperplane section of projective space
 _HYPERPLANE_FAMILY = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane")
@@ -42,37 +33,32 @@ _HYPERPLANE_FAMILY = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperpla
 class Verdict:
     """Outcome of a structural check.
 
-    kind is one of ZERO, ADMISSIBLE, REDUCES, UNKNOWN.  Zero verdicts carry a
-    machine-readable reason; reductions carry the equivalent specification
-    and the rational factor relating the two counts.
+    kind is ZERO or ADMISSIBLE; zero verdicts carry a machine-readable
+    reason.
     """
 
     kind: str
     reason: str | None = None
-    target: InvariantSpec | None = None
-    factor: Fraction | None = None
     trace: tuple[str, ...] = ()
 
     @property
     def is_zero(self) -> bool:
         return self.kind == ZERO
 
-    @property
-    def is_admissible(self) -> bool:
-        return self.kind == ADMISSIBLE
-
     def describe(self) -> str:
         if self.kind == ZERO:
             return f"zero[{self.reason}]"
-        if self.kind == REDUCES:
-            return f"reduces[{self.reason}] x{self.factor}"
-        if self.kind == UNKNOWN:
-            return f"unknown[{self.reason}]"
         return "admissible"
 
 
-def decide(spec: InvariantSpec) -> Verdict:
+def decide(spec: InvariantSpec, markers=()) -> Verdict:
     """Apply the vanishing checks in their fixed order.
+
+    This is the only structural vanishing rule, for plain counts and for
+    the components of a splitting alike.  `markers` are divisor classes
+    whose preimages constrain a bundle-side component without a class in
+    the bundle's basis; each counts as one more pulled-back absolute
+    constraint, in the dimension gate and in the fiber-class bound.
 
     Order matters: negative contact degree first (the count is zero by
     definition), then the dimension gate, then the three geometric rules
@@ -80,7 +66,7 @@ def decide(spec: InvariantSpec) -> Verdict:
     """
     pair = spec.pair
     try:
-        e = expected_dimension(spec)
+        e = expected_dimension(spec, markers)
     except DefinedZero as stop:
         return Verdict(ZERO, NEGATIVE_INTERSECTION, trace=(str(stop),))
 
@@ -100,7 +86,7 @@ def decide(spec: InvariantSpec) -> Verdict:
     if pair is None or spec.genus != 0:
         return Verdict(ADMISSIBLE)
 
-    s, r = len(spec.absolutes), len(spec.relatives)
+    s, r = len(spec.absolutes) + len(markers), len(spec.relatives)
 
     meta = pair.ruled
     if meta is not None:
@@ -161,33 +147,3 @@ def check_degeneration_hypothesis(
         if X.c1(image) <= bound:
             return False, alpha
     return True, None
-
-
-def abs_rel_identity(spec: InvariantSpec, pair: DivisorPair) -> Verdict:
-    """Rewrite an absolute count as a relative one with fundamental tails.
-
-    Under the degeneration hypothesis the absolute invariant equals the
-    relative invariant of (X, D) with the same insertions plus beta.D extra
-    contact points of order one carrying the fundamental class of D.
-    """
-    if spec.pair is not None:
-        raise InvariantError("identity starts from an absolute count")
-    if spec.target.basis.name != pair.ambient.basis.name:
-        raise InvariantError(
-            f"count lives on {spec.target.name}, pair on {pair.ambient.name}")
-    ok, witness = check_degeneration_hypothesis(pair, spec.beta)
-    if not ok:
-        return Verdict(
-            UNKNOWN, HYPOTHESIS_FAILED,
-            trace=(f"violating divisor class {witness.encode()}",))
-    d = pair.contact_count(spec.beta)
-    if d < 0:
-        return Verdict(
-            UNKNOWN, NEGATIVE_CONTACT,
-            trace=(f"class meets the divisor in degree {d}",))
-    tails = tuple(Insertion(pair.divisor.fundamental, order=1) for _ in range(d))
-    relative = InvariantSpec(pair, spec.genus, spec.beta,
-                             spec.absolutes, spec.relatives + tails)
-    return Verdict(
-        REDUCES, "fundamental-tails", target=relative, factor=Fraction(1),
-        trace=(f"{d} contact points of order one on the fundamental class",))

@@ -163,22 +163,33 @@ def test_area_budget_runs_a_decompose(capsys):
     assert capsys.readouterr().out.startswith("status\t")
 
 
-@pytest.mark.parametrize("argv", [
-    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
-     "--area-budget", "1/2"),
-    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
-     "--area-budget", "-1"),
-    ("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
-     "--max-terms", "0"),
-    ("run", "blowup_line.gw", "--max-terms", "0"),
-    ("index", "conic_tangent.gw", "--max-levels", "-1"),
+def bound_error(flag):
+    return f"error: argument {flag}: expected an integer"
+
+
+# argparse rejects bad bounds, unknown commands, and options a command does
+# not take
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+      "--area-budget", "1/2"), bound_error("--area-budget")),
+    (("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+      "--area-budget", "-1"), bound_error("--area-budget")),
+    (("decompose", "blowup_line.gw", "p2blow1_exc", "lines",
+      "--max-terms", "0"), bound_error("--max-terms")),
+    (("run", "blowup_line.gw", "--max-terms", "0"), bound_error("--max-terms")),
+    (("index", "conic_tangent.gw", "--max-levels", "-1"),
+     bound_error("--max-levels")),
+    (("verify-paper",),
+     "error: argument command: invalid choice: 'verify-paper'"),
+    (("dim", "vanishing_checks.gw", "ruling_absolute", "--kb", "extra.kb"),
+     "error: unrecognized arguments: --kb extra.kb"),
 ], ids=["area-fraction", "area-negative", "terms-zero", "run-terms-zero",
-        "levels-negative"])
-def test_exit_two_on_bad_bound(capsys, argv):
-    command, name, *rest = argv
+        "levels-negative", "verify-paper", "dim-kb"])
+def test_exit_two_on_bad_bound(capsys, argv, message):
+    argv = [SCENARIOS / a if a.endswith(".gw") else a for a in argv]
     with pytest.raises(SystemExit) as info:
-        status(command, SCENARIOS / name, *rest)
+        status(*argv)
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert f"error: argument {rest[-2]}: expected an integer" in err
+    assert message in err
     assert "Traceback" not in err

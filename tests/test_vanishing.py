@@ -3,9 +3,8 @@
 import itertools
 from fractions import Fraction
 
-import pytest
-
-from relgw.dimension import Insertion, InvariantError, InvariantSpec
+from relgw.dimension import Insertion, InvariantSpec, expected_dimension
+from relgw.kbeval import Evaluator, _rule_drop_fundamental_tails, seed_table
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import _partitions
@@ -13,11 +12,9 @@ from relgw.vanishing import (
     ADMISSIBLE,
     DIMENSION_MISMATCH,
     FIBER_MULTIPLE,
-    HYPOTHESIS_FAILED,
     NEGATIVE_INTERSECTION,
     RULED_PULLED_BACK,
     ZERO,
-    abs_rel_identity,
     check_degeneration_hypothesis,
     decide,
 )
@@ -130,36 +127,112 @@ def test_hypothesis_antidiagonal():
     assert witness == D.gen("fund")
 
 
-def test_identity_adds_fundamental_tails():
+# -- markers: divisor classes pulled back to the bundle side ---------------
+#
+# On the bundle over the hyperplane of the two-point blowup of P4 the
+# preimage of the line class `lambda` of the divisor has no class in the
+# bundle's basis, so a splitting carries it as a marker.
+
+
+def bundle_spec(coeffs, *tails):
+    pair = builtin("y_of:p4blow2_hyperplane").infinity_pair
+    Y, D = pair.ambient, pair.divisor
+    rel = tuple(Insertion(gen(D.basis, name), order=order)
+                for order, name in tails)
+    return InvariantSpec(pair, 0, cls(Y.basis, coeffs), (), rel), D
+
+
+def test_dimension_gate_counts_markers():
+    # each marker is one more insertion of codimension n - grade - 1
+    spec, D = bundle_spec({"f": 1}, (1, "eps1"))
+    line = gen(D.basis, "lambda")
+    assert expected_dimension(spec) == 1
+    assert expected_dimension(spec, (line,)) == 0
+    assert expected_dimension(spec, (line, line)) == -1
+    v = decide(spec)
+    assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
+    assert decide(spec, (line,)).kind == ADMISSIBLE
+    v = decide(spec, (line, line))
+    assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
+
+
+def test_fiber_multiple_counts_markers():
+    spec, D = bundle_spec({"f": 1}, (1, "fund"))
+    line = gen(D.basis, "lambda")
+    # three markers and one contact: four insertions on a fiber
+    v = decide(spec, (line,) * 3)
+    assert v.kind == ZERO and v.reason == FIBER_MULTIPLE
+    assert "3 absolute and 1 relative" in v.trace[0]
+    # two markers against a contact of one grade lower: three insertions
+    fewer, _ = bundle_spec({"f": 1}, (1, "pi"))
+    assert expected_dimension(fewer, (line,) * 2) == 0
+    assert decide(fewer, (line,) * 2).kind == ADMISSIBLE
+
+
+def test_ruled_pulled_back_holds_with_markers():
+    spec, D = bundle_spec(
+        {"f": 1, "lambda_0": 1, "eps1_0": -1, "eps2_0": -1}, (1, "pi"))
+    v = decide(spec, (gen(D.basis, "lambda"),))
+    assert v.kind == ZERO and v.reason == RULED_PULLED_BACK
+    # without the marker the dimension gate speaks first
+    assert decide(spec).reason == DIMENSION_MISMATCH
+
+
+# -- the genus-0 reduction of relative counts to absolute ones -------------
+
+
+def drop_tails(spec):
+    return _rule_drop_fundamental_tails(Evaluator(seed_table()), spec)
+
+
+def test_drop_tails_fires_on_fundamental_tails():
     pair = builtin("p2_hyperplane")
     X, D = pair.ambient, pair.divisor
-    conics = InvariantSpec(X, 0, X.gen("lambda", 2), (Insertion(X.point),) * 2, ())
-    v = abs_rel_identity(conics, pair)
-    assert v.kind == "reduces" and v.factor == Fraction(1)
-    assert v.target.pair.name == "p2_hyperplane"
-    assert v.target.contact_orders == (1, 1)
-    assert all(i.cls == D.fundamental for i in v.target.relatives)
-    assert v.target.absolutes == conics.absolutes
+    points = (Insertion(X.point),) * 2
+    tails = (Insertion(D.fundamental, order=1),) * 2
+    conics = InvariantSpec(pair, 0, X.gen("lambda", 2), points, tails)
+    factor, (child,), note = drop_tails(conics)
+    assert factor == Fraction(1) and note == "drop-fundamental-tails"
+    assert child == InvariantSpec(X, 0, X.gen("lambda", 2), points, ())
 
 
-def test_identity_with_no_contacts():
+def test_drop_tails_with_no_contacts():
     pair = builtin("p2blow1_exc")
     X = pair.ambient
-    spec = InvariantSpec(X, 0, X.gen("lambda"), (Insertion(X.point),) * 2, ())
-    v = abs_rel_identity(spec, pair)
-    assert v.kind == "reduces"
-    assert v.target.relatives == ()
-    assert v.target.beta == X.gen("lambda")
+    points = (Insertion(X.point),) * 2
+    lines = InvariantSpec(pair, 0, X.gen("lambda"), points, ())
+    factor, (child,), _ = drop_tails(lines)
+    assert factor == Fraction(1)
+    assert child == InvariantSpec(X, 0, X.gen("lambda"), points, ())
 
 
-def test_identity_blocked_by_witness():
+def test_drop_tails_blocked_by_witness():
     pair = builtin("s2xs2_antidiag")
     X = pair.ambient
-    spec = InvariantSpec(X, 0, X.gen("a1"), (Insertion(X.point),), ())
-    v = abs_rel_identity(spec, pair)
-    assert v.kind == "unknown" and v.reason == HYPOTHESIS_FAILED
+    ok, _ = check_degeneration_hypothesis(pair, X.gen("a1"))
+    assert not ok
+    spec = InvariantSpec(pair, 0, X.gen("a1"), (Insertion(X.point),), ())
+    assert drop_tails(spec) is None
 
 
-def test_identity_requires_absolute_input():
-    with pytest.raises(InvariantError):
-        abs_rel_identity(antidiag_point_spec(), builtin("s2xs2_antidiag"))
+def test_drop_tails_needs_a_relative_count():
+    X = builtin("p2")
+    spec = InvariantSpec(X, 0, X.gen("lambda"), (Insertion(X.point),) * 2, ())
+    assert drop_tails(spec) is None
+
+
+def test_drop_tails_skips_genus_one():
+    # the paper's genus-1 contrast: sections of the ruled torus through a
+    # point count 2 absolutely and 1 relative to the section, although
+    # the positivity hypothesis holds for their class
+    pair = builtin("t2_ruled_section")
+    X = pair.ambient
+    section = cls(X.basis, {"s": 1, "f": 1})
+    ok, _ = check_degeneration_hypothesis(pair, section)
+    assert ok
+    point = (Insertion(X.point),)
+    relative = InvariantSpec(pair, 1, section, point, ())
+    assert drop_tails(relative) is None
+    ev = Evaluator(seed_table())
+    assert ev.evaluate(relative).value == 1
+    assert ev.evaluate(InvariantSpec(X, 1, section, point, ())).value == 2

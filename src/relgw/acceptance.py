@@ -12,8 +12,7 @@ import itertools
 import os
 from fractions import Fraction
 
-from .decompose import (compare_abs_rel, dual_classes, enumerate_terms,
-                        evaluate_decomposition)
+from .decompose import compare_abs_rel, enumerate_terms, evaluate_decomposition
 from .dimension import (Insertion, InvariantSpec, expected_dimension,
                         level_index, projection_index)
 from .kbeval import (Evaluator, KnowledgeBase, Value, _grouping_sum, evaluate,
@@ -419,13 +418,12 @@ def check_antidiagonal_contrast():
 
 
 def _diagonal_identity(space):
-    duals = dual_classes(space)
     for x_name in space.basis.names():
         x = gen(space.basis, x_name)
         for y_name in space.basis.names(space.n - x.grade):
             y = gen(space.basis, y_name)
             through = sum(space.intersect(x, gen(space.basis, b))
-                          * space.intersect(duals[b], y)
+                          * space.intersect(space.duals[b], y)
                           for b in space.basis.names())
             need(through == space.intersect(x, y),
                  f"diagonal identity fails on {space.name}: "
@@ -472,7 +470,7 @@ def _oracle_terms(setup, spec):
     X, D = setup.total, setup.left.divisor
     Y = setup.ruled.total
     xmodel, dmodel = X.effective, D.effective
-    duals = dual_classes(D)
+    duals = D.duals
     budget = int(X.area(spec.beta))
     xpieces = xmodel.classes(budget)
     dpieces = dmodel.classes(budget)
@@ -675,12 +673,11 @@ def check_property_suite():
     # pairing against the dual is 1 and taking duals twice is the identity
     for name in ("p4blow2_hyperplane", "t2_ruled_section"):
         D = builtin(name).divisor
-        duals = dual_classes(D)
-        for e, dual in duals.items():
+        for e, dual in D.duals.items():
             need(D.intersect(gen(D.basis, e), dual) == 1,
                  f"{name}: {e} does not pair to 1 with its dual")
             dname, k = dual.coeffs[0]
-            need(duals[dname].scale(k) == gen(D.basis, e),
+            need(D.duals[dname].scale(k) == gen(D.basis, e),
                  f"{name}: taking the dual twice moves {e}")
 
     # enumeration agrees with a plain generate-then-filter pass

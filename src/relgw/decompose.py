@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import factorial
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
-from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, _duals,
-                     _pullback_source, fiber_count, seed_table)
+from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, fiber_count,
+                     seed_table)
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
 from .strata import (_compositions, _exact_decompositions, _multisets,
@@ -45,18 +45,12 @@ class BoundError(DecompositionError):
     """An enumeration bound was exceeded; raised, never swallowed."""
 
 
-# Declared splittings of non-localizable constraints: the part of the cycle
-# falling into the bundle side is the preimage of a class in the divisor.
-_SPLIT_HALVES = {("p4blow2_hyperplane", "pi"): "lambda"}
-_SPLIT_SOURCES = {(pair, d): x for (pair, x), d in _SPLIT_HALVES.items()}
-
-
 def split_form(pair, c: HomologyClass) -> HomologyClass:
-    """Divisor class whose preimage is the bundle-side half of constraint c."""
-    if len(c.coeffs) == 1 and c.coeffs[0][1] == 1:
-        name = _SPLIT_HALVES.get((pair.name, c.coeffs[0][0]))
-        if name is not None:
-            return gen(pair.divisor.basis, name)
+    """Divisor class whose preimage is the bundle-side half of constraint c,
+    as the pair declares it."""
+    for source, half in pair.splits:
+        if c == source:
+            return half
     raise DecompositionError(
         f"no declared splitting of {c.encode()} across {pair.name}")
 
@@ -148,11 +142,6 @@ def total_genus(term: DecompTerm) -> int:
                        len(comps), 1 if comps else 0)
 
 
-def dual_classes(space: Space) -> dict[str, HomologyClass]:
-    """Basis element name -> its intersection dual class."""
-    return {e.coeffs[0][0]: d for e, d in _duals(space)}
-
-
 # ---------------------------------------------------------------------------
 # effective cones
 
@@ -201,16 +190,6 @@ def _alpha_part(setup: FiberSumSetup, c: HomologyClass) -> HomologyClass:
     return setup.ruled.projection(c)
 
 
-def _represent(setup: FiberSumSetup, c: HomologyClass) -> Insertion | None:
-    """Preimage of a divisor class as a bundle insertion, when it exists."""
-    D = setup.left.divisor
-    if c.grade == 0:
-        return Insertion(setup.ruled.fiber, pulled_back=True)
-    if c.grade == D.n:
-        return Insertion(setup.ruled.total.fundamental, pulled_back=True)
-    return None
-
-
 def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
                tails) -> InvariantSpec:
     rels = tuple(Insertion(t.cls, order=t.order) for t in tails)
@@ -224,11 +203,11 @@ def _right_spec(setup: FiberSumSetup, comp: GraphComponent, tails):
     reals, markers = [], []
     for ins in comp.insertions:
         if isinstance(ins, PulledBack):
-            conv = _represent(setup, ins.cls)
-            if conv is None:
+            preimage = setup.right.ruled.preimage(ins.cls)
+            if preimage is None:
                 markers.append(ins.cls)
             else:
-                reals.append(conv)
+                reals.append(Insertion(preimage, pulled_back=True))
         else:
             reals.append(ins)
     rels = tuple(Insertion(t.dual, order=t.order) for t in tails)
@@ -387,7 +366,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     X, D = setup.total, setup.left.divisor
     xmodel, dmodel = X.effective, D.effective
     budget = bounds.area if bounds.area is not None else int(X.area(spec.beta))
-    duals = dual_classes(D)
+    duals = D.duals
     dnames = [e for e, _ in D.basis.elements]
     groups = _groups(spec)
     for side, ins, _ in groups:
@@ -707,16 +686,11 @@ def term_multiplicity(setup: FiberSumSetup, term: DecompTerm) -> Fraction:
 
 
 def _group_key(setup: FiberSumSetup, ins) -> tuple:
+    for source, half in setup.left.splits:
+        if ins.cls == (half if isinstance(ins, PulledBack) else source):
+            return ("split", source.encode())
     if isinstance(ins, PulledBack):
-        src = _SPLIT_SOURCES.get((setup.left.name, ins.cls.encode()))
-        if src is not None:
-            return ("split", src)
         return ("pb", ins.cls.encode())
-    src = _SPLIT_SOURCES.get((setup.left.name, ins.cls.encode()))
-    if src == ins.cls.encode() or (
-            src is None and
-            (setup.left.name, ins.cls.encode()) in _SPLIT_HALVES):
-        return ("split", ins.cls.encode())
     return (ins.cls.basis.name, ins.cls.encode(), ins.descendents,
             ins.pulled_back)
 
@@ -752,7 +726,7 @@ def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
         if isinstance(ins, PulledBack):
             source = ins.cls
         elif ins.pulled_back:
-            source = _pullback_source(setup.right, ins.cls)
+            source = setup.right.ruled.preimage_source(ins.cls)
         if source is not None and source.grade <= n - 3:
             low = True
     if not low:

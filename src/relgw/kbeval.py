@@ -266,24 +266,6 @@ def standard_identities() -> tuple[SplitIdentity, ...]:
     )
 
 
-def _duals(space: Space) -> tuple[tuple[HomologyClass, HomologyClass], ...]:
-    """(e, e*) pairs with e.e* = 1, taken from the intersection form."""
-    pairs = []
-    names = [e for e, _ in space.basis.elements]
-    lookup = {}
-    for a, b, c in space.form.pairs:
-        lookup.setdefault(a, []).append((b, c))
-        if a != b:
-            lookup.setdefault(b, []).append((a, c))
-    for e in names:
-        partners = lookup.get(e, [])
-        if len(partners) != 1 or abs(partners[0][1]) != 1:
-            raise EvalError(f"no unique dual for {e} in {space.name}")
-        f, c = partners[0]
-        pairs.append((gen(space.basis, e), gen(space.basis, f, c)))
-    return tuple(pairs)
-
-
 class Evaluator:
     """Fixed-point rewriting over a knowledge base.
 
@@ -500,7 +482,7 @@ def fiber_count(pair: DivisorPair, classes, absolutes) -> Fraction | None:
         if ins.descendents:
             return None
         if ins.pulled_back:
-            source = _pullback_source(pair, ins.cls)
+            source = pair.ruled.preimage_source(ins.cls)
             if source is None:
                 return None
             classes.append(source)
@@ -513,14 +495,6 @@ def fiber_count(pair: DivisorPair, classes, absolutes) -> Fraction | None:
     return Fraction(table.point_coefficient(classes))
 
 
-def _pullback_source(pair: DivisorPair, c: HomologyClass) -> HomologyClass | None:
-    if pair.ruled is not None and c == pair.ruled.fiber:
-        return pair.divisor.point
-    if c == pair.ambient.fundamental:
-        return pair.divisor.fundamental
-    return None
-
-
 def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
     if pair is None or pair.ruled is None or spec.genus != 0:
@@ -528,34 +502,18 @@ def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
     if spec.absolutes or len(spec.relatives) != 1:
         return None
     tail = spec.relatives[0]
-    D = pair.divisor
-    if tail.order != 1 or tail.cls.grade != D.n - 1 or D.products is None:
+    D, meta = pair.divisor, pair.ruled
+    if (tail.order != 1 or tail.cls.grade != D.n - 1 or D.products is None
+            or meta.lift is None):
         return None
-    Y = pair.ambient
-    fiber = pair.ruled.fiber
-    if len(fiber.coeffs) != 1 or fiber.coeffs[0][1] != 1:
+    # beta = lift(2 alpha) + fiber: a section through the double cover
+    double = meta.projection(spec.beta)
+    if double.is_zero or spec.beta != meta.lift(double) + meta.fiber:
         return None
-    fname = fiber.coeffs[0][0]
-    curve_gens = [e for e, g in D.basis.elements if g == 1]
-    lift_names = {g: f"{g}_0" for g in curve_gens}
-    ynames = {e for e, _ in Y.basis.elements}
-    if not all(name in ynames for name in lift_names.values()):
+    if any(c % 2 for _, c in double.coeffs):
         return None
-    if spec.beta.coeff(fname) != 1:
-        return None
-    halves = {}
-    residual = spec.beta - fiber
-    for g in curve_gens:
-        c = spec.beta.coeff(lift_names[g])
-        if c % 2:
-            return None
-        if c:
-            halves[g] = c // 2
-        residual = residual - gen(Y.basis, lift_names[g], c)
-    if not halves or not residual.is_zero:
-        return None
-    alpha = cls(D.basis, halves)
-    seed_key = InvariantSpec(D, 0, alpha.scale(2), (), ()).key()
+    alpha = cls(D.basis, {e: c // 2 for e, c in double.coeffs})
+    seed_key = InvariantSpec(D, 0, double, (), ()).key()
     hit = ev.kb.get(seed_key)
     if hit is None or hit.value is None:
         return None
@@ -607,32 +565,29 @@ def _rule_divisor_axiom(ev: Evaluator, spec: InvariantSpec):
     return None
 
 
-_BLOWUP_SHAPES = {(0, 0), (1, 0), (0, 1), (1, 1)}
-
-
 def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
-    if spec.pair is not None or spec.space.name != "p4blow2":
+    """Point blow-up comparison (Gathmann, "Gromov-Witten invariants of
+    blow-ups"; J. Hu, Math. Z. 2000).  On a blow-up of P^n at points, a
+    genus-0 count in class k*lambda - sum m_i eps_i with k > 0 and every
+    m_i in {0, 1}, whose constraints all come from the base, equals the base
+    count in class pi_*(beta) with sum m_i extra point constraints.  Other
+    genera and multiplicities are outside the theorem and do not fire."""
+    blow = spec.space.blowdown
+    if spec.pair is not None or blow is None or spec.genus != 0:
         return None
-    X = spec.space
-    k = spec.beta.coeff("lambda")
-    m1, m2 = -spec.beta.coeff("eps1"), -spec.beta.coeff("eps2")
-    if k <= 0 or (m1, m2) not in _BLOWUP_SHAPES:
+    ms = [-spec.beta.coeff(e) for e in blow.exceptional]
+    down = blow.push(spec.beta)
+    if blow.base.area(down) <= 0 or any(m not in (0, 1) for m in ms):
         return None
-    model = X.effective
+    model = spec.space.effective
     for ins in spec.absolutes:
         if ins.descendents or ins.pulled_back or not model.in_missable(ins.cls):
             return None
-    p4 = builtin("p4")
-    rename = {"pt": "pt", "lambda": "lambda", "pi": "pi", "h": "h3",
-              "fund": "fund"}
-    moved = []
-    for ins in spec.absolutes:
-        moved.append(Insertion(cls(p4.basis,
-                                   {rename[e]: c for e, c in ins.cls.coeffs})))
-    moved.extend(Insertion(p4.point) for _ in range(m1 + m2))
-    child = InvariantSpec(p4, 0, gen(p4.basis, "lambda", k), tuple(moved), ())
+    moved = [Insertion(blow.push(ins.cls)) for ins in spec.absolutes]
+    moved += [Insertion(blow.base.point)] * sum(ms)
+    child = InvariantSpec(blow.base, 0, down, tuple(moved), ())
     return (Fraction(1), (child,),
-            f"blowup-comparison: +{m1 + m2} point conditions")
+            f"blowup-comparison: +{sum(ms)} point conditions")
 
 
 def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
@@ -702,7 +657,7 @@ def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
     coeffs: dict[str, Fraction] = {}
     missing: list[str] = []
     n_extras = len(si.extras)
-    duals = _duals(space)
+    duals = [(space.gen(e), d) for e, d in space.duals.items()]
     for b1, b2 in _splittings(space, si.beta):
         for r in range(n_extras + 1):
             for picked in itertools.combinations(range(n_extras), r):

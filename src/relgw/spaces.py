@@ -4,11 +4,21 @@ Every catalog object is immutable and constructed once; `builtin(name)` is the
 single entry point.  Parametric ids use prefixes: `y_of:<pair>` (section-at-
 infinity P1-bundle over the divisor), `q_of:<pair>` (the dual-twist bundle used
 for neck levels), `fibersum_of:<pair>` (the pair glued to its ruled model).
+
+Geometric facts are declared here once; the engines read them, not names:
+- `Space.duals`: the intersection dual of each basis element;
+- `Space.blowdown`: a point blow-up's base, pi_* and exceptional curves;
+- `DivisorPair.affine_complement`: X minus D is C^n (hyperplanes of P^n);
+- `DivisorPair.splits`: constraints split across D, with the divisor class
+  whose preimage is the bundle-side half;
+- `RuledMeta`: fiber, zero section, the point <-> fiber and D <-> X
+  pull-back correspondence, the section lift and the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import (GradedBasis, HomologyClass, IntersectionForm, LatticeMap,
                       LinearFunctional, ProductTable, cls, gen)
@@ -190,6 +200,17 @@ class _QuadricProductModel(EffectiveModel):
 
 
 @dataclass(frozen=True)
+class BlowDown:
+    """A blow-up of `base` at points: `push` is pi_* onto the base, sending
+    the exceptional generators to 0; `exceptional` names the exceptional
+    curve generators."""
+
+    base: Space
+    push: LatticeMap
+    exceptional: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class Space:
     name: str
     n: int
@@ -199,6 +220,7 @@ class Space:
     area: LinearFunctional
     effective: EffectiveModel | None = None
     products: ProductTable | None = None
+    blowdown: BlowDown | None = None
 
     def gen(self, name: str, k: int = 1) -> HomologyClass:
         return gen(self.basis, name, k)
@@ -220,19 +242,54 @@ class Space:
     def intersect(self, a, b) -> int:
         return self.form.intersect(a, b)
 
+    @cached_property
+    def duals(self) -> dict[str, HomologyClass]:
+        """Basis element -> its intersection dual e* with e.e* = 1, read off
+        the form; CatalogError when some element has no unique dual."""
+        out = {}
+        for e in self.basis.names():
+            found = [(b if a == e else a, c)
+                     for a, b, c in self.form.pairs if e in (a, b)]
+            if len(found) != 1 or abs(found[0][1]) != 1:
+                raise CatalogError(f"no unique dual for {e} in {self.name}")
+            out[e] = gen(self.basis, *found[0])
+        return out
+
 
 @dataclass(frozen=True)
 class RuledMeta:
     """Marks a divisor pair whose ambient space is a P1-bundle with the divisor
-    as the section at infinity; `dzero_class` is the opposite section."""
+    as the section at infinity; `dzero_class` is the opposite section.
+
+    `pullbacks` pairs divisor classes with the ambient classes of their
+    preimages.  `lift` (onto the zero section) and `projection` are set where
+    the bundle's basis is built from the divisor's."""
 
     fiber: HomologyClass
     dzero_class: HomologyClass
+    pullbacks: tuple[tuple[HomologyClass, HomologyClass], ...]
+    lift: LatticeMap | None = None
+    projection: LatticeMap | None = None
+
+    def preimage(self, c: HomologyClass) -> HomologyClass | None:
+        """Ambient class of the preimage of divisor class c, if declared."""
+        return next((y for d, y in self.pullbacks if d == c), None)
+
+    def preimage_source(self, c: HomologyClass) -> HomologyClass | None:
+        """Divisor class whose preimage is the ambient class c, if declared."""
+        return next((d for d, y in self.pullbacks if y == c), None)
 
     def fiber_degree(self, beta: HomologyClass) -> int | None:
         """ell if beta = ell * fiber, else None."""
         m = _fiber_mult(beta, self.fiber)
         return m if (beta - self.fiber.scale(m)).is_zero else None
+
+
+def _ruled_meta(x: Space, d: Space, fiber: HomologyClass,
+                dzero: HomologyClass, **maps) -> RuledMeta:
+    """The projection pulls a point of D back to a fiber and D back to X."""
+    return RuledMeta(fiber, dzero, ((d.point, fiber),
+                                    (d.fundamental, x.fundamental)), **maps)
 
 
 def _fiber_mult(beta: HomologyClass, fiber: HomologyClass) -> int:
@@ -254,6 +311,9 @@ class DivisorPair:
     divisor_class: HomologyClass   # in grade n-1 of X
     normal_degree: LinearFunctional  # degree of the normal bundle on D-curves
     ruled: RuledMeta | None = None
+    affine_complement: bool = False  # X minus D is C^n
+    # (constraint class in X, divisor class whose preimage is its bundle half)
+    splits: tuple[tuple[HomologyClass, HomologyClass], ...] = ()
 
     def __post_init__(self):
         X, D = self.ambient, self.divisor
@@ -370,17 +430,28 @@ def _space_pn(n: int) -> Space:
     return Space(f"p{n}", n, b, form, c1, area, model, products)
 
 
-def _space_p2blow1() -> Space:
+def _blowdown(b: GradedBasis, base: Space, kept, **renamed) -> BlowDown:
+    """pi_* sends each `kept` generator to the base generator of the same name
+    (or the `renamed` one) and every other, exceptional, generator to 0."""
+    zero = cls(base.basis, {})
+    push = LatticeMap("blowdown", b, base.basis, tuple(
+        (e, gen(base.basis, renamed.get(e, e)) if e in kept else zero)
+        for e in b.names()))
+    return BlowDown(base, push, tuple(e for e in b.names(1) if e not in kept))
+
+
+def _space_p2blow1(base: Space) -> Space:
     b = _basis("p2blow1", 2, [("pt", 0), ("lambda", 1), ("eps", 1), ("fund", 2)])
     form = _form(b, [("pt", "fund", 1), ("lambda", "lambda", 1), ("eps", "eps", -1)])
     c1 = _functional("c1", b, {"lambda": 3, "eps": 1})
     area = _functional("area", b, {"lambda": 3, "eps": 1})
     model = _BlowOneModel(b, area, missable=frozenset({"pt", "lambda", "fund"}),
                           exceptional=frozenset({"eps"}))
-    return Space("p2blow1", 2, b, form, c1, area, model)
+    return Space("p2blow1", 2, b, form, c1, area, model,
+                 blowdown=_blowdown(b, base, model.missable))
 
 
-def _space_p3blow2() -> Space:
+def _space_p3blow2(base: Space) -> Space:
     b = _basis("p3blow2", 3, [
         ("pt", 0), ("lambda", 1), ("eps1", 1), ("eps2", 1),
         ("pi", 2), ("eps1s", 2), ("eps2s", 2), ("fund", 3)])
@@ -407,10 +478,11 @@ def _space_p3blow2() -> Space:
         ("pi", "eps1", cls(b, {})),
         ("pi", "eps2", cls(b, {})),
     ))
-    return Space("p3blow2", 3, b, form, c1, area, model, products)
+    return Space("p3blow2", 3, b, form, c1, area, model, products,
+                 _blowdown(b, base, model.missable))
 
 
-def _space_p4blow2() -> Space:
+def _space_p4blow2(base: Space) -> Space:
     b = _basis("p4blow2", 4, [
         ("pt", 0), ("lambda", 1), ("eps1", 1), ("eps2", 1),
         ("pi", 2), ("sig1", 2), ("sig2", 2),
@@ -423,7 +495,8 @@ def _space_p4blow2() -> Space:
     model = _BlowTwoModel(b, area,
                           missable=frozenset({"pt", "lambda", "pi", "h", "fund"}),
                           exceptional=frozenset({"eps1", "eps2", "sig1", "sig2", "e1", "e2"}))
-    return Space("p4blow2", 4, b, form, c1, area, model)
+    return Space("p4blow2", 4, b, form, c1, area, model,
+                 blowdown=_blowdown(b, base, model.missable, h="h3"))
 
 
 def _space_t2_ruled() -> Space:
@@ -475,7 +548,8 @@ def _pair_pn(n: int, x: Space, d: Space) -> DivisorPair:
     divisor_class = gen(bx, [f for f, gf in bx.elements if gf == n - 1][0])
     nd = _functional("normal", bd, {e: 1 for e in bd.names(1)})
     return DivisorPair(f"p{n}_hyperplane" if n > 1 else "p1_point",
-                       x, d, incl, push, divisor_class, nd)
+                       x, d, incl, push, divisor_class, nd,
+                       affine_complement=True)
 
 
 def _build_ruled(pair: DivisorPair, twist: int, name: str) -> RuledSetup:
@@ -533,7 +607,8 @@ def _build_ruled(pair: DivisorPair, twist: int, name: str) -> RuledSetup:
         nplus = _functional("normal", D.basis, {g: -nd[g] for g in curve_names})
         infinity_pair = DivisorPair(
             name, total, D, incl, None, dinf, nplus,
-            ruled=RuledMeta(gen(b, "f"), dzero))
+            ruled=_ruled_meta(total, D, gen(b, "f"), dzero,
+                              lift=lift, projection=projection))
 
     return RuledSetup(name, pair, total, twist, gen(b, "f"), lift, projection,
                       dzero, dinf, infinity_pair)
@@ -561,7 +636,8 @@ def _pair_p4blow2_hyperplane(x: Space, d: Space) -> DivisorPair:
         ("eps1s", gen(bx, "sig1", -1)), ("eps2s", gen(bx, "sig2", -1)),
         ("fund", dclass)))
     nd = _functional("normal", bd, {"lambda": 1, "eps1": 1, "eps2": 1})
-    return DivisorPair("p4blow2_hyperplane", x, d, incl, push, dclass, nd)
+    return DivisorPair("p4blow2_hyperplane", x, d, incl, push, dclass, nd,
+                       splits=((gen(bx, "pi"), gen(bd, "lambda")),))
 
 
 def _pair_t2_section(x: Space, d: Space) -> DivisorPair:
@@ -569,7 +645,7 @@ def _pair_t2_section(x: Space, d: Space) -> DivisorPair:
     incl = LatticeMap("incl", bd, bx, (("fund", gen(bx, "s")),))
     push = LatticeMap("push", bd, bx, (("pt", gen(bx, "pt")), ("fund", gen(bx, "s"))))
     nd = _functional("normal", bd, {"fund": -1})
-    meta = RuledMeta(gen(bx, "f"), cls(bx, {"s": 1, "f": 1}))
+    meta = _ruled_meta(x, d, gen(bx, "f"), cls(bx, {"s": 1, "f": 1}))
     return DivisorPair("t2_ruled_section", x, d, incl, push, gen(bx, "s"), nd, meta)
 
 
@@ -616,9 +692,9 @@ def _build(key: str):
         "p2": lambda: _space_pn(2),
         "p3": lambda: _space_pn(3),
         "p4": lambda: _space_pn(4),
-        "p2blow1": _space_p2blow1,
-        "p3blow2": _space_p3blow2,
-        "p4blow2": _space_p4blow2,
+        "p2blow1": lambda: _space_p2blow1(builtin("p2")),
+        "p3blow2": lambda: _space_p3blow2(builtin("p3")),
+        "p4blow2": lambda: _space_p4blow2(builtin("p4")),
         "t2_ruled": _space_t2_ruled,
         "t2_base": _space_t2_base,
         "s2xs2": _space_s2xs2,

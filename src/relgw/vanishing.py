@@ -25,9 +25,6 @@ PROJECTIVE_HYPERPLANE = "projective-hyperplane"
 RULED_PULLED_BACK = "ruled-pulled-back"
 FIBER_MULTIPLE = "fiber-multiple"
 
-# pairs whose divisor is a linear hyperplane section of projective space
-_HYPERPLANE_FAMILY = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane")
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -70,10 +67,10 @@ def decide(spec: InvariantSpec, markers=()) -> Verdict:
     except DefinedZero as stop:
         return Verdict(ZERO, NEGATIVE_INTERSECTION, trace=(str(stop),))
 
-    # the hyperplane family vanishes as a family, so it outranks the
-    # instance-by-instance dimension gate in the report
+    # a hyperplane of P^n (complement C^n) vanishes as a family, so it
+    # outranks the instance-by-instance dimension gate in the report
     if (pair is not None and spec.genus == 0
-            and pair.name in _HYPERPLANE_FAMILY and not spec.absolutes):
+            and pair.affine_complement and not spec.absolutes):
         d = pair.contact_count(spec.beta)
         n = spec.n
         if d > 0 and (n > 1 or d > 1):

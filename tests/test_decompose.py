@@ -6,7 +6,7 @@ import pytest
 
 from relgw import decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
-                             PulledBack, compare_abs_rel, dual_classes,
+                             PulledBack, compare_abs_rel,
                              enumerate_terms, evaluate_decomposition,
                              split_form, term_multiplicity, total_genus)
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
@@ -259,7 +259,7 @@ def check_term_shape(setup, spec, term):
         assert orders == setup.right.contact_count(comp.cls)
 
     # every tail pairs a class with its intersection dual
-    duals = dual_classes(D)
+    duals = D.duals
     for tail in term.tails:
         name, c = tail.cls.coeffs[0]
         assert c == 1
@@ -369,9 +369,8 @@ def test_dual_classes_pairing():
     for name in ("fibersum_of:p4blow2_hyperplane", "fibersum_of:t2_ruled_section"):
         setup = builtin(name)
         D = setup.left.divisor
-        duals = dual_classes(D)
         from relgw.lattice import gen
-        for ename, dual in duals.items():
+        for ename, dual in D.duals.items():
             assert D.intersect(gen(D.basis, ename), dual) == 1
 
 

@@ -12,7 +12,6 @@ from relgw.kbeval import (
     LinearEquation,
     Unknown,
     Value,
-    _duals,
     _grouping_sum,
     seed_table,
     solve_unknowns,
@@ -20,7 +19,7 @@ from relgw.kbeval import (
     standard_identities,
 )
 from relgw.lattice import cls, gen
-from relgw.spaces import builtin
+from relgw.spaces import CatalogError, builtin
 
 P3 = builtin("p3")
 PT, LAM, PI = P3.point, P3.gen("lambda"), P3.gen("pi")
@@ -237,6 +236,34 @@ def test_blowup_comparison_adds_point_conditions():
     assert any("blowup-comparison: +1" in t for t in r.trace)
 
 
+def test_blowup_comparison_is_genus_zero():
+    # expected dimension 0 in genus 1; a genus-0 P4 child would have 1
+    p4b = builtin("p4blow2")
+    spec = absolute(p4b, p4b.gen("lambda"), p4b.point, p4b.gen("pi"),
+                    p4b.gen("pi"), genus=1)
+    r = Evaluator(seed_table()).evaluate(spec)
+    assert not isinstance(r, Value)
+    assert not any("blowup-comparison" in b for b in r.blockers)
+
+
+def test_blowup_comparison_on_the_plane_and_the_three_fold():
+    kb = seed_table()
+    p2 = builtin("p2")
+    kb.add(absolute(p2, p2.gen("lambda"), p2.point, p2.point).key(),
+           Fraction(1), "seed(line-through-two-points)")
+    ev = Evaluator(kb)
+    p2b = builtin("p2blow1")
+    line = p2b.cls({"lambda": 1, "eps": -1})  # lines through the blown-up point
+    r = ev.evaluate(absolute(p2b, line, p2b.point))
+    assert value_of(r) == 1
+    assert "blowup-comparison: +1 point conditions" in r.trace
+    p3b = builtin("p3blow2")
+    line = p3b.cls({"lambda": 1, "eps2": -1})
+    r = ev.evaluate(absolute(p3b, line, p3b.gen("lambda"), p3b.gen("lambda")))
+    assert value_of(r) == 1  # the seeded P3 count <pt, lambda, lambda>
+    assert "blowup-comparison: +1 point conditions" in r.trace
+
+
 def test_relative_conic_bracket_evaluates_to_eight():
     pair = builtin("p4blow2_hyperplane")
     X, D = pair.ambient, pair.divisor
@@ -332,13 +359,11 @@ def test_solve_unknowns():
 
 
 def test_duals_follow_the_intersection_form():
-    got = {e.encode(): d.encode() for e, d in _duals(P3)}
+    got = {e: d.encode() for e, d in P3.duals.items()}
     assert got == {"pt": "fund", "lambda": "pi", "pi": "lambda", "fund": "pt"}
-    p4b = builtin("p4blow2")
-    sig = {e.encode(): d.encode() for e, d in _duals(p4b)}["sig1"]
-    assert sig == "-sig1"
-    with pytest.raises(EvalError):
-        _duals(builtin("t2_ruled"))  # s pairs with both f and itself
+    assert builtin("p4blow2").duals["sig1"].encode() == "-sig1"
+    with pytest.raises(CatalogError):
+        builtin("t2_ruled").duals  # s pairs with both f and itself
 
 
 # -- rubber and seeds --------------------------------------------------------

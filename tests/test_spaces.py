@@ -1,0 +1,81 @@
+"""Geometric facts the catalog declares, checked against the lattice data."""
+
+import pytest
+
+from relgw.spaces import builtin
+
+PAIRS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
+         "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
+         "s2xs2_antidiag")
+BLOWUPS = ("p2blow1", "p3blow2", "p4blow2")
+
+
+def test_affine_complements_are_the_hyperplanes_of_projective_space():
+    got = [name for name in PAIRS if builtin(name).affine_complement]
+    assert got == ["p1_point", "p2_hyperplane", "p3_hyperplane",
+                   "p4_hyperplane"]
+
+
+def test_split_half_is_the_restriction_of_the_constraint():
+    # <half, a>_D = <source, push(a)>_X for every divisor class a of
+    # complementary grade, and the divisor's pairing is nondegenerate
+    declared = [(name, s) for name in PAIRS for s in builtin(name).splits]
+    assert [(name, source.encode(), half.encode())
+            for name, (source, half) in declared] == [
+        ("p4blow2_hyperplane", "pi", "lambda")]
+    for name, (source, half) in declared:
+        pair = builtin(name)
+        X, D = pair.ambient, pair.divisor
+        for a_name in D.basis.names(D.n - half.grade):
+            a = D.gen(a_name)
+            assert D.intersect(half, a) == X.intersect(source, pair.push(a))
+
+
+@pytest.mark.parametrize("name", BLOWUPS)
+def test_blowdown_push_forward(name):
+    X = builtin(name)
+    blow, model = X.blowdown, X.effective
+    base = blow.base
+    assert (base.n, base.name) == (X.n, f"p{X.n}")
+    assert blow.exceptional == tuple(
+        e for e in X.basis.names(1) if e in model.exceptional)
+    # the pairing survives on classes pulled back from the base
+    for a in model.missable:
+        for b in model.missable:
+            if X.basis.grade(a) + X.basis.grade(b) == X.n:
+                assert X.intersect(X.gen(a), X.gen(b)) == base.intersect(
+                    blow.push(X.gen(a)), blow.push(X.gen(b)))
+    for e in X.basis.names(1):
+        image = blow.push(X.gen(e))
+        if e in blow.exceptional:
+            assert image.is_zero
+        else:
+            assert X.c1(X.gen(e)) == base.c1(image)
+
+
+@pytest.mark.parametrize("name", PAIRS[1:])  # P1 has no bundle over a point
+def test_section_lift_and_projection(name):
+    y = builtin(f"y_of:{name}")
+    meta, D = y.infinity_pair.ruled, y.base.divisor
+    assert (meta.lift, meta.projection) == (y.lift, y.projection)
+    assert meta.projection(meta.fiber).is_zero
+    for g in D.basis.names(1):
+        assert meta.projection(meta.lift(D.gen(g))) == D.gen(g)
+
+
+@pytest.mark.parametrize("name", ("y_of:p4blow2_hyperplane", "t2_ruled_section"))
+def test_pull_back_correspondence_runs_both_ways(name):
+    obj = builtin(name)
+    pair = obj.infinity_pair if name.startswith("y_of:") else obj
+    meta, X, D = pair.ruled, pair.ambient, pair.divisor
+    assert meta.preimage(D.point) == meta.fiber
+    assert meta.preimage(D.fundamental) == X.fundamental
+    for d, y in meta.pullbacks:
+        assert meta.preimage_source(meta.preimage(d)) == d
+        assert meta.preimage(meta.preimage_source(y)) == y
+    assert meta.preimage_source(X.point) is None
+
+
+def test_section_lift_is_declared_only_on_built_bundles():
+    meta = builtin("t2_ruled_section").ruled
+    assert meta.lift is None and meta.projection is None

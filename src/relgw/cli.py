@@ -143,8 +143,8 @@ def _setup(scenario, name):
     key = name if name.startswith("fibersum_of:") else f"fibersum_of:{name}"
     try:
         return builtin(key)
-    except CatalogError:
-        raise CommandError(f"unknown fiber-sum setup {name!r}")
+    except CatalogError as e:
+        raise CommandError(f"fiber-sum setup {name!r}: {e}")
 
 
 def cmd_decompose(scenario, args, options):

@@ -556,6 +556,11 @@ def _build_ruled(pair: DivisorPair, twist: int, name: str) -> RuledSetup:
     D = pair.divisor
     X = pair.ambient
     n = X.n
+    if D.n == 0:
+        # the bundle over a point is one fiber, whose class would be the
+        # fundamental class too
+        raise CatalogError(f"{name}: no P1-bundle over the zero-dimensional "
+                           f"divisor {D.name}")
     curve_names = D.basis.names(1)
     lift_names = {g: f"{g}_0" for g in curve_names}
     elements = [("pt", 0), ("f", 1)] + [(lift_names[g], 1) for g in curve_names]

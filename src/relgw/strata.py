@@ -663,6 +663,14 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
     every stratum that `enumerate_strata` keeps has G + e - v + 1 equal to
     the count's genus.  Boundary choices with any other e are dropped
     before their matchings are built; the survivors keep their order.
+
+    The end degrees bound e before any boundary option is built.  Only
+    ends of positive degree carry parts, and a boundary's lower and upper
+    part pools must be equal, so the positive lower and upper degrees of
+    one boundary have one sum, and its edge count, the number of parts,
+    lies between max(#positive lower, #positive upper) and that sum.  A
+    level plan whose sums differ, or whose bounds summed over the
+    boundaries miss e, yields nothing and is dropped at once.
     """
     pair = spec.pair
     D = pair.divisor
@@ -742,6 +750,18 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
     # the edge count that, on a connected graph, closes the count's genus
     need = spec.genus - graph_genus(sum(data[-1] for data in vertices), 0,
                                     len(vertices), 1)
+    fewest = most = 0
+    for i in range(0, k):
+        lower = [d for d in (degrees(i, data)[1] for data in comps_by_level[i])
+                 if d > 0]
+        upper = [d for d in (degrees(i + 1, data)[0]
+                             for data in comps_by_level[i + 1]) if d > 0]
+        if sum(lower) != sum(upper):
+            return
+        fewest += max(len(lower), len(upper))
+        most += sum(lower)
+    if not fewest <= need <= most:
+        return
     boundaries = [list(boundary_options(i)) for i in range(0, k)]
     choices = [chosen for chosen in product(*boundaries)
                if sum(len(p) for low, _ in chosen for p in low) == need]
@@ -778,8 +798,57 @@ def _order_subsets(items, need):
     return uniq
 
 
+def _orbit_matchings(lower, upper):
+    """One bijection per orbit of swaps among adjacent equal labels.
+
+    `lower` and `upper` list the component labels of equally many nodes,
+    with the nodes of one component adjacent.  A bijection is a tuple
+    `sigma` pairing lower node j with upper node sigma[j]; swapping two
+    nodes of one component on either side gives another bijection of the
+    same orbit.  The one yielded per orbit is its first in
+    `itertools.permutations` order: along a run of lower nodes of one
+    component the upper indices increase, and within a run of upper nodes
+    of one component the nodes are taken in index order.  Candidates are
+    tried in increasing index order, so the yield order is that of
+    `permutations` too.
+    """
+    r = len(lower)
+    used = [False] * r
+    sigma = []
+
+    def rec(j):
+        if j == r:
+            yield tuple(sigma)
+            return
+        start = sigma[-1] + 1 if j and lower[j] == lower[j - 1] else 0
+        for u in range(start, r):
+            if used[u] or (u and upper[u] == upper[u - 1] and not used[u - 1]):
+                continue
+            used[u] = True
+            sigma.append(u)
+            yield from rec(j + 1)
+            sigma.pop()
+            used[u] = False
+
+    yield from rec(0)
+
+
 def _materialize(spec, comps_by_level, chosen, outer, k, q):
-    """Build concrete stratum objects for one structural choice."""
+    """Build concrete stratum objects for one structural choice.
+
+    Each boundary pairs its lower and upper nodes of equal multiplicity.
+    Matched ends carry no constraint, so two nodes of one multiplicity on
+    the same side of one component are interchangeable: swapping their
+    partners relabels the stratum, and
+    `total_genus`, `assemble_class`, `validate`, `_position_filter` and
+    `stratum_key` all read it up to node names within a component.  So
+    each (boundary, multiplicity) block yields only the first pairing of
+    each orbit under such swaps (`_orbit_matchings`).  The yield order is
+    a subsequence of the order of all pairings, and every orbit keeps its
+    first member, so the first stratum `enumerate_strata` meets for each
+    key, the representative it keeps, is the same as when every pairing
+    was built.
+    """
     pair = spec.pair
     D = pair.divisor
     counter = [0]
@@ -789,8 +858,6 @@ def _materialize(spec, comps_by_level, chosen, outer, k, q):
         return f"n{counter[0]}"
 
     comps = {}
-    inf_nodes = {}
-    zero_nodes = {}
     for level in range(0, k + 1):
         for idx, data in enumerate(comps_by_level[level]):
             zero_part = ()
@@ -817,29 +884,27 @@ def _materialize(spec, comps_by_level, chosen, outer, k, q):
                 comp = LevelComponent(level, g, alpha=alpha, fiber=d,
                                       zero=zmarks, inf=imarks)
             comps[(level, idx)] = comp
-            inf_nodes[(level, idx)] = [(c.node, c.mult) for c in comp.inf]
-            zero_nodes[(level, idx)] = [(c.node, c.mult) for c in comp.zero]
 
     per_boundary = []
     for i in range(0, k):
-        lows = [nm for idx in range(len(comps_by_level[i]))
-                for nm in inf_nodes[(i, idx)]]
-        ups = [nm for idx in range(len(comps_by_level[i + 1]))
-               for nm in zero_nodes[(i + 1, idx)]]
         by_mult_low, by_mult_up = {}, {}
-        for node, m in lows:
-            by_mult_low.setdefault(m, []).append(node)
-        for node, m in ups:
-            by_mult_up.setdefault(m, []).append(node)
+        for idx in range(len(comps_by_level[i])):
+            for c in comps[(i, idx)].inf:
+                by_mult_low.setdefault(c.mult, []).append((c.node, idx))
+        for idx in range(len(comps_by_level[i + 1])):
+            for c in comps[(i + 1, idx)].zero:
+                by_mult_up.setdefault(c.mult, []).append((c.node, idx))
         if sorted(by_mult_low) != sorted(by_mult_up):
             return
         options = []
-        for m, lnodes in sorted(by_mult_low.items()):
-            unodes = by_mult_up[m]
-            if len(lnodes) != len(unodes):
+        for m, lows in sorted(by_mult_low.items()):
+            ups = by_mult_up[m]
+            if len(lows) != len(ups):
                 return
-            options.append([list(zip(lnodes, perm))
-                            for perm in permutations(unodes)])
+            lnodes, lcomps = zip(*lows)
+            unodes, ucomps = zip(*ups)
+            options.append([list(zip(lnodes, (unodes[u] for u in sigma)))
+                            for sigma in _orbit_matchings(lcomps, ucomps)])
         per_boundary.append([[pairing for block in combo for pairing in block]
                              for combo in product(*options)])
 

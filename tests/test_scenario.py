@@ -154,6 +154,26 @@ def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+POINT_DIVISOR = """\
+[space p1]
+[divisor p1_point in p1]
+[invariant x]
+space = p1
+genus = 0
+class = fund
+"""
+
+
+def test_exit_two_on_a_zero_dimensional_divisor(tmp_path, capsys):
+    path = tmp_path / "point.gw"
+    path.write_text(POINT_DIVISOR, encoding="utf-8")
+    assert status("decompose", path, "p1_point", "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fiber-sum setup 'p1_point': ")
+    assert "zero-dimensional divisor p0" in err
+    assert "unknown" not in err
+
+
 # -- bound options are integers checked at argument parsing --------------
 
 

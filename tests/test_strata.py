@@ -1,5 +1,7 @@
 import hashlib
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations_with_replacement, permutations
+from math import factorial
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, expected_dimension,
@@ -8,10 +10,10 @@ from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
-                          _graph_components, _multisets, _partitions,
-                          _position_filter, assemble_class, enumerate_strata,
-                          multilevel_index, stratum_flags, stratum_key,
-                          total_genus, validate)
+                          _graph_components, _multisets, _orbit_matchings,
+                          _partitions, _position_filter, assemble_class,
+                          enumerate_strata, multilevel_index, stratum_flags,
+                          stratum_key, total_genus, validate)
 
 import pytest
 
@@ -382,6 +384,16 @@ TORUS_KEYS = (216, "dddb2559c579b361b1aed94d43a8269f"
                    "3226662701ae126ed321ee0b7cfe1ba7")
 
 
+def representative_digest(strata):
+    """The kept stratum of every key, node names and matchings included."""
+    text = "\n".join(repr((s.components, s.matchings)) for s in strata)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+TORUS_REPRESENTATIVES = ("d7ed0b27cad099bb9072d16d56b6ca82"
+                         "689453e62750a425e5a4588649d2876d")
+
+
 @pytest.mark.parametrize("make, count, sha", [
     (conic_tangent_spec, 7,
      "c8869de79f3c4ae6784086d255d79feece94c30ddbf35716d0091dba828acd56"),
@@ -396,10 +408,34 @@ def test_depth_two_enumeration_is_pinned(make, count, sha):
     assert any(all(c.level > 0 for c in s.components) for s in strata)
 
 
+@pytest.mark.parametrize("make, sha", [
+    (conic_tangent_spec,
+     "d4249302e2fb0b9f000acec48b8307e2f47628daa3923103a61301f43e1ce9a9"),
+    (conic_split_spec,
+     "1b602e8a64918c9c678339b863656ebfe209aea01097094c82362c31fdc2e564"),
+    (line_genus_one_spec,
+     "d29630b6b660ef28a12598b2217742ac9dee162c4348bfe32bff8dfd521a0702"),
+], ids=["tangent", "split", "line-genus-one"])
+def test_depth_two_representatives_are_pinned(make, sha):
+    assert representative_digest(enumerate_strata(make(), 2)) == sha
+
+
 def test_torus_enumeration_is_pinned(torus):
     strata, _ = torus
     assert key_digest(strata) == TORUS_KEYS
     assert any(all(c.level > 0 for c in s.components) for s in strata)
+
+
+def test_torus_representatives_are_pinned(torus):
+    strata, _ = torus
+    assert representative_digest(strata) == TORUS_REPRESENTATIVES
+
+
+def test_symmetric_matchings_are_not_built(torus):
+    # 5,796 candidates when every pairing of interchangeable contacts was
+    # built; one per orbit leaves 2,139
+    _, seen = torus
+    assert len(seen) < 2200
 
 
 def test_connected_candidates_have_the_count_genus(torus):
@@ -424,6 +460,70 @@ def test_enumerate_negative_contact_signals_zero():
                          absolutes=(absins(anti.ambient, "pt"),))
     with pytest.raises(DefinedZero):
         enumerate_strata(spec, 1)
+
+
+# --- matchings, one per orbit of interchangeable contacts ----------------
+
+
+def run_labelings(r):
+    """Every split of r nodes into runs of adjacent nodes, as a label per
+    node."""
+    for cuts in range(2 ** (r - 1)):
+        yield tuple(bin(cuts & ((1 << j) - 1)).count("1") for j in range(r))
+
+
+@cache
+def adjacent_swaps(r):
+    """The permutations of range(r) in `permutations` order, and for each
+    adjacent pair (a, a+1) the index of every permutation after swapping
+    its lower nodes a, a+1 and after swapping its upper nodes a, a+1."""
+    perms = list(permutations(range(r)))
+    index = {p: i for i, p in enumerate(perms)}
+    low, up = [], []
+    for a in range(r - 1):
+        low.append([index[p[:a] + (p[a + 1], p[a]) + p[a + 2:]]
+                    for p in perms])
+        swap = list(range(r))
+        swap[a], swap[a + 1] = a + 1, a
+        up.append([index[tuple(swap[x] for x in p)] for p in perms])
+    return perms, low, up
+
+
+def brute_orbit_firsts(lower, upper):
+    """Group all bijections into orbits under swaps of same-label nodes on
+    either side; the first member of each orbit in `permutations` order,
+    and the orbit sizes.  Runs are intervals, so the swaps of adjacent
+    same-label nodes generate every rearrangement within the runs."""
+    r = len(lower)
+    perms, low, up = adjacent_swaps(r)
+    moves = [low[a] for a in range(r - 1) if lower[a] == lower[a + 1]]
+    moves += [up[a] for a in range(r - 1) if upper[a] == upper[a + 1]]
+    placed = [False] * len(perms)
+    firsts, sizes = [], []
+    for i in range(len(perms)):
+        if placed[i]:
+            continue
+        placed[i] = True
+        todo, size = [i], 0
+        while todo:
+            j = todo.pop()
+            size += 1
+            for move in moves:
+                if not placed[move[j]]:
+                    placed[move[j]] = True
+                    todo.append(move[j])
+        firsts.append(perms[i])
+        sizes.append(size)
+    return firsts, sizes
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_orbit_matchings_match_brute_force(r):
+    for lower in run_labelings(r):
+        for upper in run_labelings(r):
+            firsts, sizes = brute_orbit_firsts(lower, upper)
+            assert sum(sizes) == factorial(r)
+            assert list(_orbit_matchings(lower, upper)) == firsts
 
 
 # --- the multiset enumerator ---------------------------------------------

@@ -27,7 +27,7 @@ from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, fiber_count,
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
 from .strata import (_compositions, _exact_decompositions, _multisets,
-                     _union_find, graph_genus)
+                     _relabelings, _union_find, graph_genus)
 from .vanishing import decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
@@ -75,12 +75,10 @@ class Bounds:
 
     `area` caps the area of every component class (default: area of the full
     class).  `max_terms` caps admissible candidates before deduplication.
-    `extra_genus` caps genus added above component minima and cycle rank.
     """
 
     area: int | None = None
     max_terms: int = 20000
-    extra_genus: int | None = None
 
 
 @dataclass(frozen=True)
@@ -279,22 +277,8 @@ def _canonical(setup, gamma1, gamma2, tails):
     base = tuple(replace(t, left=remap1[t.left], right=remap2[t.right])
                  for t in tails)
 
-    def perm_group(comps):
-        groups: dict[str, list[int]] = {}
-        for i, c in enumerate(comps):
-            groups.setdefault(c.token(), []).append(i)
-        members = list(groups.values())
-        perms = []
-        for combo in itertools.product(
-                *(itertools.permutations(g) for g in members)):
-            mapping = list(range(len(comps)))
-            for orig, imaged in zip(members, combo):
-                for a, b in zip(orig, imaged):
-                    mapping[a] = b
-            perms.append(tuple(mapping))
-        return perms
-
-    perms1, perms2 = perm_group(g1), perm_group(g2)
+    perms1 = list(_relabelings([c.token() for c in g1]))
+    perms2 = list(_relabelings([c.token() for c in g2]))
     identity = _edge_key(base)
     best = None
     aut = 0
@@ -380,47 +364,28 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     def skip(reason):
         excluded[reason] = excluded.get(reason, 0) + 1
 
-    emitted: dict[str, DecompTerm] = {}
+    # indexed graph -> [summed weight, gamma1, gamma2, tails]
+    graphs: dict[tuple, list] = {}
     candidates = 0
 
     def emit(gamma1, gamma2, tails, weight):
+        """Record one constraint assignment.  Assignments that put the same
+        insertions on every component are one indexed graph: their
+        weights add."""
         nonlocal candidates
         candidates += 1
         if candidates > bounds.max_terms:
             raise BoundError(
                 f"more than {bounds.max_terms} admissible candidates; "
                 "raise Bounds.max_terms or cut the area budget")
-        per_left = [[t for t in tails if t.left == j]
-                    for j in range(len(gamma1))]
-        per_right = [[t for t in tails if t.right == i]
-                     for i in range(len(gamma2))]
-        for j, comp in enumerate(gamma1):
-            if expected_dimension(_left_spec(setup, comp, per_left[j])) != 0:
-                raise DecompositionError(f"unbalanced component {comp.token()}")
-        for i, comp in enumerate(gamma2):
-            if _right_dimension(setup, comp, per_right[i]) != 0:
-                raise DecompositionError(f"unbalanced component {comp.token()}")
-        g1, g2, canon, aut = _canonical(setup, gamma1, gamma2, tails)
-        placement = tuple(sorted(
-            f"{ins.token()}@R{i}" for i, c in enumerate(g2)
-            for ins in c.insertions))
-        term = DecompTerm(
-            beta1=_side_sum(X, (c.cls for c in g1)),
-            beta2=_side_sum(setup.ruled.total, (c.cls for c in g2)),
-            partition=tuple(sorted((t.order for t in canon), reverse=True)),
-            tails=canon,
-            gamma1=g1,
-            gamma2=g2,
-            placement=placement,
-            multiplicity=weight / aut,
-        )
-        key = term.encode()
-        known = emitted.get(key)
-        if known is None:
-            emitted[key] = term
-        elif known.multiplicity != term.multiplicity:
-            raise DecompositionError(
-                f"inconsistent multiplicities for {key}")
+        key = (tuple(c.token() for c in gamma1),
+               tuple(c.token() for c in gamma2),
+               tuple(t.token() for t in tails))
+        graph = graphs.get(key)
+        if graph is None:
+            graphs[key] = [weight, gamma1, gamma2, tails]
+        else:
+            graph[0] += weight
 
     fund_name = D.fundamental.coeffs[0][0]
     by_grade: dict[int, list[str]] = {}
@@ -577,10 +542,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         """Component genera for a connected graph with one vertex per
         entry of `minima`, each at least its minimum."""
         rank = graph_genus(0, edges, len(minima), 1)
-        extra = spec.genus - sum(minima) - rank
-        if bounds.extra_genus is not None and extra > bounds.extra_genus:
-            return
-        yield from _compositions(spec.genus - rank, minima)
+        return _compositions(spec.genus - rank, minima)
 
     def configurations(alpha_tot, beta1):
         d = setup.left.contact_count(beta1)
@@ -650,8 +612,49 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             continue
         configurations(alpha_tot, beta1)
 
+    # isomorphic indexed graphs are one term and must weigh the same
+    emitted: dict[str, DecompTerm] = {}
+    for weight, gamma1, gamma2, tails in graphs.values():
+        term = _make_term(setup, gamma1, gamma2, tails, weight)
+        key = term.encode()
+        if emitted.setdefault(key, term).multiplicity != term.multiplicity:
+            raise DecompositionError(
+                f"inconsistent multiplicities for {key}")
     terms = sorted(emitted.values(), key=lambda t: t.encode())
     return terms, excluded
+
+
+def _tail_lists(gamma1, gamma2, tails):
+    """The tails at each divisor-side and at each bundle-side component."""
+    return ([[t for t in tails if t.left == j] for j in range(len(gamma1))],
+            [[t for t in tails if t.right == i] for i in range(len(gamma2))])
+
+
+def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
+               weight: Fraction) -> DecompTerm:
+    """The canonical term of one indexed graph; its multiplicity is the
+    graph's weight over the automorphisms of the labelled graph."""
+    per_left, per_right = _tail_lists(gamma1, gamma2, tails)
+    for comp, at in zip(gamma1, per_left):
+        if expected_dimension(_left_spec(setup, comp, at)) != 0:
+            raise DecompositionError(f"unbalanced component {comp.token()}")
+    for comp, at in zip(gamma2, per_right):
+        if _right_dimension(setup, comp, at) != 0:
+            raise DecompositionError(f"unbalanced component {comp.token()}")
+    g1, g2, canon, aut = _canonical(setup, gamma1, gamma2, tails)
+    placement = tuple(sorted(
+        f"{ins.token()}@R{i}" for i, c in enumerate(g2)
+        for ins in c.insertions))
+    return DecompTerm(
+        beta1=_side_sum(setup.total, (c.cls for c in g1)),
+        beta2=_side_sum(setup.ruled.total, (c.cls for c in g2)),
+        partition=tuple(sorted((t.order for t in canon), reverse=True)),
+        tails=canon,
+        gamma1=g1,
+        gamma2=g2,
+        placement=placement,
+        multiplicity=weight / aut,
+    )
 
 
 def _side_sum(space: Space, classes) -> HomologyClass:
@@ -659,40 +662,6 @@ def _side_sum(space: Space, classes) -> HomologyClass:
     for c in classes:
         total = total + c
     return total
-
-
-def term_multiplicity(setup: FiberSumSetup, term: DecompTerm) -> Fraction:
-    """Combinatorial weight of one term, recomputed from scratch.
-
-    Identical constraints spread over several components count once per
-    distinct indexed assignment; the automorphisms of the labelled graph
-    divide the result.  Split constraints group with their other half.
-    """
-    slots: dict[tuple, dict[tuple, int]] = {}
-    for side, comps in (("L", term.gamma1), ("R", term.gamma2)):
-        for idx, comp in enumerate(comps):
-            for ins in comp.insertions:
-                key = _group_key(setup, ins)
-                per = slots.setdefault(key, {})
-                per[(side, idx)] = per.get((side, idx), 0) + 1
-    weight = Fraction(1)
-    for per in slots.values():
-        total = sum(per.values())
-        weight *= factorial(total)
-        for n in per.values():
-            weight /= factorial(n)
-    _, _, _, aut = _canonical(setup, term.gamma1, term.gamma2, term.tails)
-    return weight / aut
-
-
-def _group_key(setup: FiberSumSetup, ins) -> tuple:
-    for source, half in setup.left.splits:
-        if ins.cls == (half if isinstance(ins, PulledBack) else source):
-            return ("split", source.encode())
-    if isinstance(ins, PulledBack):
-        return ("pb", ins.cls.encode())
-    return (ins.cls.basis.name, ins.cls.encode(), ins.descendents,
-            ins.pulled_back)
 
 
 # ---------------------------------------------------------------------------
@@ -738,10 +707,7 @@ def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
 
 def prune_term(setup: FiberSumSetup, term: DecompTerm) -> str | None:
     """First structural reason the term vanishes, or None."""
-    per_left = [[t for t in term.tails if t.left == j]
-                for j in range(len(term.gamma1))]
-    per_right = [[t for t in term.tails if t.right == i]
-                 for i in range(len(term.gamma2))]
+    per_left, per_right = _tail_lists(term.gamma1, term.gamma2, term.tails)
     for comp, tails in zip(term.gamma1, per_left):
         reason = _prune_left(setup, comp, tails)
         if reason is not None:
@@ -830,10 +796,7 @@ def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
     reason = prune_term(setup, term)
     if reason is not None:
         return TermReport(term, PRUNED, reason)
-    per_left = [[t for t in term.tails if t.left == j]
-                for j in range(len(term.gamma1))]
-    per_right = [[t for t in term.tails if t.right == i]
-                 for i in range(len(term.gamma2))]
+    per_left, per_right = _tail_lists(term.gamma1, term.gamma2, term.tails)
     factors: list[str] = []
     values: list[Fraction] = []
     blockers: list[str] = []

@@ -177,21 +177,18 @@ class RubberTriple:
     fiber_deg: int
     zero: tuple[tuple[int, HomologyClass], ...]
     inf: tuple[tuple[int, HomologyClass], ...]
-    interior: tuple[Insertion, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "zero", tuple(self.zero))
         object.__setattr__(self, "inf", tuple(self.inf))
-        object.__setattr__(self, "interior", tuple(self.interior))
         if self.genus < 0:
             raise InvariantError("genus must be >= 0")
         dbasis = self.ruled.base.divisor.basis.name
         if self.alpha.basis.name != dbasis:
             raise InvariantError("section part must be a divisor curve class")
-        beta = self.ruled.class_of(self.alpha, self.fiber_deg)
-        for contacts, divclass, side in ((self.zero, self.ruled.dzero_class, "zero"),
-                                         (self.inf, self.ruled.dinf_class, "infinity")):
-            deg = self.ruled.total.intersect(beta, divclass)
+        degs = self.ruled.end_degrees(self.alpha, self.fiber_deg)
+        for contacts, deg, side in zip((self.zero, self.inf), degs,
+                                       ("zero", "infinity")):
             _check_contacts(contacts, deg, side, dbasis)
 
     def key(self) -> str:
@@ -207,7 +204,7 @@ class RubberTriple:
         contact-sum check on construction.
         """
         return RubberTriple(self.ruled, self.genus, self.alpha, self.fiber_deg,
-                            self.inf, self.zero, self.interior)
+                            self.inf, self.zero)
 
 
 def _check_contacts(contacts, deg: int, side: str, dbasis: str) -> None:
@@ -311,10 +308,8 @@ def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
     summed with component_index instead.
     """
     dbasis = setup.base.divisor.basis.name
-    beta = setup.class_of(alpha, fiber_deg)
     total = setup.total
-    deg_zero = total.intersect(beta, setup.dzero_class)
-    deg_inf = total.intersect(beta, setup.dinf_class)
+    deg_zero, deg_inf = setup.end_degrees(alpha, fiber_deg)
     _check_contacts(zero, deg_zero, "zero", dbasis)
     _check_contacts(inf, deg_inf, "infinity", dbasis)
     n = total.n
@@ -324,7 +319,8 @@ def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
             raise InvariantError("interior insertions must be absolute")
         codims += constraint_codim(ins, n)
     marks = len(list(zero)) + len(list(inf)) + len(list(interior))
-    return component_index(n=n, genus=genus, c1=total.c1(beta), marks=marks,
+    return component_index(n=n, genus=genus,
+                           c1=setup.c1_total(alpha, fiber_deg), marks=marks,
                            deg_inf=deg_inf, r_inf=len(list(inf)), codims=codims,
                            deg_zero=deg_zero, r_zero=len(list(zero))) - 1
 

@@ -18,8 +18,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimension import Insertion, InvariantError, InvariantSpec, RubberTriple
-from .lattice import HomologyClass, cls, gen
+from .dimension import (Insertion, InvariantError, InvariantSpec, RubberTriple,
+                        _abs_sort_key, _rel_sort_key)
+from .lattice import HomologyClass, cls, gen, row_reduce
 from .spaces import DivisorPair, Space, builtin
 from .vanishing import check_degeneration_hypothesis, decide
 
@@ -199,11 +200,8 @@ def seed_table() -> KnowledgeBase:
 
 def normalize(spec: InvariantSpec) -> InvariantSpec:
     """Reorder insertions into the canonical order used by keys."""
-    a = tuple(sorted(spec.absolutes,
-                     key=lambda i: (i.cls.grade, i.cls.encode(),
-                                    i.descendents, i.pulled_back)))
-    r = tuple(sorted(spec.relatives,
-                     key=lambda i: (-i.order, i.cls.encode())))
+    a = tuple(sorted(spec.absolutes, key=_abs_sort_key))
+    r = tuple(sorted(spec.relatives, key=_rel_sort_key))
     if a == spec.absolutes and r == spec.relatives:
         return spec
     return InvariantSpec(spec.target, spec.genus, spec.beta, a, r,
@@ -273,10 +271,9 @@ class Evaluator:
     everything else is read-only.
     """
 
-    def __init__(self, kb: KnowledgeBase, identities=None, solver: bool = True):
+    def __init__(self, kb: KnowledgeBase, solver: bool = True):
         self.kb = kb
-        self.identities = (standard_identities() if identities is None
-                           else tuple(identities))
+        self.identities = standard_identities()
         self.solver = solver
         self._memo: dict[str, Value | Unknown] = {}
         self._active: list[str] = []
@@ -396,8 +393,8 @@ class Evaluator:
         return self._hyp[hkey]
 
 
-def evaluate(spec, kb: KnowledgeBase, **kwargs) -> Value | Unknown:
-    return Evaluator(kb, **kwargs).evaluate(spec)
+def evaluate(spec, kb: KnowledgeBase) -> Value | Unknown:
+    return Evaluator(kb).evaluate(spec)
 
 
 # -- rewrite rules -----------------------------------------------------------
@@ -729,44 +726,25 @@ def solve_unknowns(equations) -> tuple[dict[str, Fraction], tuple[str, ...]]:
     """
     variables = sorted({k for eq in equations for k, _ in eq.coeffs})
     index = {k: i for i, k in enumerate(variables)}
-    rows = []
+    rows, origins = [], []
     for eq in equations:
-        row = [Fraction(0)] * len(variables)
+        row = [Fraction(0)] * (len(variables) + 1)
         for k, v in eq.coeffs:
             row[index[k]] += v
-        rows.append((row, Fraction(eq.rhs), eq.origin))
-    pivot_of: dict[int, int] = {}
-    rank = 0
-    for col in range(len(variables)):
-        pivot = next((i for i in range(rank, len(rows))
-                      if rows[i][0][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow, prhs, porig = rows[rank]
-        inv = Fraction(1) / prow[col]
-        prow = [x * inv for x in prow]
-        prhs = prhs * inv
-        rows[rank] = (prow, prhs, porig)
-        for i in range(len(rows)):
-            if i != rank and rows[i][0][col] != 0:
-                f = rows[i][0][col]
-                newrow = [a - f * b for a, b in zip(rows[i][0], prow)]
-                rows[i] = (newrow, rows[i][1] - f * prhs, rows[i][2])
-        pivot_of[col] = rank
-        rank += 1
-    for row, rhs, origin in rows[rank:]:
-        if rhs != 0:
-            raise EvalError(f"inconsistent splitting system via {origin}")
+        row[-1] = Fraction(eq.rhs)
+        rows.append(row)
+        origins.append(eq.origin)
+    pivots = row_reduce(rows, origins)
+    if pivots and pivots[-1] == len(variables):
+        clash = origins[len(pivots) - 1]
+        raise EvalError(f"inconsistent splitting system via {clash}")
+    pivot_of = {col: r for r, col in enumerate(pivots)}
     solutions: dict[str, Fraction] = {}
     free: list[str] = []
     for col, var in enumerate(variables):
-        if col not in pivot_of:
+        row = rows[pivot_of[col]] if col in pivot_of else None
+        if row is None or any(row[j] for j in range(len(variables)) if j != col):
             free.append(var)
             continue
-        row, rhs, _ = rows[pivot_of[col]]
-        if any(row[j] != 0 for j in range(len(variables)) if j != col):
-            free.append(var)
-            continue
-        solutions[var] = rhs
+        solutions[var] = row[-1]
     return solutions, tuple(free)

@@ -2,7 +2,8 @@
 
 Classes live in the even homology of a fixed space, presented by a graded
 basis.  Grade k stands for complex dimension k.  All arithmetic is exact;
-coefficients are Python ints throughout.
+coefficients are Python ints throughout.  `row_reduce` is the one linear
+elimination, over `Fraction` rows, for every solver that needs one.
 """
 
 from __future__ import annotations
@@ -317,3 +318,33 @@ class ProductTable:
         if acc.grade != 0:
             return 0
         return acc.coeff(self.basis.point)
+
+
+def row_reduce(rows, tags=None) -> list[int]:
+    """Gauss-Jordan elimination of `rows` in place, over `Fraction`.
+
+    Every column is a pivot candidate, so an augmented system is
+    inconsistent exactly when its last column is a pivot.  Rows are swapped
+    as they are chosen, and `tags` (one per row, when given) is permuted
+    along with them.  Returns the pivot columns; row i of the result holds
+    the pivot of the i-th one, scaled to 1, and is zero in every other
+    pivot column.
+    """
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        if tags is not None:
+            tags[r], tags[sel] = tags[sel], tags[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots

@@ -12,7 +12,9 @@ Geometric facts are declared here once; the engines read them, not names:
 - `DivisorPair.splits`: constraints split across D, with the divisor class
   whose preimage is the bundle-side half;
 - `RuledMeta`: fiber, zero section, the point <-> fiber and D <-> X
-  pull-back correspondence, the section lift and the projection.
+  pull-back correspondence, the section lift and the projection;
+- `RuledSetup.end_degrees`: the degrees of lift(alpha) + ell * fiber along
+  the zero and infinity sections of a bundle.
 """
 
 from __future__ import annotations
@@ -356,6 +358,14 @@ class RuledSetup:
 
     def c1_total(self, alpha: HomologyClass, ell: int) -> int:
         return self.total.c1(self.class_of(alpha, ell))
+
+    def end_degrees(self, alpha: HomologyClass, ell: int) -> tuple[int, int]:
+        """(zero-side, infinity-side) degree of class_of(alpha, ell): the
+        intersections with `dzero_class` and `dinf_class` that the form of
+        `_build_ruled` gives.  The zero section has normal bundle
+        twist * N_D, the infinity section is disjoint from the lifted
+        curves, and each meets a fiber once."""
+        return ell + self.twist * self.base.normal_degree(alpha), ell
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         component_index, constraint_codim, raw_dimension)
-from .lattice import HomologyClass, cls as make_cls, gen
+from .lattice import HomologyClass, cls as make_cls, gen, row_reduce
 from .spaces import CatalogError, DivisorPair, RuledSetup, builtin
 
 
@@ -125,13 +126,10 @@ def _enc(c: HomologyClass | None) -> str:
 
 
 def _component_degrees(s: StratumType, comp: LevelComponent):
-    """(zero-side degree or None, infinity-side degree) from the lattice."""
+    """(zero-side degree or None, infinity-side degree) from the catalog."""
     if comp.level == 0:
         return None, s.pair.contact_count(comp.cls)
-    q = neck_model(s.pair)
-    beta = q.class_of(comp.alpha, comp.fiber)
-    return (q.total.intersect(beta, q.dzero_class),
-            q.total.intersect(beta, q.dinf_class))
+    return neck_model(s.pair).end_degrees(comp.alpha, comp.fiber)
 
 
 def _nodes(s: StratumType):
@@ -320,22 +318,25 @@ def _comp_text(comp: LevelComponent) -> str:
             f":z[{_contacts_text(d[3])}]:i[{_contacts_text(d[4])}]")
 
 
+def _relabelings(labels):
+    """Every position map that moves an item only among adjacent equal
+    labels: the product of the permutations of each run.  A map is a tuple
+    whose entry i is the position item i moves to."""
+    runs, start = [], 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            runs.append(range(start, i))
+            start = i
+    for choice in product(*[permutations(run) for run in runs]):
+        yield tuple(p for perm in choice for p in perm)
+
+
 def _slot_orders(contacts):
     """All orderings of the contacts compatible with the sorted slot view."""
     marked = sorted(contacts, key=lambda c: (-c.mult, _enc(c.constraint), c.node))
-    groups, cur = [], []
-    for c in marked:
-        if cur and (cur[0].mult, _enc(cur[0].constraint)) == (c.mult, _enc(c.constraint)):
-            cur.append(c)
-        else:
-            if cur:
-                groups.append(cur)
-            cur = [c]
-    if cur:
-        groups.append(cur)
-    for choice in product(*[permutations(gr) for gr in groups]):
-        order = [c for gr in choice for c in gr]
-        yield {c.node: pos for pos, c in enumerate(order)}
+    labels = [(c.mult, _enc(c.constraint)) for c in marked]
+    for moved in _relabelings(labels):
+        yield {c.node: pos for c, pos in zip(marked, moved)}
 
 
 def stratum_key(s: StratumType) -> str:
@@ -344,23 +345,14 @@ def stratum_key(s: StratumType) -> str:
     if not s.components:
         return "empty"
     comps = sorted(s.components, key=_comp_data)
-    data = [_comp_data(c) for c in comps]
-
-    groups, start = [], 0
-    for i in range(1, len(comps) + 1):
-        if i == len(comps) or data[i] != data[start]:
-            groups.append(list(range(start, i)))
-            start = i
-
     body = "&".join(_comp_text(c) for c in comps)
     slots = [(list(_slot_orders(c.zero)), list(_slot_orders(c.inf)))
              for c in comps]
     best = None
-    for placement in product(*[permutations(g) for g in groups]):
+    for placement in _relabelings([_comp_data(c) for c in comps]):
         slot_sets = [None] * len(comps)
-        for g, placed in zip(groups, placement):
-            for src, dst in zip(g, placed):
-                slot_sets[dst] = slots[src]
+        for src, dst in enumerate(placement):
+            slot_sets[dst] = slots[src]
         for zmaps in product(*[z for z, _ in slot_sets]):
             for imaps in product(*[i for _, i in slot_sets]):
                 pos = {}
@@ -413,10 +405,11 @@ def _multisets(pool, sizes, budget, sizes2=None, budget2=0):
     return out
 
 
-def _partitions(total: int):
+@cache
+def _partitions(total: int) -> tuple[tuple[int, ...], ...]:
     """Multiplicity multisets (weakly decreasing) summing to total."""
     pool = range(total, 0, -1)
-    return _multisets(pool, pool, total)
+    return tuple(_multisets(pool, pool, total))
 
 
 def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass | None:
@@ -433,23 +426,13 @@ def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass |
     cols = [pair.inclusion(gen(D.basis, g)) for g in gens]
     rows = [[Fraction(col.coeff(x)) for col in cols] + [Fraction(target.coeff(x))]
             for x in xgens]
-    r = 0
-    for c in range(len(gens)):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            raise CatalogError(f"{pair.name}: inclusion not injective on curves")
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
+    pivots = row_reduce(rows)
+    if pivots[:len(gens)] != list(range(len(gens))):
+        raise CatalogError(f"{pair.name}: inclusion not injective on curves")
+    if len(pivots) > len(gens):
+        return None
     vals = {}
-    for row, g in zip(rows[:r], gens):
+    for row, g in zip(rows, gens):
         v = row[-1]
         if v.denominator != 1:
             return None
@@ -533,7 +516,7 @@ def _position_filter(s: StratumType) -> bool:
     return True
 
 
-def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
+def enumerate_strata(spec: InvariantSpec, max_levels: int):
     """All valid stratum types for the count, up to the level bound.
 
     Components are drawn from the effectivity models of the ambient space
@@ -544,7 +527,7 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
     if pair is None:
         raise InvariantError("stratum enumeration needs a divisor pair")
     X = pair.ambient
-    xmodel = model if model is not None else X.effective
+    xmodel = X.effective
     if xmodel is None:
         raise InvariantError(f"{X.name}: no effectivity model")
     raw_dimension(spec)   # validates contact data; may raise DefinedZero
@@ -568,7 +551,6 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
                                           inf=main_inf),),
                     (), spec.absolutes))
 
-    known = {}   # end degrees of level components, see _attach_contacts
     budget = X.area(spec.beta)
     xcands = [(c, gc) for c in xmodel.classes(budget)
               for gc in range(xmodel.min_genus(c), spec.genus + 1)]
@@ -581,17 +563,18 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int, model=None):
             alpha_total = _solve_preimage(pair, spec.beta - used)
             if alpha_total is None:
                 continue
-            for s in _build_levels(spec, k, bottom, alpha_total, known):
+            for s in _build_levels(spec, k, bottom, alpha_total):
                 add(s)
     return [found[key] for key in sorted(found)]
 
 
-def _build_levels(spec, k, bottom, alpha_total, known):
+def _build_levels(spec, k, bottom, alpha_total):
     """Fill levels 1..k over the chosen level-0 components."""
     pair = spec.pair
     D = pair.divisor
     dmodel = D.effective
     q = neck_model(pair)
+    dzero = make_cls(D.basis, {})
 
     if alpha_total.is_zero:
         alpha_parts = []
@@ -611,7 +594,7 @@ def _build_levels(spec, k, bottom, alpha_total, known):
             picks = _multisets_with_budget(alpha_parts, room, D.area) \
                 if room >= 0 else []
         for alphas in picks:
-            gamma = make_cls(D.basis, {})
+            gamma = dzero
             for a in alphas:
                 gamma = gamma + a
             total_d = prev_deg + pair.normal_degree(gamma)
@@ -629,7 +612,7 @@ def _build_levels(spec, k, bottom, alpha_total, known):
                         if sum(gs) > spec.genus:
                             continue
                         comps = [(a, ds[i], gs[i]) for i, a in enumerate(alphas)]
-                        comps += [(None, ds[len(alphas) + j], gs[len(alphas) + j])
+                        comps += [(dzero, ds[len(alphas) + j], gs[len(alphas) + j])
                                   for j in range(m)]
                         yield comps, gamma
 
@@ -645,15 +628,11 @@ def _build_levels(spec, k, bottom, alpha_total, known):
             acc.pop()
 
     for level_plan in rec(1, alpha_total, bottom_deg, []):
-        yield from _attach_contacts(spec, bottom, level_plan, q, known)
+        yield from _attach_contacts(spec, bottom, level_plan, q)
 
 
-def _attach_contacts(spec, bottom, level_plan, q, known):
+def _attach_contacts(spec, bottom, level_plan, q):
     """Choose end partitions, matchings and outer assignments.
-
-    `known` memoizes the end degrees of a component, keyed on (level, data),
-    and the partitions of an end degree, keyed on the degree; it is shared
-    by every level plan of one enumeration.
 
     A level plan fixes the vertex count v and the genus sum G of every
     stratum built from it, and a choice of boundary partitions fixes the
@@ -673,7 +652,6 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
     boundaries miss e, yields nothing and is dropped at once.
     """
     pair = spec.pair
-    D = pair.divisor
     k = len(level_plan)
 
     comps_by_level = {0: list(bottom)}
@@ -681,25 +659,12 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
         comps_by_level[i] = comps
 
     def degrees(level, data):
-        key = (level, data)
-        if key in known:
-            return known[key]
         if level == 0:
-            c, _ = data
-            out = None, pair.contact_count(c)
-        else:
-            a, d, _ = data
-            alpha = a if a is not None else make_cls(D.basis, {})
-            beta = q.class_of(alpha, d)
-            out = (q.total.intersect(beta, q.dzero_class),
-                   q.total.intersect(beta, q.dinf_class))
-        known[key] = out
-        return out
+            return None, pair.contact_count(data[0])
+        return q.end_degrees(data[0], data[1])
 
     def partitions(deg):
-        if deg not in known:
-            known[deg] = _partitions(deg) if deg >= 0 else [()]
-        return known[deg]
+        return _partitions(deg) if deg >= 0 else ((),)
 
     def boundary_options(i):
         lower = comps_by_level[i]
@@ -738,13 +703,7 @@ def _attach_contacts(spec, bottom, level_plan, q, known):
                 for tail in rec(ci + 1, rest):
                     yield [subset] + tail
 
-        seen = set()
-        for assign in rec(0, rel):
-            key = tuple(tuple(sorted((i.order, i.cls.encode()) for i in part))
-                        for part in assign)
-            if key not in seen:
-                seen.add(key)
-                yield assign
+        yield from rec(0, rel)
 
     vertices = [data for comps in comps_by_level.values() for data in comps]
     # the edge count that, on a connected graph, closes the count's genus
@@ -850,7 +809,6 @@ def _materialize(spec, comps_by_level, chosen, outer, k, q):
     was built.
     """
     pair = spec.pair
-    D = pair.divisor
     counter = [0]
 
     def fresh():
@@ -880,8 +838,7 @@ def _materialize(spec, comps_by_level, chosen, outer, k, q):
                 comp = LevelComponent(0, g, cls=c, inf=imarks)
             else:
                 a, d, g = data
-                alpha = a if a is not None else make_cls(D.basis, {})
-                comp = LevelComponent(level, g, alpha=alpha, fiber=d,
+                comp = LevelComponent(level, g, alpha=a, fiber=d,
                                       zero=zmarks, inf=imarks)
             comps[(level, idx)] = comp
 

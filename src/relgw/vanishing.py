@@ -110,8 +110,7 @@ def decide(spec: InvariantSpec, markers=()) -> Verdict:
 
 def check_degeneration_hypothesis(
         pair: DivisorPair,
-        beta: HomologyClass,
-        search_area: int | None = None) -> tuple[bool, HomologyClass | None]:
+        beta: HomologyClass) -> tuple[bool, HomologyClass | None]:
     """Test the positivity hypothesis behind the absolute-relative identity.
 
     The identity fails when some effective curve class alpha inside the
@@ -120,19 +119,17 @@ def check_degeneration_hypothesis(
     space.  Returns (True, None) when no such class exists, otherwise
     (False, witness).
 
-    Candidates are enumerated by their area inside the divisor; the default
-    budget is wide enough to cover every catalog geometry, including ones
-    where the inclusion collapses area.
+    Candidates are enumerated by their area inside the divisor; the budget
+    is wide enough to cover every catalog geometry, including ones where
+    the inclusion collapses area.
     """
     X, D = pair.ambient, pair.divisor
     xmodel, dmodel = X.effective, D.effective
     if xmodel is None or dmodel is None:
         raise InvariantError(
             f"pair {pair.name} has no effective-class model on both sides")
-    if search_area is None:
-        search_area = 2 * int(X.area(beta)) + 2
     n = X.n
-    for alpha in dmodel.classes(search_area):
+    for alpha in dmodel.classes(2 * int(X.area(beta)) + 2):
         k = -pair.normal_degree(alpha)
         if k < 2:
             continue

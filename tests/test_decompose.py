@@ -1,16 +1,20 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from relgw import decompose
+from relgw import cli, decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
                              PulledBack, compare_abs_rel,
                              enumerate_terms, evaluate_decomposition,
-                             split_form, term_multiplicity, total_genus)
+                             split_form, total_genus)
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
+from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def section_case(place=None):
@@ -59,6 +63,50 @@ def brute_automorphisms(term):
             if mapped == edges:
                 count += 1
     return count
+
+
+def brute_multiplicity(setup, spec, term):
+    """The labelled maps from the count's constraints to the components
+    that give every component exactly its insertions, over
+    `brute_automorphisms(term)`.
+
+    A constraint placed on X may go to any divisor-side component, one on
+    Y to any bundle-side component as the bundle's point or fundamental
+    class, and a split one to either, as the preimage marker of its
+    declared divisor half on the bundle side.
+    """
+    bundle = setup.ruled.total
+    halves = {source: half for source, half in setup.left.splits}
+    left = [("L", j) for j in range(len(term.gamma1))]
+    right = [("R", i) for i in range(len(term.gamma2))]
+    options = []
+    for ins in spec.absolutes:
+        if ins.cls.grade == 0:
+            neck = bundle.point.encode()
+        elif ins.cls.grade == bundle.n:
+            neck = bundle.fundamental.encode()
+        else:
+            neck = None
+        split = halves.get(ins.cls)
+        choices = []
+        if ins.place in (None, "X", "split"):
+            choices += [(slot, ins.token()) for slot in left]
+        if ins.place == "Y":
+            choices += [(slot, neck) for slot in right]
+        if ins.place == "split":
+            choices += [(slot, f"pb:{split.encode()}") for slot in right]
+        options.append(choices)
+    want = {slot: sorted(i.token() for i in comp.insertions)
+            for slots, comps in ((left, term.gamma1), (right, term.gamma2))
+            for slot, comp in zip(slots, comps)}
+    count = 0
+    for choice in itertools.product(*options):
+        got = {slot: [] for slot in want}
+        for slot, token in choice:
+            got[slot].append(token)
+        if all(sorted(got[slot]) == want[slot] for slot in want):
+            count += 1
+    return Fraction(count, brute_automorphisms(term))
 
 
 # -- torus section ------------------------------------------------------
@@ -183,9 +231,10 @@ def test_quartic_dump_stable(quartic):
 
 
 def test_quartic_multiplicity_recomputation(quartic):
-    setup, _, _, ledger = quartic
+    setup, spec, _, ledger = quartic
     for report in ledger.reports:
-        assert term_multiplicity(setup, report.term) == report.term.multiplicity
+        assert (brute_multiplicity(setup, spec, report.term)
+                == report.term.multiplicity)
 
 
 def test_cone_enumerated_once_per_enumeration(monkeypatch):
@@ -228,13 +277,51 @@ def term_cases(quartic):
 
 
 def test_brute_automorphisms_agree(quartic):
-    for setup, _, terms in term_cases(quartic):
+    for setup, spec, terms in term_cases(quartic):
         for term in terms:
             aut = brute_automorphisms(term)
-            recomputed = term_multiplicity(setup, term)
-            assert recomputed == term.multiplicity
+            assert brute_multiplicity(setup, spec, term) == term.multiplicity
             # weight times |Aut| clears the automorphism denominator
             assert (term.multiplicity * aut).denominator == 1
+
+
+def test_section_cases_match_brute_multiplicity():
+    for place in (None, "Y"):
+        setup, spec = section_case(place)
+        for term in enumerate_terms(setup, spec):
+            assert brute_multiplicity(setup, spec, term) == term.multiplicity
+
+
+def test_plain_and_split_constraints_of_one_class(tmp_path, capsys):
+    """One plain and two split pi constraints: assignments that put the
+    same insertions on every component are one configuration, so their
+    weights add instead of clashing."""
+    text = (SCENARIOS / "quartic_difference.gw").read_text(encoding="utf-8")
+    mixed = text.replace("abs = pt, pt, pi@split, pi@split, pi@split",
+                         "abs = pt, pt, pi, pi@split, pi@split")
+    assert mixed != text
+    path = tmp_path / "mixed.gw"
+    path.write_text(mixed, encoding="utf-8")
+    assert cli.main(["decompose", str(path),
+                     "p4blow2_hyperplane", "main"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines[1:]
+                if not line.startswith("#")]) == 95
+    assert "# total\t2" in lines
+    assert "# unresolved\t1" in lines
+
+    setup = builtin("fibersum_of:p4blow2_hyperplane")
+    spec = parse_scenario(mixed).invariants["main"]
+    terms = enumerate_terms(setup, spec)
+    assert len(terms) == 95
+    for term in terms:
+        assert brute_multiplicity(setup, spec, term) == term.multiplicity
+    by_encode = {t.encode(): t for t in terms}
+    # a plain pi on the left may sit beside either split pi
+    assert by_encode[
+        "g1=[2*lambda-eps1;g0;pi,pi,pt,pt]"
+        "|g2=[f+2*lambda_0-eps1_0-2*eps2_0;g0;pb:lambda]"
+        "|tails=(1,fund)@0:0"].multiplicity == 2
 
 
 # -- structural invariants of every emitted term -------------------------

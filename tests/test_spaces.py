@@ -2,7 +2,7 @@
 
 import pytest
 
-from relgw.spaces import builtin
+from relgw.spaces import CatalogError, builtin
 
 PAIRS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
          "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
@@ -79,3 +79,32 @@ def test_pull_back_correspondence_runs_both_ways(name):
 def test_section_lift_is_declared_only_on_built_bundles():
     meta = builtin("t2_ruled_section").ruled
     assert meta.lift is None and meta.projection is None
+
+
+def buildable_bundles():
+    out = []
+    for kind in ("y_of", "q_of"):
+        for name in PAIRS:
+            try:
+                out.append(builtin(f"{kind}:{name}"))
+            except CatalogError:
+                pass  # no P1-bundle over a zero-dimensional divisor
+    return out
+
+
+def test_end_degrees_are_the_section_intersections():
+    bundles = buildable_bundles()
+    assert len(bundles) == 2 * (len(PAIRS) - 1)
+    checked = 0
+    for q in bundles:
+        D = q.base.divisor
+        for g in D.basis.names(1):
+            for k in (-2, -1, 0, 1, 3):
+                alpha = D.gen(g, k)
+                for ell in range(4):
+                    beta = q.class_of(alpha, ell)
+                    want = (q.total.intersect(beta, q.dzero_class),
+                            q.total.intersect(beta, q.dinf_class))
+                    assert q.end_degrees(alpha, ell) == want, (q.name, g, k)
+                    checked += 1
+    assert checked == 360

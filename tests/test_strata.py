@@ -1,6 +1,6 @@
 import hashlib
 from functools import cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
@@ -11,7 +11,8 @@ from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
                           _graph_components, _multisets, _orbit_matchings,
-                          _partitions, _position_filter, assemble_class,
+                          _partitions, _position_filter, _relabelings,
+                          _solve_preimage, assemble_class,
                           enumerate_strata, multilevel_index, stratum_flags,
                           stratum_key, total_genus, validate)
 
@@ -562,7 +563,29 @@ def test_multisets_with_two_budgets_match_brute_force():
 def test_partitions_are_weakly_decreasing_and_complete():
     counts = [len(_partitions(n)) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-    assert _partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert _partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    # cached, and immutable so no caller can change what the next one reads
+    assert _partitions(4) is _partitions(4)
+
+
+def test_relabelings_are_the_label_preserving_permutations():
+    for n in range(7):
+        for cuts in product((False, True), repeat=max(n - 1, 0)):
+            labels = [sum(cuts[:i]) for i in range(n)]
+            got = list(_relabelings(labels))
+            assert len(got) == len(set(got))
+            assert set(got) == {
+                p for p in permutations(range(n))
+                if all(labels[p[i]] == labels[i] for i in range(n))}
+
+
+def test_solve_preimage_on_the_antidiagonal():
+    anti = builtin("s2xs2_antidiag")
+    X, D = anti.ambient, anti.divisor
+    diag = X.cls({"a1": 1, "a2": -1})
+    assert _solve_preimage(anti, diag) == D.fundamental
+    assert _solve_preimage(anti, diag.scale(3)) == D.gen("fund", 3)
+    assert _solve_preimage(anti, X.gen("a1")) is None
 
 
 @pytest.mark.parametrize("sizes, more", [

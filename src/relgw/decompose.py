@@ -387,7 +387,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         else:
             graph[0] += weight
 
-    fund_name = D.fundamental.coeffs[0][0]
+    fund_name = D.basis.fundamental
     by_grade: dict[int, list[str]] = {}
     for name in dnames:
         by_grade.setdefault(D.basis.grade(name), []).append(name)

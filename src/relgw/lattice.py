@@ -1,14 +1,22 @@
 """Graded homology lattices with exact integer coefficients.
 
 Classes live in the even homology of a fixed space, presented by a graded
-basis.  Grade k stands for complex dimension k.  All arithmetic is exact;
-coefficients are Python ints throughout.  `row_reduce` is the one linear
-elimination, over `Fraction` rows, for every solver that needs one.
+basis.  Grade k stands for complex dimension k.  A `HomologyClass` is a
+dense int tuple `vec`, one entry per element of `GradedBasis.elements` in
+that order, plus its grade (None for the zero class).  Names and grades
+are checked once, where names become a class (`HomologyClass.from_pairs`,
+`cls`, `gen`); sums and differences only compare the two grades, and
+`encode()` is computed on first use and kept.  `IntersectionForm`,
+`LinearFunctional` and `LatticeMap` hold one precomputed row per basis
+position.  All arithmetic is exact; coefficients are Python ints
+throughout.  `row_reduce` is the one linear elimination, over `Fraction`
+rows, for every solver that needs one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 
@@ -22,6 +30,9 @@ class BasisMismatchError(LatticeError):
 
 class GradeError(LatticeError):
     """Raised when an operation receives a class of the wrong grade."""
+
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -49,10 +60,14 @@ class GradedBasis:
         tops = [e for e, g in self.elements if g == self.n]
         if len(zeros) != 1 or len(tops) != 1:
             raise LatticeError(f"{self.name}: need exactly one point and one fundamental class")
-        # name -> (position, grade); an attribute, not a field, so equality
-        # and hashing still see only the declared data
-        object.__setattr__(self, "_index", {
-            e: (i, g) for i, (e, g) in enumerate(self.elements)})
+        # attributes, not fields, so equality and hashing still see only the
+        # declared data: name -> (position, grade), the zero vector, the hash
+        _set(self, "_index", {e: (i, g) for i, (e, g) in enumerate(self.elements)})
+        _set(self, "_zero", (0,) * len(self.elements))
+        _set(self, "_hash", hash((self.name, self.n, self.elements)))
+
+    def __hash__(self):
+        return self._hash
 
     def _entry(self, name: str) -> tuple[int, int]:
         try:
@@ -76,70 +91,100 @@ class GradedBasis:
         return next(e for e, g in self.elements if g == self.n)
 
 
-@dataclass(frozen=True)
+def _pairs(basis: GradedBasis, vec) -> tuple[tuple[str, int], ...]:
+    return tuple((e, c) for (e, _), c in zip(basis.elements, vec) if c)
+
+
 class HomologyClass:
     """An integer combination of basis elements of a single grade.
 
-    The zero class has empty coefficients and no grade of its own.
+    `vec` holds one int per element of `basis.elements`, in that order, and
+    `grade` is the grade of every nonzero entry; the zero class has the
+    all-zero vector and grade None.  The constructor trusts both: names
+    become a class through `from_pairs`, `cls` or `gen`, which check them,
+    and the arithmetic keeps vector and grade consistent.  Classes are
+    immutable; classes on equal bases with equal vectors are equal.
     """
 
-    basis: GradedBasis
-    coeffs: tuple[tuple[str, int], ...]
+    __slots__ = ("basis", "vec", "grade", "_code")
+
+    def __init__(self, basis: GradedBasis, vec: tuple[int, ...],
+                 grade: int | None):
+        _set(self, "basis", basis)
+        _set(self, "vec", vec)
+        _set(self, "grade", grade)
+        self.__post_init__()
 
     def __post_init__(self):
-        positions = {}
+        _set(self, "_code", None)  # encode() fills it on first use
+
+    @classmethod
+    def from_pairs(cls_, basis: GradedBasis,
+                   pairs: Iterable[tuple[str, int]]) -> "HomologyClass":
+        """The class sum(c * name) over (name, c) pairs.  Each name must be a
+        basis element listed once with a nonzero coefficient (LatticeError),
+        and all of them must share one grade (GradeError)."""
+        pairs = tuple(pairs)
+        vec = list(basis._zero)
+        seen = set()
         grades = set()
-        for name, c in self.coeffs:
-            if name in positions:
+        for name, c in pairs:
+            if name in seen:
                 raise LatticeError(f"repeated coefficient for {name}")
             if c == 0:
                 raise LatticeError("zero coefficients must be dropped")
-            positions[name], grade = self.basis._entry(name)
+            pos, grade = basis._entry(name)
+            seen.add(name)
+            vec[pos] = c
             grades.add(grade)
         if len(grades) > 1:
-            raise GradeError(f"mixed grades in class: {self.coeffs}")
-        ordered = tuple(sorted(self.coeffs, key=lambda t: positions[t[0]]))
-        object.__setattr__(self, "coeffs", ordered)
+            raise GradeError(f"mixed grades in class: {pairs}")
+        return cls_(basis, tuple(vec), grades.pop() if grades else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, int], ...]:
+        """(name, coefficient) pairs of the nonzero entries, in basis order."""
+        return _pairs(self.basis, self.vec)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def grade(self) -> int | None:
-        if not self.coeffs:
-            return None
-        return self.basis.grade(self.coeffs[0][0])
+        return self.grade is None
 
     def coeff(self, name: str) -> int:
-        for e, c in self.coeffs:
-            if e == name:
-                return c
-        return 0
+        entry = self.basis._index.get(name)
+        return 0 if entry is None else self.vec[entry[0]]
+
+    def __eq__(self, other):
+        if other.__class__ is not HomologyClass:
+            return NotImplemented
+        return self.vec == other.vec and (
+            self.basis is other.basis or self.basis == other.basis)
+
+    def __hash__(self):
+        return hash((self.basis, self.vec))
+
+    def __repr__(self) -> str:
+        return f"HomologyClass(basis={self.basis!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_basis(self, other)
-        acc = {e: c for e, c in self.coeffs}
-        for e, c in other.coeffs:
-            acc[e] = acc.get(e, 0) + c
-        return cls(self.basis, acc)
+        return _combine(self, other, add)
 
     def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        _same_basis(self, other)
-        acc = {e: c for e, c in self.coeffs}
-        for e, c in other.coeffs:
-            acc[e] = acc.get(e, 0) - c
-        return cls(self.basis, acc)
+        return _combine(self, other, sub)
 
     def scale(self, k: int) -> "HomologyClass":
-        if k == 0:
-            return cls(self.basis, {})
-        return cls(self.basis, {e: k * c for e, c in self.coeffs})
+        if k == 0 or self.grade is None:
+            return HomologyClass(self.basis, self.basis._zero, None)
+        return HomologyClass(self.basis, tuple(k * c for c in self.vec), self.grade)
 
     def encode(self) -> str:
         """Canonical string: '2*lambda-eps1', '0' for the zero class."""
-        if not self.coeffs:
-            return "0"
+        code = self._code
+        if code is not None:
+            return code
         parts = []
         for e, c in self.coeffs:
             if c == 1:
@@ -152,19 +197,41 @@ class HomologyClass:
                 parts.append("+" + term)
             else:
                 parts.append(term)
-        return "".join(parts)
+        code = "".join(parts) or "0"
+        _set(self, "_code", code)
+        return code
 
     def __str__(self) -> str:
         return self.encode()
 
 
+def _combine(a: HomologyClass, b: HomologyClass, op) -> HomologyClass:
+    """a + b or a - b, entry by entry; nonzero summands must share a grade."""
+    _same_basis(a, b)
+    vec = tuple(map(op, a.vec, b.vec))
+    ga, gb = a.grade, b.grade
+    if ga is None:
+        return HomologyClass(a.basis, vec, gb)
+    if gb is None:
+        return HomologyClass(a.basis, vec, ga)
+    if ga != gb:
+        raise GradeError(f"mixed grades in class: {_pairs(a.basis, vec)}")
+    return HomologyClass(a.basis, vec, ga if any(vec) else None)
+
+
 def cls(basis: GradedBasis, coeffs: Mapping[str, int]) -> HomologyClass:
-    """Build a class, dropping zero coefficients."""
-    return HomologyClass(basis, tuple((e, c) for e, c in coeffs.items() if c != 0))
+    """Build a class from a name -> coefficient mapping, dropping zeros."""
+    return HomologyClass.from_pairs(
+        basis, tuple((e, c) for e, c in coeffs.items() if c != 0))
 
 
 def gen(basis: GradedBasis, name: str, k: int = 1) -> HomologyClass:
-    return cls(basis, {name: k})
+    if k == 0:
+        return HomologyClass(basis, basis._zero, None)
+    pos, grade = basis._entry(name)
+    vec = list(basis._zero)
+    vec[pos] = k
+    return HomologyClass(basis, tuple(vec), grade)
 
 
 def _same_basis(a: HomologyClass, b: HomologyClass) -> None:
@@ -186,61 +253,79 @@ class IntersectionForm:
     """Symmetric pairing on complementary grades, from declared basis pairs.
 
     Undeclared complementary pairs pair to 0; non-complementary grades always
-    pair to 0.
+    pair to 0.  Row i lists the (position, value) pairs that basis element i
+    pairs with nonzero value.
     """
 
     basis: GradedBasis
     pairs: tuple[tuple[str, str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", _symmetric(self.pairs))
+        b = self.basis
+        rows = [[] for _ in b.elements]
+        for (x, y), v in _symmetric(self.pairs).items():
+            if v:
+                rows[b._entry(x)[0]].append((b._entry(y)[0], v))
+        _set(self, "_rows", tuple(map(tuple, rows)))
 
     def intersect(self, x: HomologyClass, y: HomologyClass) -> int:
         _same_basis(x, y)
-        if x.basis != self.basis:
+        if x.basis is not self.basis and x.basis != self.basis:
             raise BasisMismatchError(f"form on {self.basis.name}, classes on {x.basis.name}")
-        if x.is_zero or y.is_zero:
+        gx, gy = x.grade, y.grade
+        if gx is None or gy is None or gx + gy != self.basis.n:
             return 0
-        if x.grade + y.grade != self.basis.n:
-            return 0
-        t = self._table
+        yv = y.vec
         total = 0
-        for a, ca in x.coeffs:
-            for b, cb in y.coeffs:
-                total += ca * cb * t.get((a, b), 0)
+        for c, row in zip(x.vec, self._rows):
+            if c:
+                for j, v in row:
+                    total += c * v * yv[j]
         return total
 
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Integer functional on grade-1 classes, given on the curve basis."""
+    """Integer functional on grade-1 classes, given on the curve basis.
+
+    `_row` holds its value at each basis position (0 where undeclared);
+    `_undefined` lists the curve elements it is not declared on."""
 
     name: str
     basis: GradedBasis
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", dict(self.values))
+        b = self.basis
+        row = list(b._zero)
+        for e, v in self.values:
+            row[b._entry(e)[0]] = v
+        declared = {e for e, _ in self.values}
+        _set(self, "_row", tuple(row))
+        _set(self, "_undefined", tuple(
+            (i, e) for i, (e, g) in enumerate(b.elements)
+            if g == 1 and e not in declared))
 
     def __call__(self, x: HomologyClass) -> int:
-        if x.basis != self.basis:
+        if x.basis is not self.basis and x.basis != self.basis:
             raise BasisMismatchError(f"{self.name} on {self.basis.name}, class on {x.basis.name}")
-        if x.is_zero:
+        if x.grade is None:
             return 0
         if x.grade != 1:
             raise GradeError(f"{self.name} expects a curve class, got grade {x.grade}")
-        table = self._table
-        total = 0
-        for e, c in x.coeffs:
-            if e not in table:
+        vec = x.vec
+        for i, e in self._undefined:
+            if vec[i]:
                 raise LatticeError(f"{self.name} undefined on {e}")
-            total += c * table[e]
-        return total
+        return sum(map(mul, self._row, vec))
 
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Basis-to-class map between lattices; linear extension, grade-checked."""
+    """Basis-to-class map between lattices; linear extension, grade-checked.
+
+    Row i lists the (target position, coefficient) pairs of the image of
+    source element i, or is None where no image is declared."""
 
     name: str
     source: GradedBasis
@@ -249,23 +334,29 @@ class LatticeMap:
     grade_shift: int = 0
 
     def __post_init__(self):
+        rows = [None] * len(self.source.elements)
         for e, img in self.images:
-            g = self.source.grade(e)
+            pos, g = self.source._entry(e)
+            if img.basis != self.target:
+                raise BasisMismatchError(f"{self.name}: image of {e} outside {self.target.name}")
             if not img.is_zero and img.grade != g + self.grade_shift:
                 raise GradeError(f"{self.name}: {e} (grade {g}) mapped to grade {img.grade}")
-        object.__setattr__(self, "_table", dict(self.images))
+            rows[pos] = tuple((j, d) for j, d in enumerate(img.vec) if d)
+        _set(self, "_rows", tuple(rows))
 
     def __call__(self, x: HomologyClass) -> HomologyClass:
-        if x.basis != self.source:
+        if x.basis is not self.source and x.basis != self.source:
             raise BasisMismatchError(f"{self.name} expects {self.source.name}")
-        table = self._table
-        out: dict[str, int] = {}
-        for e, c in x.coeffs:
-            if e not in table:
-                raise LatticeError(f"{self.name} undefined on {e}")
-            for f, d in table[e].coeffs:
-                out[f] = out.get(f, 0) + c * d
-        return cls(self.target, out)
+        out = list(self.target._zero)
+        for c, row, (e, _) in zip(x.vec, self._rows, self.source.elements):
+            if c:
+                if row is None:
+                    raise LatticeError(f"{self.name} undefined on {e}")
+                for j, d in row:
+                    out[j] += c * d
+        vec = tuple(out)
+        return HomologyClass(self.target, vec,
+                             x.grade + self.grade_shift if any(vec) else None)
 
 
 @dataclass(frozen=True)
@@ -281,7 +372,7 @@ class ProductTable:
     entries: tuple[tuple[str, str, HomologyClass], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_table", _symmetric(self.entries))
+        _set(self, "_table", _symmetric(self.entries))
 
     def product(self, x: HomologyClass, y: HomologyClass) -> HomologyClass:
         _same_basis(x, y)

@@ -34,7 +34,10 @@ class EffectiveModel:
     """Connected-effectivity data for a space.
 
     `is_effective` answers for a single connected curve; sums of effective
-    classes are handled by the enumerators, not here.
+    classes are handled by the enumerators, not here.  `_candidates(a)`
+    yields only classes on the effective branches its subclass docstring
+    names, each once, and every such class of area at most `a`; `classes`
+    keeps those of area 1..a and re-checks nothing else.
     """
 
     def __init__(self, basis: GradedBasis, area: LinearFunctional,
@@ -44,6 +47,9 @@ class EffectiveModel:
         self.area = area
         self.missable = missable
         self.exceptional = exceptional
+        names = basis.names()
+        self._not_missable = tuple(i for i, e in enumerate(names) if e not in missable)
+        self._exceptional = tuple(i for i, e in enumerate(names) if e in exceptional)
 
     def is_effective(self, c: HomologyClass) -> bool:
         raise NotImplementedError
@@ -55,19 +61,28 @@ class EffectiveModel:
         return False
 
     def classes(self, max_area: int) -> list[HomologyClass]:
-        out = [c for c in self._candidates(max_area)
-               if self.is_effective(c) and 0 < self.area(c) <= max_area]
-        out.sort(key=lambda c: (self.area(c), c.encode()))
-        return out
+        """Connected effective classes of area in 1..max_area, ordered by
+        (area, encode())."""
+        out = []
+        for c in self._candidates(max_area):
+            a = self.area(c)
+            if 0 < a <= max_area:
+                out.append((a, c.encode(), c))
+        out.sort(key=lambda t: t[:2])
+        return [c for _, _, c in out]
 
     def _candidates(self, max_area: int):
         raise NotImplementedError
 
+    def _unit(self, name: str) -> int:
+        """Area of one basis curve."""
+        return self.area(gen(self.basis, name))
+
     def in_missable(self, c: HomologyClass) -> bool:
-        return bool(self.missable) and all(n in self.missable for n, _ in c.coeffs)
+        return bool(self.missable) and not any(c.vec[i] for i in self._not_missable)
 
     def has_exceptional_support(self, c: HomologyClass) -> bool:
-        return any(n in self.exceptional for n, _ in c.coeffs)
+        return any(c.vec[i] for i in self._exceptional)
 
 
 class _LineModel(EffectiveModel):
@@ -86,7 +101,7 @@ class _LineModel(EffectiveModel):
         return self._min_g
 
     def _candidates(self, max_area):
-        unit = self.area(gen(self.basis, self.generator))
+        unit = self._unit(self.generator)
         return [gen(self.basis, self.generator, d) for d in range(1, max_area // unit + 1)]
 
 
@@ -105,14 +120,13 @@ class _BlowOneModel(EffectiveModel):
         return c.coeff("lambda") == 0 and c.coeff("eps") > 0
 
     def _candidates(self, max_area):
-        # effective d*lambda - m*eps has area 3d - m >= 2d, so d <= area / 2
-        out = []
-        for d in range(0, max_area // 2 + 2):
-            for m in range(-max_area, max_area + 1):
-                if d == 0 and m >= 0:
-                    continue
-                out.append(cls(self.basis, {"lambda": d, "eps": -m}))
-        return out
+        lam, eps = self._unit("lambda"), self._unit("eps")
+        # d*lambda - m*eps with m <= d has area at least d * (lam - eps)
+        for d in range(1, max_area // (lam - eps) + 1):
+            for m in range(d + 1):
+                yield cls(self.basis, {"lambda": d, "eps": -m})
+        for m in range(1, max_area // eps + 1):
+            yield gen(self.basis, "eps", m)
 
 
 class _BlowTwoModel(EffectiveModel):
@@ -141,15 +155,18 @@ class _BlowTwoModel(EffectiveModel):
         return s > 0 and m1 == m2 == s  # covers of the rigid line through both points
 
     def _candidates(self, max_area):
-        # the (s, s, s) classes have area lam*s - 2s, as low as s itself
-        out = []
-        for s in range(0, max_area + 2):
-            for m1 in range(-max_area, s + 1):
-                for m2 in range(-max_area, s + 1):
-                    if s == 0 and (m1 >= 0 and m2 >= 0):
-                        continue
-                    out.append(cls(self.basis, {"lambda": s, "eps1": -m1, "eps2": -m2}))
-        return out
+        lam, e1, e2 = self._unit("lambda"), self._unit("eps1"), self._unit("eps2")
+        # covers of the line through both points: area s * (lam - e1 - e2)
+        for s in range(1, max_area // (lam - e1 - e2) + 1):
+            yield cls(self.basis, {"lambda": s, "eps1": -s, "eps2": -s})
+        # m1 + m2 <= s: area at least s * (lam - max(e1, e2))
+        for s in range(1, max_area // (lam - max(e1, e2)) + 1):
+            for m1 in range(s + 1):
+                for m2 in range(s - m1 + 1):
+                    yield cls(self.basis, {"lambda": s, "eps1": -m1, "eps2": -m2})
+        for name, unit in (("eps1", e1), ("eps2", e2)):
+            for m in range(1, max_area // unit + 1):
+                yield gen(self.basis, name, m)
 
 
 class _RuledT2Model(EffectiveModel):
@@ -184,6 +201,9 @@ class _TorusBaseModel(EffectiveModel):
 
 
 class _QuadricProductModel(EffectiveModel):
+    """S2 x S2: a*a1 + b*a2 with a, b >= 0 not both 0, and the antidiagonal
+    spheres m*(a1 - a2), m > 0, which have area 0 and are never listed."""
+
     def is_effective(self, c):
         if c.grade != 1:
             return False
@@ -193,12 +213,11 @@ class _QuadricProductModel(EffectiveModel):
         return a == -b and a != 0 and a > 0  # antidiagonal spheres m*(a1 - a2)
 
     def _candidates(self, max_area):
-        out = []
-        for a in range(-max_area, max_area + 1):
-            for b in range(-max_area, max_area + 1):
-                if (a, b) != (0, 0):
-                    out.append(cls(self.basis, {"a1": a, "a2": b}))
-        return out
+        a1, a2 = self._unit("a1"), self._unit("a2")
+        for a in range(max_area // a1 + 1):
+            for b in range((max_area - a * a1) // a2 + 1):
+                if a or b:
+                    yield cls(self.basis, {"a1": a, "a2": b})
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relgw.lattice import (GradedBasis, GradeError, HomologyClass,
-                           LatticeError, LinearFunctional, cls)
+from relgw.lattice import (BasisMismatchError, GradedBasis, GradeError,
+                           HomologyClass, LatticeError, LinearFunctional, cls)
 from relgw.spaces import builtin
 
 X = builtin("p4blow2")
@@ -22,7 +23,7 @@ B = X.basis
         "unknown-element"])
 def test_class_construction_rejects(coeffs, error):
     with pytest.raises(error):
-        HomologyClass(B, coeffs)
+        HomologyClass.from_pairs(B, coeffs)
 
 
 def test_class_coefficients_follow_basis_order():
@@ -74,3 +75,197 @@ def test_equal_bases_compare_and_hash_equal():
     assert hash(one) == hash(two) == hash(B)
     assert cls(one, {"lambda": 1}) + cls(two, {"eps1": 1}) == \
         cls(B, {"lambda": 1, "eps1": 1})
+
+
+# -- property: the vector classes agree with a name-keyed reference ------
+#
+# The reference keeps a class as a dict name -> nonzero int and reads only
+# declared catalog data: basis elements, form pairs, functional values and
+# map images.
+
+SPACES = ("p4blow2", "t2_ruled", "s2xs2")
+PAIRS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
+         "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
+         "s2xs2_antidiag")
+
+
+def catalog_maps():
+    """Every LatticeMap the catalog declares, by a readable label."""
+    out = {}
+    for name in PAIRS:
+        pair = builtin(name)
+        out[f"{name}.inclusion"] = pair.inclusion
+        if pair.push is not None:
+            out[f"{name}.push"] = pair.push
+        if pair.divisor.n == 0:
+            continue  # no P1-bundle over a point
+        for kind in ("y_of", "q_of"):
+            ruled = builtin(f"{kind}:{name}")
+            out[f"{kind}:{name}.lift"] = ruled.lift
+            out[f"{kind}:{name}.projection"] = ruled.projection
+            if ruled.infinity_pair is not None:
+                out[f"{kind}:{name}.infinity"] = ruled.infinity_pair.inclusion
+    for name in ("p2blow1", "p3blow2", "p4blow2"):
+        out[f"{name}.blowdown"] = builtin(name).blowdown.push
+    return out
+
+
+MAPS = catalog_maps()
+
+
+def ref_norm(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_pairs(basis, d):
+    return tuple((e, d[e]) for e, _ in basis.elements if d.get(e, 0))
+
+
+def ref_grade(basis, d):
+    grades = {g for e, g in basis.elements if d.get(e, 0)}
+    assert len(grades) <= 1
+    return grades.pop() if grades else None
+
+
+def ref_encode(basis, d):
+    out = ""
+    for e, c in ref_pairs(basis, d):
+        term = e if c == 1 else f"-{e}" if c == -1 else f"{c}*{e}"
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
+
+
+def ref_combine(d1, d2, sign):
+    return ref_norm({e: d1.get(e, 0) + sign * d2.get(e, 0) for e in {*d1, *d2}})
+
+
+def ref_intersect(space, d1, d2):
+    grade = dict(space.basis.elements)
+    table = {}
+    for a, b, v in space.form.pairs:
+        table[(a, b)] = table[(b, a)] = v
+    return sum(c1 * c2 * table.get((a, b), 0)
+               for a, c1 in d1.items() for b, c2 in d2.items()
+               if grade[a] + grade[b] == space.n)
+
+
+def ref_map(m, d):
+    """Image of d under m, or None where some named element has no image."""
+    images = dict(m.images)
+    out = {}
+    for e, c in d.items():
+        if e not in images:
+            return None
+        for f, k in images[e].coeffs:
+            out[f] = out.get(f, 0) + c * k
+    return ref_norm(out)
+
+
+def check(basis, c, d):
+    """Everything a class reports agrees with the reference dict d."""
+    d = ref_norm(d)
+    pairs = ref_pairs(basis, d)
+    assert c.coeffs == pairs
+    assert c.grade == ref_grade(basis, d)
+    assert c.is_zero == (not d)
+    assert c.encode() == str(c) == ref_encode(basis, d)
+    assert [c.coeff(e) for e in basis.names()] == [d.get(e, 0) for e in basis.names()]
+    assert c.coeff("nosuch") == 0
+    assert repr(c) == f"HomologyClass(basis={basis!r}, coeffs={pairs!r})"
+    assert c == HomologyClass.from_pairs(basis, pairs)
+    assert all(isinstance(v, int) for v in c.vec)
+
+
+@st.composite
+def homogeneous(draw, basis, grade=None, nonzero=False):
+    """(grade, name -> int) with every name of that grade."""
+    if grade is None:
+        grade = draw(st.sampled_from(sorted({g for _, g in basis.elements})))
+    names = basis.names(grade)
+    d = draw(st.dictionaries(st.sampled_from(names), st.integers(-6, 6),
+                             min_size=1 if nonzero else 0,
+                             max_size=len(names)))
+    if nonzero and not ref_norm(d):
+        d = {names[0]: draw(st.sampled_from((-2, -1, 1, 3)))}
+    return grade, d
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100,
+                    deadline=None)
+
+
+@PROPERTY
+@given(st.data())
+def test_arithmetic_agrees_with_reference(data):
+    space = builtin(data.draw(st.sampled_from(SPACES)))
+    B = space.basis
+    grade, d1 = data.draw(homogeneous(B))
+    _, d2 = data.draw(homogeneous(B, grade))
+    k = data.draw(st.integers(-4, 4))
+    x, y = cls(B, d1), cls(B, d2)
+    check(B, x, d1)
+    check(B, y, d2)
+    check(B, x + y, ref_combine(d1, d2, 1))
+    check(B, x - y, ref_combine(d1, d2, -1))
+    check(B, x.scale(k), {e: k * c for e, c in d1.items()})
+    assert (x == y) == (ref_norm(d1) == ref_norm(d2))
+    if x == y:
+        assert hash(x) == hash(y)
+    twin = GradedBasis(B.name, B.n, tuple(B.elements))
+    assert cls(twin, d1) == x and hash(cls(twin, d1)) == hash(x)
+
+
+@PROPERTY
+@given(st.data())
+def test_pairings_agree_with_reference(data):
+    space = builtin(data.draw(st.sampled_from(SPACES)))
+    B = space.basis
+    g1, d1 = data.draw(homogeneous(B))
+    _, d2 = data.draw(homogeneous(B))
+    x, y = cls(B, d1), cls(B, d2)
+    assert space.intersect(x, y) == ref_intersect(space, ref_norm(d1), ref_norm(d2))
+    for f in (space.area, space.c1):
+        if x.is_zero or g1 == 1:
+            assert f(x) == sum(c * dict(f.values)[e] for e, c in ref_norm(d1).items())
+        else:
+            with pytest.raises(GradeError):
+                f(x)
+
+
+@PROPERTY
+@given(st.data())
+def test_catalog_maps_agree_with_reference(data):
+    m = MAPS[data.draw(st.sampled_from(sorted(MAPS)))]
+    _, d = data.draw(homogeneous(m.source))
+    x = cls(m.source, d)
+    want = ref_map(m, ref_norm(d))
+    if want is None:
+        with pytest.raises(LatticeError):
+            m(x)
+    else:
+        check(m.target, m(x), want)
+
+
+@PROPERTY
+@given(st.data())
+def test_mixed_grades_and_foreign_bases_raise(data):
+    name, other = data.draw(st.permutations(SPACES))[:2]
+    space, foreign = builtin(name), builtin(other)
+    B = space.basis
+    g1, d1 = data.draw(homogeneous(B, nonzero=True))
+    g2 = data.draw(st.sampled_from(
+        sorted({g for _, g in B.elements} - {g1})))
+    _, d2 = data.draw(homogeneous(B, g2, nonzero=True))
+    x, y = cls(B, d1), cls(B, d2)
+    for bad in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x,
+                lambda: cls(B, {**d1, **d2})):
+        with pytest.raises(GradeError):
+            bad()
+    _, df = data.draw(homogeneous(foreign.basis, 1))
+    z = cls(foreign.basis, df)
+    curve = cls(B, data.draw(homogeneous(B, 1))[1])
+    for bad in (lambda: curve + z, lambda: curve - z,
+                lambda: space.intersect(curve, z), lambda: space.area(z),
+                lambda: foreign.c1(curve)):
+        with pytest.raises(BasisMismatchError):
+            bad()

@@ -139,6 +139,25 @@ def test_exit_two_on_malformed_file(tmp_path, capsys):
     assert err.startswith(f"error: {path}: ") and "decode" in err
 
 
+MIXED_GRADES = """\
+[space p3]
+[invariant x]
+space = p3
+genus = 0
+class = lambda + pi
+abs = pt
+"""
+
+
+def test_exit_two_on_mixed_grades(tmp_path, capsys):
+    path = tmp_path / "mixed.gw"
+    path.write_text(MIXED_GRADES, encoding="utf-8")
+    assert status("dim", path, "x") == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 5, col 9: mixed grades in class: "
+        "(('lambda', 1), ('pi', 1))\n")
+
+
 @pytest.mark.parametrize("line", [
     "only-two\tfields",
     "key\tnot-a-number\tprov",

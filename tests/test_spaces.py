@@ -2,6 +2,7 @@
 
 import pytest
 
+from relgw.lattice import cls, gen
 from relgw.spaces import CatalogError, builtin
 
 PAIRS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
@@ -108,3 +109,71 @@ def test_end_degrees_are_the_section_intersections():
                     assert q.end_degrees(alpha, ell) == want, (q.name, g, k)
                     checked += 1
     assert checked == 360
+
+
+# -- effective cones: branches against the old candidate boxes ------------
+#
+# Each box below is the candidate set an effective model used to filter
+# through `is_effective` and the area bound, kept here as the reference for
+# the branch enumeration that replaced it.
+
+
+def _line_box(model, a):
+    unit = model.area(gen(model.basis, model.generator))
+    return [gen(model.basis, model.generator, d) for d in range(1, a // unit + 1)]
+
+
+def _blow_one_box(model, a):
+    return [cls(model.basis, {"lambda": d, "eps": -m})
+            for d in range(0, a // 2 + 2) for m in range(-a, a + 1)
+            if not (d == 0 and m >= 0)]
+
+
+def _blow_two_box(model, a):
+    return [cls(model.basis, {"lambda": s, "eps1": -m1, "eps2": -m2})
+            for s in range(0, a + 2)
+            for m1 in range(-a, s + 1) for m2 in range(-a, s + 1)
+            if not (s == 0 and m1 >= 0 and m2 >= 0)]
+
+
+def _ruled_t2_box(model, a):
+    return ([gen(model.basis, "f", m) for m in range(1, a + 1)]
+            + [cls(model.basis, {"s": 1, "f": m}) for m in range(0, a + 1)])
+
+
+def _torus_base_box(model, a):
+    return [gen(model.basis, "fund", m) for m in range(1, a + 1)]
+
+
+def _quadric_box(model, a):
+    return [cls(model.basis, {"a1": x, "a2": y})
+            for x in range(-a, a + 1) for y in range(-a, a + 1)
+            if (x, y) != (0, 0)]
+
+
+OLD_BOXES = {
+    "p1": _line_box, "p2": _line_box, "p3": _line_box, "p4": _line_box,
+    "antidiag_sphere": _line_box,
+    "p2blow1": _blow_one_box,
+    "p3blow2": _blow_two_box, "p4blow2": _blow_two_box,
+    "t2_ruled": _ruled_t2_box,
+    "t2_base": _torus_base_box,
+    "s2xs2": _quadric_box,
+}
+
+
+def test_every_catalog_cone_has_a_reference_box():
+    spaces = ("p0", "p1", "p2", "p3", "p4", "p2blow1", "p3blow2", "p4blow2",
+              "t2_ruled", "t2_base", "s2xs2", "antidiag_sphere")
+    assert sorted(OLD_BOXES) == sorted(
+        name for name in spaces if builtin(name).effective is not None)
+
+
+@pytest.mark.parametrize("name", sorted(OLD_BOXES))
+def test_cone_equals_the_filtered_box(name):
+    model = builtin(name).effective
+    for a in range(0, 21):
+        box = [c for c in OLD_BOXES[name](model, a)
+               if model.is_effective(c) and 0 < model.area(c) <= a]
+        box.sort(key=lambda c: (model.area(c), c.encode()))
+        assert model.classes(a) == box, (name, a)

@@ -20,14 +20,15 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
 from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, fiber_count,
                      seed_table)
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
-from .strata import (_compositions, _exact_decompositions, _multisets,
-                     _relabelings, _union_find, graph_genus)
+from .strata import (_compositions, _exact_decompositions, _exact_sums,
+                     _multisets, _relabelings, _union_find, graph_genus)
 from .vanishing import decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
@@ -74,7 +75,9 @@ class Bounds:
     """Budgets for the term enumeration.
 
     `area` caps the area of every component class (default: area of the full
-    class).  `max_terms` caps admissible candidates before deduplication.
+    class; see `_area_budget` for budgets above it, and the ledger footer
+    for budgets below it).  `max_terms` caps admissible candidates before
+    deduplication.
     """
 
     area: int | None = None
@@ -145,25 +148,29 @@ def total_genus(term: DecompTerm) -> int:
 
 
 def _cone_members(model: EffectiveModel, budget: int):
-    """All nonzero sums of connected effective classes with area <= budget."""
-    pieces = model.classes(budget)
+    """All nonzero sums of connected effective classes with area <= budget.
+
+    Sums are keyed by their integer vectors, so a class reached along
+    several orders of its pieces is built once; areas add up piece by
+    piece, and the pieces come in increasing area."""
+    pieces = [(piece, model.area(piece)) for piece in model.classes(budget)]
     zero = cls(model.basis, {})
-    seen = {zero.encode(): zero}
-    frontier = [zero]
+    seen = {zero.vec: (0, zero)}
+    frontier = [(0, zero)]
     while frontier:
         grown = []
-        for base in frontier:
-            for piece in pieces:
-                total = base + piece
-                if model.area(total) > budget:
-                    continue
-                key = total.encode()
+        for base_area, base in frontier:
+            for piece, area in pieces:
+                if base_area + area > budget:
+                    break
+                key = tuple(map(add, base.vec, piece.vec))
                 if key not in seen:
-                    seen[key] = total
-                    grown.append(total)
+                    seen[key] = entry = (base_area + area, base + piece)
+                    grown.append(entry)
         frontier = grown
-    del seen[zero.encode()]
-    return sorted(seen.values(), key=lambda c: (model.area(c), c.encode()))
+    del seen[zero.vec]
+    return [c for _, c in sorted(seen.values(),
+                                 key=lambda e: (e[0], e[1].encode()))]
 
 
 def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
@@ -234,6 +241,58 @@ def _groups(spec: InvariantSpec):
         buckets.setdefault(key, []).append(ins)
     return [(key[0], items[0], len(items))
             for key, items in sorted(buckets.items())]
+
+
+def _placements(setup: FiberSumSetup, groups, parts1, parts2):
+    """(choices, rejected): how each constraint group may spread over the
+    divisor-side components `parts1` ("L" slots) and the bundle-side ones
+    `parts2` ("R" slots).
+
+    A constraint needing generic incidence never meets a component whose
+    class stays inside a rigid locus: a missable class on an isolated
+    divisor-side class, or a point moved to the bundle side on a component
+    whose divisor part is nonzero and isolated.  The rule depends only on
+    the pair (group, slot), so it is decided once per slot.  Each choice is
+    (side, insertion, slots, [(vector, weight)]) and keeps the composition
+    vectors that put nothing on a forbidden slot, with their integer
+    multinomial weights; `rejected` counts the assignments of all groups
+    together that some forbidden slot rules out.
+    """
+    xmodel, dmodel = setup.total.effective, setup.left.divisor.effective
+
+    def rigid_neck(c):
+        alpha = _alpha_part(setup, c)
+        return not alpha.is_zero and dmodel.is_isolated(alpha)
+
+    left = [("L", j) for j in range(len(parts1))]
+    right = [("R", i) for i in range(len(parts2))]
+    choices = []
+    built = kept = 1
+    for side, ins, count in groups:
+        slots = left if side == "X" else right if side == "Y" else left + right
+        missable = xmodel.in_missable(ins.cls)
+        # only a Y constraint lands on the bundle side as a plain insertion;
+        # a split one lands there as a PulledBack marker
+        point = side == "Y" and _convert_neck(setup, ins).cls.grade == 0
+        forbidden = [missable and xmodel.is_isolated(parts1[k])
+                     if where == "L" else point and rigid_neck(parts2[k])
+                     for where, k in slots]
+        vectors = list(_compositions(count, [0] * len(slots)))
+        allowed = [vec for vec in vectors
+                   if not any(n for n, no in zip(vec, forbidden) if no)]
+        built *= len(vectors)
+        kept *= len(allowed)
+        choices.append((side, ins, slots,
+                        [(vec, _multinomial(count, vec)) for vec in allowed]))
+    return choices, built - kept
+
+
+def _multinomial(count: int, vec) -> int:
+    """Ways to hand `count` identical constraints out as the vector `vec`."""
+    ways = factorial(count)
+    for n in vec:
+        ways //= factorial(n)
+    return ways
 
 
 def _connected(p: int, q: int, edges) -> bool:
@@ -335,6 +394,23 @@ def enumerate_terms(setup: FiberSumSetup, spec: InvariantSpec,
     return terms
 
 
+def _area_budget(setup: FiberSumSetup, spec: InvariantSpec,
+                 bounds: Bounds | None) -> tuple[int, int]:
+    """(area budget of the enumeration, area of the count's class).
+
+    Without a budget the class area is used.  When the pair keeps areas, no
+    component of a term is larger than the class, so a larger budget is
+    cut to the class area: it would only add neck totals that leave the
+    original side a class of negative area.
+    """
+    class_area = int(setup.total.area(spec.beta))
+    if bounds is None or bounds.area is None:
+        return class_area, class_area
+    if bounds.area > class_area and setup.left.keeps_area:
+        return class_area, class_area
+    return bounds.area, class_area
+
+
 def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                bounds: Bounds | None):
     _check_setup(setup)
@@ -349,7 +425,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     bounds = bounds or Bounds()
     X, D = setup.total, setup.left.divisor
     xmodel, dmodel = X.effective, D.effective
-    budget = bounds.area if bounds.area is not None else int(X.area(spec.beta))
+    budget, _ = _area_budget(setup, spec, bounds)
     duals = D.duals
     dnames = [e for e, _ in D.basis.elements]
     groups = _groups(spec)
@@ -401,29 +477,20 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     def distribute(parts1, parts2, skeleton, genera1, genera2):
         """Spread constraint groups over the components, then label edges.
 
-        The edge labels are forced up to grade by the requirement that both
-        end components carry zero-dimensional problems, so grades are solved
-        for first and only matching basis elements are tried.
+        The missable rule is decided per (group, slot) by `_placements`;
+        the assignments it rules out are counted as `missable-insertion`,
+        never built.  The edge labels are forced up to grade by the
+        requirement that both end components carry zero-dimensional
+        problems, so grades are solved for first and only matching basis
+        elements are tried.
         """
         p, q = len(parts1), len(parts2)
-        choices = []
-        for side, ins, count in groups:
-            if side == "X":
-                slots = [("L", j) for j in range(p)]
-            elif side == "Y":
-                slots = [("R", i) for i in range(q)]
-            else:
-                slots = [("L", j) for j in range(p)] + \
-                        [("R", i) for i in range(q)]
-            vectors = []
-            for vec in _compositions(count, [0] * len(slots)):
-                weight = Fraction(factorial(count))
-                for nslot in vec:
-                    weight /= factorial(nslot)
-                vectors.append((vec, weight))
-            if not vectors:
-                return
-            choices.append((side, ins, slots, vectors))
+        choices, rejected = _placements(setup, groups, parts1, parts2)
+        if rejected:
+            excluded["missable-insertion"] = \
+                excluded.get("missable-insertion", 0) + rejected
+        if not all(vectors for _, _, _, vectors in choices):
+            return
 
         probe = tuple(
             Tail(order, gen(D.basis, fund_name), duals[fund_name], j, i)
@@ -435,7 +502,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         dn = D.n
 
         for assignment in itertools.product(*(v for _, _, _, v in choices)):
-            weight = Fraction(1)
+            weight = 1
             per_comp: dict[tuple, list] = {}
             for (side, ins, slots, _), (vec, w) in zip(choices, assignment):
                 weight *= w
@@ -458,21 +525,6 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 GraphComponent(parts2[i], genera2[i],
                                tuple(per_comp.get(("R", i), ())))
                 for i in range(q))
-
-            # constraints needing generic incidence never meet a component
-            # whose class stays inside a rigid locus
-            if any(xmodel.is_isolated(c.cls)
-                   and any(xmodel.in_missable(a.cls) for a in c.insertions)
-                   for c in gamma1):
-                skip("missable-insertion")
-                continue
-            if any(not _alpha_part(setup, c.cls).is_zero
-                   and dmodel.is_isolated(_alpha_part(setup, c.cls))
-                   and any(isinstance(a, Insertion) and not a.pulled_back
-                           and a.cls.grade == 0 for a in c.insertions)
-                   for c in gamma2):
-                skip("missable-insertion")
-                continue
 
             # grade sums forced on each component by zero-dimensionality;
             # probe tails carry the fundamental class (codim 1 on the left,
@@ -578,11 +630,13 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             return
         # neck components (ell, alpha): the ells add up to d and the alphas
         # to alpha_tot, whose area bounds the search
-        pool = [(ell, a) for ell in range(1, d + 1) for a in alphas]
-        necks = [neck for neck in _multisets(
-                     pool, [ell for ell, _ in pool], d,
-                     alpha_areas * d, dmodel.area(alpha_tot))
-                 if sum((a for _, a in neck), dzero) == alpha_tot]
+        room = dmodel.area(alpha_tot)
+        fits = [k for k, area in enumerate(alpha_areas) if area <= room]
+        pool = [(ell, alphas[k]) for ell in range(1, d + 1) for k in fits]
+        necks = _exact_sums(
+            _multisets(pool, [ell for ell, _ in pool], d,
+                       [alpha_areas[k] for k in fits] * d, room),
+            alpha_tot, lambda item: item[1].vec)
 
         for parts1 in splittings:
             ks = tuple(setup.left.contact_count(c) for c in parts1)
@@ -631,7 +685,7 @@ def _tail_lists(gamma1, gamma2, tails):
 
 
 def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
-               weight: Fraction) -> DecompTerm:
+               weight: int) -> DecompTerm:
     """The canonical term of one indexed graph; its multiplicity is the
     graph's weight over the automorphisms of the labelled graph."""
     per_left, per_right = _tail_lists(gamma1, gamma2, tails)
@@ -653,7 +707,7 @@ def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
         gamma1=g1,
         gamma2=g2,
         placement=placement,
-        multiplicity=weight / aut,
+        multiplicity=Fraction(weight, aut),
     )
 
 
@@ -737,6 +791,8 @@ class Ledger:
     `excluded` counts configurations dropped before they became terms
     (ineffective remainders, negative contacts, and the like).  The total
     sums resolved rows only; unresolved rows are listed, never guessed.
+    `area_cut` is (budget, class area) when an area budget below the
+    class area left terms out.
     """
 
     setup: str
@@ -745,6 +801,7 @@ class Ledger:
     excluded: dict[str, int] = field(default_factory=dict)
     distinguished: TermReport | None = None
     partial: bool = False
+    area_cut: tuple[int, int] | None = None
 
     @property
     def total(self) -> Fraction:
@@ -788,6 +845,10 @@ class Ledger:
         lines.append(f"# unresolved\t{len(self.unresolved)}")
         for reason in sorted(self.excluded):
             lines.append(f"# excluded\t{reason}={self.excluded[reason]}")
+        if self.area_cut is not None:
+            budget, class_area = self.area_cut
+            lines.append(f"# area-budget\t{budget} below class area "
+                         f"{class_area}: larger components left out")
         return "\n".join(lines) + "\n"
 
 
@@ -851,10 +912,13 @@ def evaluate_decomposition(setup: FiberSumSetup, spec: InvariantSpec,
     add solver-derived entries to the knowledge base.
     """
     terms, excluded = _enumerate(setup, spec, bounds)
+    budget, class_area = _area_budget(setup, spec, bounds)
     evaluator = Evaluator(kb if kb is not None else seed_table())
     return Ledger(setup.name, spec.key(),
                   reports=[_evaluate_term(setup, t, evaluator) for t in terms],
-                  excluded=excluded)
+                  excluded=excluded,
+                  area_cut=(budget, class_area) if budget < class_area
+                  else None)
 
 
 def _is_distinguished(setup: FiberSumSetup, spec: InvariantSpec,

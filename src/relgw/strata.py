@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
+from operator import attrgetter
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         component_index, constraint_codim, raw_dimension)
@@ -449,12 +450,23 @@ def _multisets_with_budget(items, budget, cost):
             for ms in _multisets(items, sizes, b)]
 
 
+def _exact_sums(multisets, target, vec=attrgetter("vec")):
+    """The multisets whose items add up to the class `target`.
+
+    `vec(item)` is the integer vector of an item's class; sums are compared
+    as vectors, without building a class, and the empty multiset adds up
+    to the zero vector.
+    """
+    want = target.vec
+    zero = (0,) * len(want)
+    return [ms for ms in multisets
+            if tuple(map(sum, zip(zero, *map(vec, ms)))) == want]
+
+
 def _exact_decompositions(parts, target, measure):
     """Multisets drawn from `parts` summing exactly to `target`."""
-    zero = make_cls(target.basis, {})
-    return [ms for ms in _multisets(parts, [measure(p) for p in parts],
-                                    measure(target))
-            if sum(ms, zero) == target]
+    return _exact_sums(_multisets(parts, [measure(p) for p in parts],
+                                  measure(target)), target)
 
 
 def _compositions(total, mins):

@@ -324,6 +324,130 @@ def test_plain_and_split_constraints_of_one_class(tmp_path, capsys):
         "|tails=(1,fund)@0:0"].multiplicity == 2
 
 
+# -- the missable rule is counted, not built -----------------------------
+
+
+def old_missable_loop(setup, groups, parts1, parts2):
+    """The missable rule as a build-then-test loop: place the insertions of
+    every assignment of the groups' composition vectors on the components
+    and test each component.  Returns the surviving assignments, as tuples
+    of vectors, and the number rejected."""
+    xmodel = setup.total.effective
+    dmodel = setup.left.divisor.effective
+    p, q = len(parts1), len(parts2)
+    per_group = []
+    for side, ins, count in groups:
+        slots = ([("L", j) for j in range(p)] if side != "Y" else []) + \
+                ([("R", i) for i in range(q)] if side != "X" else [])
+        per_group.append((side, ins, slots, list(
+            decompose._compositions(count, [0] * len(slots)))))
+    survivors, rejected = [], 0
+    for vecs in itertools.product(*(v for _, _, _, v in per_group)):
+        left = [[] for _ in range(p)]
+        right = [[] for _ in range(q)]
+        for (side, ins, slots, _), vec in zip(per_group, vecs):
+            for (where, k), n in zip(slots, vec):
+                if where == "L":
+                    left[k] += [ins] * n
+                elif side == "Y":
+                    right[k] += [decompose._convert_neck(setup, ins)] * n
+                else:
+                    right[k] += [PulledBack(split_form(setup.left,
+                                                       ins.cls))] * n
+        alphas = [setup.ruled.projection(c) for c in parts2]
+        if any(xmodel.is_isolated(c)
+               and any(xmodel.in_missable(a.cls) for a in placed)
+               for c, placed in zip(parts1, left)) or any(
+                not a.is_zero and dmodel.is_isolated(a)
+                and any(isinstance(b, Insertion) and not b.pulled_back
+                        and b.cls.grade == 0 for b in placed)
+                for a, placed in zip(alphas, right)):
+            rejected += 1
+        else:
+            survivors.append(vecs)
+    return survivors, rejected
+
+
+QUARTIC_EXCLUDED = {
+    "area-exhausted": 44, "disconnected": 136, "ineffective-remainder": 14,
+    "negative-contact": 160, "no-neck-contact": 7, "unplaceable": 1}
+
+
+@pytest.mark.parametrize("constraints, missable", [
+    ("pt, pt, pi@split, pi@split, pi@split", 9716),
+    ("pt, pt, pi, pi@split, pi@split", 11313),
+    ("pt, pt@Y, pi@split, pi@split, pi@split", 11826),
+], ids=["quartic", "plain-and-split", "point-on-bundle-side"])
+def test_counted_exclusions_match_the_build_then_test_loop(
+        monkeypatch, constraints, missable):
+    text = (SCENARIOS / "quartic_difference.gw").read_text(encoding="utf-8")
+    spec = parse_scenario(text.replace(
+        "abs = pt, pt, pi@split, pi@split, pi@split",
+        f"abs = {constraints}")).invariants["main"]
+    setup = builtin("fibersum_of:p4blow2_hyperplane")
+    original = decompose._placements
+    brute_total = 0
+
+    def checked(setup, groups, parts1, parts2):
+        nonlocal brute_total
+        choices, rejected = original(setup, groups, parts1, parts2)
+        survivors, brute = old_missable_loop(setup, groups, parts1, parts2)
+        assert rejected == brute
+        assert survivors == [
+            tuple(vec for vec, _ in assignment) for assignment
+            in itertools.product(*(v for _, _, _, v in choices))]
+        brute_total += brute
+        return choices, rejected
+
+    monkeypatch.setattr(decompose, "_placements", checked)
+    _, excluded = decompose._enumerate(setup, spec, None)
+    assert brute_total == missable
+    assert excluded == {**QUARTIC_EXCLUDED, "missable-insertion": missable}
+
+
+def test_rejected_placements_never_reach_emit():
+    """The quartic emits 153 constraint assignments: every one the
+    missable rule rejects stops before `emit`."""
+    setup, spec = quartic_case()
+    assert len(enumerate_terms(setup, spec, Bounds(max_terms=153))) == 112
+    with pytest.raises(BoundError):
+        enumerate_terms(setup, spec, Bounds(max_terms=152))
+
+
+# -- area budgets ----------------------------------------------------------
+
+
+def test_budget_above_the_class_area_changes_nothing():
+    setup, spec = quartic_case()
+    assert setup.left.keeps_area
+    assert decompose._area_budget(setup, spec, Bounds(area=100)) == (8, 8)
+    assert decompose._enumerate(setup, spec, Bounds(area=12)) == \
+        decompose._enumerate(setup, spec, None)
+
+
+def test_budget_below_the_class_area_is_reported(capsys):
+    assert cli.main(["decompose", str(SCENARIOS / "quartic_difference.gw"),
+                     "p4blow2_hyperplane", "main", "--area-budget", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "# total\t0" in lines
+    assert lines[-1] == ("# area-budget\t4 below class area 8: "
+                         "larger components left out")
+
+
+def test_budget_is_kept_where_the_inclusion_changes_areas():
+    """The antidiagonal sphere has area 2 but its image in S2xS2 has area
+    0, so neck components larger than the class still leave the original
+    side a class of positive area: a budget above the class area finds a
+    term the default budget does not."""
+    setup = builtin("fibersum_of:s2xs2_antidiag")
+    X = setup.total
+    spec = InvariantSpec(X, 0, X.cls({"a1": 1}), (Insertion(X.point),))
+    assert not setup.left.keeps_area
+    assert decompose._area_budget(setup, spec, Bounds(area=3)) == (3, 1)
+    assert enumerate_terms(setup, spec) == []
+    assert len(enumerate_terms(setup, spec, Bounds(area=3))) == 1
+
+
 # -- structural invariants of every emitted term -------------------------
 
 

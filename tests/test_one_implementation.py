@@ -6,6 +6,10 @@ second copy.
 - The end degrees of a bundle class are `RuledSetup.end_degrees`; outside
   the catalog only `vanishing.decide` reads a section class, the zero
   section of a ruled pair.
+- Multisets are filtered by their exact sum through `strata._exact_sums`,
+  on integer vectors: in `decompose.py` and `strata.py` a started sum
+  `sum(items, start)`, which builds a class sum, appears only in
+  `decompose._side_sum` and the ledger total.
 """
 
 import ast
@@ -39,6 +43,30 @@ def references(source: str, names) -> list[tuple[str, str | None, int]]:
             if name in names:
                 found.append((node.lineno, node.col_offset, name, owner))
     return [(name, owner, line) for line, _, name, owner in sorted(found)]
+
+
+# module -> top-level definitions allowed a started sum
+STARTED_SUMS = {"decompose.py": {"_side_sum", "Ledger"}, "strata.py": set()}
+
+
+def started_sums(module: str, source: str) -> list[str]:
+    """module:line: owner of every `sum(items, start)` call, with the start
+    given by position or keyword, outside the definitions allowed one."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 else None)
+        if owner in STARTED_SUMS[module]:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"
+                    and (len(node.args) > 1 or node.keywords)):
+                found.append((node.lineno,
+                              f"{module}:{node.lineno}: sum(items, start) "
+                              f"in {owner or 'module scope'}"))
+    return [text for _, text in sorted(found)]
 
 
 def misplaced(module: str, source: str) -> list[str]:
@@ -75,4 +103,32 @@ def test_each_concept_has_one_implementation():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += misplaced(path.name, path.read_text(encoding="utf-8"))
+    assert found == []
+
+
+def test_started_sum_detector():
+    source = ('def _side_sum(space, classes):\n'
+              '    return sum(classes, space.zero())\n'
+              'def _exact_decompositions(parts, target):\n'
+              '    return [ms for ms in parts if sum(ms, zero) == target]\n'
+              'class Ledger:\n'
+              '    total = sum(rows, start=0)\n'
+              'def plain(xs):\n'
+              '    return sum(xs), sum(x.genus for x in xs)\n'
+              'ZERO = sum((), start=0)\n')
+    assert started_sums("decompose.py", source) == [
+        "decompose.py:4: sum(items, start) in _exact_decompositions",
+        "decompose.py:9: sum(items, start) in module scope"]
+    assert started_sums("strata.py", source) == [
+        "strata.py:2: sum(items, start) in _side_sum",
+        "strata.py:4: sum(items, start) in _exact_decompositions",
+        "strata.py:6: sum(items, start) in Ledger",
+        "strata.py:9: sum(items, start) in module scope"]
+
+
+def test_multisets_are_filtered_without_class_sums():
+    found = []
+    for module in sorted(STARTED_SUMS):
+        found += started_sums(module,
+                              (SRC / module).read_text(encoding="utf-8"))
     assert found == []

@@ -17,6 +17,14 @@ def test_affine_complements_are_the_hyperplanes_of_projective_space():
                    "p4_hyperplane"]
 
 
+def test_pairs_that_keep_curve_areas():
+    # the torus section doubles its area in the ruled surface and the
+    # antidiagonal sphere has area 0 in S2xS2
+    got = [name for name in PAIRS if builtin(name).keeps_area]
+    assert got == ["p1_point", "p2_hyperplane", "p3_hyperplane",
+                   "p4_hyperplane", "p2blow1_exc", "p4blow2_hyperplane"]
+
+
 def test_split_half_is_the_restriction_of_the_constraint():
     # <half, a>_D = <source, push(a)>_X for every divisor class a of
     # complementary grade, and the divisor's pairing is nondegenerate

@@ -10,6 +10,7 @@ from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
+                          _exact_decompositions, _exact_sums,
                           _graph_components, _multisets, _orbit_matchings,
                           _partitions, _position_filter, _relabelings,
                           _solve_preimage, assemble_class,
@@ -558,6 +559,26 @@ def test_multisets_with_two_budgets_match_brute_force():
                 brute_multisets(pool, (b1, b2), orders, areas)
     # zero in the first budget only is fine too
     assert _multisets("ab", [0, 1], 1, [1, 0], 2) == [("a", "a", "b")]
+
+
+def test_exact_sums_match_class_sums():
+    """Vector sums keep exactly the multisets whose class sum is the
+    target, the empty one included when the target is zero."""
+    X = builtin("p3blow2")
+    model = X.effective
+    parts = model.classes(5)
+    for target in [X.zero(), X.cls({"lambda": 1}),
+                   X.cls({"lambda": 2, "eps1": -1}),
+                   X.cls({"lambda": 1, "eps1": -1, "eps2": -1})]:
+        area = model.area(target)
+        found = _exact_decompositions(parts, target, model.area)
+        candidates = _multisets(parts, [model.area(p) for p in parts], area)
+        assert found == [ms for ms in candidates
+                         if sum(ms, X.zero()) == target]
+        assert found
+    assert _exact_decompositions(parts, X.zero(), model.area) == [()]
+    assert _exact_sums([()], X.zero()) == [()]
+    assert _exact_sums([()], X.cls({"lambda": 1})) == []
 
 
 def test_partitions_are_weakly_decreasing_and_complete():

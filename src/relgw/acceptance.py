@@ -258,7 +258,7 @@ def check_splitting_evaluator():
     # the two boundary groupings of the identity that pins the conic count:
     # one reads (unknown + 2), the other is the pure number 6
     si = standard_identities()[0]
-    ev = Evaluator(seed_table(), solver=False)
+    ev = Evaluator(seed_table())
     a, b, c, d = si.four
     const_a, coeff_a, miss_a = _grouping_sum(ev, si, (a, b), (c, d))
     const_b, coeff_b, miss_b = _grouping_sum(ev, si, (a, c), (b, d))

@@ -60,8 +60,7 @@ def split_form(pair, c: HomologyClass) -> HomologyClass:
 class PulledBack:
     """A constraint of the form projection^-1(class in the divisor).
 
-    Kept as a marker when the bundle's basis has no class for the preimage;
-    it still charges codimension n - grade - 1 on the component.
+    Kept as a marker: it charges codimension n - grade - 1 on the component.
     """
 
     cls: HomologyClass
@@ -123,7 +122,6 @@ class DecompTerm:
     tails: tuple[Tail, ...]
     gamma1: tuple[GraphComponent, ...]
     gamma2: tuple[GraphComponent, ...]
-    placement: tuple[str, ...]
     multiplicity: Fraction
 
     def encode(self) -> str:
@@ -187,14 +185,6 @@ def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
 # sides of one component
 
 
-def _neck_class(setup: FiberSumSetup, alpha: HomologyClass, ell: int) -> HomologyClass:
-    return setup.ruled.class_of(alpha, ell)
-
-
-def _alpha_part(setup: FiberSumSetup, c: HomologyClass) -> HomologyClass:
-    return setup.ruled.projection(c)
-
-
 def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
                tails) -> InvariantSpec:
     rels = tuple(Insertion(t.cls, order=t.order) for t in tails)
@@ -203,26 +193,12 @@ def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
 
 
 def _right_spec(setup: FiberSumSetup, comp: GraphComponent, tails):
-    """(spec over representable constraints, leftover markers): a marker is
-    the divisor class behind a PulledBack with no bundle class."""
-    reals, markers = [], []
-    for ins in comp.insertions:
-        if isinstance(ins, PulledBack):
-            preimage = setup.right.ruled.preimage(ins.cls)
-            if preimage is None:
-                markers.append(ins.cls)
-            else:
-                reals.append(Insertion(preimage, pulled_back=True))
-        else:
-            reals.append(ins)
+    """(spec over the plain constraints, markers): a marker is the divisor
+    class behind a PulledBack."""
+    reals = tuple(i for i in comp.insertions if not isinstance(i, PulledBack))
+    markers = tuple(i.cls for i in comp.insertions if isinstance(i, PulledBack))
     rels = tuple(Insertion(t.dual, order=t.order) for t in tails)
-    spec = InvariantSpec(setup.right, comp.genus, comp.cls,
-                         tuple(reals), rels)
-    return spec, tuple(markers)
-
-
-def _right_dimension(setup: FiberSumSetup, comp: GraphComponent, tails) -> int:
-    return expected_dimension(*_right_spec(setup, comp, tails))
+    return InvariantSpec(setup.right, comp.genus, comp.cls, reals, rels), markers
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +237,7 @@ def _placements(setup: FiberSumSetup, groups, parts1, parts2):
     xmodel, dmodel = setup.total.effective, setup.left.divisor.effective
 
     def rigid_neck(c):
-        alpha = _alpha_part(setup, c)
+        alpha = setup.ruled.projection(c)
         return not alpha.is_zero and dmodel.is_isolated(alpha)
 
     left = [("L", j) for j in range(len(parts1))]
@@ -419,8 +395,6 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     if spec.space.basis.name != setup.total.basis.name:
         raise DecompositionError(
             f"count lives on {spec.space.name}, setup on {setup.total.name}")
-    if not spec.connected:
-        raise DecompositionError("only connected counts split here")
 
     bounds = bounds or Bounds()
     X, D = setup.total, setup.left.divisor
@@ -539,8 +513,8 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 need_right = []
                 for i in range(q):
                     t = len(right_edges[i])
-                    slack = _right_dimension(
-                        setup, gamma2[i], [probe[e] for e in right_edges[i]])
+                    slack = expected_dimension(*_right_spec(
+                        setup, gamma2[i], [probe[e] for e in right_edges[i]]))
                     need_right.append(slack + dn * t)
             except InvariantError:
                 continue
@@ -578,8 +552,6 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                     i = skeleton[e][2]
                     for g in range(min(dn, left_over,
                                        rem_right[i]) + 1):
-                        if g > left_over or g > rem_right[i]:
-                            continue
                         grades[e] = g
                         rem_right[i] -= g
                         assign(edges[1:], left_over - g)
@@ -607,7 +579,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             if any(side == "X" for side, _, _ in groups):
                 skip("unplaceable")
                 return
-            comp_cls = _neck_class(setup, alpha_tot, 0)
+            comp_cls = setup.ruled.class_of(alpha_tot, 0)
             minima = (0 if alpha_tot.is_zero else dmodel.min_genus(alpha_tot),)
             for genera in genus_plans(minima, 0):
                 distribute((), (comp_cls,), (), (), genera)
@@ -647,7 +619,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 skip("disconnected")
                 continue
             for neck in necks:
-                parts2 = tuple(_neck_class(setup, a, ell) for ell, a in neck)
+                parts2 = tuple(setup.ruled.class_of(a, ell) for ell, a in neck)
                 ells = tuple(ell for ell, _ in neck)
                 minima = tuple(xmodel.min_genus(c) for c in parts1) + tuple(
                     0 if a.is_zero else dmodel.min_genus(a) for _, a in neck)
@@ -693,12 +665,9 @@ def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
         if expected_dimension(_left_spec(setup, comp, at)) != 0:
             raise DecompositionError(f"unbalanced component {comp.token()}")
     for comp, at in zip(gamma2, per_right):
-        if _right_dimension(setup, comp, at) != 0:
+        if expected_dimension(*_right_spec(setup, comp, at)) != 0:
             raise DecompositionError(f"unbalanced component {comp.token()}")
     g1, g2, canon, aut = _canonical(setup, gamma1, gamma2, tails)
-    placement = tuple(sorted(
-        f"{ins.token()}@R{i}" for i, c in enumerate(g2)
-        for ins in c.insertions))
     return DecompTerm(
         beta1=_side_sum(setup.total, (c.cls for c in g1)),
         beta2=_side_sum(setup.ruled.total, (c.cls for c in g2)),
@@ -706,7 +675,6 @@ def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
         tails=canon,
         gamma1=g1,
         gamma2=g2,
-        placement=placement,
         multiplicity=Fraction(weight, aut),
     )
 
@@ -739,20 +707,12 @@ def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
     that carries every invariant representative of a section-type class."""
     if comp.genus != 0:
         return None
-    alpha = _alpha_part(setup, comp.cls)
+    alpha = setup.ruled.projection(comp.cls)
     if alpha.is_zero:
         return None
     n = setup.total.n
-    low = False
-    for ins in comp.insertions:
-        source = None
-        if isinstance(ins, PulledBack):
-            source = ins.cls
-        elif ins.pulled_back:
-            source = setup.right.ruled.preimage_source(ins.cls)
-        if source is not None and source.grade <= n - 3:
-            low = True
-    if not low:
+    if not any(isinstance(ins, PulledBack) and ins.cls.grade <= n - 3
+               for ins in comp.insertions):
         return None
     if _missable_class(setup.left.divisor.effective, alpha):
         return PULLED_BACK_MISS
@@ -811,16 +771,6 @@ class Ledger:
     @property
     def unresolved(self) -> tuple[TermReport, ...]:
         return tuple(r for r in self.reports if r.status == UNRESOLVED)
-
-    @property
-    def pruned(self) -> tuple[tuple[DecompTerm, str], ...]:
-        return tuple((r.term, r.reason) for r in self.reports
-                     if r.status == PRUNED)
-
-    @property
-    def flagged(self) -> tuple[TermReport, ...]:
-        return tuple(r for r in self.reports
-                     if r.status != PRUNED and r.term.multiplicity != 1)
 
     def dump(self) -> str:
         cols = ("status", "mult", "beta1", "beta2", "partition", "tails",

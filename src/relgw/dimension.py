@@ -105,7 +105,6 @@ class InvariantSpec:
     beta: HomologyClass
     absolutes: tuple[Insertion, ...] = ()
     relatives: tuple[Insertion, ...] = ()
-    connected: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "absolutes", tuple(self.absolutes))
@@ -151,8 +150,6 @@ class InvariantSpec:
         if self.pair is not None:
             r = ",".join(i.token() for i in sorted(self.relatives, key=_rel_sort_key))
             out += f";rel={r}"
-        if not self.connected:
-            out += ";conn=0"
         return out
 
 
@@ -268,11 +265,6 @@ def expected_dimension(spec: InvariantSpec, markers=()) -> int:
     return total
 
 
-def is_admissible(spec: InvariantSpec) -> bool:
-    """True when the constrained problem is zero-dimensional."""
-    return expected_dimension(spec) == 0
-
-
 # ---------------------------------------------------------------------------
 # per-component and per-level indices
 
@@ -297,8 +289,8 @@ def component_index(*, n: int, genus: int, c1: int, marks: int,
 
 
 def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
-                zero, inf, genus: int = 0, interior=()) -> int:
-    """Index of one connected component sitting at a positive level.
+                zero, inf, interior=()) -> int:
+    """Index of one genus-0 component sitting at a positive level.
 
     The component lives in the P1-bundle of `setup` in class
     lift(alpha) + fiber_deg * fiber.  `zero` and `inf` are (multiplicity,
@@ -319,7 +311,7 @@ def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
             raise InvariantError("interior insertions must be absolute")
         codims += constraint_codim(ins, n)
     marks = len(list(zero)) + len(list(inf)) + len(list(interior))
-    return component_index(n=n, genus=genus,
+    return component_index(n=n, genus=0,
                            c1=setup.c1_total(alpha, fiber_deg), marks=marks,
                            deg_inf=deg_inf, r_inf=len(list(inf)), codims=codims,
                            deg_zero=deg_zero, r_zero=len(list(zero))) - 1
@@ -334,10 +326,3 @@ def projection_index(n: int, c1_alpha: int, contacts: int, delta: int) -> int:
     """
     return (n - 1) + c1_alpha + contacts - 3 + delta - contacts * (n - 1)
 
-
-def predicted_index(spec: InvariantSpec, higher_levels: int) -> int:
-    """Index any stratum with the given number of positive levels must have,
-    assuming its contact pattern along the last divisor matches `spec`."""
-    if higher_levels < 0:
-        raise InvariantError("level count must be >= 0")
-    return expected_dimension(spec) - higher_levels

@@ -87,9 +87,6 @@ class KnowledgeBase:
         self._entries[key] = KBEntry(key, value, provenance)
         return True
 
-    def remove(self, key: str) -> None:
-        self._entries.pop(key, None)
-
     def merge(self, other: "KnowledgeBase") -> int:
         """Fold another base in; conflicting values raise.  Returns additions."""
         added = 0
@@ -154,12 +151,6 @@ def seed_table() -> KnowledgeBase:
            Fraction(2), "seed(torus-sections)")
     kb.add(InvariantSpec(t2p, 1, section, _plain(T.point), ()).key(),
            Fraction(1), "seed(torus-sections)")
-    kb.add(InvariantSpec(t2p, 0, T.gen("f"), _plain(T.point),
-                         (Insertion(TD.fundamental, order=1),)).key(),
-           Fraction(1), "seed(fiber-count)")
-    kb.add(InvariantSpec(t2p, 0, T.gen("f"), (),
-                         (Insertion(TD.point, order=1),)).key(),
-           Fraction(1), "seed(fiber-count)")
 
     y = builtin("y_of:t2_ruled_section")
     yp = y.infinity_pair
@@ -191,7 +182,6 @@ def seed_table() -> KnowledgeBase:
                           ((1, P1.fundamental), (1, P1.fundamental)),
                           ((2, P1.point),))
     kb.add(fiber2.key(), Fraction(1), "seed(rubber-fiber)")
-    kb.add(fiber2.mirrored().key(), Fraction(1), "derived(mirror)")
     positive = RubberTriple(q2, 0, P1.fundamental, 2,
                             ((1, P1.point),), ((2, P1.point),))
     kb.add(positive.key(), None, "seed(rubber-positive)")
@@ -204,8 +194,7 @@ def normalize(spec: InvariantSpec) -> InvariantSpec:
     r = tuple(sorted(spec.relatives, key=_rel_sort_key))
     if a == spec.absolutes and r == spec.relatives:
         return spec
-    return InvariantSpec(spec.target, spec.genus, spec.beta, a, r,
-                         spec.connected)
+    return InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
 
 
 @dataclass(frozen=True)
@@ -268,13 +257,14 @@ class Evaluator:
     """Fixed-point rewriting over a knowledge base.
 
     The base is mutated only by the splitting solver (new derived entries);
-    everything else is read-only.
+    everything else is read-only.  The solver is held off while a boundary
+    sum of an identity evaluates its sides (`_grouping_sum`).
     """
 
-    def __init__(self, kb: KnowledgeBase, solver: bool = True):
+    def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.identities = standard_identities()
-        self.solver = solver
+        self._solver_on = True
         self._memo: dict[str, Value | Unknown] = {}
         self._active: list[str] = []
         self._hyp: dict[tuple[str, str], bool] = {}
@@ -330,7 +320,7 @@ class Evaluator:
                 continue
             factor, children, label = hitr
             return self._combine(factor, children, label)
-        if self.solver and spec.pair is None:
+        if self._solver_on and spec.pair is None:
             solved = self._try_solver(spec)
             if solved is not None:
                 return solved
@@ -648,13 +638,15 @@ def _splittings(space: Space, beta: HomologyClass):
 
 
 def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
-    """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing)."""
+    """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
+
+    The sides evaluate with the solver held off: an unknown side is a
+    coefficient of the identity, not the start of another solve.
+    """
     space = si.space
-    const = Fraction(0)
-    coeffs: dict[str, Fraction] = {}
-    missing: list[str] = []
     n_extras = len(si.extras)
     duals = [(space.gen(e), d) for e, d in space.duals.items()]
+    sides = []
     for b1, b2 in _splittings(space, si.beta):
         for r in range(n_extras + 1):
             for picked in itertools.combinations(range(n_extras), r):
@@ -662,29 +654,37 @@ def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
                 s_right = [si.extras[i] for i in range(n_extras)
                            if i not in picked]
                 for e, edual in duals:
-                    side1 = InvariantSpec(
-                        space, 0, b1,
-                        _plain(left[0], left[1], *s_left, e), ())
-                    side2 = InvariantSpec(
-                        space, 0, b2,
-                        _plain(edual, right[0], right[1], *s_right), ())
-                    v1 = ev.evaluate(side1)
-                    v2 = ev.evaluate(side2)
-                    known1 = isinstance(v1, Value)
-                    known2 = isinstance(v2, Value)
-                    if known1 and known2:
-                        const += v1.value * v2.value
-                    elif known1 and not known2:
-                        if v1.value != 0:
-                            k = normalize(side2).key()
-                            coeffs[k] = coeffs.get(k, Fraction(0)) + v1.value
-                    elif known2 and not known1:
-                        if v2.value != 0:
-                            k = normalize(side1).key()
-                            coeffs[k] = coeffs.get(k, Fraction(0)) + v2.value
-                    else:
-                        missing.append(f"{normalize(side1).key()} x "
-                                       f"{normalize(side2).key()}")
+                    sides.append((
+                        InvariantSpec(space, 0, b1,
+                                      _plain(left[0], left[1], *s_left, e), ()),
+                        InvariantSpec(space, 0, b2,
+                                      _plain(edual, right[0], right[1],
+                                             *s_right), ())))
+    held, ev._solver_on = ev._solver_on, False
+    try:
+        values = [(ev.evaluate(side1), ev.evaluate(side2))
+                  for side1, side2 in sides]
+    finally:
+        ev._solver_on = held
+    const = Fraction(0)
+    coeffs: dict[str, Fraction] = {}
+    missing: list[str] = []
+    for (side1, side2), (v1, v2) in zip(sides, values):
+        known1 = isinstance(v1, Value)
+        known2 = isinstance(v2, Value)
+        if known1 and known2:
+            const += v1.value * v2.value
+        elif known1 and not known2:
+            if v1.value != 0:
+                k = normalize(side2).key()
+                coeffs[k] = coeffs.get(k, Fraction(0)) + v1.value
+        elif known2 and not known1:
+            if v2.value != 0:
+                k = normalize(side1).key()
+                coeffs[k] = coeffs.get(k, Fraction(0)) + v2.value
+        else:
+            missing.append(f"{normalize(side1).key()} x "
+                           f"{normalize(side2).key()}")
     return const, coeffs, missing
 
 
@@ -694,14 +694,9 @@ def splitting_identity(si: SplitIdentity, ev: Evaluator):
     Terms where both factors are unknown make the identity nonlinear in the
     unknowns; those are reported in `missing` and the equation is withheld.
     """
-    solver_state = ev.solver
-    ev.solver = False
-    try:
-        a, b, c, d = si.four
-        constA, coeffA, missA = _grouping_sum(ev, si, (a, b), (c, d))
-        constB, coeffB, missB = _grouping_sum(ev, si, (a, c), (b, d))
-    finally:
-        ev.solver = solver_state
+    a, b, c, d = si.four
+    constA, coeffA, missA = _grouping_sum(ev, si, (a, b), (c, d))
+    constB, coeffB, missB = _grouping_sum(ev, si, (a, c), (b, d))
     missing = missA + missB
     if missing:
         return None, tuple(missing)

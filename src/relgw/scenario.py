@@ -94,8 +94,7 @@ class _Parser:
         self.lines = text.splitlines()
         self.sc = Scenario()
         self.runs: list[RunDirective] = []
-        # declaration order of spaces, and which one owns each class
-        self.space_order: list[str] = []
+        # which space owns each class
         self.class_owner: dict[str, str] = {}
         self.current_space: str | None = None
 
@@ -225,7 +224,7 @@ class _Parser:
         obj = self.lookup("divisor", name, line, col)
         return obj
 
-    def fresh(self, namespace, name, line, col):
+    def fresh(self, name, line, col):
         for held in (self.sc.spaces, self.sc.pairs, self.sc.classes,
                      self.sc.invariants, self.sc.strata):
             if name in held:
@@ -289,9 +288,8 @@ class _Parser:
         if body:
             self.fail("[space] sections take no body", body[0][0], body[0][2])
         name = args[0]
-        self.fresh("space", name, line, 2)
+        self.fresh(name, line, 2)
         self.sc.spaces[name] = self.lookup("space", name, line, 2)
-        self.space_order.append(name)
         self.current_space = name
 
     def section_divisor(self, args, line, body):
@@ -300,7 +298,7 @@ class _Parser:
         if body:
             self.fail("[divisor] sections take no body", body[0][0], body[0][2])
         name, ambient_name = args[0], args[2]
-        self.fresh("divisor", name, line, 2)
+        self.fresh(name, line, 2)
         ambient = self.named_space(ambient_name, line, 2)
         pair = self.lookup("divisor", name, line, 2)
         if pair.ambient is not ambient:
@@ -314,7 +312,7 @@ class _Parser:
         if body:
             self.fail("[class] sections take no body", body[0][0], body[0][2])
         name = args[0]
-        self.fresh("class", name, line, 2)
+        self.fresh(name, line, 2)
         if self.current_space is None:
             self.fail("declare a [space] before classes", line, 2)
         space = self.sc.spaces[self.current_space]
@@ -330,9 +328,9 @@ class _Parser:
         if len(args) != 1:
             self.fail("usage: [invariant <name>]", line)
         name = args[0]
-        self.fresh("invariant", name, line, 2)
+        self.fresh(name, line, 2)
         got = self.fields(body, ("space", "pair", "genus", "class", "abs",
-                                 "rel", "connected"), line)
+                                 "rel"), line)
         if "space" in got and "pair" in got:
             self.fail("give space= or pair=, not both", got["pair"][1], 1)
         if "genus" not in got or "class" not in got:
@@ -377,16 +375,9 @@ class _Parser:
                 relatives.append(
                     self.parse_relative(target.divisor, text, lineno, tcol))
 
-        connected = True
-        if "connected" in got:
-            value, lineno, col = got["connected"]
-            if value not in ("true", "false"):
-                self.fail("connected must be true or false", lineno, col)
-            connected = value == "true"
-
         try:
             spec = InvariantSpec(target, genus, beta, tuple(absolutes),
-                                 tuple(relatives), connected)
+                                 tuple(relatives))
         except InvariantError as e:
             self.fail(str(e), line, 1)
         self.sc.invariants[name] = spec
@@ -395,7 +386,7 @@ class _Parser:
         if len(args) != 1:
             self.fail("usage: [stratum <name>]", line)
         name = args[0]
-        self.fresh("stratum", name, line, 2)
+        self.fresh(name, line, 2)
 
         pair = None
         comps: list[LevelComponent] = []
@@ -567,8 +558,6 @@ def serialize(scenario: Scenario) -> str:
             out.append("rel = " + ", ".join(
                 f"({r.order},{_class_text(scenario, r.cls)})"
                 for r in spec.relatives))
-        if not spec.connected:
-            out.append("connected = false")
 
     for sname, stratum in scenario.strata.items():
         out.append(f"[stratum {sname}]")

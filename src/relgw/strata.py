@@ -114,13 +114,6 @@ class StratumType:
     def depth(self) -> int:
         return max((c.level for c in self.components), default=0)
 
-    def outer_contacts(self) -> tuple[Contact, ...]:
-        top = self.depth
-        out = [c for comp in self.components if comp.level == top
-               for c in comp.inf]
-        out.sort(key=lambda c: (-c.mult, _enc(c.constraint), c.node))
-        return tuple(out)
-
 
 def _enc(c: HomologyClass | None) -> str:
     return "" if c is None else c.encode()
@@ -863,15 +856,11 @@ def _materialize(spec, comps_by_level, chosen, outer, k, q):
         for idx in range(len(comps_by_level[i + 1])):
             for c in comps[(i + 1, idx)].zero:
                 by_mult_up.setdefault(c.mult, []).append((c.node, idx))
-        if sorted(by_mult_low) != sorted(by_mult_up):
-            return
+        # boundary options pair equal multisets of multiplicities
         options = []
         for m, lows in sorted(by_mult_low.items()):
-            ups = by_mult_up[m]
-            if len(lows) != len(ups):
-                return
             lnodes, lcomps = zip(*lows)
-            unodes, ucomps = zip(*ups)
+            unodes, ucomps = zip(*by_mult_up[m])
             options.append([list(zip(lnodes, (unodes[u] for u in sigma)))
                             for sigma in _orbit_matchings(lcomps, ucomps)])
         per_boundary.append([[pairing for block in combo for pairing in block]

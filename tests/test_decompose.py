@@ -265,7 +265,6 @@ def test_two_identical_fibers_weigh_half():
     term = dist[0].term
     assert term.multiplicity == Fraction(1, 2)
     assert brute_automorphisms(term) == 2
-    assert term in [r.term for r in ledger.flagged]
 
 
 def term_cases(quartic):
@@ -542,6 +541,35 @@ def test_class_inside_divisor():
     assert difference == 0
     assert compared.partial
     assert compared.distinguished is None
+
+
+# -- plane along a line: classes that meet the divisor ----------------------
+
+
+@pytest.mark.parametrize("d, points, mult", [(1, 2, 1), (2, 5, Fraction(1, 2))])
+def test_compare_with_contacts(d, points, mult):
+    """Lines through two points and conics through five meet the line in d
+    points; the only term is the distinguished one, one plain fiber per
+    contact, so the difference is 0 with nothing unresolved."""
+    setup = builtin("fibersum_of:p2_hyperplane")
+    X, D = setup.total, setup.left.divisor
+    spec = InvariantSpec(X, 0, X.gen("lambda", d),
+                         tuple(Insertion(X.point) for _ in range(points)))
+    assert setup.left.contact_count(spec.beta) == d
+    difference, ledger = compare_abs_rel(setup, spec)
+    assert difference == 0
+    assert not ledger.partial
+    assert len(ledger.reports) == 1
+    assert ledger.distinguished is ledger.reports[0]
+    term = ledger.distinguished.term
+    assert len(term.gamma1) == 1 and len(term.gamma2) == d
+    for comp in term.gamma2:
+        assert comp.genus == 0 and comp.insertions == ()
+        assert setup.right.ruled.fiber_degree(comp.cls) == 1
+    assert sorted(t.right for t in term.tails) == list(range(d))
+    assert all(t.order == 1 and t.cls == D.fundamental and t.left == 0
+               for t in term.tails)
+    assert term.multiplicity == mult
 
 
 # -- guards --------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, RubberTriple, component_index,
                              constraint_codim, expected_dimension,
-                             is_admissible, level_index, predicted_index,
-                             projection_index, raw_dimension)
+                             level_index, projection_index, raw_dimension)
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 
@@ -40,8 +39,6 @@ def test_conic_tangent_contact():
                          relatives=(rel(pair, 2, "pt"),))
     assert raw_dimension(spec) == 8
     assert expected_dimension(spec) == 6
-    assert predicted_index(spec, 0) == 6
-    assert predicted_index(spec, 1) == 5
 
 
 def test_conic_two_simple_contacts():
@@ -71,7 +68,6 @@ def test_deep_blowup_pair_admissible():
                          relatives=(rel(pair, 1, "lambda"), rel(pair, 1, "fund")))
     assert raw_dimension(spec) == 18
     assert expected_dimension(spec) == 0
-    assert is_admissible(spec)
 
 
 def test_degree_one_through_divisor_point():

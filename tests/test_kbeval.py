@@ -38,6 +38,11 @@ def value_of(result):
     return result.value
 
 
+def seeds_without(key):
+    """The seed table less one entry."""
+    return KnowledgeBase(e for e in seed_table().entries() if e.key != key)
+
+
 FOUR_LINES = absolute(P3, LAM, LAM, LAM, LAM, LAM)
 CONICS = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
 
@@ -47,7 +52,7 @@ CONICS = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
 
 def test_seed_table_round_trips():
     kb = seed_table()
-    assert len(kb) == 16
+    assert len(kb) == 13
     text = kb.dump()
     again = KnowledgeBase.parse(text)
     assert again.dump() == text
@@ -169,12 +174,11 @@ def test_fiber_rule_replays_its_seeds():
                                   (Insertion(TD.fundamental, order=1),))
     at_point = InvariantSpec(pair, 0, T.gen("f"), (),
                              (Insertion(TD.point, order=1),))
-    kb = seed_table()
-    kb.remove(through_point.key())
-    kb.remove(at_point.key())
-    ev = Evaluator(kb)
-    assert value_of(ev.evaluate(through_point)) == 1
-    assert value_of(ev.evaluate(at_point)) == 1
+    ev = Evaluator(seed_table())
+    for spec in (through_point, at_point):
+        r = ev.evaluate(spec)
+        assert value_of(r) == 1
+        assert r.trace == ("fiber-count",)
 
 
 def test_distinct_fibers_never_meet():
@@ -208,10 +212,9 @@ def test_section_double_cover_values():
 
 def test_section_double_cover_needs_its_seed():
     D = builtin("p4blow2_hyperplane").divisor
-    kb = seed_table()
-    kb.remove(InvariantSpec(builtin("p3blow2"), 0,
-                            cls(D.basis, {"lambda": 2, "eps1": -2, "eps2": -2}),
-                            (), ()).key())
+    kb = seeds_without(InvariantSpec(
+        builtin("p3blow2"), 0,
+        cls(D.basis, {"lambda": 2, "eps1": -2, "eps2": -2}), (), ()).key())
     r = Evaluator(kb).evaluate(eq5_spec(gen(D.basis, "pi")))
     assert isinstance(r, Unknown)
 
@@ -286,7 +289,6 @@ def test_relative_conic_bracket_evaluates_to_eight():
 def test_conics_identity_group_sums():
     si = standard_identities()[0]
     ev = Evaluator(seed_table())
-    ev.solver = False
     a, b, c, d = si.four
     constA, coeffsA, missA = _grouping_sum(ev, si, (a, b), (c, d))
     constB, coeffsB, missB = _grouping_sum(ev, si, (a, c), (b, d))
@@ -312,8 +314,8 @@ def test_solver_derives_conic_count():
 
 def test_solver_rederives_four_line_seed():
     # independent check: drop the seed and recover it from the line identity
-    kb = seed_table()
-    kb.remove(FOUR_LINES.key())
+    kb = seeds_without(FOUR_LINES.key())
+    assert FOUR_LINES.key() not in kb
     ev = Evaluator(kb)
     assert value_of(ev.evaluate(FOUR_LINES)) == 2
     assert kb.get(FOUR_LINES.key()).provenance.startswith("derived(splitting")
@@ -379,12 +381,8 @@ def test_rubber_mirror_lookup():
     q, P1 = rubber_fixture()
     flipped = RubberTriple(q, 0, cls(P1.basis, {}), 2, ((2, P1.point),),
                            ((1, P1.fundamental), (1, P1.fundamental)))
-    ev = Evaluator(seed_table())
-    assert value_of(ev.evaluate(flipped)) == 1
-
-    kb = seed_table()
-    kb.remove(flipped.key())  # force the mirrored lookup
-    r = Evaluator(kb).evaluate(flipped)
+    assert flipped.key() not in seed_table()  # only its mirror is seeded
+    r = Evaluator(seed_table()).evaluate(flipped)
     assert value_of(r) == 1
     assert any("mirrored" in t for t in r.trace)
 

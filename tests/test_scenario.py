@@ -104,6 +104,94 @@ def test_malformed_component_is_positioned(before, after):
     assert (info.value.line, info.value.col) == (5, len("comp " + before) + 1)
 
 
+# -- every parser diagnostic carries its line and column -------------------
+
+P3 = "[space p3]\n"
+P3_INVARIANT = P3 + "[invariant x]\nspace = p3\ngenus = 0\n"
+P2_PAIR = "[space p2]\n[divisor p2_hyperplane in p2]\n"
+P2_STRATUM = P2_PAIR + "[stratum s]\npair = p2_hyperplane\n"
+P2_NODE = P2_STRATUM + "comp level=0 genus=0 class=lambda inf=1:a\n"
+
+MALFORMED = {
+    "fraction": (P3 + "[class b = 1/2*lambda]\n",
+                 2, 12, "non-integer class coefficient 1/2"),
+    "no-sign": (P3_INVARIANT + "class = lambda pi\n",
+                5, 15, "missing + or - between terms"),
+    "empty-class": (P3_INVARIANT + "class =\n", 5, 8, "empty class expression"),
+    "bad-term": (P3_INVARIANT + "class = lambda + 2\n",
+                 5, 15, "expected a class term"),
+    "unknown-generator": (P3_INVARIANT + "class = lambda + eps\n",
+                          5, 18, "unknown generator 'eps' in basis p3"),
+    "wrong-basis": ("[space p2]\n[class c = lambda]\n" + P3_INVARIANT
+                    + "class = c\n", 7, 9, "class 'c' lives in p2, not p3"),
+    "placement": (P3_INVARIANT + "class = lambda\nabs = pt, pt@Z\n",
+                  6, 14, "unknown placement 'Z' (use X, Y or split)"),
+    "relative": (P2_PAIR + "[invariant x]\npair = p2_hyperplane\ngenus = 0\n"
+                 "class = lambda\nrel = (x, pt)\n",
+                 7, 7, "relative entries look like (order, class)"),
+    "rel-needs-pair": (P3_INVARIANT + "class = lambda\nrel = (1, pt)\n",
+                       6, 7, "rel= needs a pair= target"),
+    "contact": (P2_STRATUM + "comp level=0 class=lambda inf=a\n",
+                5, 31, "contacts look like mult:node or mult:node:class"),
+    "space-id": ("[space p2_hyperplane]\n",
+                 1, 2, "'p2_hyperplane' is not a space id"),
+    "pair-id": ("[space p2]\n[divisor p3 in p2]\n",
+                2, 2, "'p3' is not a divisor pair id"),
+    "unknown-id": ("[space p9]\n", 1, 2, "unknown space id 'p9'"),
+    "unknown-space": (P3 + "[divisor p2_hyperplane in p2]\n",
+                      2, 2, "unknown space 'p2' (declare it with [space ...])"),
+    "pair-space": (P3 + "[divisor p2_hyperplane in p3]\n",
+                   2, 2, "pair 'p2_hyperplane' sits in p2, not p3"),
+    "space-and-pair": (P2_PAIR + "[invariant x]\nspace = p2\n"
+                       "pair = p2_hyperplane\ngenus = 0\nclass = lambda\n",
+                       5, 1, "give space= or pair=, not both"),
+    "genus": (P3 + "[invariant x]\nspace = p3\ngenus = -1\nclass = lambda\n",
+              4, 9, "genus must be a non-negative integer"),
+    "needs-genus": (P3 + "[invariant x]\nspace = p3\nclass = lambda\n",
+                    2, 1, "invariants need genus= and class="),
+    "no-space": ("[invariant x]\ngenus = 0\nclass = lambda\n",
+                 1, 1, "no space in scope; add space= or pair="),
+    "connected": (P3_INVARIANT + "class = lambda\nabs = pt, pt, pi\n"
+                  "connected = false\n", 7, 1, "unknown field 'connected'"),
+    "matching": (P2_NODE + "match = a-b\n",
+                 6, 9, "matchings look like node->node"),
+    "unknown-node": (P2_NODE + "match = a->b\n", 6, 9, "unknown node 'b'"),
+    "stratum-pair": ("[stratum s]\n", 1, 1, "strata need a pair= line"),
+    "comp-before-pair": (P2_PAIR + "[stratum s]\ncomp level=0 class=lambda\n",
+                         4, 1, "set pair= before components"),
+    "level-zero-class": (P2_STRATUM + "comp level=0 genus=0 inf=1:a\n",
+                         5, 6, "level-0 components need class="),
+    "level-alpha": (P2_STRATUM + "comp level=1 fiber=1 zero=1:a inf=1:b\n",
+                    5, 6, "positive-level components need alpha="),
+    "empty-run": ("[run]\n", 1, 1, "usage: [run <command> <args...>]"),
+    "header": ("genus = 0\n" + P3, 1, 1, "expected a [section] header"),
+    "space-body": (P3 + "genus = 0\n", 2, 1, "[space] sections take no body"),
+    "section-kind": ("[spaces p3]\n", 1, 2, "unknown section kind 'spaces'"),
+    "key-value": (P3_INVARIANT + "class lambda\n", 5, 1, "expected key = value"),
+    "duplicate-field": (P3_INVARIANT + "class = lambda\ngenus = 1\n",
+                        6, 1, "duplicate field 'genus'"),
+    "duplicate-name": (P3 + "[class p3 = lambda]\n",
+                       2, 2, "duplicate name 'p3'"),
+    "class-before-space": ("[class b = lambda]\n",
+                           1, 2, "declare a [space] before classes"),
+}
+
+
+@pytest.mark.parametrize("text, line, col, message", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_parser_errors_are_positioned(tmp_path, capsys, text, line, col,
+                                      message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(text)
+    assert (info.value.line, info.value.col, info.value.message) == \
+        (line, col, message)
+    path = tmp_path / "bad.gw"
+    path.write_text(text, encoding="utf-8")
+    assert status("dim", path, "x") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line {line}, col {col}: {message}\n"
+
+
 # -- exit statuses of the command line -----------------------------------
 
 
@@ -161,7 +249,7 @@ def test_exit_two_on_mixed_grades(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "only-two\tfields",
     "key\tnot-a-number\tprov",
-    "pair:t2_ruled_section;g=0;b=f;abs=;rel=(1,pt)\t2/1\tconflict",
+    "space:s2xs2;g=0;b=a1;abs=pt\t2/1\tconflict",
 ], ids=["two-fields", "bad-value", "conflicts-with-seed"])
 def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     path = tmp_path / "extra.kb"

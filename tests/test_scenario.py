@@ -261,6 +261,35 @@ def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+CONIC_THREE_POINTS = """\
+[space p3]
+[invariant c]
+space = p3
+genus = 0
+class = 2*lambda
+abs = pt, pt, pt, lambda, lambda
+[run eval c]
+"""
+
+
+@pytest.mark.parametrize("argv", [("eval", "c"), ("run",)],
+                         ids=["eval", "run"])
+def test_exit_two_when_kb_contradicts_an_identity(tmp_path, capsys, argv):
+    # the conics through two points and four lines number 4; claiming 97
+    # leaves the conics-two-points identity with 0 = -93 and no unknown
+    path = tmp_path / "conic.gw"
+    path.write_text(CONIC_THREE_POINTS, encoding="utf-8")
+    kb = tmp_path / "extra.kb"
+    kb.write_text("space:p3;g=0;b=2*lambda;abs=pt,pt,lambda,lambda,lambda,"
+                  "lambda\t97/1\tuser\n", encoding="utf-8")
+    command, *rest = argv
+    assert status(command, path, *rest, "--kb", kb) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: identity conics-two-points is inconsistent: 0 = -93\n"
+    assert "Traceback" not in err
+
+
 POINT_DIVISOR = """\
 [space p1]
 [divisor p1_point in p1]

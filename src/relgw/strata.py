@@ -574,7 +574,33 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
 
 
 def _build_levels(spec, k, bottom, alpha_total):
-    """Fill levels 1..k over the chosen level-0 components."""
+    """Fill levels 1..k over the chosen level-0 components.
+
+    A level plan lists (alpha, fiber degree, genus) for the components of
+    each level.  Two rules keep only plans that can close, one per
+    isomorphism class; neither changes which keys `enumerate_strata`
+    finds, nor the stratum it keeps for each.
+
+    Degree floor: each component's zero-side degree,
+    `q.end_degrees(alpha, fiber)[0]`, is at least 0.  With the twist -1 of
+    the neck model the zero-side degrees of a level add up to the
+    infinity-side degrees of the level below.  Above a level none of whose
+    degrees is negative, a negative zero-side degree therefore leaves the
+    positive zero-side degrees a larger sum than the positive lower ones,
+    the case `_attach_contacts` rejects.  Infinity-side degrees of a
+    positive level are fiber degrees, never negative, so the floor holds
+    from level 2 on, and at level 1 when no level-0 component has a
+    negative contact count.
+
+    Sorted identical components: along adjacent components of one alpha
+    (the pure-fiber ones included) the (fiber, genus) pairs do not
+    decrease.  Choices come with fiber degrees in lexicographic order and,
+    for each, genera in lexicographic order, so the sorted arrangement of
+    a level is the first one made.  Later levels see a level only through
+    its fiber degree sum and the alpha it leaves over, so any other
+    arrangement yields only strata isomorphic to those of the sorted one,
+    which came first.
+    """
     pair = spec.pair
     D = pair.divisor
     dmodel = D.effective
@@ -589,7 +615,9 @@ def _build_levels(spec, k, bottom, alpha_total):
         abudget = D.area(alpha_total)
         alpha_parts = list(dmodel.classes(abudget)) if abudget > 0 else []
 
-    bottom_deg = sum(pair.contact_count(c) for c, _ in bottom)
+    bottom_degs = [pair.contact_count(c) for c, _ in bottom]
+    bottom_deg = sum(bottom_degs)
+    floor_from = 1 if min(bottom_degs, default=0) >= 0 else 2
 
     def level_choices(remaining_alpha, prev_deg, level):
         if level == k:
@@ -605,21 +633,27 @@ def _build_levels(spec, k, bottom, alpha_total):
             total_d = prev_deg + pair.normal_degree(gamma)
             if total_d < 0:
                 continue
+            # the least fiber degrees that give a zero side of degree >= 0
+            floors = [max(0, -q.end_degrees(a, 0)[0]) if level >= floor_from
+                      else 0 for a in alphas]
             for m in range(0, total_d + 1):
                 if not alphas and m == 0:
                     continue
-                mins = [0] * len(alphas) + [1] * m
-                for ds in _compositions(total_d, mins):
-                    genus_ranges = [range(dmodel.min_genus(a), spec.genus + 1)
-                                    for a in alphas]
-                    genus_ranges += [range(0, spec.genus + 1)] * m
+                labels = list(alphas) + [dzero] * m
+                same = [i for i in range(1, len(labels))
+                        if labels[i] == labels[i - 1]]
+                genus_ranges = [range(dmodel.min_genus(a), spec.genus + 1)
+                                for a in alphas]
+                genus_ranges += [range(0, spec.genus + 1)] * m
+                for ds in _compositions(total_d, floors + [1] * m):
+                    if any(ds[i - 1] > ds[i] for i in same):
+                        continue
+                    ties = [i for i in same if ds[i - 1] == ds[i]]
                     for gs in product(*genus_ranges):
-                        if sum(gs) > spec.genus:
+                        if sum(gs) > spec.genus or \
+                                any(gs[i - 1] > gs[i] for i in ties):
                             continue
-                        comps = [(a, ds[i], gs[i]) for i, a in enumerate(alphas)]
-                        comps += [(dzero, ds[len(alphas) + j], gs[len(alphas) + j])
-                                  for j in range(m)]
-                        yield comps, gamma
+                        yield list(zip(labels, ds, gs)), gamma
 
     def rec(level, remaining_alpha, prev_deg, acc):
         if level > k:
@@ -654,7 +688,11 @@ def _attach_contacts(spec, bottom, level_plan, q):
     one boundary have one sum, and its edge count, the number of parts,
     lies between max(#positive lower, #positive upper) and that sum.  A
     level plan whose sums differ, or whose bounds summed over the
-    boundaries miss e, yields nothing and is dropped at once.
+    boundaries miss e, yields nothing and is dropped at once.  The degree
+    floor of `_build_levels` leaves the sums unequal only at boundary 0,
+    over a level-0 component of negative contact count.  A plan whose top
+    ends admit no assignment of the relative insertions is dropped next,
+    still before its boundary options are built.
     """
     pair = spec.pair
     k = len(level_plan)
@@ -726,12 +764,12 @@ def _attach_contacts(spec, bottom, level_plan, q):
         most += sum(lower)
     if not fewest <= need <= most:
         return
+    outers = list(outer_assignments())
+    if not outers:
+        return
     boundaries = [list(boundary_options(i)) for i in range(0, k)]
     choices = [chosen for chosen in product(*boundaries)
                if sum(len(p) for low, _ in chosen for p in low) == need]
-    if not choices:
-        return
-    outers = list(outer_assignments())
     for chosen in choices:
         for outer in outers:
             yield from _materialize(spec, comps_by_level, chosen, outer, k, q)

@@ -330,10 +330,24 @@ def test_enumerate_split_scenario():
         assert multilevel_index(s) == expected_dimension(spec) - s.depth
 
 
+def enumerate_with_plans(spec, k, mp):
+    """The strata of the count and the (level-0 components, level plan) of
+    every plan that reached `_attach_contacts`."""
+    plans = []
+    attach = strata_module._attach_contacts
+
+    def spy(spec_, bottom, level_plan, q):
+        plans.append((bottom, level_plan))
+        return attach(spec_, bottom, level_plan, q)
+
+    mp.setattr(strata_module, "_attach_contacts", spy)
+    return enumerate_strata(spec, k), plans
+
+
 @pytest.fixture(scope="module")
 def torus():
     """The torus cubic at depth 2, with (total genus, graph components) of
-    every candidate that reached `total_genus`."""
+    every candidate that reached `total_genus` and every level plan."""
     seen = []
 
     def spy(s):
@@ -343,12 +357,12 @@ def torus():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata_module, "total_genus", spy)
-        strata = enumerate_strata(cubic_torus_spec(), 2)
-    return strata, seen
+        strata, plans = enumerate_with_plans(cubic_torus_spec(), 2, mp)
+    return strata, seen, plans
 
 
 def test_enumerate_torus_scenario(torus):
-    strata, _ = torus
+    strata, _, _ = torus
     keys = {stratum_key(s): s for s in strata}
     kone = stratum_key(torus_stratum_one_level())
     ktwo = stratum_key(torus_stratum_two_levels())
@@ -416,29 +430,140 @@ def test_depth_two_representatives_are_pinned(make, sha):
 
 
 def test_torus_enumeration_is_pinned(torus):
-    strata, _ = torus
+    strata, _, _ = torus
     assert key_digest(strata) == TORUS_KEYS
     assert any(all(c.level > 0 for c in s.components) for s in strata)
 
 
 def test_torus_representatives_are_pinned(torus):
-    strata, _ = torus
+    strata, _, _ = torus
     assert representative_digest(strata) == TORUS_REPRESENTATIVES
 
 
 def test_symmetric_matchings_are_not_built(torus):
     # 5,796 candidates when every pairing of interchangeable contacts was
-    # built; one per orbit leaves 2,139
-    _, seen = torus
-    assert len(seen) < 2200
+    # built; one per orbit leaves 2,139, and one level plan per isomorphism
+    # class, each able to close its end degrees, leaves 908
+    _, seen, _ = torus
+    assert len(seen) <= 908
+
+
+def test_hopeless_level_plans_are_not_made(torus):
+    # 11,787 plans when every fiber degree and every order of identical
+    # components was tried
+    _, _, plans = torus
+    assert len(plans) <= 1672
 
 
 def test_connected_candidates_have_the_count_genus(torus):
     # a structural choice whose Euler characteristic misses the genus is
     # rejected before its matchings are built
-    _, seen = torus
+    _, seen, _ = torus
     assert seen
     assert {genus for genus, parts in seen if parts == 1} == {1}
+
+
+def test_torus_depth_three_is_pinned():
+    strata = enumerate_strata(cubic_torus_spec(), 3)
+    assert key_digest(strata) == (
+        888, "5d62a2901891fd050c845609cd9289222e009ebc47aea7403c577bbbc6709f1e")
+    assert representative_digest(strata) == \
+        "8740e8d637c0610164a771c3f7abaf8065fff834780a0a41c33790565dd45cf7"
+
+
+# Counts on the pairs whose divisor is not a hyperplane, where level-0
+# classes of negative contact count exist; keys and representatives were
+# recorded before level plans were cut down to those that can close.
+
+EXC_LINE_GENUS_ONE = (EXC, 1, {"lambda": 1}, ())
+ANTI_A1_2A2 = (builtin("s2xs2_antidiag"), 0, {"a1": 1, "a2": 2}, (1,))
+P4B = builtin("p4blow2_hyperplane")
+P4B_2EPS1 = (P4B, 0, {"eps1": 2}, (2,))
+P4B_LINE_GENUS_ONE = (P4B, 1, {"lambda": 1}, (1,))
+T2_SECTION_GENUS_ONE = (builtin("t2_ruled_section"), 1, {"s": 1, "f": 2}, (1,))
+
+
+def fund_contact_spec(pair, genus, coeffs, orders):
+    return InvariantSpec(pair, genus, pair.ambient.cls(coeffs),
+                         relatives=tuple(rel(pair, o, "fund") for o in orders))
+
+
+@pytest.mark.parametrize("case, count, keys, reps", [
+    (EXC_LINE_GENUS_ONE, 4,
+     "9d96bb80ba99432d5f23924e7e6549f84d06caf16acf1e9677965c043f642d36",
+     "b162f18331d9a5d69847cf8a0de49f975424f13a5d2902dffea5acb43ef77005"),
+    (ANTI_A1_2A2, 15,
+     "7b4c7e2747969a3dd68521ba851e112cb036f72822cb6682a3ab3bbc2427fc17",
+     "4e11565a81e1a57451a6a1ce6791e02d1764de79ea9202692877ad05a2675099"),
+    (P4B_2EPS1, 7,
+     "30f4aae2517ef13319b2ec2df764a91bb6b326316c8eaa33f9046cff6f07f006",
+     "c51cb78a2c02a8e9c4a4ed10003342b818ed1ff7e7c07fb14ddfd34a28978896"),
+    (P4B_LINE_GENUS_ONE, 59,
+     "c662a91f4c07df2799e3d95fa74b4c36b3fd83a9210c6e451c8d60fd330e7513",
+     "b640cd4084732e14a3aae9d355844457f8dade3165e972455cde6ef2b62e408f"),
+    (T2_SECTION_GENUS_ONE, 7,
+     "158dd4b564794c97d0f96b8b4155748244365d080d2c13112e038dc22785ebac",
+     "ba217825099b352a7defbea23582b27ab2ae2687f0467f24c27a3eab0284f510"),
+], ids=["exc-line-g1", "anti-a1+2a2", "p4b-2eps1", "p4b-line-g1",
+        "t2-section-g1"])
+def test_non_hyperplane_enumeration_is_pinned(case, count, keys, reps):
+    strata = enumerate_strata(fund_contact_spec(*case), 2)
+    assert key_digest(strata) == (count, keys)
+    assert representative_digest(strata) == reps
+    assert any(s.depth == 2 for s in strata)
+
+
+def broken_plan_rules(pair, bottom, level_plan):
+    """The rules of `_build_levels` that a level plan breaks."""
+    q = strata_module.neck_model(pair)
+    floor_from = 1 if all(pair.contact_count(c) >= 0 for c, _ in bottom) else 2
+    broken = set()
+    for level, comps in enumerate(level_plan, start=1):
+        if level >= floor_from and \
+                any(q.end_degrees(a, d)[0] < 0 for a, d, _ in comps):
+            broken.add("degree-floor")
+        if any(a == b and (d, g) > (e, h)
+               for (a, d, g), (b, e, h) in zip(comps, comps[1:])):
+            broken.add("unsorted")
+    return broken
+
+
+def test_level_plans_obey_both_rules(torus):
+    _, _, plans = torus
+    cases = [(P2H, plans)]
+    for spec in [conic_tangent_spec(), conic_split_spec(),
+                 line_genus_one_spec(),
+                 fund_contact_spec(*ANTI_A1_2A2),
+                 fund_contact_spec(*P4B_LINE_GENUS_ONE),
+                 fund_contact_spec(*T2_SECTION_GENUS_ONE)]:
+        with pytest.MonkeyPatch.context() as mp:
+            cases.append((spec.pair, enumerate_with_plans(spec, 2, mp)[1]))
+    identical = negative = 0
+    for pair, made in cases:
+        assert made
+        for bottom, level_plan in made:
+            assert broken_plan_rules(pair, bottom, level_plan) == set()
+            identical += any(a == b for comps in level_plan
+                             for (a, _, _), (b, _, _) in zip(comps, comps[1:]))
+            negative += any(pair.contact_count(c) < 0 for c, _ in bottom)
+    # both rules had something to act on
+    assert identical and negative
+
+
+def test_degree_floor_waits_over_negative_contact_counts():
+    # over a level-0 component of negative contact count, a level-1
+    # component with a negative zero side can still close its ends
+    spec = fund_contact_spec(*P4B_LINE_GENUS_ONE)
+    q = strata_module.neck_model(spec.pair)
+    with pytest.MonkeyPatch.context() as mp:
+        _, plans = enumerate_with_plans(spec, 2, mp)
+    closing = [
+        (bottom, level_plan) for bottom, level_plan in plans
+        if any(q.end_degrees(a, d)[0] < 0 for a, d, _ in level_plan[0])
+        and list(strata_module._attach_contacts(spec, bottom, level_plan, q))]
+    assert closing
+    for bottom, _ in closing:
+        assert any(spec.pair.contact_count(c) < 0 for c, _ in bottom)
 
 
 def test_enumerate_rejects_missing_contact_data():

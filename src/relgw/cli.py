@@ -161,16 +161,21 @@ def cmd_decompose(scenario, args, options):
 
 
 def cmd_run(scenario, args, options):
+    """Each directive's report in file order; a CommandError a directive
+    raises is pinned to its line as a ScenarioError."""
     if args:
         raise CommandError("run takes no extra arguments")
     if not scenario.runs:
         raise CommandError("the file declares no [run] directives")
     chunks, status = [], 0
     for directive in scenario.runs:
-        if directive.command == "run":
-            raise CommandError("run directives cannot nest")
-        text, code = run(directive.command, scenario,
-                         directive.args, **options)
+        try:
+            if directive.command == "run":
+                raise CommandError("run directives cannot nest")
+            text, code = run(directive.command, scenario,
+                             directive.args, **options)
+        except CommandError as e:
+            raise ScenarioError(str(e), directive.line, 2) from e
         head = " ".join((directive.command,) + directive.args)
         chunks.append(f"== {head}\n{text}")
         status = max(status, code)
@@ -262,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area-budget", type=_at_least(0), metavar="A")
     p.add_argument("--max-terms", type=_at_least(1), metavar="N")
     p.add_argument("--max-levels", type=_at_least(0), metavar="K")
-    p.add_argument("--golden", metavar="DIR")
     p = add("verify", scenario=False, help="run the full regression suite")
     p.add_argument("--golden", metavar="DIR",
                    help="directory of expected ledger reports")
@@ -297,6 +301,9 @@ def main(argv=None) -> int:
 
     try:
         text, status = run(ns.command, scenario, args, **options)
+    except ScenarioError as e:
+        print(f"error: {ns.scenario}: {e}", file=sys.stderr)
+        return 2
     except (CommandError, InvariantError, DecompositionError, EvalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

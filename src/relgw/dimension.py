@@ -289,13 +289,12 @@ def component_index(*, n: int, genus: int, c1: int, marks: int,
 
 
 def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
-                zero, inf, interior=()) -> int:
+                zero, inf) -> int:
     """Index of one genus-0 component sitting at a positive level.
 
     The component lives in the P1-bundle of `setup` in class
     lift(alpha) + fiber_deg * fiber.  `zero` and `inf` are (multiplicity,
-    constraint class in the divisor) lists; `interior` holds absolute
-    insertions with classes in the bundle's basis.  Includes the -1 for the
+    constraint class in the divisor) lists.  Includes the -1 for the
     fiberwise scaling of the level, so a multi-component level should be
     summed with component_index instead.
     """
@@ -306,11 +305,7 @@ def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
     _check_contacts(inf, deg_inf, "infinity", dbasis)
     n = total.n
     codims = sum(n - c.grade for _, c in list(zero) + list(inf))
-    for ins in interior:
-        if ins.relative:
-            raise InvariantError("interior insertions must be absolute")
-        codims += constraint_codim(ins, n)
-    marks = len(list(zero)) + len(list(inf)) + len(list(interior))
+    marks = len(list(zero)) + len(list(inf))
     return component_index(n=n, genus=0,
                            c1=setup.c1_total(alpha, fiber_deg), marks=marks,
                            deg_inf=deg_inf, r_inf=len(list(inf)), codims=codims,

@@ -263,7 +263,7 @@ class SplitIdentity:
     def side_keys(self) -> frozenset[str]:
         """Normalized keys of every side either boundary sum evaluates: the
         only brackets a solution of this identity can give a value."""
-        return frozenset(normalize(side).key()
+        return frozenset(side.key()
                          for left, right in self.groupings()
                          for pair in _sides(self, left, right)
                          for side in pair)
@@ -397,7 +397,7 @@ class Evaluator:
                 equations.append(eq)
         if not equations:
             return None
-        solutions, _free = solve_unknowns(equations)
+        solutions = solve_unknowns(equations)
         if solutions:
             # results memoized while the system was open may be stale
             self._memo.clear()
@@ -722,15 +722,14 @@ def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
             const += v1.value * v2.value
         elif known1 and not known2:
             if v1.value != 0:
-                k = normalize(side2).key()
+                k = side2.key()
                 coeffs[k] = coeffs.get(k, Fraction(0)) + v1.value
         elif known2 and not known1:
             if v2.value != 0:
-                k = normalize(side1).key()
+                k = side1.key()
                 coeffs[k] = coeffs.get(k, Fraction(0)) + v2.value
         else:
-            missing.append(f"{normalize(side1).key()} x "
-                           f"{normalize(side2).key()}")
+            missing.append(f"{side1.key()} x {side2.key()}")
     return const, coeffs, missing
 
 
@@ -758,11 +757,12 @@ def splitting_identity(si: SplitIdentity, ev: Evaluator):
     return eq, ()
 
 
-def solve_unknowns(equations) -> tuple[dict[str, Fraction], tuple[str, ...]]:
+def solve_unknowns(equations) -> dict[str, Fraction]:
     """Gaussian elimination over the rationals.
 
-    Returns (uniquely determined values, free unknowns).  An inconsistent
-    system raises with the origins of the clashing equations.
+    Returns the uniquely determined values by key; an unknown the system
+    leaves underdetermined is absent.  An inconsistent system raises with
+    the origins of the clashing equations.
     """
     variables = sorted({k for eq in equations for k, _ in eq.coeffs})
     index = {k: i for i, k in enumerate(variables)}
@@ -780,11 +780,9 @@ def solve_unknowns(equations) -> tuple[dict[str, Fraction], tuple[str, ...]]:
         raise EvalError(f"inconsistent splitting system via {clash}")
     pivot_of = {col: r for r, col in enumerate(pivots)}
     solutions: dict[str, Fraction] = {}
-    free: list[str] = []
     for col, var in enumerate(variables):
         row = rows[pivot_of[col]] if col in pivot_of else None
-        if row is None or any(row[j] for j in range(len(variables)) if j != col):
-            free.append(var)
-            continue
-        solutions[var] = row[-1]
-    return solutions, tuple(free)
+        if row is not None and not any(
+                row[j] for j in range(len(variables)) if j != col):
+            solutions[var] = row[-1]
+    return solutions

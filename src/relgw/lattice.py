@@ -322,7 +322,7 @@ class LinearFunctional:
 
 @dataclass(frozen=True)
 class LatticeMap:
-    """Basis-to-class map between lattices; linear extension, grade-checked.
+    """Basis-to-class map between lattices; linear extension, grade-preserving.
 
     Row i lists the (target position, coefficient) pairs of the image of
     source element i, or is None where no image is declared."""
@@ -331,7 +331,6 @@ class LatticeMap:
     source: GradedBasis
     target: GradedBasis
     images: tuple[tuple[str, HomologyClass], ...]
-    grade_shift: int = 0
 
     def __post_init__(self):
         rows = [None] * len(self.source.elements)
@@ -339,7 +338,7 @@ class LatticeMap:
             pos, g = self.source._entry(e)
             if img.basis != self.target:
                 raise BasisMismatchError(f"{self.name}: image of {e} outside {self.target.name}")
-            if not img.is_zero and img.grade != g + self.grade_shift:
+            if not img.is_zero and img.grade != g:
                 raise GradeError(f"{self.name}: {e} (grade {g}) mapped to grade {img.grade}")
             rows[pos] = tuple((j, d) for j, d in enumerate(img.vec) if d)
         _set(self, "_rows", tuple(rows))
@@ -355,8 +354,7 @@ class LatticeMap:
                 for j, d in row:
                     out[j] += c * d
         vec = tuple(out)
-        return HomologyClass(self.target, vec,
-                             x.grade + self.grade_shift if any(vec) else None)
+        return HomologyClass(self.target, vec, x.grade if any(vec) else None)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "RunDirective",
     "Scenario",
     "parse_scenario",
-    "serialize",
 ]
 
 
@@ -267,19 +266,25 @@ class _Parser:
             i += 1
         return body, i
 
-    def fields(self, body, allowed, line):
+    def key_value(self, text, lineno, col, allowed, seen):
+        """Split a `key = value` line into (key, value, value column); the
+        key must be in `allowed` and not yet in `seen`."""
+        if "=" not in text:
+            self.fail("expected key = value", lineno, col)
+        key, value = text.split("=", 1)
+        key = key.strip()
+        if key not in allowed:
+            self.fail(f"unknown field {key!r}", lineno, col)
+        if key in seen:
+            self.fail(f"duplicate field {key!r}", lineno, col)
+        vcol = col + text.index("=") + 1 + len(value) - len(value.lstrip())
+        return key, value.strip(), vcol
+
+    def fields(self, body, allowed):
         out = {}
         for lineno, text, col in body:
-            if "=" not in text:
-                self.fail("expected key = value", lineno, col)
-            key, value = text.split("=", 1)
-            key = key.strip()
-            if key not in allowed:
-                self.fail(f"unknown field {key!r}", lineno, col)
-            if key in out:
-                self.fail(f"duplicate field {key!r}", lineno, col)
-            vcol = col + text.index("=") + 1 + len(value) - len(value.lstrip())
-            out[key] = (value.strip(), lineno, vcol)
+            key, value, vcol = self.key_value(text, lineno, col, allowed, out)
+            out[key] = (value, lineno, vcol)
         return out
 
     def section_space(self, args, line, body):
@@ -330,7 +335,7 @@ class _Parser:
         name = args[0]
         self.fresh(name, line, 2)
         got = self.fields(body, ("space", "pair", "genus", "class", "abs",
-                                 "rel"), line)
+                                 "rel"))
         if "space" in got and "pair" in got:
             self.fail("give space= or pair=, not both", got["pair"][1], 1)
         if "genus" not in got or "class" not in got:
@@ -393,6 +398,7 @@ class _Parser:
         matchings: list[tuple[str, str]] = []
         insertions: list[Insertion] = []
         nodes: set[str] = set()
+        seen: set[str] = set()
 
         for lineno, text, col in body:
             if text.startswith("comp "):
@@ -401,10 +407,9 @@ class _Parser:
                 comps.append(self.parse_component(pair, text[5:], lineno,
                                                   col + 5, nodes))
                 continue
-            if "=" not in text:
-                self.fail("expected key = value", lineno, col)
-            key, value = (s.strip() for s in text.split("=", 1))
-            vcol = col + text.index("=") + 2
+            key, value, vcol = self.key_value(text, lineno, col,
+                                              ("pair", "match", "abs"), seen)
+            seen.add(key)
             if key == "pair":
                 pair = self.named_pair(value, lineno, vcol)
             elif key == "match":
@@ -416,14 +421,12 @@ class _Parser:
                         if node not in nodes:
                             self.fail(f"unknown node {node!r}", lineno, icol)
                     matchings.append((a, b))
-            elif key == "abs":
+            else:
                 if pair is None:
                     self.fail("set pair= before abs", lineno, col)
                 for item, icol in _split_list(value, vcol):
                     insertions.append(
                         self.parse_insertion(pair.ambient, item, lineno, icol))
-            else:
-                self.fail(f"unknown field {key!r}", lineno, col)
 
         if pair is None:
             self.fail("strata need a pair= line", line, 1)
@@ -497,94 +500,3 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a scenario file; empty text gives an empty scenario."""
     return _Parser(text).parse()
 
-
-# ---------------------------------------------------------------------------
-# canonical text form
-
-
-def _class_text(scenario: Scenario, c: HomologyClass) -> str:
-    for name, known in scenario.classes.items():
-        if known == c:
-            return name
-    return c.encode()
-
-
-def _insertion_text(scenario: Scenario, ins: Insertion) -> str:
-    text = _class_text(scenario, ins.cls)
-    if ins.pulled_back:
-        text = f"pull({text})"
-    if ins.descendents:
-        text = f"tau{ins.descendents}({text})"
-    if ins.place is not None:
-        text = f"{text}@{ins.place}"
-    return text
-
-
-def _contact_text(scenario: Scenario, c: Contact) -> str:
-    if c.constraint is None:
-        return f"{c.mult}:{c.node}"
-    return f"{c.mult}:{c.node}:{_class_text(scenario, c.constraint)}"
-
-
-def serialize(scenario: Scenario) -> str:
-    """Canonical text that parses back to an equal scenario."""
-    out: list[str] = []
-    owners: dict[str, list[str]] = {}
-    for name, c in scenario.classes.items():
-        for sname, space in scenario.spaces.items():
-            if space.basis is c.basis:
-                owners.setdefault(sname, []).append(name)
-                break
-
-    for sname in scenario.spaces:
-        out.append(f"[space {sname}]")
-        for cname in owners.get(sname, ()):
-            out.append(f"[class {cname} = {scenario.classes[cname].encode()}]")
-    for pname, pair in scenario.pairs.items():
-        out.append(f"[divisor {pname} in {pair.ambient.name}]")
-
-    for iname, spec in scenario.invariants.items():
-        out.append(f"[invariant {iname}]")
-        if spec.pair is not None:
-            out.append(f"pair = {spec.pair.name}")
-        else:
-            out.append(f"space = {spec.space.name}")
-        out.append(f"genus = {spec.genus}")
-        out.append(f"class = {_class_text(scenario, spec.beta)}")
-        if spec.absolutes:
-            out.append("abs = " + ", ".join(
-                _insertion_text(scenario, a) for a in spec.absolutes))
-        if spec.relatives:
-            out.append("rel = " + ", ".join(
-                f"({r.order},{_class_text(scenario, r.cls)})"
-                for r in spec.relatives))
-
-    for sname, stratum in scenario.strata.items():
-        out.append(f"[stratum {sname}]")
-        out.append(f"pair = {stratum.pair.name}")
-        for comp in stratum.components:
-            bits = [f"level={comp.level}", f"genus={comp.genus}"]
-            if comp.level == 0:
-                bits.append(f"class={_class_text(scenario, comp.cls)}")
-            else:
-                alpha = ("0" if comp.alpha.is_zero
-                         else _class_text(scenario, comp.alpha))
-                bits.append(f"alpha={alpha}")
-                if comp.fiber:
-                    bits.append(f"fiber={comp.fiber}")
-            for key, slots in (("zero", comp.zero), ("inf", comp.inf)):
-                if slots:
-                    bits.append(f"{key}=" + ",".join(
-                        _contact_text(scenario, c) for c in slots))
-            out.append("comp " + " ".join(bits))
-        if stratum.matchings:
-            out.append("match = " + ", ".join(
-                f"{a}->{b}" for a, b in stratum.matchings))
-        if stratum.insertions:
-            out.append("abs = " + ", ".join(
-                _insertion_text(scenario, a) for a in stratum.insertions))
-
-    for directive in scenario.runs:
-        out.append("[run " + " ".join((directive.command,) + directive.args)
-                   + "]")
-    return "\n".join(out) + ("\n" if out else "")

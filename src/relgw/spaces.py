@@ -88,17 +88,13 @@ class EffectiveModel:
 class _LineModel(EffectiveModel):
     """Single curve generator: effective classes are its positive multiples."""
 
-    def __init__(self, basis, area, generator: str, min_g: int = 0, **kw):
+    def __init__(self, basis, area, generator: str, **kw):
         super().__init__(basis, area, **kw)
         self.generator = generator
-        self._min_g = min_g
 
     def is_effective(self, c):
         return c.grade == 1 and set(n for n, _ in c.coeffs) == {self.generator} \
             and c.coeff(self.generator) > 0
-
-    def min_genus(self, c):
-        return self._min_g
 
     def _candidates(self, max_area):
         unit = self._unit(self.generator)

@@ -123,15 +123,6 @@ def test_fiber_bubble_is_rigid():
     assert level_index(q, cls(db, {}), 2, [(1, fund), (1, fund)], [(2, pt)]) == 0
 
 
-def test_section_bubble_with_interior_point():
-    q = builtin("q_of:p2blow1_exc")
-    db = q.base.divisor.basis
-    interior = (Insertion(gen(q.total.basis, "pt")),)
-    got = level_index(q, gen(db, "fund"), 0, [(1, gen(db, "fund"))], [],
-                      interior=interior)
-    assert got == 0
-
-
 def test_section_component_with_plane_constraint():
     y = builtin("y_of:p4blow2_hyperplane")
     db = y.base.divisor.basis

@@ -443,17 +443,23 @@ def test_cycle_guard_is_not_memoized():
 
 def test_solve_unknowns():
     one = LinearEquation((("x", Fraction(1)),), Fraction(4), "a")
-    assert solve_unknowns([one]) == ({"x": Fraction(4)}, ())
-    assert solve_unknowns([one, one]) == ({"x": Fraction(4)}, ())
+    assert solve_unknowns([one]) == {"x": Fraction(4)}
+    assert solve_unknowns([one, one]) == {"x": Fraction(4)}
 
     pair_sum = LinearEquation((("x", Fraction(1)), ("y", Fraction(1))),
                               Fraction(6), "b")
     pair_diff = LinearEquation((("x", Fraction(1)), ("y", Fraction(-1))),
                                Fraction(2), "c")
-    solved, free = solve_unknowns([pair_sum, pair_diff])
-    assert solved == {"x": Fraction(4), "y": Fraction(2)} and free == ()
-    solved, free = solve_unknowns([pair_sum])
-    assert solved == {} and free == ("x", "y")
+    assert solve_unknowns([pair_sum, pair_diff]) == {"x": Fraction(4),
+                                                     "y": Fraction(2)}
+    # x + y = 6 alone pins neither; both stay out of the solutions
+    assert solve_unknowns([pair_sum]) == {}
+    # a determined unknown is solved beside underdetermined ones
+    assert solve_unknowns([pair_sum, one]) == {"x": Fraction(4),
+                                               "y": Fraction(2)}
+    z_free = LinearEquation((("y", Fraction(1)), ("z", Fraction(1))),
+                            Fraction(1), "e")
+    assert solve_unknowns([one, z_free]) == {"x": Fraction(4)}
 
     clash = LinearEquation((("x", Fraction(1)),), Fraction(5), "d")
     with pytest.raises(EvalError):

@@ -2,8 +2,10 @@
 `src/relgw` or `perfbench`, and an ast scan fails on one that is not.
 
 A use is a variable, an attribute, an imported name or a string that is an
-identifier (the benchmark tracer names what it wraps by string).  `tests/`
-does not count: a definition only tests read is dead weight in the program.
+identifier (the benchmark tracer names what it wraps by string).  A string
+in an `__all__` assignment is an export, not a use: it lists a name for
+importers and reads nothing.  `tests/` does not count: a definition only
+tests read is dead weight in the program.
 Dunders are exempt, and so are the `section_*` handlers the scenario
 parser dispatches to by building their names.
 """
@@ -25,11 +27,24 @@ def definitions(module: str, source: str) -> list[tuple[str, int, str]]:
             if isinstance(node, _DEFS)]
 
 
+def _exports(tree) -> set[int]:
+    """ids of the nodes inside the values assigned to `__all__`."""
+    return {id(inner) for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and node.value is not None
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target]))
+            for inner in ast.walk(node.value)}
+
+
 def names_used(source: str) -> set[str]:
     """Every name the source reads as a variable, an attribute, an import
-    or an identifier string."""
+    or an identifier string outside `__all__`."""
     used = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    exported = _exports(tree)
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -37,7 +52,7 @@ def names_used(source: str) -> set[str]:
         elif isinstance(node, ast.alias):
             used.add(node.name.rsplit(".", 1)[-1])
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
+              and node.value.isidentifier() and id(node) not in exported):
             used.add(node.value)
     return used
 
@@ -55,6 +70,7 @@ def unread(defined, used) -> list[str]:
 
 def test_detector_finds_unread_definitions():
     source = ('"""never_called in prose does not count."""\n'
+              '__all__ = ["never_called", "Box"]\n'
               'from .x import imported\n'
               'def never_called():\n'
               '    return imported\n'
@@ -74,7 +90,7 @@ def test_detector_finds_unread_definitions():
               '    pass\n')
     defined = definitions("m.py", source)
     assert unread(defined, names_used(source)) == [
-        "m.py:3: never_called", "m.py:11: unread_property"]
+        "m.py:4: never_called", "m.py:12: unread_property"]
     # a use in another file counts, an attribute and an import alike
     other = "from relgw.m import never_called\nBox().unread_property\n"
     assert unread(defined, names_used(source) | names_used(other)) == []

@@ -22,7 +22,7 @@ import sys
 from .decompose import Bounds, DecompositionError, evaluate_decomposition
 from .dimension import (DefinedZero, InvariantError, constraint_codim,
                         expected_dimension, raw_dimension)
-from .kbeval import EvalError, KnowledgeBase, Value, evaluate, seed_table
+from .kbeval import EvalError, Evaluator, KnowledgeBase, Value, seed_table
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .spaces import CatalogError, builtin
 from .strata import multilevel_index, stratum_flags, stratum_key, validate
@@ -102,7 +102,7 @@ def cmd_eval(scenario, args, options):
     if len(args) != 1:
         raise CommandError("usage: eval <invariant>")
     spec = _invariant(scenario, args[0])
-    result = evaluate(spec, _knowledge(options))
+    result = Evaluator(_knowledge(options)).evaluate(spec)
     lines = [f"invariant {args[0]}", f"key {spec.key()}"]
     if isinstance(result, Value):
         lines.append(f"value {result.value}")
@@ -250,7 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg)
         if kb:
             p.add_argument("--kb", metavar="FILE",
-                           help="extra knowledge-base entries to import")
+                           help="extra knowledge-base entries to import, one "
+                                "key<TAB>p/q<TAB>provenance line each")
         return p
 
     add("dim", "invariant", help="print raw/expected dimensions")

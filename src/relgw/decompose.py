@@ -134,13 +134,6 @@ class DecompTerm:
         return self.encode()
 
 
-def total_genus(term: DecompTerm) -> int:
-    """Component genera plus the cycle rank of the connected graph."""
-    comps = term.gamma1 + term.gamma2
-    return graph_genus(sum(c.genus for c in comps), len(term.tails),
-                       len(comps), 1 if comps else 0)
-
-
 # ---------------------------------------------------------------------------
 # effective cones
 

@@ -153,57 +153,6 @@ class InvariantSpec:
         return out
 
 
-def _contact_tokens(contacts) -> str:
-    items = sorted(contacts, key=lambda mc: (-mc[0], mc[1].encode()))
-    return ",".join(f"({m},{c.encode()})" for m, c in items)
-
-
-@dataclass(frozen=True)
-class RubberTriple:
-    """A count in a P1-bundle over the divisor, taken modulo the fiberwise
-    scaling action, with contact data along both distinguished sections.
-
-    `alpha` is the section part of the class (a curve class of the divisor)
-    and `fiber_deg` the fiber part.  `zero` and `inf` list (multiplicity,
-    constraint class in the divisor) per contact point.
-    """
-
-    ruled: RuledSetup
-    genus: int
-    alpha: HomologyClass
-    fiber_deg: int
-    zero: tuple[tuple[int, HomologyClass], ...]
-    inf: tuple[tuple[int, HomologyClass], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "zero", tuple(self.zero))
-        object.__setattr__(self, "inf", tuple(self.inf))
-        if self.genus < 0:
-            raise InvariantError("genus must be >= 0")
-        dbasis = self.ruled.base.divisor.basis.name
-        if self.alpha.basis.name != dbasis:
-            raise InvariantError("section part must be a divisor curve class")
-        degs = self.ruled.end_degrees(self.alpha, self.fiber_deg)
-        for contacts, deg, side in zip((self.zero, self.inf), degs,
-                                       ("zero", "infinity")):
-            _check_contacts(contacts, deg, side, dbasis)
-
-    def key(self) -> str:
-        return (f"rubber:{self.ruled.base.name};g={self.genus};"
-                f"a={self.alpha.encode()};f={self.fiber_deg};"
-                f"zero={_contact_tokens(self.zero)};inf={_contact_tokens(self.inf)}")
-
-    def mirrored(self) -> "RubberTriple":
-        """Swap the roles of the two sections.
-
-        Only defined when the section part meets both of them equally,
-        which covers every fiber-class count; anything else fails the
-        contact-sum check on construction.
-        """
-        return RubberTriple(self.ruled, self.genus, self.alpha, self.fiber_deg,
-                            self.inf, self.zero)
-
-
 def _check_contacts(contacts, deg: int, side: str, dbasis: str) -> None:
     for m, c in contacts:
         if m < 1:

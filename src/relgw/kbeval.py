@@ -1,15 +1,18 @@
 """Invariant values: the knowledge base, rewrite rules, and a linear solver.
 
 Values come from three places.  A small seed table holds the counts that the
-genus-zero machinery cannot produce (genus-one section counts, the double
-cover count, rubber values).  Rewrite rules reduce one bracket to others and
-are value-preserving by the identity each rule encodes.  Finally, four-point
+rules and identities do not produce (genus-one section counts, the double
+cover count, the line counts in P3 and the exceptional planes, the ruling
+of S2xS2).  Rewrite rules reduce one bracket to others and are
+value-preserving by the identity each rule encodes.  Finally, four-point
 splitting identities give linear equations whose solution fills in unknowns
 such as the conic count through two points and four lines.
 
-`Evaluator` orchestrates: knowledge-base lookup, vanishing verdict, rules in
-a fixed order, then the splitting solver, memoizing along the way.  Every
-value carries a trace naming the rules and entries it used.
+Every knowledge-base key is an `InvariantSpec.key()` and every value an
+exact `Fraction`.  `Evaluator` orchestrates: knowledge-base lookup,
+vanishing verdict, rules in a fixed order, then the splitting solver,
+memoizing along the way.  Every value carries a trace naming the rules and
+entries it used.
 
 The fixed tables (the seed entries, the hyperplane restrictions, the
 identities and each identity's side keys) are built once per process; an
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .dimension import (Insertion, InvariantError, InvariantSpec, RubberTriple,
+from .dimension import (Insertion, InvariantError, InvariantSpec,
                         _abs_sort_key, _rel_sort_key)
 from .lattice import HomologyClass, cls, gen, row_reduce
 from .spaces import DivisorPair, Space, builtin
@@ -40,28 +43,25 @@ class EvalError(Exception):
     """Conflicting or malformed knowledge-base state."""
 
 
-NONZERO = "nonzero"
-
-
 @dataclass(frozen=True)
 class KBEntry:
-    """One stored value.  `value` None means "known nonzero, value unknown"."""
+    """One stored value: the `InvariantSpec.key()` of a count, its exact
+    value and where the value came from."""
 
     key: str
-    value: Fraction | None
+    value: Fraction
     provenance: str
 
     def value_text(self) -> str:
-        if self.value is None:
-            return NONZERO
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
 class KnowledgeBase:
-    """Append-only store of canonical-key -> value.
+    """Append-only store of `InvariantSpec.key()` -> exact value.
 
     Entries from another base (a `--kb` file) come in through `merge`, which
-    rejects conflicting values.
+    rejects conflicting values.  The text form (`dump`, `parse`) is one
+    `key<TAB>p/q<TAB>provenance` line per entry.
     """
 
     def __init__(self, entries=()):
@@ -81,7 +81,7 @@ class KnowledgeBase:
     def entries(self) -> tuple[KBEntry, ...]:
         return tuple(self._entries[k] for k in sorted(self._entries))
 
-    def add(self, key: str, value: Fraction | None, provenance: str) -> bool:
+    def add(self, key: str, value: Fraction, provenance: str) -> bool:
         """Store a value; returns False if the key was already present.
 
         Adding a different value for a known key is a hard error: the base
@@ -93,7 +93,7 @@ class KnowledgeBase:
                 raise EvalError(
                     f"conflicting values for {key}: {old.value} vs {value}")
             return False
-        if value is not None and not isinstance(value, Fraction):
+        if not isinstance(value, Fraction):
             value = Fraction(value)
         self._entries[key] = KBEntry(key, value, provenance)
         return True
@@ -121,14 +121,11 @@ class KnowledgeBase:
             if len(parts) != 3:
                 raise EvalError(f"line {lineno}: expected 3 tab fields")
             key, valtext, prov = parts
-            if valtext == NONZERO:
-                value = None
-            else:
-                try:
-                    num, den = valtext.split("/")
-                    value = Fraction(int(num), int(den))
-                except ValueError as err:
-                    raise EvalError(f"line {lineno}: bad value {valtext!r}") from err
+            try:
+                num, den = valtext.split("/")
+                value = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError) as err:
+                raise EvalError(f"line {lineno}: bad value {valtext!r}") from err
             kb.add(key, value, prov)
         return kb
 
@@ -196,16 +193,6 @@ def seed_table() -> KnowledgeBase:
                              (Insertion(gen(DB.basis, "eps" + j), order=1),)).key(),
                Fraction(1), "seed(exceptional-plane)")
 
-    q2 = builtin("q_of:p2_hyperplane")
-    P1 = q2.base.divisor
-    nothing = cls(P1.basis, {})
-    fiber2 = RubberTriple(q2, 0, nothing, 2,
-                          ((1, P1.fundamental), (1, P1.fundamental)),
-                          ((2, P1.point),))
-    kb.add(fiber2.key(), Fraction(1), "seed(rubber-fiber)")
-    positive = RubberTriple(q2, 0, P1.fundamental, 2,
-                            ((1, P1.point),), ((2, P1.point),))
-    kb.add(positive.key(), None, "seed(rubber-positive)")
     _SEEDED.extend(kb.entries())
     return kb
 
@@ -310,9 +297,7 @@ class Evaluator:
 
     # -- entry points ------------------------------------------------------
 
-    def evaluate(self, spec) -> Value | Unknown:
-        if isinstance(spec, RubberTriple):
-            return self._rubber(spec)
+    def evaluate(self, spec: InvariantSpec) -> Value | Unknown:
         spec = normalize(spec)
         key = spec.key()
         if key in self._memo:
@@ -328,26 +313,11 @@ class Evaluator:
         self._memo[key] = result
         return result
 
-    def _rubber(self, triple: RubberTriple) -> Value | Unknown:
-        hit = self.kb.get(triple.key())
-        label = triple.key()
-        if hit is None:
-            mirror = triple.mirrored()
-            hit = self.kb.get(mirror.key())
-            label = f"{mirror.key()} (mirrored)"
-        if hit is None:
-            return Unknown((f"no-rubber-value: {triple.key()}",))
-        if hit.value is None:
-            return Unknown((f"known-nonzero-only: {label}",))
-        return Value(hit.value, (f"kb: {label} [{hit.provenance}]",))
-
     # -- core --------------------------------------------------------------
 
     def _compute(self, spec: InvariantSpec, key: str) -> Value | Unknown:
         hit = self.kb.get(key)
         if hit is not None:
-            if hit.value is None:
-                return Unknown((f"known-nonzero-only: {key}",))
             return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         verdict = decide(spec)
         if verdict.is_zero:
@@ -405,7 +375,7 @@ class Evaluator:
         for skey, val in sorted(solutions.items()):
             self.kb.add(skey, val, f"derived(splitting:{origin})")
         hit = self.kb.get(key)
-        if hit is not None and hit.value is not None:
+        if hit is not None:
             return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         return None
 
@@ -418,10 +388,6 @@ class Evaluator:
                 ok = False  # no effective model to check against
             self._hyp[hkey] = ok
         return self._hyp[hkey]
-
-
-def evaluate(spec, kb: KnowledgeBase) -> Value | Unknown:
-    return Evaluator(kb).evaluate(spec)
 
 
 # -- rewrite rules -----------------------------------------------------------
@@ -539,7 +505,7 @@ def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
     alpha = cls(D.basis, {e: c // 2 for e, c in double.coeffs})
     seed_key = InvariantSpec(D, 0, double, (), ()).key()
     hit = ev.kb.get(seed_key)
-    if hit is None or hit.value is None:
+    if hit is None:
         return None
     pairing = D.products.point_coefficient([tail.cls, alpha])
     value = hit.value * 2 * pairing

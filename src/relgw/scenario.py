@@ -144,6 +144,15 @@ class _Parser:
             return c
         return self.parse_comb(space.basis, text, line, col)
 
+    def resolve_curve(self, key, space, text, line, col) -> HomologyClass:
+        """resolve_class for the `key=` field, which takes a curve class:
+        zero (degree-zero counts) or of grade 1."""
+        c = self.resolve_class(space, text, line, col)
+        if not c.is_zero and c.grade != 1:
+            self.fail(f"{key} must be a curve class, got grade {c.grade}",
+                      line, col)
+        return c
+
     def parse_insertion(self, space, text, line, col) -> Insertion:
         place = None
         at = text.rfind("@")
@@ -363,7 +372,7 @@ class _Parser:
         genus = int(value)
 
         value, lineno, col = got["class"]
-        beta = self.resolve_class(space, value, lineno, col)
+        beta = self.resolve_curve("class", space, value, lineno, col)
 
         absolutes = []
         if "abs" in got:
@@ -476,13 +485,13 @@ class _Parser:
             if level == 0:
                 if "class" not in got:
                     self.fail("level-0 components need class=", lineno, col)
-                c = self.resolve_class(pair.ambient, got["class"][0], lineno,
-                                       got["class"][1])
+                c = self.resolve_curve("class", pair.ambient, got["class"][0],
+                                       lineno, got["class"][1])
                 return LevelComponent(0, genus, cls=c, zero=zero, inf=inf)
             if "alpha" not in got:
                 self.fail("positive-level components need alpha=", lineno, col)
-            alpha = self.resolve_class(pair.divisor, got["alpha"][0], lineno,
-                                       got["alpha"][1])
+            alpha = self.resolve_curve("alpha", pair.divisor, got["alpha"][0],
+                                       lineno, got["alpha"][1])
             return LevelComponent(level, genus, alpha=alpha, fiber=fiber,
                                   zero=zero, inf=inf)
         except InvariantError as e:

@@ -9,10 +9,11 @@ from relgw import cli, decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
                              PulledBack, compare_abs_rel,
                              enumerate_terms, evaluate_decomposition,
-                             split_form, total_genus)
+                             split_form)
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
+from relgw.strata import graph_genus
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -120,7 +121,7 @@ def test_section_census():
         "g1=[f;g0;pt]|g2=[f+fund_0;g1;]|tails=(1,fund)@0:0",
     ]
     assert all(t.multiplicity == 1 for t in terms)
-    assert all(total_genus(t) == 1 for t in terms)
+    assert all(term_genus(t) == 1 for t in terms)
 
 
 def test_section_evaluation():
@@ -450,9 +451,17 @@ def test_budget_is_kept_where_the_inclusion_changes_areas():
 # -- structural invariants of every emitted term -------------------------
 
 
+def term_genus(term):
+    """The genus of a term's curve: its graph is connected, so the cycle
+    rank is tails - components + 1."""
+    comps = term.gamma1 + term.gamma2
+    return graph_genus(sum(c.genus for c in comps), len(term.tails),
+                       len(comps), 1 if comps else 0)
+
+
 def check_term_shape(setup, spec, term):
     X, D = setup.total, setup.left.divisor
-    assert total_genus(term) == spec.genus
+    assert term_genus(term) == spec.genus
     combined = X.zero()
     for comp in term.gamma1:
         combined = combined + comp.cls

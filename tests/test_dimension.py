@@ -5,7 +5,7 @@ import random
 import pytest
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
-                             InvariantSpec, RubberTriple, component_index,
+                             InvariantSpec, component_index,
                              constraint_codim, expected_dimension,
                              level_index, projection_index, raw_dimension)
 from relgw.lattice import cls, gen
@@ -242,28 +242,3 @@ def test_main_stratum_index_equals_expected_dimension():
     got = component_index(n=2, genus=0, c1=6, marks=4, deg_inf=2, r_inf=1,
                           codims=2)
     assert got == expected_dimension(spec) == 6
-
-
-def test_rubber_triple_keys_and_mirror():
-    q = builtin("q_of:p2_hyperplane")
-    db = q.base.divisor.basis
-    fund, pt = gen(db, "fund"), gen(db, "pt")
-    r = RubberTriple(q, 0, cls(db, {}), 2,
-                     zero=((1, fund), (1, fund)), inf=((2, pt),))
-    assert r.key() == "rubber:p2_hyperplane;g=0;a=0;f=2;zero=(1,fund),(1,fund);inf=(2,pt)"
-    m = r.mirrored()
-    assert m.key() == "rubber:p2_hyperplane;g=0;a=0;f=2;zero=(2,pt);inf=(1,fund),(1,fund)"
-    assert m.mirrored().key() == r.key()
-
-    lifted = RubberTriple(q, 0, gen(db, "fund"), 2,
-                          zero=((1, pt),), inf=((2, pt),))
-    with pytest.raises(InvariantError):
-        lifted.mirrored()
-
-
-def test_rubber_contact_sums_checked():
-    q = builtin("q_of:p2_hyperplane")
-    db = q.base.divisor.basis
-    with pytest.raises(InvariantError):
-        RubberTriple(q, 0, cls(db, {}), 2, zero=((1, gen(db, "fund")),),
-                     inf=((2, gen(db, "pt")),))

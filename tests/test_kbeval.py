@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from relgw import kbeval
-from relgw.dimension import Insertion, InvariantSpec, RubberTriple
+from relgw.dimension import Insertion, InvariantSpec
 from relgw.kbeval import (
     EvalError,
     Evaluator,
@@ -55,7 +55,7 @@ CONICS = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
 
 def test_seed_table_round_trips():
     kb = seed_table()
-    assert len(kb) == 13
+    assert len(kb) == 11
     text = kb.dump()
     again = KnowledgeBase.parse(text)
     assert again.dump() == text
@@ -70,8 +70,6 @@ pair:p4blow2_hyperplane;g=0;b=eps2;abs=sig2,sig2;rel=(1,eps2)\t1/1\tseed(excepti
 pair:t2_ruled_section;g=1;b=f+s;abs=pt;rel=\t1/1\tseed(torus-sections)
 pair:y_of:t2_ruled_section;g=1;b=f+fund_0;abs=;rel=(1,pt)\t1/1\tseed(torus-sections)
 pair:y_of:t2_ruled_section;g=1;b=f+fund_0;abs=pt;rel=(1,fund)\t2/1\tseed(torus-sections)
-rubber:p2_hyperplane;g=0;a=0;f=2;zero=(1,fund),(1,fund);inf=(2,pt)\t1/1\tseed(rubber-fiber)
-rubber:p2_hyperplane;g=0;a=fund;f=2;zero=(1,pt);inf=(2,pt)\tnonzero\tseed(rubber-positive)
 space:p3;g=0;b=lambda;abs=lambda,lambda,lambda,lambda\t2/1\tseed(four-lines)
 space:p3;g=0;b=lambda;abs=pt,lambda,lambda\t1/1\tseed(point-two-lines)
 space:p3;g=0;b=lambda;abs=pt,pt,pi\t1/1\tseed(two-points-plane)
@@ -89,7 +87,7 @@ def test_seed_tables_are_independent():
     assert value_of(Evaluator(first).evaluate(CONICS)) == 4
     assert first.get(CONICS.key()).provenance.startswith("derived(splitting")
     second = seed_table()
-    assert len(second) == 13
+    assert len(second) == 11
     assert extra not in second and CONICS.key() not in second
     assert second.dump() == SEED_DUMP
 
@@ -107,7 +105,7 @@ def test_kb_merge():
     a.add("x", Fraction(1), "seed(a)")
     b = KnowledgeBase()
     b.add("x", Fraction(1), "seed(a)")
-    b.add("y", None, "seed(b)")
+    b.add("y", Fraction(2), "seed(b)")
     assert a.merge(b) == 1
     bad = KnowledgeBase()
     bad.add("x", Fraction(3), "seed(c)")
@@ -474,32 +472,7 @@ def test_duals_follow_the_intersection_form():
         builtin("t2_ruled").duals  # s pairs with both f and itself
 
 
-# -- rubber and seeds --------------------------------------------------------
-
-
-def rubber_fixture():
-    q = builtin("q_of:p2_hyperplane")
-    P1 = q.base.divisor
-    return q, P1
-
-
-def test_rubber_mirror_lookup():
-    q, P1 = rubber_fixture()
-    flipped = RubberTriple(q, 0, cls(P1.basis, {}), 2, ((2, P1.point),),
-                           ((1, P1.fundamental), (1, P1.fundamental)))
-    assert flipped.key() not in seed_table()  # only its mirror is seeded
-    r = Evaluator(seed_table()).evaluate(flipped)
-    assert value_of(r) == 1
-    assert any("mirrored" in t for t in r.trace)
-
-
-def test_rubber_positive_part_stays_symbolic():
-    q, P1 = rubber_fixture()
-    triple = RubberTriple(q, 0, P1.fundamental, 2, ((1, P1.point),),
-                          ((2, P1.point),))
-    r = Evaluator(seed_table()).evaluate(triple)
-    assert isinstance(r, Unknown)
-    assert any("known-nonzero-only" in b for b in r.blockers)
+# -- seeds -------------------------------------------------------------------
 
 
 def test_genus_one_section_seeds():

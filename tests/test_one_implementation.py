@@ -10,9 +10,13 @@ second copy.
   on integer vectors: in `decompose.py` and `strata.py` a started sum
   `sum(items, start)`, which builds a class sum, appears only in
   `decompose._side_sum` and the ledger total.
+- No function or class name is defined at the top level of two modules:
+  a second definition under a taken name is a second implementation that
+  the unread-definition scan cannot tell from the first.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "relgw"
@@ -132,3 +136,32 @@ def test_multisets_are_filtered_without_class_sums():
         found += started_sums(module,
                               (SRC / module).read_text(encoding="utf-8"))
     assert found == []
+
+
+def shared_definitions(sources) -> dict[str, list[str]]:
+    """name -> modules, for every function or class name defined at the top
+    level of more than one of `sources` (module -> source text)."""
+    owners = defaultdict(list)
+    for module, source in sorted(sources.items()):
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                owners[top.name].append(module)
+    return {name: mods for name, mods in owners.items() if len(mods) > 1}
+
+
+def test_shared_definition_detector():
+    sources = {"strata.py": "def total_genus(s):\n    return 0\n"
+                            "class Ledger:\n    pass\n",
+               "decompose.py": "def total_genus(t):\n    return 1\n"
+                               "Ledger = None\n"
+                               "def _helper():\n"
+                               "    def total_genus():\n        pass\n"}
+    assert shared_definitions(sources) == {
+        "total_genus": ["decompose.py", "strata.py"]}
+
+
+def test_no_name_is_defined_in_two_modules():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert shared_definitions(sources) == {}

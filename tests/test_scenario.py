@@ -155,6 +155,15 @@ MALFORMED = {
                          5, 6, "level-0 components need class="),
     "level-alpha": (P2_STRATUM + "comp level=1 fiber=1 zero=1:a inf=1:b\n",
                     5, 6, "positive-level components need alpha="),
+    "class-grade": (P3_INVARIANT + "class = pt\n",
+                    5, 9, "class must be a curve class, got grade 0"),
+    "class-fund": (P3_INVARIANT + "class = fund\n",
+                   5, 9, "class must be a curve class, got grade 3"),
+    "level-zero-class-grade": (P2_STRATUM + "comp level=0 class=pt inf=1:a\n",
+                               5, 20, "class must be a curve class, got grade 0"),
+    "alpha-grade": (P2_STRATUM
+                    + "comp level=1 alpha=pt fiber=1 zero=1:a inf=1:b\n",
+                    5, 20, "alpha must be a curve class, got grade 0"),
     "empty-run": ("[run]\n", 1, 1, "usage: [run <command> <args...>]"),
     "header": ("genus = 0\n" + P3, 1, 1, "expected a [section] header"),
     "space-body": (P3 + "genus = 0\n", 2, 1, "[space] sections take no body"),
@@ -265,7 +274,10 @@ def test_exit_two_on_mixed_grades(tmp_path, capsys):
     "only-two\tfields",
     "key\tnot-a-number\tprov",
     "space:s2xs2;g=0;b=a1;abs=pt\t2/1\tconflict",
-], ids=["two-fields", "bad-value", "conflicts-with-seed"])
+    "key\t1/0\tprov",
+    "key\tnonzero\tprov",
+], ids=["two-fields", "bad-value", "conflicts-with-seed", "zero-denominator",
+        "nonzero"])
 def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     path = tmp_path / "extra.kb"
     path.write_text(line + "\n", encoding="utf-8")

@@ -14,13 +14,14 @@ from fractions import Fraction
 
 from .decompose import compare_abs_rel, enumerate_terms, evaluate_decomposition
 from .dimension import (Insertion, InvariantSpec, expected_dimension,
-                        level_index, projection_index)
+                        projection_index)
 from .kbeval import (Evaluator, KnowledgeBase, Value, _grouping_sum, seed_table,
                      standard_identities)
 from .lattice import cls, gen
 from .spaces import builtin
 from .strata import (Contact, LevelComponent, StratumType, _partitions,
-                     enumerate_strata, multilevel_index, stratum_flags)
+                     component_index, enumerate_strata, multilevel_index,
+                     stratum_flags)
 from .vanishing import NEGATIVE_INTERSECTION, ZERO, decide
 
 __all__ = ["CheckFailure", "run_all", "CHECKS"]
@@ -130,7 +131,7 @@ def check_dimension_suite():
          "two-level torus stratum must carry its index flag")
 
 
-# -- 2: level index equals its projection --------------------------------
+# -- 2: a positive-level component's index equals its projection ---------
 
 
 def check_projection_identity():
@@ -143,9 +144,10 @@ def check_projection_identity():
         setup = builtin(name)
         D = setup.base.divisor
         curves = D.basis.names(1)
-        names = list(D.basis.names())
+        named = [gen(D.basis, x) for x in D.basis.names()]
         for box in itertools.product(range(-3, 4), repeat=len(curves)):
             alpha = cls(D.basis, dict(zip(curves, box)))
+            c1_alpha = D.c1(alpha)
             for deg in range(0, 5):
                 if alpha.is_zero and deg == 0:
                     continue
@@ -159,17 +161,19 @@ def check_projection_identity():
                         flat = zp + ip
                         plans = (
                             [D.fundamental] * len(flat),
-                            [gen(D.basis, names[k % len(names)])
-                             for k in range(len(flat))],
+                            [named[k % len(named)] for k in range(len(flat))],
                         )
                         for plan in plans:
-                            marked = list(zip(flat, plan))
-                            zero = marked[:len(zp)]
-                            inf = marked[len(zp):]
-                            got = level_index(setup, alpha, deg, zero, inf)
-                            delta = sum(c.grade for _, c in marked)
+                            ends = [Contact(f"e{k}", m, c) for k, (m, c)
+                                    in enumerate(zip(flat, plan))]
+                            comp = LevelComponent(
+                                1, 0, alpha=alpha, fiber=deg,
+                                zero=ends[:len(zp)], inf=ends[len(zp):])
+                            # less one for the scaling of the level
+                            got = component_index(setup.base, setup, comp) - 1
+                            delta = sum(c.grade for c in plan)
                             want = projection_index(
-                                setup.total.n, D.c1(alpha), len(flat), delta)
+                                setup.total.n, c1_alpha, len(flat), delta)
                             need(got == want,
                                  f"{name} alpha={alpha.encode()} d={deg} "
                                  f"zero={zp} inf={ip}: {got} != {want}")

@@ -883,9 +883,7 @@ def _is_distinguished(setup: FiberSumSetup, spec: InvariantSpec,
     return all(t.order == 1 and t.cls == D.fundamental for t in term.tails)
 
 
-def compare_abs_rel(setup: FiberSumSetup, spec: InvariantSpec,
-                    bounds: Bounds | None = None,
-                    kb: KnowledgeBase | None = None):
+def compare_abs_rel(setup: FiberSumSetup, spec: InvariantSpec):
     """Difference between the absolute count and its relative counterpart.
 
     The distinguished term of the splitting is the relative count itself;
@@ -897,7 +895,7 @@ def compare_abs_rel(setup: FiberSumSetup, spec: InvariantSpec,
         if _place(ins) == "Y":
             raise DecompositionError(
                 "comparison needs every constraint on the original side")
-    ledger = evaluate_decomposition(setup, spec, bounds=bounds, kb=kb)
+    ledger = evaluate_decomposition(setup, spec)
     difference = Fraction(0)
     for report in ledger.reports:
         if _is_distinguished(setup, spec, report.term):

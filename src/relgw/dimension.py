@@ -3,9 +3,9 @@
 Everything here is exact integer bookkeeping.  The raw dimension of a moduli
 problem ignores homological constraints; each constraint subtracts its
 codimension, and a count is admissible exactly when the result is zero.
-Multi-level strata are indexed per component, with one reparametrization
-count per positive level and a matching correction per internal node; those
-two corrections are applied by the strata module, not here.
+Multi-level strata are indexed by the strata module, one index per level
+component; `projection_index` here is the closed form that a genus-0
+component at a positive level is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import HomologyClass
-from .spaces import DivisorPair, RuledSetup, Space
+from .spaces import DivisorPair, Space
 
 
 class InvariantError(Exception):
@@ -153,20 +153,6 @@ class InvariantSpec:
         return out
 
 
-def _check_contacts(contacts, deg: int, side: str, dbasis: str) -> None:
-    for m, c in contacts:
-        if m < 1:
-            raise InvariantError("contact multiplicities must be >= 1")
-        if c.basis.name != dbasis or c.is_zero or c.grade is None:
-            raise InvariantError(f"bad contact constraint at {side}")
-    if deg < 0:
-        # the class misses this section; excess stays in the index formula
-        if contacts:
-            raise InvariantError(f"contacts at {side} but degree {deg} < 0")
-    elif sum(m for m, _ in contacts) != deg:
-        raise InvariantError(f"contact multiplicities at {side} must sum to {deg}")
-
-
 # ---------------------------------------------------------------------------
 # dimension formulas
 
@@ -214,59 +200,14 @@ def expected_dimension(spec: InvariantSpec, markers=()) -> int:
     return total
 
 
-# ---------------------------------------------------------------------------
-# per-component and per-level indices
-
-
-def component_index(*, n: int, genus: int, c1: int, marks: int,
-                    deg_inf: int, r_inf: int, codims: int,
-                    deg_zero: int | None = None, r_zero: int = 0) -> int:
-    """Index of a single component of a level curve.
-
-    `marks` counts every special point on the component: contact nodes on
-    both sides plus interior marked points.  `codims` is the total constraint
-    codimension carried by those points.  Bottom-level components touch only
-    one divisor, hence deg_zero=None there.  Degrees enter through their
-    excess over the number of contacts and are kept even when negative.
-    The reparametrization count of the level is not included.
-    """
-    total = n * (1 - genus) + c1 + 3 * (genus - 1) + marks
-    total -= deg_inf - r_inf
-    if deg_zero is not None:
-        total -= deg_zero - r_zero
-    return total - codims
-
-
-def level_index(setup: RuledSetup, alpha: HomologyClass, fiber_deg: int,
-                zero, inf) -> int:
-    """Index of one genus-0 component sitting at a positive level.
-
-    The component lives in the P1-bundle of `setup` in class
-    lift(alpha) + fiber_deg * fiber.  `zero` and `inf` are (multiplicity,
-    constraint class in the divisor) lists.  Includes the -1 for the
-    fiberwise scaling of the level, so a multi-component level should be
-    summed with component_index instead.
-    """
-    dbasis = setup.base.divisor.basis.name
-    total = setup.total
-    deg_zero, deg_inf = setup.end_degrees(alpha, fiber_deg)
-    _check_contacts(zero, deg_zero, "zero", dbasis)
-    _check_contacts(inf, deg_inf, "infinity", dbasis)
-    n = total.n
-    codims = sum(n - c.grade for _, c in list(zero) + list(inf))
-    marks = len(list(zero)) + len(list(inf))
-    return component_index(n=n, genus=0,
-                           c1=setup.c1_total(alpha, fiber_deg), marks=marks,
-                           deg_inf=deg_inf, r_inf=len(list(inf)), codims=codims,
-                           deg_zero=deg_zero, r_zero=len(list(zero))) - 1
-
-
 def projection_index(n: int, c1_alpha: int, contacts: int, delta: int) -> int:
     """Dimension of the projected count down in the divisor.
 
     For a genus-0 component at a positive level with `contacts` contact
     points whose constraint classes have total grade `delta`, this equals
-    level_index; the identity is exercised by the test grid.
+    the index the strata module gives that component, less one for the
+    scaling of the level; `acceptance.check_projection_identity` walks the
+    identity over a grid.
     """
     return (n - 1) + c1_alpha + contacts - 3 + delta - contacts * (n - 1)
 

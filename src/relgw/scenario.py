@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .dimension import Insertion, InvariantError, InvariantSpec
+from .dimension import _PLACES, Insertion, InvariantError, InvariantSpec
 from .lattice import GradeError, HomologyClass, cls
 from .spaces import CatalogError, DivisorPair, Space, builtin
 from .strata import Contact, LevelComponent, StratumType
@@ -68,7 +68,6 @@ _HEADER = re.compile(r"\[\s*(" + _NAME + r")((?:\s+[^\s\]]+)*)\s*\]\s*$")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?P<frac>/\d+)?\s*\*\s*)?(?P<name>"
     + _NAME + r")")
-_PLACES = ("X", "Y", "split")
 _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 
 

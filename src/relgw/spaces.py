@@ -695,28 +695,14 @@ def _pair_s2xs2(x: Space, d: Space) -> DivisorPair:
 
 _CACHE: dict[str, object] = {}
 
-_ALIASES = {
-    "pn:1": "p1", "pn:2": "p2", "pn:3": "p3", "pn:4": "p4",
-    "p2blow1": "p2blow1", "p4blow2_with_hyperplane": "p4blow2_hyperplane",
-    "ruled_t2_deg1": "t2_ruled_section",
-}
-
-
-def _normalize(name: str) -> str:
-    key = name.strip().lower()
-    key = key.replace("q_of(", "q_of:").replace("y_of(", "y_of:")
-    key = key.replace("fibersum_of(", "fibersum_of:")
-    key = key.rstrip(")")
-    return _ALIASES.get(key, key)
-
 
 def builtin(name: str):
-    """Return a catalog Space, DivisorPair, RuledSetup or FiberSumSetup by id."""
-    key = _normalize(name)
-    if key in _CACHE:
-        return _CACHE[key]
-    obj = _build(key)
-    _CACHE[key] = obj
+    """Return a catalog Space, DivisorPair, RuledSetup or FiberSumSetup by
+    its exact id."""
+    if name in _CACHE:
+        return _CACHE[name]
+    obj = _build(name)
+    _CACHE[name] = obj
     return obj
 
 

@@ -16,7 +16,7 @@ from itertools import permutations, product
 from operator import attrgetter
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
-                        component_index, constraint_codim, raw_dimension)
+                        constraint_codim, raw_dimension)
 from .lattice import HomologyClass, cls as make_cls, gen, row_reduce
 from .spaces import CatalogError, DivisorPair, RuledSetup, builtin
 
@@ -119,11 +119,13 @@ def _enc(c: HomologyClass | None) -> str:
     return "" if c is None else c.encode()
 
 
-def _component_degrees(s: StratumType, comp: LevelComponent):
-    """(zero-side degree or None, infinity-side degree) from the catalog."""
+def _component_degrees(pair: DivisorPair, q: RuledSetup | None,
+                       comp: LevelComponent):
+    """(zero-side degree or None, infinity-side degree) from the catalog;
+    a positive-level component lives in the bundle `q` over the divisor."""
     if comp.level == 0:
-        return None, s.pair.contact_count(comp.cls)
-    return neck_model(s.pair).end_degrees(comp.alpha, comp.fiber)
+        return None, pair.contact_count(comp.cls)
+    return q.end_degrees(comp.alpha, comp.fiber)
 
 
 def _nodes(s: StratumType):
@@ -154,10 +156,11 @@ def validate(s: StratumType) -> list[str]:
         out.append("level-gap")
 
     dbasis = s.pair.divisor.basis.name
+    q = neck_model(s.pair) if depth >= 1 else None
     for comp in s.components:
         if comp.level == 0 and comp.zero:
             out.append("level0-zero-contact")
-        degz, degi = _component_degrees(s, comp)
+        degz, degi = _component_degrees(s.pair, q, comp)
         for deg, contacts in ((degz, comp.zero), (degi, comp.inf)):
             if deg is None:
                 continue
@@ -254,25 +257,38 @@ def total_genus(s: StratumType) -> int:
                        len(s.components), _graph_components(s))
 
 
+def component_index(pair: DivisorPair, q: RuledSetup | None,
+                    comp: LevelComponent) -> int:
+    """Index of one component, without the reparametrization of its level.
+
+    A positive-level component lives in the bundle `q` over the divisor of
+    `pair`.  Every end is a marked point.  An end's degree enters through
+    its excess over the contacts there and is kept even when negative; an
+    unconstrained contact costs what the fundamental class costs.
+    """
+    n = pair.ambient.n
+    degz, degi = _component_degrees(pair, q, comp)
+    if comp.level == 0:
+        c1 = pair.ambient.c1(comp.cls)
+    else:
+        c1 = q.c1_total(comp.alpha, comp.fiber)
+    ends = comp.zero + comp.inf
+    total = n * (1 - comp.genus) + c1 + 3 * (comp.genus - 1) + len(ends)
+    total -= degi - len(comp.inf)
+    if degz is not None:
+        total -= degz - len(comp.zero)
+    return total - sum(n - (n - 1 if c.constraint is None else c.constraint.grade)
+                       for c in ends)
+
+
 def multilevel_index(s: StratumType) -> int:
     """Expected dimension of the stratum inside the full count."""
     bad = validate(s)
     if bad:
         raise InvariantError("invalid stratum: " + ",".join(bad))
-    X = s.pair.ambient
-    n = X.n
+    n = s.pair.ambient.n
     q = neck_model(s.pair) if s.depth >= 1 else None
-    total = 0
-    for comp in s.components:
-        degz, degi = _component_degrees(s, comp)
-        c1 = X.c1(comp.cls) if comp.level == 0 else q.c1_total(comp.alpha, comp.fiber)
-        codims = sum(n - (n - 1 if c.constraint is None else c.constraint.grade)
-                     for c in comp.zero + comp.inf)
-        total += component_index(
-            n=n, genus=comp.genus, c1=c1,
-            marks=len(comp.zero) + len(comp.inf),
-            deg_inf=degi, r_inf=len(comp.inf), codims=codims,
-            deg_zero=degz, r_zero=len(comp.zero))
+    total = sum(component_index(s.pair, q, comp) for comp in s.components)
     total -= s.depth                      # one reparametrization per level
     for ins in s.insertions:
         total += 1 - constraint_codim(ins, n)

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
-                             InvariantSpec, component_index,
-                             constraint_codim, expected_dimension,
-                             level_index, projection_index, raw_dimension)
+                             InvariantSpec, constraint_codim,
+                             expected_dimension, projection_index,
+                             raw_dimension)
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
+from relgw.strata import (Contact, LevelComponent, StratumType,
+                          component_index, multilevel_index, validate)
 
 
 def rel(pair, order, name):
@@ -116,35 +118,63 @@ def test_insertion_validation():
         gen(p2.basis, "pt") + gen(p2.basis, "lambda")
 
 
+def level_one_index(setup, alpha, fiber, zero, inf):
+    """Index of a lone genus-0 component at level 1 of the bundle `setup`,
+    with the -1 for the scaling of the level; `zero` and `inf` are
+    (multiplicity, constraint class) lists."""
+    ends = [Contact(f"e{k}", m, c) for k, (m, c) in enumerate(zero + inf)]
+    comp = LevelComponent(1, 0, alpha=alpha, fiber=fiber,
+                          zero=ends[:len(zero)], inf=ends[len(zero):])
+    return component_index(setup.base, setup, comp) - 1
+
+
 def test_fiber_bubble_is_rigid():
     q = builtin("q_of:p2_hyperplane")
     db = q.base.divisor.basis
     fund, pt = gen(db, "fund"), gen(db, "pt")
-    assert level_index(q, cls(db, {}), 2, [(1, fund), (1, fund)], [(2, pt)]) == 0
+    assert level_one_index(q, cls(db, {}), 2, [(1, fund), (1, fund)],
+                           [(2, pt)]) == 0
 
 
 def test_section_component_with_plane_constraint():
     y = builtin("y_of:p4blow2_hyperplane")
     db = y.base.divisor.basis
     alpha = cls(db, {"lambda": 2, "eps1": -2, "eps2": -2})
-    assert level_index(y, alpha, 1, [], [(1, gen(db, "pi"))]) == 0
-    assert level_index(y, alpha, 1, [], [(1, gen(db, "eps1s"))]) == 0
+    assert level_one_index(y, alpha, 1, [], [(1, gen(db, "pi"))]) == 0
+    assert level_one_index(y, alpha, 1, [], [(1, gen(db, "eps1s"))]) == 0
+
+
+def line_under(pair, bubble):
+    """A line of P2 meeting the divisor once, matched to the one zero-side
+    end of `bubble` at level 1."""
+    line = LevelComponent(0, 0, cls=gen(pair.ambient.basis, "lambda"),
+                          inf=(Contact("a", 1),))
+    return StratumType(pair, (line, bubble), (("a", bubble.zero[0].node),))
 
 
 def test_contacts_rejected_when_degree_negative():
-    y = builtin("y_of:p4blow2_hyperplane")
-    db = y.base.divisor.basis
-    alpha = cls(db, {"lambda": 2, "eps1": -2, "eps2": -2})
-    with pytest.raises(InvariantError):
-        level_index(y, alpha, 1, [(1, gen(db, "pt"))], [(1, gen(db, "pi"))])
+    # the line of the divisor with no fiber degree misses the zero section
+    pair = builtin("p2_hyperplane")
+    line = gen(pair.divisor.basis, "fund")
+    assert builtin("q_of:p2_hyperplane").end_degrees(line, 0) == (-1, 0)
+    s = line_under(pair, LevelComponent(1, 0, alpha=line, fiber=0,
+                                        zero=(Contact("b", 1),)))
+    assert validate(s) == ["contact-sum"]
+    with pytest.raises(InvariantError, match="contact-sum"):
+        multilevel_index(s)
 
 
 def test_contact_multiplicities_checked():
-    q = builtin("q_of:p2_hyperplane")
-    db = q.base.divisor.basis
-    with pytest.raises(InvariantError):
-        level_index(q, cls(db, {}), 2, [(1, gen(db, "fund"))],
-                    [(2, gen(db, "pt"))])
+    # a double fiber meets each section twice, but carries one simple end
+    # on the zero side
+    pair = builtin("p2_hyperplane")
+    db = pair.divisor.basis
+    s = line_under(pair, LevelComponent(1, 0, alpha=cls(db, {}), fiber=2,
+                                        zero=(Contact("b", 1),),
+                                        inf=(Contact("c", 2, gen(db, "pt")),)))
+    assert validate(s) == ["contact-sum"]
+    with pytest.raises(InvariantError, match="contact-sum"):
+        multilevel_index(s)
 
 
 def _random_contacts(rng, deg, names, db):
@@ -179,7 +209,7 @@ def test_projection_identity_grid():
             degi = setup.total.intersect(beta, setup.dinf_class)
             zero = _random_contacts(rng, deg0, all_names, D.basis)
             inf = _random_contacts(rng, degi, all_names, D.basis)
-            got = level_index(setup, alpha, d, zero, inf)
+            got = level_one_index(setup, alpha, d, zero, inf)
             contacts = len(zero) + len(inf)
             delta = sum(c.grade for _, c in zero + inf)
             want = projection_index(setup.total.n, D.c1(alpha), contacts, delta)
@@ -239,6 +269,7 @@ def test_main_stratum_index_equals_expected_dimension():
     spec = InvariantSpec(pair, 0, gen(pair.ambient.basis, "lambda", 2),
                          absolutes=free_marks(pair.ambient, 3),
                          relatives=(rel(pair, 2, "pt"),))
-    got = component_index(n=2, genus=0, c1=6, marks=4, deg_inf=2, r_inf=1,
-                          codims=2)
+    conic = LevelComponent(0, 0, cls=spec.beta,
+                           inf=(Contact("a", 2, gen(pair.divisor.basis, "pt")),))
+    got = multilevel_index(StratumType(pair, (conic,), (), spec.absolutes))
     assert got == expected_dimension(spec) == 6

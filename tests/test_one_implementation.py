@@ -10,9 +10,10 @@ second copy.
   on integer vectors: in `decompose.py` and `strata.py` a started sum
   `sum(items, start)`, which builds a class sum, appears only in
   `decompose._side_sum` and the ledger total.
-- No function or class name is defined at the top level of two modules:
-  a second definition under a taken name is a second implementation that
-  the unread-definition scan cannot tell from the first.
+- No function, class or assigned name (dunders aside) is defined at the
+  top level of two modules: a second definition under a taken name is a
+  second implementation that the unread-definition scan cannot tell from
+  the first.
 """
 
 import ast
@@ -138,27 +139,58 @@ def test_multisets_are_filtered_without_class_sums():
     assert found == []
 
 
+def bound_names(target) -> list[str]:
+    """Plain names an assignment target binds; `obj.attr = …` and
+    `obj[k] = …` bind none."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in bound_names(elt)]
+    return []
+
+
+def top_level_names(top) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign):
+        return [name for t in top.targets for name in bound_names(t)]
+    if isinstance(top, (ast.AnnAssign, ast.AugAssign)):
+        return bound_names(top.target)
+    return []
+
+
 def shared_definitions(sources) -> dict[str, list[str]]:
-    """name -> modules, for every function or class name defined at the top
-    level of more than one of `sources` (module -> source text)."""
+    """name -> modules, for every function, class or assigned name defined
+    at the top level of more than one of `sources` (module -> source
+    text); dunders such as `__all__` are exempt."""
     owners = defaultdict(list)
     for module, source in sorted(sources.items()):
         for top in ast.parse(source).body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.ClassDef)):
-                owners[top.name].append(module)
+            for name in top_level_names(top):
+                if not (name.startswith("__") and name.endswith("__")):
+                    owners[name].append(module)
     return {name: mods for name, mods in owners.items() if len(mods) > 1}
 
 
 def test_shared_definition_detector():
     sources = {"strata.py": "def total_genus(s):\n    return 0\n"
-                            "class Ledger:\n    pass\n",
+                            "class Ledger:\n    pass\n"
+                            "_PLACES = ('X', 'Y')\n"
+                            "__all__ = ['total_genus']\n",
                "decompose.py": "def total_genus(t):\n    return 1\n"
-                               "Ledger = None\n"
+                               "Ledger.rows = None\n"
+                               "_ORDER, _PLACES = (), ()\n"
+                               "__all__ = []\n"
                                "def _helper():\n"
-                               "    def total_genus():\n        pass\n"}
+                               "    def total_genus():\n        pass\n"
+                               "    _ORDER = 1\n",
+               "scenario.py": "_ORDER: tuple = ()\n"}
     assert shared_definitions(sources) == {
-        "total_genus": ["decompose.py", "strata.py"]}
+        "total_genus": ["decompose.py", "strata.py"],
+        "_PLACES": ["decompose.py", "strata.py"],
+        "_ORDER": ["decompose.py", "scenario.py"]}
 
 
 def test_no_name_is_defined_in_two_modules():

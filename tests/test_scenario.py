@@ -130,6 +130,9 @@ MALFORMED = {
     "pair-id": ("[space p2]\n[divisor p3 in p2]\n",
                 2, 2, "'p3' is not a divisor pair id"),
     "unknown-id": ("[space p9]\n", 1, 2, "unknown space id 'p9'"),
+    "id-case": ("[space P2]\n", 1, 2, "unknown space id 'P2'"),
+    "id-paren": ("[space p2)]\n", 1, 2, "unknown space id 'p2)'"),
+    "id-alias": ("[space pn:2]\n", 1, 2, "unknown space id 'pn:2'"),
     "unknown-space": (P3 + "[divisor p2_hyperplane in p2]\n",
                       2, 2, "unknown space 'p2' (declare it with [space ...])"),
     "pair-space": (P3 + "[divisor p2_hyperplane in p3]\n",

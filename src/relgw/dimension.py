@@ -143,13 +143,21 @@ class InvariantSpec:
         return tuple(ins.order for ins in self.relatives)
 
     def key(self) -> str:
-        """Canonical text form; equal keys mean the same count."""
+        """Canonical text form; equal keys mean the same count.
+
+        The text is built on the first call and kept on the instance, outside
+        the dataclass fields, so equality, hashing and repr do not see it.
+        """
+        out = self.__dict__.get("_key")
+        if out is not None:
+            return out
         a = ",".join(i.token() for i in sorted(self.absolutes, key=_abs_sort_key))
         head = "pair" if self.pair is not None else "space"
         out = f"{head}:{self.target.name};g={self.genus};b={self.beta.encode()};abs={a}"
         if self.pair is not None:
             r = ",".join(i.token() for i in sorted(self.relatives, key=_rel_sort_key))
             out += f";rel={r}"
+        object.__setattr__(self, "_key", out)
         return out
 
 

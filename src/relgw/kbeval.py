@@ -31,10 +31,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import comb, prod
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         _abs_sort_key, _rel_sort_key)
 from .lattice import HomologyClass, cls, gen, row_reduce
+from .scenario import ScenarioError, parse_key
 from .spaces import DivisorPair, Space, builtin
 from .vanishing import check_degeneration_hypothesis, decide
 
@@ -61,7 +63,9 @@ class KnowledgeBase:
 
     Entries from another base (a `--kb` file) come in through `merge`, which
     rejects conflicting values.  The text form (`dump`, `parse`) is one
-    `key<TAB>p/q<TAB>provenance` line per entry.
+    `key<TAB>p/q<TAB>provenance` line per entry.  `parse` takes only
+    canonical keys: it reads each key back into the count it names, and a
+    key other than that count's `key()` could never be looked up.
     """
 
     def __init__(self, entries=()):
@@ -126,6 +130,13 @@ class KnowledgeBase:
                 value = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError) as err:
                 raise EvalError(f"line {lineno}: bad value {valtext!r}") from err
+            try:
+                canonical = parse_key(key, lineno).key()
+            except ScenarioError as err:
+                raise EvalError(str(err)) from err
+            if canonical != key:
+                raise EvalError(f"line {lineno}: key {key} is not canonical; "
+                                f"write {canonical}")
             kb.add(key, value, prov)
         return kb
 
@@ -232,7 +243,11 @@ class SplitIdentity:
     Degenerating the cross ratio to either boundary point groups the four
     distinguished insertions as (1,2|3,4) or (1,3|2,4); both boundary sums
     run over class splittings, distributions of the extra insertions, and
-    the diagonal basis, and they are equal.
+    the diagonal basis, and they are equal.  Equal extras are not told
+    apart: a distribution is the number of copies of each distinct extra
+    that goes to the first side, weighted by the ways of choosing them.
+    Both groupings' sides are built once per identity (`sides`), and
+    `side_keys` reads them from there.
     """
 
     space: Space
@@ -247,13 +262,19 @@ class SplitIdentity:
         return (((a, b), (c, d)), ((a, c), (b, d)))
 
     @cached_property
+    def sides(self) -> dict:
+        """(left, right) grouping -> its (weight, side1, side2) terms."""
+        return {(left, right): _sides(self, left, right)
+                for left, right in self.groupings()}
+
+    @cached_property
     def side_keys(self) -> frozenset[str]:
         """Normalized keys of every side either boundary sum evaluates: the
         only brackets a solution of this identity can give a value."""
         return frozenset(side.key()
-                         for left, right in self.groupings()
-                         for pair in _sides(self, left, right)
-                         for side in pair)
+                         for terms in self.sides.values()
+                         for _, side1, side2 in terms
+                         for side in (side1, side2))
 
 
 @dataclass(frozen=True)
@@ -642,58 +663,66 @@ def _splittings(space: Space, beta: HomologyClass):
 
 
 def _sides(si: SplitIdentity, left, right):
-    """The (side1, side2) products of one grouping's boundary sum: over class
-    splittings, distributions of the extra insertions and the diagonal
-    basis."""
+    """The (weight, side1, side2) terms of one grouping's boundary sum: over
+    class splittings, the number k_i of copies of each distinct extra (of
+    m_i in all) that goes to the first side, and the diagonal basis.  A term
+    stands for the prod C(m_i, k_i) distributions of the labeled extras
+    that give it, and that count is its weight.  Sides come normalized."""
     space = si.space
-    n_extras = len(si.extras)
+    distinct = tuple(dict.fromkeys(si.extras))
+    mults = [si.extras.count(c) for c in distinct]
     duals = [(space.gen(e), d) for e, d in space.duals.items()]
     sides = []
     for b1, b2 in _splittings(space, si.beta):
-        for r in range(n_extras + 1):
-            for picked in itertools.combinations(range(n_extras), r):
-                s_left = [si.extras[i] for i in picked]
-                s_right = [si.extras[i] for i in range(n_extras)
-                           if i not in picked]
-                for e, edual in duals:
-                    sides.append((
-                        InvariantSpec(space, 0, b1,
-                                      _plain(left[0], left[1], *s_left, e), ()),
-                        InvariantSpec(space, 0, b2,
-                                      _plain(edual, right[0], right[1],
-                                             *s_right), ())))
-    return sides
+        for counts in itertools.product(*(range(m + 1) for m in mults)):
+            weight = prod(comb(m, k) for m, k in zip(mults, counts))
+            s_left = [c for c, k in zip(distinct, counts) for _ in range(k)]
+            s_right = [c for c, m, k in zip(distinct, mults, counts)
+                       for _ in range(m - k)]
+            for e, edual in duals:
+                sides.append((
+                    weight,
+                    normalize(InvariantSpec(
+                        space, 0, b1, _plain(left[0], left[1], *s_left, e), ())),
+                    normalize(InvariantSpec(
+                        space, 0, b2,
+                        _plain(edual, right[0], right[1], *s_right), ()))))
+    return tuple(sides)
 
 
 def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
     """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
 
-    The sides evaluate with the solver held off: an unknown side is a
-    coefficient of the identity, not the start of another solve.
+    Each term of `si.sides` counts its weight times: its product goes into
+    the constant, or its known factor into the coefficient of the unknown
+    one, multiplied by the weight.  `missing` names each term with two
+    unknown factors once.  The sides evaluate with the solver held off: an
+    unknown side is a coefficient of the identity, not the start of
+    another solve.
     """
-    sides = _sides(si, left, right)
+    sides = si.sides[(left, right)]
     held, ev._solver_on = ev._solver_on, False
     try:
         values = [(ev.evaluate(side1), ev.evaluate(side2))
-                  for side1, side2 in sides]
+                  for _, side1, side2 in sides]
     finally:
         ev._solver_on = held
     const = Fraction(0)
     coeffs: dict[str, Fraction] = {}
     missing: list[str] = []
-    for (side1, side2), (v1, v2) in zip(sides, values):
+    for (weight, side1, side2), (v1, v2) in zip(sides, values):
         known1 = isinstance(v1, Value)
         known2 = isinstance(v2, Value)
         if known1 and known2:
-            const += v1.value * v2.value
+            const += weight * v1.value * v2.value
         elif known1 and not known2:
             if v1.value != 0:
                 k = side2.key()
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v1.value
+                coeffs[k] = coeffs.get(k, Fraction(0)) + weight * v1.value
         elif known2 and not known1:
             if v2.value != 0:
                 k = side1.key()
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v2.value
+                coeffs[k] = coeffs.get(k, Fraction(0)) + weight * v2.value
         else:
             missing.append(f"{side1.key()} x {side2.key()}")
     return const, coeffs, missing

@@ -14,6 +14,8 @@ owns the indented-or-not `key = value` lines up to the next header:
 
 Blank lines and `#` comments are skipped; everything else must parse, and
 every diagnostic carries the 1-based line and column it points at.
+`parse_key` reads a knowledge-base key (`InvariantSpec.key()`) back into the
+count it names, with the same class and contact syntax.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .dimension import _PLACES, Insertion, InvariantError, InvariantSpec
 from .lattice import GradeError, HomologyClass, cls
-from .spaces import CatalogError, DivisorPair, Space, builtin
+from .spaces import CatalogError, DivisorPair, RuledSetup, Space, builtin
 from .strata import Contact, LevelComponent, StratumType
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "RunDirective",
     "Scenario",
     "parse_scenario",
+    "parse_key",
 ]
 
 
@@ -68,6 +71,9 @@ _HEADER = re.compile(r"\[\s*(" + _NAME + r")((?:\s+[^\s\]]+)*)\s*\]\s*$")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?P<frac>/\d+)?\s*\*\s*)?(?P<name>"
     + _NAME + r")")
+_KEY = re.compile(r"(?P<head>space|pair):(?P<target>[^;]+);g=(?P<genus>\d+);"
+                  r"b=(?P<beta>[^;]*);abs=(?P<abs>[^;]*)(?:;rel=(?P<rel>[^;]*))?")
+_KEY_PREFIX = re.compile(r"(?:tau(\d+):)?(pb:)?")
 _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 
 
@@ -508,3 +514,47 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a scenario file; empty text gives an empty scenario."""
     return _Parser(text).parse()
 
+
+def parse_key(text: str, line: int) -> InvariantSpec:
+    """The count a knowledge-base key names, read back from the form that
+    `InvariantSpec.key()` writes (`tau<k>:` and `pb:` prefix a descendent
+    and a pulled-back constraint).  A ScenarioError points into `line`, with
+    the key as its first column, when the text names no count.  The text
+    need not be canonical: the spec's own key says what it should read."""
+    p = _Parser("")
+    m = _KEY.fullmatch(text)
+    if m is None:
+        p.fail("keys look like space:<id>;g=<genus>;b=<class>;abs=<list>, "
+               "with ;rel=<list> after a pair:<id>", line)
+    head, col = m["head"], m.start("target") + 1
+    if (head == "pair") != (m["rel"] is not None):
+        p.fail("pair keys end in ;rel=<list> and space keys do not", line)
+    try:
+        target = builtin(m["target"])
+    except CatalogError:
+        p.fail(f"unknown {head} id {m['target']!r}", line, col)
+    if isinstance(target, RuledSetup):
+        target = target.total if head == "space" else target.infinity_pair
+    if not isinstance(target, Space if head == "space" else DivisorPair):
+        p.fail(f"{m['target']!r} is not a {head} id", line, col)
+    space = target if head == "space" else target.ambient
+    beta = p.resolve_curve("b", space, m["beta"], line, m.start("beta") + 1)
+    absolutes = []
+    for token, tcol in _split_list(m["abs"], m.start("abs") + 1):
+        prefix = _KEY_PREFIX.match(token)
+        c = p.parse_comb(space.basis, token[prefix.end():], line,
+                         tcol + prefix.end())
+        try:
+            absolutes.append(Insertion(c, descendents=int(prefix[1] or 0),
+                                       pulled_back=bool(prefix[2])))
+        except InvariantError as e:
+            p.fail(str(e), line, tcol)
+    relatives = []
+    if head == "pair":
+        relatives = [p.parse_relative(target.divisor, token, line, tcol)
+                     for token, tcol in _split_list(m["rel"], m.start("rel") + 1)]
+    try:
+        return InvariantSpec(target, int(m["genus"]), beta, tuple(absolutes),
+                             tuple(relatives))
+    except InvariantError as e:
+        p.fail(str(e), line)

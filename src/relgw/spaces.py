@@ -248,11 +248,11 @@ class Space:
     def zero(self) -> HomologyClass:
         return cls(self.basis, {})
 
-    @property
+    @cached_property
     def point(self) -> HomologyClass:
         return gen(self.basis, self.basis.point)
 
-    @property
+    @cached_property
     def fundamental(self) -> HomologyClass:
         return gen(self.basis, self.basis.fundamental)
 
@@ -377,7 +377,11 @@ class RuledSetup:
         return self.lift(alpha) + self.fiber.scale(ell)
 
     def c1_total(self, alpha: HomologyClass, ell: int) -> int:
-        return self.total.c1(self.class_of(alpha, ell))
+        """c1 of class_of(alpha, ell) in closed form, from the values
+        `_build_ruled` gives: c1_D + twist * N_D on a lifted curve, 2 on
+        the fiber."""
+        return (self.base.divisor.c1(alpha)
+                + self.twist * self.base.normal_degree(alpha) + 2 * ell)
 
     def end_degrees(self, alpha: HomologyClass, ell: int) -> tuple[int, int]:
         """(zero-side, infinity-side) degree of class_of(alpha, ell): the

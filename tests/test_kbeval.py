@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from relgw import kbeval
+from relgw import cli, kbeval
 from relgw.dimension import Insertion, InvariantSpec
 from relgw.kbeval import (
     EvalError,
     Evaluator,
     KnowledgeBase,
     LinearEquation,
+    SplitIdentity,
     Unknown,
     Value,
     _grouping_sum,
@@ -22,6 +23,7 @@ from relgw.kbeval import (
     standard_identities,
 )
 from relgw.lattice import cls, gen
+from relgw.scenario import parse_scenario
 from relgw.spaces import CatalogError, builtin
 
 P3 = builtin("p3")
@@ -124,8 +126,41 @@ def test_parse_rejects_malformed_lines(line):
 
 
 def test_parse_skips_blanks_and_comments():
-    kb = KnowledgeBase.parse("# header\n\nk\t2/1\tseed(x)\n")
-    assert kb.get("k").value == 2
+    key = absolute(P3, LAM, PT, PT).key()
+    kb = KnowledgeBase.parse(f"# header\n\n{key}\t2/1\tseed(x)\n")
+    assert kb.get(key).value == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    ("space:p3;g=0;b=lambda;abs=lambda,pt,lambda",
+     "line 2: key space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not "
+     "canonical; write space:p3;g=0;b=lambda;abs=pt,lambda,lambda"),
+    ("space:p3;g=0;b=2*lambda-lambda;abs=pt,pt",
+     "line 2: key space:p3;g=0;b=2*lambda-lambda;abs=pt,pt is not canonical"),
+    ("k", "line 2, col 1: keys look like"),
+    ("space:p9;g=0;b=lambda;abs=", "line 2, col 7: unknown space id 'p9'"),
+    ("space:p3;g=0;b=lambda;abs=pt,pt;rel=", "line 2, col 1: pair keys"),
+    ("pair:p3;g=0;b=lambda;abs=;rel=", "line 2, col 6: 'p3' is not a pair"),
+    ("space:p3;g=0;b=lambda;abs=pt,foo",
+     "line 2, col 30: unknown generator 'foo' in basis p3"),
+], ids=["order", "class-text", "no-key", "unknown-id", "space-with-rel",
+        "space-as-pair", "unknown-generator"])
+def test_parse_rejects_keys_that_are_not_canonical(text, message):
+    with pytest.raises(EvalError) as err:
+        KnowledgeBase.parse(f"# header\n{text}\t1/1\tuser\n")
+    assert str(err.value).startswith(message)
+
+
+def test_parse_reads_back_every_kind_of_insertion():
+    yp = builtin("y_of:t2_ruled_section").infinity_pair
+    D = yp.divisor
+    relative = InvariantSpec(yp, 1, yp.ambient.gen("f"),
+                             (Insertion(yp.ambient.point, pulled_back=True),),
+                             (Insertion(D.point, order=1),))
+    tagged = InvariantSpec(P3, 0, LAM.scale(2),
+                           (Insertion(PT, descendents=2), Insertion(LAM)))
+    text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, tagged))
+    assert KnowledgeBase.parse(text).dump() == text
 
 
 # -- single rules ------------------------------------------------------------
@@ -420,6 +455,160 @@ def test_identities_share_only_sides_the_rules_determine():
     for a, b in itertools.combinations(standard_identities(), 2):
         for key in a.side_keys & b.side_keys:
             assert isinstance(ev.evaluate(rec.sides[key]), Value), key
+
+
+# -- grouped sides against the per-subset walk -------------------------------
+
+P2 = builtin("p2")
+
+
+def p2_identity(d):
+    """The P2 identity of degree d: lines, lines, point, point and 3d - 4
+    more points."""
+    lam = P2.gen("lambda")
+    return SplitIdentity(P2, lam.scale(d), (lam, lam, P2.point, P2.point),
+                         (P2.point,) * (3 * d - 4), f"p2-degree-{d}")
+
+
+def subset_sides(si, left, right):
+    """The walk `_sides` replaced: one (side1, side2) pair per subset of the
+    labeled extras, per splitting and dual."""
+    space, extras = si.space, si.extras
+    duals = [(space.gen(e), d) for e, d in space.duals.items()]
+    out = []
+    for b1, b2 in kbeval._splittings(space, si.beta):
+        for r in range(len(extras) + 1):
+            for picked in itertools.combinations(range(len(extras)), r):
+                s_left = [extras[i] for i in picked]
+                s_right = [c for i, c in enumerate(extras) if i not in picked]
+                for e, edual in duals:
+                    out.append((
+                        absolute(space, b1, left[0], left[1], *s_left, e),
+                        absolute(space, b2, edual, right[0], right[1],
+                                 *s_right)))
+    return out
+
+
+def subset_sum(ev, si, left, right):
+    """The boundary sum over `subset_sides`, each pair counted once."""
+    ev._solver_on = False
+    const, coeffs, missing = Fraction(0), {}, []
+    for side1, side2 in subset_sides(si, left, right):
+        v1, v2 = ev.evaluate(side1), ev.evaluate(side2)
+        if isinstance(v1, Value) and isinstance(v2, Value):
+            const += v1.value * v2.value
+        elif isinstance(v1, Value) or isinstance(v2, Value):
+            known, other = (v1, side2) if isinstance(v1, Value) else (v2, side1)
+            if known.value != 0:
+                k = normalize(other).key()
+                coeffs[k] = coeffs.get(k, Fraction(0)) + known.value
+        else:
+            missing.append(f"{side1.key()} x {side2.key()}")
+    return const, coeffs, missing
+
+
+ORACLE_IDENTITIES = standard_identities() + tuple(p2_identity(d)
+                                                  for d in (2, 3, 4))
+LINES_P2 = absolute(P2, P2.gen("lambda"), P2.point, P2.point)
+
+
+@pytest.mark.parametrize("with_lines", [False, True], ids=["seeds", "n1"])
+@pytest.mark.parametrize("si", ORACLE_IDENTITIES, ids=lambda si: si.name)
+def test_grouped_sums_equal_the_subset_walk(si, with_lines):
+    def base():
+        kb = seed_table()
+        if with_lines:  # one line through two points: known P2 sides
+            kb.add(LINES_P2.key(), Fraction(1), "test")
+        return kb
+    for left, right in si.groupings():
+        const, coeffs, missing = _grouping_sum(Evaluator(base()), si, left,
+                                               right)
+        o_const, o_coeffs, o_missing = subset_sum(Evaluator(base()), si,
+                                                  left, right)
+        assert (const, coeffs) == (o_const, o_coeffs)
+        assert bool(missing) == bool(o_missing)
+
+
+@pytest.mark.parametrize("si,grouped,walked,keys", [
+    (standard_identities()[0], 48, 96, None),
+    (standard_identities()[1], 16, 16, None),
+    (p2_identity(2), 27, 36, 63),
+    (p2_identity(3), 72, 384, 168),
+    (p2_identity(4), 135, 3840, 315),
+    (p2_identity(5), 216, None, None),
+], ids=["conics-two-points", "lines-four-lines", "p2-d2", "p2-d3", "p2-d4",
+        "p2-d5"])
+def test_grouped_side_counts(si, grouped, walked, keys):
+    for left, right in si.groupings():
+        terms = si.sides[(left, right)]
+        assert len(terms) == grouped
+        if walked is not None:
+            walk = subset_sides(si, left, right)
+            assert len(walk) == walked
+            # every labeled distribution is one unit of some term's weight
+            assert sum(weight for weight, _, _ in terms) == walked
+            assert {normalize(side).key() for pair in walk for side in pair} \
+                == {side.key() for _, *pair in terms for side in pair}
+    if keys is not None:
+        assert len(si.side_keys) == keys
+
+
+# -- keys and the solver path ------------------------------------------------
+
+
+def test_key_is_built_once_per_spec(monkeypatch):
+    builds = []
+    real = Insertion.token
+
+    def counted(ins):
+        builds.append(ins)
+        return real(ins)
+
+    monkeypatch.setattr(Insertion, "token", counted)
+    spec = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
+    first = spec.key()
+    assert spec.key() is first
+    assert len(builds) == 6  # one token per insertion, once
+    fresh = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
+    assert fresh == spec and hash(fresh) == hash(spec)
+    assert repr(fresh) == repr(spec)
+    assert fresh.key() == first and len(builds) == 12
+
+
+def bracket(header, lines):
+    return parse_scenario("\n".join(header + ["[invariant b]", "genus = 0"]
+                                     + lines) + "\n")
+
+
+CONIC_KEY = "space:p3;g=0;b=2*lambda;abs=pt,pt,lambda,lambda,lambda,lambda"
+SOLVED = f"trace kb: {CONIC_KEY} [derived(splitting:conics-two-points)]"
+
+
+@pytest.mark.parametrize("header,lines,report", [
+    (["[space p3]"], ["space = p3", "class = 2*lambda",
+      "abs = pt, pt, lambda, lambda, lambda, lambda"],
+     ["invariant b", f"key {CONIC_KEY}", "value 4", SOLVED]),
+    (["[space p4]"], ["space = p4", "class = 2*lambda", "abs = pt, pt, lambda, pi, pi, pi"],
+     ["invariant b", "key space:p4;g=0;b=2*lambda;abs=pt,pt,lambda,pi,pi,pi",
+      "value 4",
+      "trace hyperplane-restriction: conics meeting three planes sit in one",
+      SOLVED]),
+    (["[space p4]", "[divisor p4_hyperplane in p4]"],
+     ["pair = p4_hyperplane", "class = 2*lambda",
+      "abs = pt, pt, lambda, pi, h3", "rel = (1,pi), (1,pi)"],
+     ["invariant b",
+      "key pair:p4_hyperplane;g=0;b=2*lambda;abs=pt,pt,lambda,pi,h3;"
+      "rel=(1,pi),(1,pi)",
+      "value 8", "trace push-tails-inward",
+      "trace divisor-axiom: h3 gives factor 2",
+      "trace hyperplane-restriction: conics meeting three planes sit in one",
+      SOLVED]),
+], ids=["p3-conics", "p4-conics", "p4-hyperplane-conics"])
+def test_solver_path_eval_reports(monkeypatch, header, lines, report):
+    calls = counted_solves(monkeypatch)
+    assert cli.run("eval", bracket(header, lines), ("b",)) == (
+        "".join(line + "\n" for line in report), 0)
+    assert calls == ["conics-two-points"]
 
 
 def test_solver_leaves_underdetermined_brackets_unknown():

@@ -291,6 +291,33 @@ def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+LINE_POINT_TWO_LINES = """\
+[space p3]
+[invariant x]
+space = p3
+genus = 0
+class = lambda
+abs = pt, lambda, lambda
+"""
+
+
+def test_exit_two_on_a_kb_key_that_is_not_canonical(tmp_path, capsys):
+    # the seeded line count with its insertions in another order: kept as
+    # written, the line was never read and eval printed the seed's 1
+    path = tmp_path / "line.gw"
+    path.write_text(LINE_POINT_TWO_LINES, encoding="utf-8")
+    kb = tmp_path / "extra.kb"
+    kb.write_text("space:p3;g=0;b=lambda;abs=lambda,pt,lambda\t5/1\tuser\n",
+                  encoding="utf-8")
+    assert status("eval", path, "x", "--kb", kb) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: kb file {kb}: line 1: key "
+        "space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not canonical; "
+        "write space:p3;g=0;b=lambda;abs=pt,lambda,lambda\n")
+
+
 CONIC_THREE_POINTS = """\
 [space p3]
 [invariant c]

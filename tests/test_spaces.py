@@ -118,6 +118,22 @@ def test_end_degrees_are_the_section_intersections():
     assert checked == 360
 
 
+def test_c1_total_is_c1_of_the_bundle_class():
+    checked = 0
+    for q in buildable_bundles():
+        D = q.base.divisor
+        curves = D.basis.names(1)
+        alphas = [D.zero()] + [D.gen(g, k) for g in curves
+                               for k in (-2, -1, 1, 3)]
+        alphas.append(cls(D.basis, {g: i + 1 for i, g in enumerate(curves)}))
+        for alpha in alphas:
+            for ell in (-1, 0, 1, 4):
+                assert q.c1_total(alpha, ell) == \
+                    q.total.c1(q.class_of(alpha, ell)), (q.name, alpha, ell)
+                checked += 1
+    assert checked == 400
+
+
 # -- effective cones: branches against the old candidate boxes ------------
 #
 # Each box below is the candidate set an effective model used to filter

@@ -23,8 +23,7 @@ from math import factorial
 from operator import add
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
-from .kbeval import (Evaluator, KnowledgeBase, Unknown, Value, fiber_count,
-                     seed_table)
+from .kbeval import Evaluator, KnowledgeBase, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
 from .strata import (_compositions, _exact_decompositions, _exact_sums,
@@ -54,19 +53,6 @@ def split_form(pair, c: HomologyClass) -> HomologyClass:
             return half
     raise DecompositionError(
         f"no declared splitting of {c.encode()} across {pair.name}")
-
-
-@dataclass(frozen=True)
-class PulledBack:
-    """A constraint of the form projection^-1(class in the divisor).
-
-    Kept as a marker: it charges codimension n - grade - 1 on the component.
-    """
-
-    cls: HomologyClass
-
-    def token(self) -> str:
-        return f"pb:{self.cls.encode()}"
 
 
 @dataclass(frozen=True)
@@ -185,13 +171,11 @@ def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
                          tuple(comp.insertions), rels)
 
 
-def _right_spec(setup: FiberSumSetup, comp: GraphComponent, tails):
-    """(spec over the plain constraints, markers): a marker is the divisor
-    class behind a PulledBack."""
-    reals = tuple(i for i in comp.insertions if not isinstance(i, PulledBack))
-    markers = tuple(i.cls for i in comp.insertions if isinstance(i, PulledBack))
+def _right_spec(setup: FiberSumSetup, comp: GraphComponent,
+                tails) -> InvariantSpec:
     rels = tuple(Insertion(t.dual, order=t.order) for t in tails)
-    return InvariantSpec(setup.right, comp.genus, comp.cls, reals, rels), markers
+    return InvariantSpec(setup.right, comp.genus, comp.cls,
+                         tuple(comp.insertions), rels)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +190,7 @@ def _groups(spec: InvariantSpec):
     """Identical constraints bundled together, with their declared side."""
     buckets: dict[tuple, list[Insertion]] = {}
     for ins in spec.absolutes:
-        key = (_place(ins), ins.cls.encode(), ins.descendents, ins.pulled_back)
+        key = (_place(ins), ins.cls.encode(), ins.descendents)
         buckets.setdefault(key, []).append(ins)
     return [(key[0], items[0], len(items))
             for key, items in sorted(buckets.items())]
@@ -241,7 +225,7 @@ def _placements(setup: FiberSumSetup, groups, parts1, parts2):
         slots = left if side == "X" else right if side == "Y" else left + right
         missable = xmodel.in_missable(ins.cls)
         # only a Y constraint lands on the bundle side as a plain insertion;
-        # a split one lands there as a PulledBack marker
+        # a split one lands there pulled back
         point = side == "Y" and _convert_neck(setup, ins).cls.grade == 0
         forbidden = [missable and xmodel.is_isolated(parts1[k])
                      if where == "L" else point and rigid_neck(parts2[k])
@@ -477,12 +461,12 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                     if not nslot:
                         continue
                     if slot[0] == "L":
-                        placed = Insertion(ins.cls, ins.descendents,
-                                           pulled_back=ins.pulled_back)
+                        placed = Insertion(ins.cls, ins.descendents)
                     elif side == "Y":
                         placed = _convert_neck(setup, ins)
                     else:
-                        placed = PulledBack(split_form(setup.left, ins.cls))
+                        placed = Insertion(split_form(setup.left, ins.cls),
+                                           pulled_back=True)
                     per_comp.setdefault(slot, []).extend([placed] * nslot)
             gamma1 = tuple(
                 GraphComponent(parts1[j], genera1[j],
@@ -506,7 +490,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                 need_right = []
                 for i in range(q):
                     t = len(right_edges[i])
-                    slack = expected_dimension(*_right_spec(
+                    slack = expected_dimension(_right_spec(
                         setup, gamma2[i], [probe[e] for e in right_edges[i]]))
                     need_right.append(slack + dn * t)
             except InvariantError:
@@ -658,7 +642,7 @@ def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
         if expected_dimension(_left_spec(setup, comp, at)) != 0:
             raise DecompositionError(f"unbalanced component {comp.token()}")
     for comp, at in zip(gamma2, per_right):
-        if expected_dimension(*_right_spec(setup, comp, at)) != 0:
+        if expected_dimension(_right_spec(setup, comp, at)) != 0:
             raise DecompositionError(f"unbalanced component {comp.token()}")
     g1, g2, canon, aut = _canonical(setup, gamma1, gamma2, tails)
     return DecompTerm(
@@ -689,7 +673,7 @@ def _prune_left(setup: FiberSumSetup, comp: GraphComponent, tails):
 
 
 def _prune_right(setup: FiberSumSetup, comp: GraphComponent, tails):
-    verdict = decide(*_right_spec(setup, comp, tails))
+    verdict = decide(_right_spec(setup, comp, tails))
     if verdict.is_zero:
         return verdict.reason
     return _prune_miss(setup, comp, tails)
@@ -704,7 +688,7 @@ def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
     if alpha.is_zero:
         return None
     n = setup.total.n
-    if not any(isinstance(ins, PulledBack) and ins.cls.grade <= n - 3
+    if not any(ins.pulled_back and ins.cls.grade <= n - 3
                for ins in comp.insertions):
         return None
     if _missable_class(setup.left.divisor.effective, alpha):
@@ -805,26 +789,11 @@ def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
     values: list[Fraction] = []
     blockers: list[str] = []
     zero_note = ""
-    for side, comps, tail_lists in (("L", term.gamma1, per_left),
-                                    ("R", term.gamma2, per_right)):
+    for side, comps, tail_lists, spec_of in (
+            ("L", term.gamma1, per_left, _left_spec),
+            ("R", term.gamma2, per_right, _right_spec)):
         for idx, (comp, tails) in enumerate(zip(comps, tail_lists)):
-            if side == "L":
-                result = evaluator.evaluate(_left_spec(setup, comp, tails))
-            else:
-                spec, markers = _right_spec(setup, comp, tails)
-                if not markers:
-                    result = evaluator.evaluate(spec)
-                elif (setup.right.ruled.fiber_degree(comp.cls) == 1
-                      and comp.genus == 0):
-                    direct = fiber_count(
-                        spec.pair, [t.cls for t in spec.relatives]
-                        + list(markers), spec.absolutes)
-                    result = (Unknown(("fiber count off the product table",))
-                              if direct is None else
-                              Value(direct, ("fiber-count",)))
-                else:
-                    result = Unknown((f"no bundle class for "
-                                      f"{PulledBack(markers[0]).token()}",))
+            result = evaluator.evaluate(spec_of(setup, comp, tails))
             tag = f"{side}{idx}"
             if result.known:
                 factors.append(f"{tag}={result.value}")

@@ -42,9 +42,10 @@ class Insertion:
     possibly tied to the divisor with a contact order.
 
     `order` is None for an absolute insertion and the contact multiplicity
-    (>= 1) otherwise.  `pulled_back` marks absolute constraints of the shape
-    projection^-1(class in the divisor); they can always be pushed off a
-    fixed fiber direction.  `place` is only meaningful as input to the
+    (>= 1) otherwise.  `pulled_back` marks an absolute constraint pi^-1(c)
+    on a pair whose ambient space is ruled over the divisor: `cls` is then
+    the class c of the divisor, and the constraint can always be pushed off
+    a fixed fiber direction.  `place` is only meaningful as input to the
     splitting enumeration and never enters a canonical key.
     """
 
@@ -97,7 +98,8 @@ class InvariantSpec:
 
     `target` is a Space for absolute counts or a DivisorPair for relative
     ones.  Relative insertions use classes in the divisor's basis; absolute
-    insertions use the ambient basis.
+    insertions use the ambient basis, except pulled-back ones, which need a
+    pair with `ruled` and use the divisor's basis.
     """
 
     target: Space | DivisorPair
@@ -118,7 +120,14 @@ class InvariantSpec:
         for ins in self.absolutes:
             if ins.relative:
                 raise InvariantError("contact insertion listed as absolute")
-            if ins.cls.basis.name != self.space.basis.name:
+            if not ins.pulled_back:
+                basis = self.space.basis
+            elif self.pair is None or self.pair.ruled is None:
+                raise InvariantError(f"pulled-back constraint {ins.token()} "
+                                     "needs a pair whose ambient is ruled")
+            else:
+                basis = self.pair.divisor.basis
+            if ins.cls.basis.name != basis.name:
                 raise InvariantError(f"absolute constraint {ins.token()} in wrong basis")
         for ins in self.relatives:
             if not ins.relative:
@@ -185,26 +194,22 @@ def raw_dimension(spec: InvariantSpec) -> int:
 
 
 def constraint_codim(ins: Insertion, n: int) -> int:
-    """Codimension charged by one insertion in an n-fold."""
-    codim = n - ins.cls.grade
+    """Codimension charged by one insertion in an n-fold.
+
+    A pulled-back class lives in the (n-1)-dimensional divisor, and its
+    preimage has the codimension it has there."""
+    codim = (n - 1 if ins.pulled_back else n) - ins.cls.grade
     if not ins.relative:
         codim += ins.descendents
     return codim
 
 
-def expected_dimension(spec: InvariantSpec, markers=()) -> int:
-    """Raw dimension minus the codimension of every constraint.
-
-    `markers` are divisor classes whose preimages constrain the count but
-    have no class in the ambient basis; each is one more insertion (+1 raw)
-    of codimension n - grade - 1.
-    """
+def expected_dimension(spec: InvariantSpec) -> int:
+    """Raw dimension minus the codimension of every constraint."""
     total = raw_dimension(spec)
     n = spec.n
     for ins in spec.absolutes + spec.relatives:
         total -= constraint_codim(ins, n)
-    for m in markers:
-        total += m.grade + 2 - n
     return total
 
 

@@ -28,7 +28,7 @@ lost today.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
@@ -417,7 +417,7 @@ class Evaluator:
 def _rule_degree_zero(ev: Evaluator, spec: InvariantSpec):
     if not spec.beta.is_zero or spec.pair is not None:
         return None
-    if any(i.descendents or i.pulled_back for i in spec.absolutes):
+    if any(i.descendents for i in spec.absolutes):
         return None
     if len(spec.absolutes) != 3:
         return (Fraction(0), (), "degree-zero: not a three-point bracket")
@@ -431,9 +431,10 @@ def _rule_degree_zero(ev: Evaluator, spec: InvariantSpec):
 def _rule_fundamental(ev: Evaluator, spec: InvariantSpec):
     if spec.beta.is_zero:
         return None
-    X = spec.space
     for ins in spec.absolutes:
-        if ins.cls == X.fundamental and not ins.descendents:
+        # the preimage of the whole divisor is the whole ambient space
+        whole = spec.pair.divisor if ins.pulled_back else spec.space
+        if ins.cls == whole.fundamental and not ins.descendents:
             return (Fraction(0), (), "fundamental-class insertion")
     return None
 
@@ -468,42 +469,31 @@ def _rule_exceptional_tail(ev: Evaluator, spec: InvariantSpec):
 
 
 def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
+    """Genus-zero count in one fiber class of a ruled pair: the point
+    coefficient of the contact classes times the divisor class each
+    absolute constraint cuts out.  Declines without a product table or when
+    a constraint has no divisor counterpart."""
     pair = spec.pair
     if pair is None or pair.ruled is None or spec.genus != 0:
         return None
     if pair.ruled.fiber_degree(spec.beta) != 1:
         return None
-    val = fiber_count(pair, [t.cls for t in spec.relatives], spec.absolutes)
-    if val is None:
-        return None
-    return (val, (), "fiber-count")
-
-
-def fiber_count(pair: DivisorPair, classes, absolutes) -> Fraction | None:
-    """Genus-zero count in one fiber class of a ruled pair: the point
-    coefficient of the divisor `classes` times the divisor class each
-    absolute constraint cuts out.  None without a product table or when a
-    constraint has no divisor counterpart."""
     D = pair.divisor
-    table = D.products
-    if table is None:
+    if D.products is None:
         return None
-    classes = list(classes)
-    for ins in absolutes:
+    classes = [t.cls for t in spec.relatives]
+    for ins in spec.absolutes:
         if ins.descendents:
             return None
         if ins.pulled_back:
-            source = pair.ruled.preimage_source(ins.cls)
-            if source is None:
-                return None
-            classes.append(source)
+            classes.append(ins.cls)
         elif ins.cls.grade == 0:
             classes.append(D.point)
         elif ins.cls == pair.ambient.fundamental:
             classes.append(D.fundamental)
         else:
             return None
-    return Fraction(table.point_coefficient(classes))
+    return (Fraction(D.products.point_coefficient(classes)), (), "fiber-count")
 
 
 def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
@@ -535,6 +525,21 @@ def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
             f" . {alpha.encode()})")
 
 
+def _ambient_absolutes(pair: DivisorPair, absolutes):
+    """The absolute constraints of a count moved off the pair onto its
+    ambient space: a pulled-back class becomes its declared preimage.  None
+    when some pulled-back class has none."""
+    moved = []
+    for ins in absolutes:
+        if ins.pulled_back:
+            pre = pair.ruled.preimage(ins.cls)
+            if pre is None:
+                return None
+            ins = replace(ins, cls=pre, pulled_back=False)
+        moved.append(ins)
+    return tuple(moved)
+
+
 def _rule_drop_fundamental_tails(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
     if pair is None or spec.genus != 0:
@@ -542,9 +547,10 @@ def _rule_drop_fundamental_tails(ev: Evaluator, spec: InvariantSpec):
     if any(t.order != 1 or t.cls != pair.divisor.fundamental
            for t in spec.relatives):
         return None
-    if not ev.hypothesis(pair, spec.beta):
+    absolutes = _ambient_absolutes(pair, spec.absolutes)
+    if absolutes is None or not ev.hypothesis(pair, spec.beta):
         return None
-    child = InvariantSpec(pair.ambient, 0, spec.beta, spec.absolutes, ())
+    child = InvariantSpec(pair.ambient, 0, spec.beta, absolutes, ())
     return (Fraction(1), (child,), "drop-fundamental-tails")
 
 
@@ -554,11 +560,11 @@ def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
         return None
     if not spec.relatives or any(t.order != 1 for t in spec.relatives):
         return None
-    if not ev.hypothesis(pair, spec.beta):
+    absolutes = _ambient_absolutes(pair, spec.absolutes)
+    if absolutes is None or not ev.hypothesis(pair, spec.beta):
         return None
     pushed = tuple(Insertion(pair.push(t.cls)) for t in spec.relatives)
-    child = InvariantSpec(pair.ambient, 0, spec.beta,
-                          spec.absolutes + pushed, ())
+    child = InvariantSpec(pair.ambient, 0, spec.beta, absolutes + pushed, ())
     return (Fraction(1), (child,), "push-tails-inward")
 
 
@@ -592,7 +598,7 @@ def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
         return None
     model = spec.space.effective
     for ins in spec.absolutes:
-        if ins.descendents or ins.pulled_back or not model.in_missable(ins.cls):
+        if ins.descendents or not model.in_missable(ins.cls):
             return None
     moved = [Insertion(blow.push(ins.cls)) for ins in spec.absolutes]
     moved += [Insertion(blow.base.point)] * sum(ms)

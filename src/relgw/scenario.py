@@ -12,10 +12,16 @@ owns the indented-or-not `key = value` lines up to the next header:
     abs = pt, pt, pi@split, pi@split, pi@split
     [run decompose p4blow2_hyperplane main]
 
+An `abs =` entry is a class of the ambient space, `tau<k>(<class>)` for a
+descendent, or `pull(<divisor class>)`: the preimage of a class of the
+divisor, on a `pair =` target whose ambient is ruled over it.  A trailing
+`@X`, `@Y` or `@split` places it for a splitting.
+
 Blank lines and `#` comments are skipped; everything else must parse, and
 every diagnostic carries the 1-based line and column it points at.
 `parse_key` reads a knowledge-base key (`InvariantSpec.key()`) back into the
-count it names, with the same class and contact syntax.
+count it names, with the same class and contact syntax; a `pb:<class>`
+entry is a pulled-back constraint, its class in the divisor's basis.
 """
 
 from __future__ import annotations
@@ -158,7 +164,10 @@ class _Parser:
                       line, col)
         return c
 
-    def parse_insertion(self, space, text, line, col) -> Insertion:
+    def parse_insertion(self, target, text, line, col) -> Insertion:
+        """One absolute constraint on `target`, a Space or a DivisorPair:
+        `pull(c)` reads c in the divisor of a pair with `ruled`, anything
+        else is a class of the ambient space."""
         place = None
         at = text.rfind("@")
         if at >= 0 and "(" not in text[at:]:
@@ -174,10 +183,15 @@ class _Parser:
             desc = int(m.group(1))
             text = m.group(2).strip()
         pulled = False
-        m = re.match(r"pull\((.*)\)$", text)
+        space = target.ambient if isinstance(target, DivisorPair) else target
+        m = re.match(r"pull\(\s*(.*?)\s*\)$", text)
         if m:
+            if not isinstance(target, DivisorPair) or target.ruled is None:
+                self.fail(f"pull() needs a pair= target whose ambient is "
+                          f"ruled over the divisor, not {target.name}",
+                          line, col)
             pulled = True
-            text = m.group(1).strip()
+            space, text, col = target.divisor, m.group(1), col + m.start(1)
         c = self.resolve_class(space, text, line, col)
         try:
             return Insertion(c, descendents=desc, pulled_back=pulled,
@@ -383,7 +397,7 @@ class _Parser:
         if "abs" in got:
             value, lineno, col = got["abs"]
             for text, tcol in _split_list(value, col):
-                absolutes.append(self.parse_insertion(space, text, lineno, tcol))
+                absolutes.append(self.parse_insertion(target, text, lineno, tcol))
 
         relatives = []
         if "rel" in got:
@@ -440,7 +454,7 @@ class _Parser:
                     self.fail("set pair= before abs", lineno, col)
                 for item, icol in _split_list(value, vcol):
                     insertions.append(
-                        self.parse_insertion(pair.ambient, item, lineno, icol))
+                        self.parse_insertion(pair, item, lineno, icol))
 
         if pair is None:
             self.fail("strata need a pair= line", line, 1)
@@ -518,9 +532,10 @@ def parse_scenario(text: str) -> Scenario:
 def parse_key(text: str, line: int) -> InvariantSpec:
     """The count a knowledge-base key names, read back from the form that
     `InvariantSpec.key()` writes (`tau<k>:` and `pb:` prefix a descendent
-    and a pulled-back constraint).  A ScenarioError points into `line`, with
-    the key as its first column, when the text names no count.  The text
-    need not be canonical: the spec's own key says what it should read."""
+    and a pulled-back constraint, whose class is in the divisor's basis).
+    A ScenarioError points into `line`, with the key as its first column,
+    when the text names no count.  The text need not be canonical: the
+    spec's own key says what it should read."""
     p = _Parser("")
     m = _KEY.fullmatch(text)
     if m is None:
@@ -542,7 +557,9 @@ def parse_key(text: str, line: int) -> InvariantSpec:
     absolutes = []
     for token, tcol in _split_list(m["abs"], m.start("abs") + 1):
         prefix = _KEY_PREFIX.match(token)
-        c = p.parse_comb(space.basis, token[prefix.end():], line,
+        basis = (target.divisor.basis if prefix[2] and head == "pair"
+                 else space.basis)
+        c = p.parse_comb(basis, token[prefix.end():], line,
                          tcol + prefix.end())
         try:
             absolutes.append(Insertion(c, descendents=int(prefix[1] or 0),

@@ -288,9 +288,9 @@ class RuledMeta:
     lift: LatticeMap | None = None
     projection: LatticeMap | None = None
 
-    def preimage_source(self, c: HomologyClass) -> HomologyClass | None:
-        """Divisor class whose preimage is the ambient class c, if declared."""
-        return next((d for d, y in self.pullbacks if y == c), None)
+    def preimage(self, c: HomologyClass) -> HomologyClass | None:
+        """Ambient class of the preimage of the divisor class c, if declared."""
+        return next((y for d, y in self.pullbacks if d == c), None)
 
     def fiber_degree(self, beta: HomologyClass) -> int | None:
         """ell if beta = ell * fiber, else None."""

@@ -530,7 +530,7 @@ def _position_filter(s: StratumType) -> bool:
         else:
             beta = q.class_of(comp.alpha, comp.fiber)
             sq = q.total.intersect(beta, beta)
-            c1 = q.total.c1(beta)
+            c1 = q.c1_total(comp.alpha, comp.fiber)
         capacity = (sq - c1) // 2 + 1 - comp.genus
         if charge > capacity:
             return False

@@ -48,14 +48,11 @@ class Verdict:
         return "admissible"
 
 
-def decide(spec: InvariantSpec, markers=()) -> Verdict:
+def decide(spec: InvariantSpec) -> Verdict:
     """Apply the vanishing checks in their fixed order.
 
     This is the only structural vanishing rule, for plain counts and for
-    the components of a splitting alike.  `markers` are divisor classes
-    whose preimages constrain a bundle-side component without a class in
-    the bundle's basis; each counts as one more pulled-back absolute
-    constraint, in the dimension gate and in the fiber-class bound.
+    the components of a splitting alike.
 
     Order matters: negative contact degree first (the count is zero by
     definition), then the dimension gate, then the three geometric rules
@@ -63,7 +60,7 @@ def decide(spec: InvariantSpec, markers=()) -> Verdict:
     """
     pair = spec.pair
     try:
-        e = expected_dimension(spec, markers)
+        e = expected_dimension(spec)
     except DefinedZero as stop:
         return Verdict(ZERO, NEGATIVE_INTERSECTION, trace=(str(stop),))
 
@@ -83,7 +80,7 @@ def decide(spec: InvariantSpec, markers=()) -> Verdict:
     if pair is None or spec.genus != 0:
         return Verdict(ADMISSIBLE)
 
-    s, r = len(spec.absolutes) + len(markers), len(spec.relatives)
+    s, r = len(spec.absolutes), len(spec.relatives)
 
     meta = pair.ruled
     if meta is not None:

@@ -7,9 +7,8 @@ import pytest
 
 from relgw import cli, decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
-                             PulledBack, compare_abs_rel,
-                             enumerate_terms, evaluate_decomposition,
-                             split_form)
+                             compare_abs_rel, enumerate_terms,
+                             evaluate_decomposition, split_form)
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
@@ -73,8 +72,8 @@ def brute_multiplicity(setup, spec, term):
 
     A constraint placed on X may go to any divisor-side component, one on
     Y to any bundle-side component as the bundle's point or fundamental
-    class, and a split one to either, as the preimage marker of its
-    declared divisor half on the bundle side.
+    class, and a split one to either, on the bundle side as its declared
+    divisor half pulled back.
     """
     bundle = setup.ruled.total
     halves = {source: half for source, half in setup.left.splits}
@@ -352,15 +351,15 @@ def old_missable_loop(setup, groups, parts1, parts2):
                 elif side == "Y":
                     right[k] += [decompose._convert_neck(setup, ins)] * n
                 else:
-                    right[k] += [PulledBack(split_form(setup.left,
-                                                       ins.cls))] * n
+                    right[k] += [Insertion(split_form(setup.left, ins.cls),
+                                           pulled_back=True)] * n
         alphas = [setup.ruled.projection(c) for c in parts2]
         if any(xmodel.is_isolated(c)
                and any(xmodel.in_missable(a.cls) for a in placed)
                for c, placed in zip(parts1, left)) or any(
                 not a.is_zero and dmodel.is_isolated(a)
-                and any(isinstance(b, Insertion) and not b.pulled_back
-                        and b.cls.grade == 0 for b in placed)
+                and any(not b.pulled_back and b.cls.grade == 0
+                        for b in placed)
                 for a, placed in zip(alphas, right)):
             rejected += 1
         else:
@@ -623,7 +622,12 @@ def test_dual_classes_pairing():
 
 
 def test_pulled_back_marker_token():
+    # the bundle-side half of a split constraint is pulled back from D
     setup, _ = quartic_case()
     D = setup.left.divisor
-    marker = PulledBack(D.gen("lambda"))
-    assert marker.token() == "pb:lambda"
+    half = Insertion(D.gen("lambda"), pulled_back=True)
+    assert half.token() == "pb:lambda"
+    comp = decompose.GraphComponent(setup.ruled.fiber, 0, (half,))
+    spec = decompose._right_spec(setup, comp, ())
+    assert spec.absolutes == (half,)
+    assert spec.key().endswith(";abs=pb:lambda;rel=")

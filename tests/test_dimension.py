@@ -9,7 +9,7 @@ from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              expected_dimension, projection_index,
                              raw_dimension)
 from relgw.lattice import cls, gen
-from relgw.spaces import builtin
+from relgw.spaces import CatalogError, DivisorPair, builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
                           component_index, multilevel_index, validate)
 
@@ -116,6 +116,60 @@ def test_insertion_validation():
     # mixed-grade classes never get as far as an insertion
     with pytest.raises(Exception):
         gen(p2.basis, "pt") + gen(p2.basis, "lambda")
+
+
+def _ruled_pairs():
+    """Every catalog pair whose ambient is ruled over its divisor: the torus
+    pair and each infinity pair of a bundle the catalog can build."""
+    names = ["t2_ruled_section"]
+    for base in ("p1_point", "p2_hyperplane", "p3_hyperplane",
+                 "p4_hyperplane", "p2blow1_exc", "p4blow2_hyperplane",
+                 "t2_ruled_section", "s2xs2_antidiag"):
+        try:
+            builtin("y_of:" + base)
+        except CatalogError:
+            continue
+        names.append("y_of:" + base)
+    return names
+
+
+def ruled_pair(name) -> DivisorPair:
+    obj = builtin(name)
+    return obj if isinstance(obj, DivisorPair) else obj.infinity_pair
+
+
+@pytest.mark.parametrize("name", _ruled_pairs())
+def test_pulled_back_codim_is_taken_in_the_divisor(name):
+    pair = ruled_pair(name)
+    n, D = pair.ambient.n, pair.divisor
+    for h, grade in D.basis.elements:
+        pulled = Insertion(gen(D.basis, h), pulled_back=True)
+        assert constraint_codim(pulled, n) == (n - 1) - grade
+    # where the preimage has a declared class, it costs the same
+    for h in (D.point, D.fundamental):
+        preimage = Insertion(pair.ruled.preimage(h))
+        assert constraint_codim(Insertion(h, pulled_back=True), n) == \
+            constraint_codim(preimage, n)
+
+
+def test_pulled_back_constraints_need_a_ruled_pair():
+    t2 = builtin("t2_ruled_section")
+    T, TD = t2.ambient, t2.divisor
+    fiber = T.gen("f")
+    tail = (Insertion(TD.point, order=1),)
+    ok = InvariantSpec(t2, 0, fiber, (Insertion(TD.point, pulled_back=True),),
+                       tail)
+    assert ok.key() == "pair:t2_ruled_section;g=0;b=f;abs=pb:pt;rel=(1,pt)"
+    with pytest.raises(InvariantError, match="in wrong basis"):
+        InvariantSpec(t2, 0, fiber, (Insertion(fiber, pulled_back=True),),
+                      tail)
+    with pytest.raises(InvariantError, match="needs a pair whose ambient"):
+        InvariantSpec(T, 0, fiber, (Insertion(TD.point, pulled_back=True),))
+    hyper = builtin("p2_hyperplane")
+    with pytest.raises(InvariantError, match="needs a pair whose ambient"):
+        InvariantSpec(hyper, 0, hyper.ambient.gen("lambda"),
+                      (Insertion(hyper.divisor.point, pulled_back=True),),
+                      (Insertion(hyper.divisor.fundamental, order=1),))
 
 
 def level_one_index(setup, alpha, fiber, zero, inf):

@@ -155,8 +155,9 @@ def test_parse_reads_back_every_kind_of_insertion():
     yp = builtin("y_of:t2_ruled_section").infinity_pair
     D = yp.divisor
     relative = InvariantSpec(yp, 1, yp.ambient.gen("f"),
-                             (Insertion(yp.ambient.point, pulled_back=True),),
+                             (Insertion(D.point, pulled_back=True),),
                              (Insertion(D.point, order=1),))
+    assert "abs=pb:pt;" in relative.key()
     tagged = InvariantSpec(P3, 0, LAM.scale(2),
                            (Insertion(PT, descendents=2), Insertion(LAM)))
     text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, tagged))
@@ -251,10 +252,45 @@ def test_distinct_fibers_never_meet():
     pair = builtin("t2_ruled_section")
     T, TD = pair.ambient, pair.divisor
     spec = InvariantSpec(pair, 0, T.gen("f"),
-                         (Insertion(T.gen("f"), pulled_back=True),
-                          Insertion(T.gen("f"), pulled_back=True)),
+                         (Insertion(TD.point, pulled_back=True),
+                          Insertion(TD.point, pulled_back=True)),
                          (Insertion(TD.point, order=1),))
     assert value_of(Evaluator(seed_table()).evaluate(spec)) == 0
+
+
+def test_pulled_back_fundamental_class_is_the_fundamental_class():
+    # pi^-1(D) is the whole bundle, so the bracket vanishes as one with the
+    # bundle's fundamental class would
+    pair = builtin("y_of:p3_hyperplane").infinity_pair
+    Y, D = pair.ambient, pair.divisor
+    spec = InvariantSpec(pair, 0, Y.gen("f"),
+                         (Insertion(D.point, pulled_back=True),
+                          Insertion(D.fundamental, pulled_back=True)),
+                         (Insertion(D.point, order=1),))
+    r = Evaluator(seed_table()).evaluate(spec)
+    assert value_of(r) == 0
+    assert r.trace == ("fundamental-class insertion", "factor 0")
+
+
+@pytest.mark.parametrize("pulled, plain_names", [
+    (("fund",), ()),
+    (("pt", "fund"), ()),
+    (("pt",), ("fund",)),
+    (("fund",), ("f",)),
+    (("fund",), ("s",)),
+], ids=["fund", "pt-fund", "pt-plain-fund", "fund-f", "fund-s"])
+def test_degree_zero_brackets_with_pulled_back_classes(pulled, plain_names):
+    # the tail rule moves pulled-back classes to their preimages, and a
+    # genus-0 degree-zero bracket with fewer than three points vanishes
+    pair = builtin("t2_ruled_section")
+    T, TD = pair.ambient, pair.divisor
+    absolutes = tuple(Insertion(TD.gen(h), pulled_back=True) for h in pulled)
+    absolutes += tuple(Insertion(T.gen(h)) for h in plain_names)
+    spec = InvariantSpec(pair, 0, cls(T.basis, {}), absolutes, ())
+    r = Evaluator(seed_table()).evaluate(spec)
+    assert value_of(r) == 0
+    assert r.trace == ("drop-fundamental-tails",
+                       "degree-zero: not a three-point bracket", "factor 0")
 
 
 def eq5_spec(rho):

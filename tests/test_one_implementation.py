@@ -14,6 +14,11 @@ second copy.
   top level of two modules: a second definition under a taken name is a
   second implementation that the unread-definition scan cannot tell from
   the first.
+- A count is read off a product table (`point_coefficient`) only by the
+  evaluator's rules, so the fiber count is one rule, `kbeval._rule_fiber`.
+  The splitting ledger takes from `kbeval` only the `Evaluator`, the
+  `KnowledgeBase` and `seed_table`: every factor of a term goes through
+  `Evaluator.evaluate`.
 """
 
 import ast
@@ -26,7 +31,12 @@ ALLOWED = {
     "permutations": {("strata.py", "_relabelings")},
     "dzero_class": {("spaces.py", None), ("vanishing.py", "decide")},
     "dinf_class": {("spaces.py", None)},
+    "point_coefficient": {("kbeval.py", "_rule_degree_zero"),
+                          ("kbeval.py", "_rule_fiber"),
+                          ("kbeval.py", "_rule_section_double_cover")},
 }
+# what the splitting ledger may import from the evaluator's module
+DECOMPOSE_FROM_KBEVAL = {"Evaluator", "KnowledgeBase", "seed_table"}
 
 
 def references(source: str, names) -> list[tuple[str, str | None, int]]:
@@ -102,6 +112,56 @@ def test_detector_finds_second_copies():
         "vanishing.py:6: dinf_class in other"]
     assert misplaced("spaces.py", source)[-1] == \
         "spaces.py:6: permutations in other"
+
+
+def test_detector_finds_a_second_fiber_count():
+    source = ('def _rule_fiber(ev, spec):\n'
+              '    return spec.table.point_coefficient([])\n'
+              'def _evaluate_term(setup, term):\n'
+              '    return setup.products.point_coefficient([])\n')
+    assert misplaced("kbeval.py", source) == [
+        "kbeval.py:4: point_coefficient in _evaluate_term"]
+    assert misplaced("decompose.py", source) == [
+        "decompose.py:2: point_coefficient in _rule_fiber",
+        "decompose.py:4: point_coefficient in _evaluate_term"]
+
+
+def kbeval_imports(source: str) -> list[str]:
+    """Sorted names a module takes from `kbeval`: each name of a
+    `from .kbeval import …`, at any depth, and the module itself for an
+    import of the whole module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "kbeval":
+                found += [alias.name for alias in node.names]
+            else:
+                found += [alias.name for alias in node.names
+                          if alias.name == "kbeval"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[-1] == "kbeval"]
+    return sorted(found)
+
+
+def test_kbeval_import_detector():
+    source = ("from .kbeval import Evaluator, Value\n"
+              "from relgw.kbeval import fiber_count as count\n"
+              "from . import kbeval, lattice\n"
+              "import relgw.kbeval\n"
+              "from .lattice import cls\n"
+              "def later():\n"
+              "    from .kbeval import Unknown\n")
+    assert kbeval_imports(source) == [
+        "Evaluator", "Unknown", "Value", "fiber_count", "kbeval",
+        "relgw.kbeval"]
+    assert kbeval_imports("from .kbeval import seed_table\n") == [
+        "seed_table"]
+
+
+def test_ledger_factors_go_through_the_evaluator():
+    source = (SRC / "decompose.py").read_text(encoding="utf-8")
+    assert set(kbeval_imports(source)) <= DECOMPOSE_FROM_KBEVAL
 
 
 def test_each_concept_has_one_implementation():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relgw import cli
+from relgw.dimension import Insertion, InvariantSpec
 from relgw.scenario import ScenarioError, parse_scenario
+from relgw.spaces import builtin
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -186,6 +188,17 @@ MALFORMED = {
                        2, 2, "duplicate name 'p3'"),
     "class-before-space": ("[class b = lambda]\n",
                            1, 2, "declare a [space] before classes"),
+    # pull(c) reads c in the divisor of a pair whose ambient is ruled
+    "pull-space": (P3_INVARIANT + "class = lambda\nabs = pull(pt)\n", 6, 7,
+                   "pull() needs a pair= target whose ambient is ruled over "
+                   "the divisor, not p3"),
+    "pull-not-ruled": (P2_PAIR + "[invariant x]\npair = p2_hyperplane\n"
+                       "genus = 0\nclass = lambda\nabs = pull(pt)\n", 7, 7,
+                       "pull() needs a pair= target whose ambient is ruled "
+                       "over the divisor, not p2_hyperplane"),
+    "pull-ambient-class": ("[invariant x]\npair = t2_ruled_section\n"
+                           "genus = 0\nclass = f\nabs = pull(f)\n", 5, 12,
+                           "unknown generator 'f' in basis t2_base"),
 }
 
 
@@ -279,8 +292,10 @@ def test_exit_two_on_mixed_grades(tmp_path, capsys):
     "space:s2xs2;g=0;b=a1;abs=pt\t2/1\tconflict",
     "key\t1/0\tprov",
     "key\tnonzero\tprov",
+    # a pb: class is in the divisor's basis; the fiber f is not
+    "pair:t2_ruled_section;g=0;b=f;abs=pb:f,pb:f;rel=(1,pt)\t0/1\tuser",
 ], ids=["two-fields", "bad-value", "conflicts-with-seed", "zero-denominator",
-        "nonzero"])
+        "nonzero", "pulled-back-ambient-class"])
 def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     path = tmp_path / "extra.kb"
     path.write_text(line + "\n", encoding="utf-8")
@@ -316,6 +331,31 @@ def test_exit_two_on_a_kb_key_that_is_not_canonical(tmp_path, capsys):
         f"error: kb file {kb}: line 1: key "
         "space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not canonical; "
         "write space:p3;g=0;b=lambda;abs=pt,lambda,lambda\n")
+
+
+DISTINCT_FIBERS = """\
+[invariant x]
+pair = t2_ruled_section
+genus = 0
+class = f
+abs = pull(pt), pull(pt)
+rel = (1,pt)
+"""
+
+
+def test_pull_reads_a_class_of_the_divisor(tmp_path, capsys):
+    # two fibers through distinct points of the base never meet
+    pair = builtin("t2_ruled_section")
+    T, TD = pair.ambient, pair.divisor
+    pulled = Insertion(TD.point, pulled_back=True)
+    assert parse_scenario(DISTINCT_FIBERS).invariants["x"] == InvariantSpec(
+        pair, 0, T.gen("f"), (pulled, pulled), (Insertion(TD.point, order=1),))
+    path = tmp_path / "fibers.gw"
+    path.write_text(DISTINCT_FIBERS, encoding="utf-8")
+    assert status("eval", path, "x") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "key pair:t2_ruled_section;g=0;b=f;abs=pb:pt,pb:pt;rel=(1,pt)"
+    assert out[2] == "value 0"
 
 
 CONIC_THREE_POINTS = """\

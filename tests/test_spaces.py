@@ -77,11 +77,11 @@ def test_pull_back_correspondence_runs_both_ways(name):
     obj = builtin(name)
     pair = obj.infinity_pair if name.startswith("y_of:") else obj
     meta, X, D = pair.ruled, pair.ambient, pair.divisor
-    assert meta.preimage_source(meta.fiber) == D.point
-    assert meta.preimage_source(X.fundamental) == D.fundamental
+    assert meta.preimage(D.point) == meta.fiber
+    assert meta.preimage(D.fundamental) == X.fundamental
     for d, y in meta.pullbacks:
-        assert meta.preimage_source(y) == d
-    assert meta.preimage_source(X.point) is None
+        assert meta.preimage(d) == y
+    assert meta.preimage(D.point.scale(2)) is None
 
 
 def test_section_lift_is_declared_only_on_built_bundles():

@@ -74,7 +74,7 @@ def test_fiber_triple_is_admissible():
     tail = (Insertion(D.point, order=1),)
     bare = InvariantSpec(pair, 0, f, (), tail)
     assert decide(bare).kind == ADMISSIBLE
-    pulled = Insertion(f, pulled_back=True)
+    pulled = Insertion(D.point, pulled_back=True)
     triple = InvariantSpec(pair, 0, f, (pulled, pulled), tail)
     assert decide(triple).kind == ADMISSIBLE
 
@@ -83,7 +83,7 @@ def test_fiber_class_insertion_bound():
     pair = builtin("t2_ruled_section")
     X, D = pair.ambient, pair.divisor
     f = X.gen("f")
-    pulled = Insertion(f, pulled_back=True)
+    pulled = Insertion(D.point, pulled_back=True)
     spec = InvariantSpec(pair, 0, f, (pulled,) * 3, (Insertion(D.point, order=1),))
     v = decide(spec)
     assert v.kind == ZERO and v.reason == FIBER_MULTIPLE
@@ -93,7 +93,7 @@ def test_translation_vanishing():
     pair = builtin("t2_ruled_section")
     X = pair.ambient
     section = cls(X.basis, {"s": 1, "f": 1})
-    pulled = Insertion(X.gen("f"), pulled_back=True)
+    pulled = Insertion(pair.divisor.point, pulled_back=True)
     spec = InvariantSpec(pair, 0, section, (pulled, pulled), ())
     v = decide(spec)
     assert v.kind == ZERO and v.reason == RULED_PULLED_BACK
@@ -127,55 +127,58 @@ def test_hypothesis_antidiagonal():
     assert witness == D.gen("fund")
 
 
-# -- markers: divisor classes pulled back to the bundle side ---------------
+# -- divisor classes pulled back to the bundle side ------------------------
 #
 # On the bundle over the hyperplane of the two-point blowup of P4 the
 # preimage of the line class `lambda` of the divisor has no class in the
-# bundle's basis, so a splitting carries it as a marker.
+# bundle's basis; a splitting carries it as a pulled-back insertion.
 
 
-def bundle_spec(coeffs, *tails):
+def bundle_spec(coeffs, *tails, pulled=0):
+    """(count, divisor): a genus-0 count on the bundle carrying `pulled`
+    copies of the pulled-back line class."""
     pair = builtin("y_of:p4blow2_hyperplane").infinity_pair
     Y, D = pair.ambient, pair.divisor
     rel = tuple(Insertion(gen(D.basis, name), order=order)
                 for order, name in tails)
-    return InvariantSpec(pair, 0, cls(Y.basis, coeffs), (), rel), D
+    line = Insertion(gen(D.basis, "lambda"), pulled_back=True)
+    return InvariantSpec(pair, 0, cls(Y.basis, coeffs), (line,) * pulled,
+                         rel), D
 
 
 def test_dimension_gate_counts_markers():
-    # each marker is one more insertion of codimension n - grade - 1
-    spec, D = bundle_spec({"f": 1}, (1, "eps1"))
-    line = gen(D.basis, "lambda")
-    assert expected_dimension(spec) == 1
-    assert expected_dimension(spec, (line,)) == 0
-    assert expected_dimension(spec, (line, line)) == -1
-    v = decide(spec)
-    assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
-    assert decide(spec, (line,)).kind == ADMISSIBLE
-    v = decide(spec, (line, line))
-    assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
+    # each pulled-back class is one more insertion of codimension
+    # n - 1 - grade
+    dims = [expected_dimension(bundle_spec({"f": 1}, (1, "eps1"),
+                                           pulled=k)[0]) for k in range(3)]
+    assert dims == [1, 0, -1]
+    for k, kind in ((0, ZERO), (1, ADMISSIBLE), (2, ZERO)):
+        v = decide(bundle_spec({"f": 1}, (1, "eps1"), pulled=k)[0])
+        assert v.kind == kind
+        if kind == ZERO:
+            assert v.reason == DIMENSION_MISMATCH
 
 
 def test_fiber_multiple_counts_markers():
-    spec, D = bundle_spec({"f": 1}, (1, "fund"))
-    line = gen(D.basis, "lambda")
-    # three markers and one contact: four insertions on a fiber
-    v = decide(spec, (line,) * 3)
+    spec, _ = bundle_spec({"f": 1}, (1, "fund"), pulled=3)
+    # three pulled-back classes and one contact: four insertions on a fiber
+    v = decide(spec)
     assert v.kind == ZERO and v.reason == FIBER_MULTIPLE
     assert "3 absolute and 1 relative" in v.trace[0]
-    # two markers against a contact of one grade lower: three insertions
-    fewer, _ = bundle_spec({"f": 1}, (1, "pi"))
-    assert expected_dimension(fewer, (line,) * 2) == 0
-    assert decide(fewer, (line,) * 2).kind == ADMISSIBLE
+    # two against a contact of one grade lower: three insertions
+    fewer, _ = bundle_spec({"f": 1}, (1, "pi"), pulled=2)
+    assert expected_dimension(fewer) == 0
+    assert decide(fewer).kind == ADMISSIBLE
 
 
 def test_ruled_pulled_back_holds_with_markers():
-    spec, D = bundle_spec(
-        {"f": 1, "lambda_0": 1, "eps1_0": -1, "eps2_0": -1}, (1, "pi"))
-    v = decide(spec, (gen(D.basis, "lambda"),))
+    coeffs = {"f": 1, "lambda_0": 1, "eps1_0": -1, "eps2_0": -1}
+    spec, _ = bundle_spec(coeffs, (1, "pi"), pulled=1)
+    v = decide(spec)
     assert v.kind == ZERO and v.reason == RULED_PULLED_BACK
-    # without the marker the dimension gate speaks first
-    assert decide(spec).reason == DIMENSION_MISMATCH
+    # without the pulled-back class the dimension gate speaks first
+    bare, _ = bundle_spec(coeffs, (1, "pi"))
+    assert decide(bare).reason == DIMENSION_MISMATCH
 
 
 # -- the genus-0 reduction of relative counts to absolute ones -------------

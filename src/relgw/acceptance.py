@@ -325,7 +325,7 @@ def check_ruled_section_formula():
 # -- 7: splitting ledgers -------------------------------------------------
 
 
-def _section_case(place=None):
+def _section_case(place="X"):
     setup = builtin("fibersum_of:t2_ruled_section")
     X = setup.total
     spec = InvariantSpec(X, 1, X.cls({"s": 1, "f": 1}),
@@ -469,7 +469,7 @@ def _oracle_terms(setup, spec):
     bundle side come from a coefficient box, kept iff they project into the
     effective cone of the divisor, and every graph over the candidates is
     kept iff it satisfies the stated admissibility conditions.  Sized for
-    the toy cases only.
+    the toy cases only, whose constraints are placed on X or on Y.
     """
     X, D = setup.total, setup.left.divisor
     Y = setup.ruled.total
@@ -564,7 +564,7 @@ def _oracle_graphs(setup, spec, duals, parts1, parts2):
         minima.append(0 if alpha.is_zero else dmodel.min_genus(alpha))
 
     points = list(spec.absolutes)
-    sides = ["Y" if i.place == "Y" else "X" for i in points]
+    sides = [i.place for i in points]
     slot_ranges = [range(p) if side == "X" else range(p, p + q)
                    for side in sides]
     for assign in itertools.product(*slot_ranges):
@@ -685,7 +685,7 @@ def check_property_suite():
                  f"{name}: taking the dual twice moves {e}")
 
     # enumeration agrees with a plain generate-then-filter pass
-    for place, want in ((None, 2), ("Y", 1)):
+    for place, want in (("X", 2), ("Y", 1)):
         setup, spec = _section_case(place)
         terms = enumerate_terms(setup, spec)
         got = {_term_signature(t) for t in terms}

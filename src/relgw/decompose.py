@@ -151,12 +151,10 @@ def _cone_members(model: EffectiveModel, budget: int):
 
 
 def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
-    """True when alpha is a sum of connected classes that are each isolated
-    or supported entirely on exceptional loci, so its generic representatives
-    stay inside a fixed one-dimensional locus of the divisor."""
-    pieces = [p for p in model.classes(model.area(alpha))
-              if model.is_isolated(p)
-              or all(name in model.exceptional for name, _ in p.coeffs)]
+    """True when alpha is a sum of isolated connected classes, so its
+    generic representatives stay inside a fixed one-dimensional locus of
+    the divisor."""
+    pieces = [p for p in model.classes(model.area(alpha)) if model.is_isolated(p)]
     return bool(_exact_decompositions(pieces, alpha, model.area))
 
 
@@ -182,15 +180,11 @@ def _right_spec(setup: FiberSumSetup, comp: GraphComponent,
 # enumeration
 
 
-def _place(ins: Insertion) -> str:
-    return ins.place if ins.place in ("Y", "split") else "X"
-
-
 def _groups(spec: InvariantSpec):
     """Identical constraints bundled together, with their declared side."""
     buckets: dict[tuple, list[Insertion]] = {}
     for ins in spec.absolutes:
-        key = (_place(ins), ins.cls.encode(), ins.descendents)
+        key = (ins.place, ins.cls.encode(), ins.descendents)
         buckets.setdefault(key, []).append(ins)
     return [(key[0], items[0], len(items))
             for key, items in sorted(buckets.items())]
@@ -861,7 +855,7 @@ def compare_abs_rel(setup: FiberSumSetup, spec: InvariantSpec):
     and whether unresolved rows make the difference a lower bound only.
     """
     for ins in spec.absolutes:
-        if _place(ins) == "Y":
+        if ins.place == "Y":
             raise DecompositionError(
                 "comparison needs every constraint on the original side")
     ledger = evaluate_decomposition(setup, spec)

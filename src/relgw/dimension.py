@@ -33,7 +33,7 @@ class DefinedZero(Exception):
         self.reason = reason
 
 
-_PLACES = (None, "X", "Y", "split")
+_PLACES = ("X", "Y", "split")
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,15 @@ class Insertion:
     (>= 1) otherwise.  `pulled_back` marks an absolute constraint pi^-1(c)
     on a pair whose ambient space is ruled over the divisor: `cls` is then
     the class c of the divisor, and the constraint can always be pushed off
-    a fixed fiber direction.  `place` is only meaningful as input to the
-    splitting enumeration and never enters a canonical key.
+    a fixed fiber direction.  `place` (X, Y or split) is only meaningful as
+    input to the splitting enumeration and never enters a canonical key.
     """
 
     cls: HomologyClass
     descendents: int = 0
     order: int | None = None
     pulled_back: bool = False
-    place: str | None = None
+    place: str = "X"
 
     def __post_init__(self):
         if self.cls.is_zero or self.cls.grade is None:

@@ -10,12 +10,14 @@ are checked once, where names become a class (`HomologyClass.from_pairs`,
 `LinearFunctional` and `LatticeMap` hold one precomputed row per basis
 position.  All arithmetic is exact; coefficients are Python ints
 throughout.  `row_reduce` is the one linear elimination, over `Fraction`
-rows, for every solver that needs one.
+rows, for every solver that needs one; `combination` is the one linear
+solve in a lattice, through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Mapping
 
@@ -437,3 +439,29 @@ def row_reduce(rows, tags=None) -> list[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def combination(classes, target: HomologyClass) -> tuple[Fraction, ...] | None:
+    """The exact coefficients x with sum x_i * classes[i] == target, or None
+    when target is outside the span of `classes`.
+
+    The classes must be linearly independent (LatticeError otherwise), so
+    the coefficients are unique.  Only positions where some class is
+    nonzero enter the elimination; a nonzero target entry elsewhere is
+    outside the span at once.
+    """
+    cols = [c.vec for c in classes]
+    rows = []
+    for j, t in enumerate(target.vec):
+        row = [col[j] for col in cols]
+        if any(row):
+            rows.append([Fraction(v) for v in row] + [Fraction(t)])
+        elif t:
+            return None
+    pivots = row_reduce(rows)
+    n = len(cols)
+    if pivots[:n] != list(range(n)):
+        raise LatticeError(f"dependent classes: {[c.encode() for c in classes]}")
+    if len(pivots) > n:
+        return None
+    return tuple(row[-1] for row in rows[:n])

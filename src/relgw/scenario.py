@@ -168,7 +168,7 @@ class _Parser:
         """One absolute constraint on `target`, a Space or a DivisorPair:
         `pull(c)` reads c in the divisor of a pair with `ruled`, anything
         else is a class of the ambient space."""
-        place = None
+        place = "X"
         at = text.rfind("@")
         if at >= 0 and "(" not in text[at:]:
             tag = text[at + 1:].strip()
@@ -178,10 +178,9 @@ class _Parser:
             place = tag
             text = text[:at].rstrip()
         desc = 0
-        m = re.match(r"tau(\d+)\((.*)\)$", text)
+        m = re.match(r"tau(\d+)\(\s*(.*?)\s*\)$", text)
         if m:
-            desc = int(m.group(1))
-            text = m.group(2).strip()
+            desc, text, col = int(m.group(1)), m.group(2), col + m.start(2)
         pulled = False
         space = target.ambient if isinstance(target, DivisorPair) else target
         m = re.match(r"pull\(\s*(.*?)\s*\)$", text)

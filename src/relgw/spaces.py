@@ -6,6 +6,10 @@ infinity P1-bundle over the divisor), `q_of:<pair>` (the dual-twist bundle used
 for neck levels), `fibersum_of:<pair>` (the pair glued to its ruled model).
 
 Geometric facts are declared here once; the engines read them, not names:
+- `EffectiveModel.branches`: each effective cone as disjoint branches, an
+  optional offset plus the non-negative integer combinations of independent
+  generators, each branch isolated or not and with a least genus;
+  membership, isolation, least genus and the class list derive from them;
 - `Space.duals`: the intersection dual of each basis element;
 - `Space.blowdown`: a point blow-up's base, pi_* and exceptional curves;
 - `DivisorPair.affine_complement`: X minus D is C^n (hyperplanes of P^n);
@@ -23,197 +27,119 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lattice import (GradedBasis, HomologyClass, IntersectionForm, LatticeMap,
-                      LinearFunctional, ProductTable, cls, gen)
+                      LinearFunctional, ProductTable, cls, combination, gen)
 
 
 class CatalogError(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class Branch:
+    """One branch of an effective cone: the classes offset + sum n_i * g_i
+    over the `generators` g_i, with n_i >= 0 integers.  The generators are
+    linearly independent, so each class has one such expression; with no
+    offset the empty combination, the zero class, is left out.  `isolated`
+    marks classes whose curves stay inside one rigid locus, and `genus` is
+    the least genus of a connected curve in each class."""
+
+    offset: HomologyClass | None
+    generators: tuple[HomologyClass, ...]
+    isolated: bool
+    genus: int
+
+
 class EffectiveModel:
-    """Connected-effectivity data for a space.
+    """Connected-effectivity data for a space, derived from its disjoint
+    `branches`.
 
     `is_effective` answers for a single connected curve; sums of effective
-    classes are handled by the enumerators, not here.  `_candidates(a)`
-    yields only classes on the effective branches its subclass docstring
-    names, each once, and every such class of area at most `a`; `classes`
-    keeps those of area 1..a and re-checks nothing else.
+    classes are handled by the enumerators, not here.  A class is in a
+    branch when one linear solve (`lattice.combination`) writes it with
+    non-negative integer coefficients; the answer is kept per class vector.
     """
 
     def __init__(self, basis: GradedBasis, area: LinearFunctional,
+                 branches: tuple[Branch, ...],
                  missable: frozenset[str] = frozenset(),
                  exceptional: frozenset[str] = frozenset()):
         self.basis = basis
         self.area = area
+        self.branches = branches
         self.missable = missable
         self.exceptional = exceptional
         names = basis.names()
         self._not_missable = tuple(i for i, e in enumerate(names) if e not in missable)
         self._exceptional = tuple(i for i, e in enumerate(names) if e in exceptional)
+        self._not_exceptional = tuple(i for i, e in enumerate(names)
+                                      if e not in exceptional)
+        self._member: dict[tuple[int, ...], Branch | None] = {}
+        # (branch, offset area, generator areas) of the branches `classes`
+        # lists; a branch of area 0 throughout has no class to list
+        self._listed = []
+        for b in branches:
+            areas = tuple(map(area, b.generators))
+            base = 0 if b.offset is None else area(b.offset)
+            if all(a > 0 for a in areas):
+                self._listed.append((b, base, areas))
+            elif base or any(areas):
+                raise CatalogError(f"{basis.name}: a branch has infinitely "
+                                   f"many classes below some area")
+
+    def _branch_of(self, c: HomologyClass) -> Branch | None:
+        """The branch holding c, or None when c is not effective."""
+        vec = c.vec
+        if vec in self._member:
+            return self._member[vec]
+        found = None
+        if c.grade in (None, 1):
+            for b in self.branches:
+                rest = c if b.offset is None else c - b.offset
+                coeffs = combination(b.generators, rest)
+                if (coeffs is not None
+                        and all(v >= 0 and v.denominator == 1 for v in coeffs)
+                        and (b.offset is not None or any(coeffs))):
+                    found = b
+                    break
+        self._member[vec] = found
+        return found
 
     def is_effective(self, c: HomologyClass) -> bool:
-        raise NotImplementedError
+        return self._branch_of(c) is not None
 
     def min_genus(self, c: HomologyClass) -> int:
-        return 0
+        branch = self._branch_of(c)
+        return 0 if branch is None else branch.genus
 
     def is_isolated(self, c: HomologyClass) -> bool:
-        return False
+        """True on an isolated branch, and on a nonzero class supported on
+        exceptional generators only: its curves stay inside the exceptional
+        loci."""
+        branch = self._branch_of(c)
+        if branch is not None and branch.isolated:
+            return True
+        return not c.is_zero and not any(c.vec[i] for i in self._not_exceptional)
 
     def classes(self, max_area: int) -> list[HomologyClass]:
         """Connected effective classes of area in 1..max_area, ordered by
         (area, encode())."""
         out = []
-        for c in self._candidates(max_area):
-            a = self.area(c)
-            if 0 < a <= max_area:
-                out.append((a, c.encode(), c))
-        out.sort(key=lambda t: t[:2])
-        return [c for _, _, c in out]
-
-    def _candidates(self, max_area: int):
-        raise NotImplementedError
-
-    def _unit(self, name: str) -> int:
-        """Area of one basis curve."""
-        return self.area(gen(self.basis, name))
+        for b, base, areas in self._listed:
+            combos = [(base, self.basis._zero if b.offset is None else b.offset.vec)]
+            for g, ga in zip(b.generators, areas):
+                combos = [(a + k * ga, tuple(x + k * y for x, y in zip(v, g.vec)))
+                          for a, v in combos
+                          for k in range((max_area - a) // ga + 1)]
+            out += [(a, HomologyClass(self.basis, v, 1))
+                    for a, v in combos if 0 < a <= max_area]
+        out.sort(key=lambda t: (t[0], t[1].encode()))
+        return [c for _, c in out]
 
     def in_missable(self, c: HomologyClass) -> bool:
         return bool(self.missable) and not any(c.vec[i] for i in self._not_missable)
 
     def has_exceptional_support(self, c: HomologyClass) -> bool:
         return any(c.vec[i] for i in self._exceptional)
-
-
-class _LineModel(EffectiveModel):
-    """Single curve generator: effective classes are its positive multiples."""
-
-    def __init__(self, basis, area, generator: str, **kw):
-        super().__init__(basis, area, **kw)
-        self.generator = generator
-
-    def is_effective(self, c):
-        return c.grade == 1 and set(n for n, _ in c.coeffs) == {self.generator} \
-            and c.coeff(self.generator) > 0
-
-    def _candidates(self, max_area):
-        unit = self._unit(self.generator)
-        return [gen(self.basis, self.generator, d) for d in range(1, max_area // unit + 1)]
-
-
-class _BlowOneModel(EffectiveModel):
-    """Plane blown up at a point: d*lambda - m*eps with 0 <= m <= d, plus m*eps."""
-
-    def is_effective(self, c):
-        if c.grade != 1:
-            return False
-        d, m = c.coeff("lambda"), -c.coeff("eps")
-        if d > 0:
-            return 0 <= m <= d
-        return d == 0 and m < 0  # pure exceptional multiples m*eps, m > 0
-
-    def is_isolated(self, c):
-        return c.coeff("lambda") == 0 and c.coeff("eps") > 0
-
-    def _candidates(self, max_area):
-        lam, eps = self._unit("lambda"), self._unit("eps")
-        # d*lambda - m*eps with m <= d has area at least d * (lam - eps)
-        for d in range(1, max_area // (lam - eps) + 1):
-            for m in range(d + 1):
-                yield cls(self.basis, {"lambda": d, "eps": -m})
-        for m in range(1, max_area // eps + 1):
-            yield gen(self.basis, "eps", m)
-
-
-class _BlowTwoModel(EffectiveModel):
-    """Two-point blowups (used for both the 3- and 4-dimensional catalog spaces).
-
-    Connected branches: s*lambda - m1*eps1 - m2*eps2 with s > 0 and either
-    m1 = m2 = s or m1, m2 >= 0, m1 + m2 <= s; pure exceptional m*eps_j, m > 0.
-    """
-
-    def is_effective(self, c):
-        if c.grade != 1:
-            return False
-        s = c.coeff("lambda")
-        m1, m2 = -c.coeff("eps1"), -c.coeff("eps2")
-        if s > 0:
-            return (m1 == m2 == s) or (m1 >= 0 and m2 >= 0 and m1 + m2 <= s)
-        if s == 0:
-            return (m1 < 0 and m2 == 0) or (m2 < 0 and m1 == 0)
-        return False
-
-    def is_isolated(self, c):
-        s = c.coeff("lambda")
-        m1, m2 = -c.coeff("eps1"), -c.coeff("eps2")
-        if s == 0:
-            return True  # exceptional multiples live inside one exceptional locus
-        return s > 0 and m1 == m2 == s  # covers of the rigid line through both points
-
-    def _candidates(self, max_area):
-        lam, e1, e2 = self._unit("lambda"), self._unit("eps1"), self._unit("eps2")
-        # covers of the line through both points: area s * (lam - e1 - e2)
-        for s in range(1, max_area // (lam - e1 - e2) + 1):
-            yield cls(self.basis, {"lambda": s, "eps1": -s, "eps2": -s})
-        # m1 + m2 <= s: area at least s * (lam - max(e1, e2))
-        for s in range(1, max_area // (lam - max(e1, e2)) + 1):
-            for m1 in range(s + 1):
-                for m2 in range(s - m1 + 1):
-                    yield cls(self.basis, {"lambda": s, "eps1": -m1, "eps2": -m2})
-        for name, unit in (("eps1", e1), ("eps2", e2)):
-            for m in range(1, max_area // unit + 1):
-                yield gen(self.basis, name, m)
-
-
-class _RuledT2Model(EffectiveModel):
-    """Degree-1 ruled surface over the torus: m*f (spheres) and s + m*f (tori)."""
-
-    def is_effective(self, c):
-        if c.grade != 1:
-            return False
-        m, k = c.coeff("f"), c.coeff("s")
-        return (k == 0 and m > 0) or (k == 1 and m >= 0)
-
-    def min_genus(self, c):
-        return 1 if c.coeff("s") == 1 else 0
-
-    def _candidates(self, max_area):
-        out = [gen(self.basis, "f", m) for m in range(1, max_area + 1)]
-        out += [cls(self.basis, {"s": 1, "f": m}) for m in range(0, max_area + 1)]
-        return out
-
-
-class _TorusBaseModel(EffectiveModel):
-    """Curve classes in the torus itself: positive multiples of the base, genus 1."""
-
-    def is_effective(self, c):
-        return c.grade == 1 and c.coeff("fund") > 0
-
-    def min_genus(self, c):
-        return 1
-
-    def _candidates(self, max_area):
-        return [gen(self.basis, "fund", m) for m in range(1, max_area + 1)]
-
-
-class _QuadricProductModel(EffectiveModel):
-    """S2 x S2: a*a1 + b*a2 with a, b >= 0 not both 0, and the antidiagonal
-    spheres m*(a1 - a2), m > 0, which have area 0 and are never listed."""
-
-    def is_effective(self, c):
-        if c.grade != 1:
-            return False
-        a, b = c.coeff("a1"), c.coeff("a2")
-        if a >= 0 and b >= 0 and a + b > 0:
-            return True
-        return a == -b and a != 0 and a > 0  # antidiagonal spheres m*(a1 - a2)
-
-    def _candidates(self, max_area):
-        a1, a2 = self._unit("a1"), self._unit("a2")
-        for a in range(max_area // a1 + 1):
-            for b in range((max_area - a * a1) // a2 + 1):
-                if a or b:
-                    yield cls(self.basis, {"a1": a, "a2": b})
 
 
 @dataclass(frozen=True)
@@ -460,7 +386,8 @@ def _space_pn(n: int) -> Space:
         products = ProductTable(b, tuple(entries))
     model = None
     if n >= 1:
-        model = _LineModel(b, area, curve, missable=frozenset(e for e, _ in b.elements))
+        model = EffectiveModel(b, area, (Branch(None, (gen(b, curve),), False, 0),),
+                               missable=frozenset(b.names()))
     return Space(f"p{n}", n, b, form, c1, area, model, products)
 
 
@@ -479,10 +406,24 @@ def _space_p2blow1(base: Space) -> Space:
     form = _form(b, [("pt", "fund", 1), ("lambda", "lambda", 1), ("eps", "eps", -1)])
     c1 = _functional("c1", b, {"lambda": 3, "eps": 1})
     area = _functional("area", b, {"lambda": 3, "eps": 1})
-    model = _BlowOneModel(b, area, missable=frozenset({"pt", "lambda", "fund"}),
-                          exceptional=frozenset({"eps"}))
+    lam, eps = gen(b, "lambda"), gen(b, "eps")
+    model = EffectiveModel(b, area, (
+        Branch(None, (lam, lam - eps), False, 0),
+        Branch(None, (eps,), True, 0),
+    ), missable=frozenset({"pt", "lambda", "fund"}), exceptional=frozenset({"eps"}))
     return Space("p2blow1", 2, b, form, c1, area, model,
                  blowdown=_blowdown(b, base, model.missable))
+
+
+def _blow_two_branches(b: GradedBasis) -> tuple[Branch, ...]:
+    """Curves in P^n blown up at two points: covers of the rigid line
+    through both points, lines through at most one of them, and the
+    exceptional curves."""
+    lam, e1, e2 = gen(b, "lambda"), gen(b, "eps1"), gen(b, "eps2")
+    return (Branch(None, (lam - e1 - e2,), True, 0),
+            Branch(None, (lam, lam - e1, lam - e2), False, 0),
+            Branch(None, (e1,), True, 0),
+            Branch(None, (e2,), True, 0))
 
 
 def _space_p3blow2(base: Space) -> Space:
@@ -493,9 +434,9 @@ def _space_p3blow2(base: Space) -> Space:
                      ("eps1", "eps1s", 1), ("eps2", "eps2s", 1)])
     c1 = _functional("c1", b, {"lambda": 4, "eps1": 2, "eps2": 2})
     area = _functional("area", b, {"lambda": 3, "eps1": 1, "eps2": 1})
-    model = _BlowTwoModel(b, area,
-                          missable=frozenset({"pt", "lambda", "pi", "fund"}),
-                          exceptional=frozenset({"eps1", "eps2", "eps1s", "eps2s"}))
+    model = EffectiveModel(b, area, _blow_two_branches(b),
+                           missable=frozenset({"pt", "lambda", "pi", "fund"}),
+                           exceptional=frozenset({"eps1", "eps2", "eps1s", "eps2s"}))
     pt, lam = gen(b, "pt"), gen(b, "lambda")
     products = ProductTable(b, (
         ("pi", "pi", lam),
@@ -526,9 +467,9 @@ def _space_p4blow2(base: Space) -> Space:
                      ("pi", "pi", 1), ("sig1", "sig1", -1), ("sig2", "sig2", -1)])
     c1 = _functional("c1", b, {"lambda": 5, "eps1": 3, "eps2": 3})
     area = _functional("area", b, {"lambda": 3, "eps1": 1, "eps2": 1})
-    model = _BlowTwoModel(b, area,
-                          missable=frozenset({"pt", "lambda", "pi", "h", "fund"}),
-                          exceptional=frozenset({"eps1", "eps2", "sig1", "sig2", "e1", "e2"}))
+    model = EffectiveModel(b, area, _blow_two_branches(b),
+                           missable=frozenset({"pt", "lambda", "pi", "h", "fund"}),
+                           exceptional=frozenset({"eps1", "eps2", "sig1", "sig2", "e1", "e2"}))
     return Space("p4blow2", 4, b, form, c1, area, model,
                  blowdown=_blowdown(b, base, model.missable, h="h3"))
 
@@ -538,7 +479,9 @@ def _space_t2_ruled() -> Space:
     form = _form(b, [("pt", "fund", 1), ("f", "s", 1), ("s", "s", -1)])
     c1 = _functional("c1", b, {"f": 2, "s": -1})
     area = _functional("area", b, {"f": 1, "s": 2})
-    model = _RuledT2Model(b, area)
+    f = gen(b, "f")
+    model = EffectiveModel(b, area, (Branch(None, (f,), False, 0),
+                                     Branch(gen(b, "s"), (f,), False, 1)))
     return Space("t2_ruled", 2, b, form, c1, area, model)
 
 
@@ -547,7 +490,7 @@ def _space_t2_base() -> Space:
     form = _form(b, [("pt", "fund", 1)])
     c1 = _functional("c1", b, {"fund": 0})
     area = _functional("area", b, {"fund": 1})
-    model = _TorusBaseModel(b, area)
+    model = EffectiveModel(b, area, (Branch(None, (gen(b, "fund"),), False, 1),))
     return Space("t2_base", 1, b, form, c1, area, model, ProductTable(b, ()))
 
 
@@ -556,7 +499,10 @@ def _space_s2xs2() -> Space:
     form = _form(b, [("pt", "fund", 1), ("a1", "a2", 1)])
     c1 = _functional("c1", b, {"a1": 2, "a2": 2})
     area = _functional("area", b, {"a1": 1, "a2": 1})
-    model = _QuadricProductModel(b, area)
+    a1, a2 = gen(b, "a1"), gen(b, "a2")
+    # the antidiagonal spheres have area 0, so `classes` never lists them
+    model = EffectiveModel(b, area, (Branch(None, (a1, a2), False, 0),
+                                     Branch(None, (a1 - a2,), False, 0)))
     return Space("s2xs2", 2, b, form, c1, area, model)
 
 
@@ -565,8 +511,8 @@ def _space_antidiag() -> Space:
     form = _form(b, [("pt", "fund", 1)])
     c1 = _functional("c1", b, {"fund": 2})
     area = _functional("area", b, {"fund": 2})
-    return Space("antidiag_sphere", 1, b, form, c1, area,
-                 _LineModel(b, area, "fund"), ProductTable(b, ()))
+    model = EffectiveModel(b, area, (Branch(None, (gen(b, "fund"),), False, 0),))
+    return Space("antidiag_sphere", 1, b, form, c1, area, model, ProductTable(b, ()))
 
 
 def _pair_pn(n: int, x: Space, d: Space) -> DivisorPair:

@@ -10,15 +10,14 @@ stored as (section part, fiber multiple).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from operator import attrgetter
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         constraint_codim, raw_dimension)
-from .lattice import HomologyClass, cls as make_cls, gen, row_reduce
-from .spaces import CatalogError, DivisorPair, RuledSetup, builtin
+from .lattice import HomologyClass, cls as make_cls, combination, gen
+from .spaces import DivisorPair, RuledSetup, builtin
 
 
 def neck_model(pair: DivisorPair) -> RuledSetup:
@@ -426,29 +425,15 @@ def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass |
     """The divisor curve class pushing to `target`, if one exists.
 
     The catalog inclusions are injective on curve lattices, so the solution
-    is unique when it exists; a dependent inclusion is a catalog bug.
+    is unique when it exists; `combination` raises on a dependent
+    inclusion, a catalog bug.
     """
-    D, X = pair.divisor, pair.ambient
+    D = pair.divisor
     gens = D.basis.names(1)
-    if not gens:
-        return make_cls(D.basis, {}) if target.is_zero else None
-    xgens = X.basis.names(1)
-    cols = [pair.inclusion(gen(D.basis, g)) for g in gens]
-    rows = [[Fraction(col.coeff(x)) for col in cols] + [Fraction(target.coeff(x))]
-            for x in xgens]
-    pivots = row_reduce(rows)
-    if pivots[:len(gens)] != list(range(len(gens))):
-        raise CatalogError(f"{pair.name}: inclusion not injective on curves")
-    if len(pivots) > len(gens):
+    coeffs = combination([pair.inclusion(gen(D.basis, g)) for g in gens], target)
+    if coeffs is None or any(v.denominator != 1 for v in coeffs):
         return None
-    vals = {}
-    for row, g in zip(rows, gens):
-        v = row[-1]
-        if v.denominator != 1:
-            return None
-        if v:
-            vals[g] = int(v)
-    return make_cls(D.basis, vals)
+    return make_cls(D.basis, {g: int(v) for g, v in zip(gens, coeffs)})
 
 
 def _multisets_with_budget(items, budget, cost):

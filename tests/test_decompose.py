@@ -17,7 +17,7 @@ from relgw.strata import graph_genus
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
-def section_case(place=None):
+def section_case(place="X"):
     setup = builtin("fibersum_of:t2_ruled_section")
     X = setup.total
     spec = InvariantSpec(X, 1, X.cls({"s": 1, "f": 1}),
@@ -89,7 +89,7 @@ def brute_multiplicity(setup, spec, term):
             neck = None
         split = halves.get(ins.cls)
         choices = []
-        if ins.place in (None, "X", "split"):
+        if ins.place in ("X", "split"):
             choices += [(slot, ins.token()) for slot in left]
         if ins.place == "Y":
             choices += [(slot, neck) for slot in right]
@@ -285,7 +285,7 @@ def test_brute_automorphisms_agree(quartic):
 
 
 def test_section_cases_match_brute_multiplicity():
-    for place in (None, "Y"):
+    for place in ("X", "Y"):
         setup, spec = section_case(place)
         for term in enumerate_terms(setup, spec):
             assert brute_multiplicity(setup, spec, term) == term.multiplicity

@@ -3,8 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from relgw.lattice import (BasisMismatchError, GradedBasis, GradeError,
-                           HomologyClass, LatticeError, LinearFunctional, cls)
+                           HomologyClass, LatticeError, LinearFunctional, cls,
+                           combination)
 from relgw.spaces import builtin
 
 X = builtin("p4blow2")
@@ -65,6 +68,20 @@ def test_subtraction_is_adding_the_negative():
 
 
 # -- lookup tables are not fields -----------------------------------------
+
+
+def test_combination_is_exact_or_outside_the_span():
+    lam, e1, e2 = X.gen("lambda"), X.gen("eps1"), X.gen("eps2")
+    gens = (lam - e1, lam - e2)
+    assert combination(gens, cls(B, {"lambda": 5, "eps1": -2, "eps2": -3})) \
+        == (2, 3)
+    assert combination((lam.scale(2),), lam) == (Fraction(1, 2),)
+    assert combination(gens, lam) is None          # x + y = 1, x = y = 0
+    assert combination(gens, X.gen("pi")) is None  # no class has a pi entry
+    assert combination((), X.zero()) == ()
+    assert combination(gens, X.zero()) == (0, 0)
+    with pytest.raises(LatticeError, match="dependent"):
+        combination((lam, e1, lam - e1), lam)
 
 
 def test_equal_bases_compare_and_hash_equal():

@@ -19,6 +19,10 @@ second copy.
   The splitting ledger takes from `kbeval` only the `Evaluator`, the
   `KnowledgeBase` and `seed_table`: every factor of a term goes through
   `Evaluator.evaluate`.
+- A linear solve goes through `lattice.combination`: only it and
+  `kbeval.solve_unknowns` call the one elimination, `lattice.row_reduce`.
+- Each effective cone is declared once, as the branches of the one
+  `spaces.EffectiveModel`: no class in `src/relgw` subclasses it.
 """
 
 import ast
@@ -34,6 +38,8 @@ ALLOWED = {
     "point_coefficient": {("kbeval.py", "_rule_degree_zero"),
                           ("kbeval.py", "_rule_fiber"),
                           ("kbeval.py", "_rule_section_double_cover")},
+    "row_reduce": {("lattice.py", "combination"),
+                   ("kbeval.py", "solve_unknowns")},
 }
 # what the splitting ledger may import from the evaluator's module
 DECOMPOSE_FROM_KBEVAL = {"Evaluator", "KnowledgeBase", "seed_table"}
@@ -124,6 +130,47 @@ def test_detector_finds_a_second_fiber_count():
     assert misplaced("decompose.py", source) == [
         "decompose.py:2: point_coefficient in _rule_fiber",
         "decompose.py:4: point_coefficient in _evaluate_term"]
+
+
+def test_detector_finds_a_second_linear_solve():
+    source = ('from .lattice import row_reduce as reduce_rows\n'
+              'def combination(classes, target):\n'
+              '    return row_reduce(rows)\n'
+              'def _solve_preimage(pair, target):\n'
+              '    return lattice.row_reduce(rows)\n')
+    assert misplaced("lattice.py", source) == [
+        "lattice.py:1: row_reduce in module scope",
+        "lattice.py:5: row_reduce in _solve_preimage"]
+    assert misplaced("strata.py", source) == [
+        "strata.py:1: row_reduce in module scope",
+        "strata.py:3: row_reduce in combination",
+        "strata.py:5: row_reduce in _solve_preimage"]
+
+
+def subclasses(source: str, base: str) -> list[str]:
+    """Names of the classes, at any depth, with `base` among their bases,
+    named plainly or as a module attribute."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any((b.id if isinstance(b, ast.Name) else
+                     getattr(b, "attr", None)) == base for b in node.bases)]
+
+
+def test_subclass_detector():
+    source = ('class _LineModel(EffectiveModel):\n    pass\n'
+              'class Other(spaces.EffectiveModel, Mixin):\n    pass\n'
+              'class Plain(Model):\n    pass\n'
+              'def build():\n'
+              '    class Local(EffectiveModel):\n        pass\n')
+    assert subclasses(source, "EffectiveModel") == [
+        "_LineModel", "Other", "Local"]
+
+
+def test_effective_cones_are_declared_not_subclassed():
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in subclasses(path.read_text(encoding="utf-8"),
+                                    "EffectiveModel")]
+    assert found == []
 
 
 def kbeval_imports(source: str) -> list[str]:

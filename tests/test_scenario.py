@@ -199,6 +199,12 @@ MALFORMED = {
     "pull-ambient-class": ("[invariant x]\npair = t2_ruled_section\n"
                            "genus = 0\nclass = f\nabs = pull(f)\n", 5, 12,
                            "unknown generator 'f' in basis t2_base"),
+    # the column inside tau<k>(...) counts the stripped prefix
+    "tau-class": (P3_INVARIANT + "class = lambda\nabs = pt, tau1(foo)\n",
+                  6, 16, "unknown generator 'foo' in basis p3"),
+    "tau-pull": ("[invariant x]\npair = t2_ruled_section\ngenus = 0\n"
+                 "class = f\nabs = tau1( pull(f))\n", 5, 18,
+                 "unknown generator 'f' in basis t2_base"),
 }
 
 

@@ -442,7 +442,7 @@ def _in_cone(c, pieces, area):
                for p in pieces)
 
 
-def _exact_multisets(pieces, target, area):
+def _oracle_multisets(pieces, target, area):
     """Multisets of pieces summing exactly to target."""
     out = []
 
@@ -538,7 +538,7 @@ def _oracle_terms(setup, spec):
             if d < 0:
                 continue
             splits = [(parts1, parts2)
-                      for parts1 in _exact_multisets(xpieces, beta1, X.area)
+                      for parts1 in _oracle_multisets(xpieces, beta1, X.area)
                       for parts2 in right_multisets(d, alpha_tot)]
         for parts1, parts2 in splits:
             for sig in _oracle_graphs(setup, spec, duals, parts1, parts2):

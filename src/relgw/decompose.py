@@ -19,14 +19,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from operator import add
+from operator import add, sub
 
 from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
 from .kbeval import Evaluator, KnowledgeBase, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
-from .strata import (_compositions, _exact_decompositions, _exact_sums,
+from .strata import (_compositions, _exact_decompositions, _exact_multisets,
                      _multisets, _relabelings, _union_find, graph_genus)
 from .vanishing import decide
 
@@ -247,26 +248,45 @@ def _connected(p: int, q: int, edges) -> bool:
     return len({find(v) for v in range(p + q)}) <= 1
 
 
+@cache
+def _edge_options(k: int, q: int):
+    """The edges one divisor-side component of contact count k can send to
+    q bundle-side ones, lexicographically: (part, load) pairs, a part being
+    a multiset of (order, right) pairs whose orders add up to k and its
+    load the sum of orders it puts on each bundle-side component."""
+    pool = [(o, i) for o in range(1, k + 1) for i in range(q)]
+    out = []
+    for part in _multisets(pool, [o for o, _ in pool], k):
+        load = [0] * q
+        for o, i in part:
+            load[i] += o
+        out.append((part, tuple(load)))
+    return tuple(out)
+
+
 def _skeletons(ks, ells):
-    """Edge multisets (order, left, right) matching both contact profiles."""
-    q = len(ells)
+    """Edge multisets (order, left, right) matching both contact profiles,
+    in the order of the product of the per-left options.  A branch stops
+    as soon as a right-hand sum passes its entry of `ells`; the last left
+    component takes only the options that fill what is left."""
+    if not ks:
+        return [] if any(ells) else [()]
+    per_left = [_edge_options(k, len(ells)) for k in ks]
+    last = len(ks) - 1
+    out = []
 
-    def options(k):
-        # multisets of (order, right) pairs summing to k, lexicographically
-        pool = [(o, i) for o in range(1, k + 1) for i in range(q)]
-        return _multisets(pool, [o for o, _ in pool], k)
+    def rec(j, left, chosen):
+        for part, load in per_left[j]:
+            if j < last:
+                rest = tuple(map(sub, left, load))
+                if min(rest) >= 0:
+                    rec(j + 1, rest, chosen + (part,))
+            elif load == left:
+                out.append(tuple((o, jj, i) for jj, p in
+                                 enumerate(chosen + (part,)) for o, i in p))
 
-    per_left = [options(k) for k in ks]
-    for choice in itertools.product(*per_left):
-        edges = []
-        for j, part in enumerate(choice):
-            for order, i in part:
-                edges.append((order, j, i))
-        sums = [0] * q
-        for order, _, i in edges:
-            sums[i] += order
-        if sums == list(ells):
-            yield tuple(edges)
+    rec(0, tuple(ells), ())
+    return out
 
 
 def _canonical(setup, gamma1, gamma2, tails):
@@ -299,6 +319,13 @@ def _canonical(setup, gamma1, gamma2, tails):
                 best = (key, mapped)
     canonical = tuple(sorted(best[1], key=lambda e: e.token()))
     return g1, g2, canonical, aut
+
+
+def _graph_key(gamma1, gamma2, tails):
+    """An indexed graph: the tokens of its components and of its tails."""
+    return (tuple(c.token() for c in gamma1),
+            tuple(c.token() for c in gamma2),
+            tuple(t.token() for t in tails))
 
 
 def _edge_key(edges):
@@ -358,6 +385,21 @@ def _area_budget(setup: FiberSumSetup, spec: InvariantSpec,
     return bounds.area, class_area
 
 
+def _shrinks_area(pair) -> bool:
+    """True when the inclusion gives some connected effective divisor class
+    a smaller area than it has in the divisor.
+
+    Otherwise the class area bounds every component of a term: the
+    original side keeps at most the class area, and each neck component
+    at most the area of the neck total's image.  Checked on the offsets
+    and generators of the divisor's cone branches; both areas are linear.
+    """
+    X, D = pair.ambient, pair.divisor
+    spans = [c for b in D.effective.branches for c in b.generators]
+    spans += [b.offset for b in D.effective.branches if b.offset is not None]
+    return any(X.area(pair.inclusion(c)) < D.area(c) for c in spans)
+
+
 def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                bounds: Bounds | None):
     _check_setup(setup)
@@ -399,9 +441,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             raise BoundError(
                 f"more than {bounds.max_terms} admissible candidates; "
                 "raise Bounds.max_terms or cut the area budget")
-        key = (tuple(c.token() for c in gamma1),
-               tuple(c.token() for c in gamma2),
-               tuple(t.token() for t in tails))
+        key = _graph_key(gamma1, gamma2, tails)
         graph = graphs.get(key)
         if graph is None:
             graphs[key] = [weight, gamma1, gamma2, tails]
@@ -576,10 +616,10 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         room = dmodel.area(alpha_tot)
         fits = [k for k, area in enumerate(alpha_areas) if area <= room]
         pool = [(ell, alphas[k]) for ell in range(1, d + 1) for k in fits]
-        necks = _exact_sums(
-            _multisets(pool, [ell for ell, _ in pool], d,
-                       [alpha_areas[k] for k in fits] * d, room),
-            alpha_tot, lambda item: item[1].vec)
+        necks = _exact_multisets(
+            pool, [a.vec for _, a in pool], alpha_tot.vec,
+            [ell for ell, _ in pool], d, [alpha_areas[k] for k in fits] * d,
+            room)
 
         for parts1 in splittings:
             ks = tuple(setup.left.contact_count(c) for c in parts1)
@@ -722,8 +762,10 @@ class Ledger:
     `excluded` counts configurations dropped before they became terms
     (ineffective remainders, negative contacts, and the like).  The total
     sums resolved rows only; unresolved rows are listed, never guessed.
-    `area_cut` is (budget, class area) when an area budget below the
-    class area left terms out.
+    `area_cut`, the text of the `# area-budget` footer, says why the area
+    budget may have left terms out: it was below the class area, or the
+    pair's inclusion shrinks the area of some divisor class, so the class
+    area does not bound every component.
     """
 
     setup: str
@@ -732,7 +774,7 @@ class Ledger:
     excluded: dict[str, int] = field(default_factory=dict)
     distinguished: TermReport | None = None
     partial: bool = False
-    area_cut: tuple[int, int] | None = None
+    area_cut: str | None = None
 
     @property
     def total(self) -> Fraction:
@@ -767,9 +809,7 @@ class Ledger:
         for reason in sorted(self.excluded):
             lines.append(f"# excluded\t{reason}={self.excluded[reason]}")
         if self.area_cut is not None:
-            budget, class_area = self.area_cut
-            lines.append(f"# area-budget\t{budget} below class area "
-                         f"{class_area}: larger components left out")
+            lines.append(f"# area-budget\t{self.area_cut}")
         return "\n".join(lines) + "\n"
 
 
@@ -819,12 +859,18 @@ def evaluate_decomposition(setup: FiberSumSetup, spec: InvariantSpec,
     """
     terms, excluded = _enumerate(setup, spec, bounds)
     budget, class_area = _area_budget(setup, spec, bounds)
+    if _shrinks_area(setup.left):
+        area_cut = (f"{budget}: the pair does not keep areas; "
+                    "larger components left out")
+    elif budget < class_area:
+        area_cut = (f"{budget} below class area {class_area}: "
+                    "larger components left out")
+    else:
+        area_cut = None
     evaluator = Evaluator(kb if kb is not None else seed_table())
     return Ledger(setup.name, spec.key(),
                   reports=[_evaluate_term(setup, t, evaluator) for t in terms],
-                  excluded=excluded,
-                  area_cut=(budget, class_area) if budget < class_area
-                  else None)
+                  excluded=excluded, area_cut=area_cut)
 
 
 def _is_distinguished(setup: FiberSumSetup, spec: InvariantSpec,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from operator import attrgetter
+from operator import sub
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         constraint_codim, raw_dimension)
@@ -382,35 +382,72 @@ def stratum_key(s: StratumType) -> str:
 # enumeration
 
 
-def _multisets(pool, sizes, budget, sizes2=None, budget2=0):
+def _multisets(pool, sizes, budget):
     """Multisets drawn from `pool`, repeats allowed, whose `sizes` add up
-    to exactly `budget` and, when given, whose `sizes2` add up to exactly
-    `budget2`.
+    to exactly `budget`.
 
     Each multiset is a tuple listing its items in pool order; the tuples
-    come in lexicographic order of the pool positions.  Sizes are
-    non-negative integers and no item is of size zero in both, so the
-    search ends.
+    come in lexicographic order of the pool positions.  Sizes are positive
+    integers, so the search ends.
     """
-    if sizes2 is None:
-        sizes2 = [0] * len(pool)
-    for s, t in zip(sizes, sizes2):
-        if s < 0 or t < 0 or s == t == 0:
-            raise InvariantError("effectivity model produced a free class")
+    if any(s <= 0 for s in sizes):
+        raise InvariantError("effectivity model produced a free class")
     out, acc = [], []
 
-    def rec(start, left, left2):
-        if left == 0 and left2 == 0:
+    def rec(start, left):
+        if left == 0:
             out.append(tuple(acc))
             return
         for i in range(start, len(pool)):
-            if sizes[i] <= left and sizes2[i] <= left2:
+            if sizes[i] <= left:
                 acc.append(pool[i])
-                rec(i, left - sizes[i], left2 - sizes2[i])
+                rec(i, left - sizes[i])
                 acc.pop()
 
-    if budget >= 0 and budget2 >= 0:
-        rec(0, budget, budget2)
+    if budget >= 0:
+        rec(0, budget)
+    return out
+
+
+def _exact_multisets(pool, vecs, target, sizes, budget, sizes2, budget2):
+    """Multisets drawn from `pool`, repeats allowed, whose `sizes` add up
+    to exactly `budget`, whose `sizes2` add up to exactly `budget2` and
+    whose integer vectors `vecs` add up to the vector `target`.
+
+    Each multiset is a tuple listing its items in pool order; the tuples
+    come in lexicographic order of the pool positions, as in `_multisets`.
+    Sizes are positive and do not decrease along the pool, and second
+    sizes are non-negative.  So the last item of a multiset is the one
+    whose size is all that is left: it is looked up by (vector left, size
+    left, second size left), and the walk only goes into items smaller
+    than what is left, which all come before it in the pool.
+    """
+    if any(s <= 0 for s in sizes) or any(t < 0 for t in sizes2):
+        raise InvariantError("effectivity model produced a free class")
+    if any(a > b for a, b in zip(sizes, sizes[1:])):
+        raise InvariantError("multiset pool sizes must not decrease")
+    last: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(vecs, sizes, sizes2)):
+        last.setdefault(key, []).append(i)
+    out, acc = [], []
+
+    def rec(start, rem, left, left2):
+        for i in range(start, len(pool)):
+            if sizes[i] >= left:
+                break
+            if sizes2[i] <= left2:
+                acc.append(pool[i])
+                rec(i, tuple(map(sub, rem, vecs[i])), left - sizes[i],
+                    left2 - sizes2[i])
+                acc.pop()
+        out.extend((*acc, pool[i])
+                   for i in last.get((rem, left, left2), ()) if i >= start)
+
+    if budget == 0:
+        if budget2 == 0 and not any(target):
+            out.append(())
+    elif budget > 0 and budget2 >= 0:
+        rec(0, target, budget, budget2)
     return out
 
 
@@ -444,23 +481,12 @@ def _multisets_with_budget(items, budget, cost):
             for ms in _multisets(items, sizes, b)]
 
 
-def _exact_sums(multisets, target, vec=attrgetter("vec")):
-    """The multisets whose items add up to the class `target`.
-
-    `vec(item)` is the integer vector of an item's class; sums are compared
-    as vectors, without building a class, and the empty multiset adds up
-    to the zero vector.
-    """
-    want = target.vec
-    zero = (0,) * len(want)
-    return [ms for ms in multisets
-            if tuple(map(sum, zip(zero, *map(vec, ms)))) == want]
-
-
 def _exact_decompositions(parts, target, measure):
-    """Multisets drawn from `parts` summing exactly to `target`."""
-    return _exact_sums(_multisets(parts, [measure(p) for p in parts],
-                                  measure(target)), target)
+    """Multisets drawn from `parts`, listed in order of increasing
+    `measure`, summing exactly to `target`."""
+    return _exact_multisets(parts, [p.vec for p in parts], target.vec,
+                            [measure(p) for p in parts], measure(target),
+                            [0] * len(parts), 0)
 
 
 def _compositions(total, mins):

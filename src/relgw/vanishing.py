@@ -21,6 +21,7 @@ ADMISSIBLE = "admissible"
 
 NEGATIVE_INTERSECTION = "negative-intersection"
 DIMENSION_MISMATCH = "dimension-mismatch"
+NEGATIVE_AREA = "negative-area"
 PROJECTIVE_HYPERPLANE = "projective-hyperplane"
 RULED_PULLED_BACK = "ruled-pulled-back"
 FIBER_MULTIPLE = "fiber-multiple"
@@ -55,8 +56,10 @@ def decide(spec: InvariantSpec) -> Verdict:
     the components of a splitting alike.
 
     Order matters: negative contact degree first (the count is zero by
-    definition), then the dimension gate, then the three geometric rules
-    that only see genus-zero relative specifications.
+    definition), then the dimension gate, then negative area (no curve has
+    negative energy; area 0 stays admissible, as the effective class
+    a1 - a2 of S2xS2 shows), then the three geometric rules that only see
+    genus-zero relative specifications.
     """
     pair = spec.pair
     try:
@@ -77,6 +80,10 @@ def decide(spec: InvariantSpec) -> Verdict:
 
     if e != 0:
         return Verdict(ZERO, DIMENSION_MISMATCH, trace=(f"expected dimension {e}",))
+    area = spec.space.area(spec.beta)
+    if area < 0:
+        return Verdict(ZERO, NEGATIVE_AREA,
+                       trace=(f"class of area {area}: no curve represents it",))
     if pair is None or spec.genus != 0:
         return Verdict(ADMISSIBLE)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ from relgw.decompose import (Bounds, BoundError, DecompositionError,
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
-from relgw.strata import graph_genus
+from relgw.strata import _multisets, graph_genus
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -404,6 +405,66 @@ def test_counted_exclusions_match_the_build_then_test_loop(
     assert excluded == {**QUARTIC_EXCLUDED, "missable-insertion": missable}
 
 
+@pytest.mark.parametrize("constraints, count, sha", [
+    ("pt, pt, pi@split, pi@split, pi@split", 153,
+     "7822e258c55b09d4c84fdd67bcd5d0fec41ea14d021adf264cc8c64c64991bb4"),
+    ("pt, pt, pi, pi@split, pi@split", 160,
+     "b4c2f274cb92ae6571957a9e38f6db1b60937709d7142a0145a4a3d5b75c6783"),
+    ("pt, pt@Y, pi@split, pi@split, pi@split", 20,
+     "af87d93e384b8a9c739ce38bb6fb9235611cd3229cc86f62467e250ee92f0a0d"),
+], ids=["quartic", "plain-and-split", "point-on-bundle-side"])
+def test_emission_order_is_pinned(monkeypatch, constraints, count, sha):
+    """`Bounds.max_terms` counts emitted assignments in the order they
+    come, so where it cuts depends on that order: the sequence of emitted
+    graph keys is pinned."""
+    text = (SCENARIOS / "quartic_difference.gw").read_text(encoding="utf-8")
+    spec = parse_scenario(text.replace(
+        "abs = pt, pt, pi@split, pi@split, pi@split",
+        f"abs = {constraints}")).invariants["main"]
+    keys = []
+    original = decompose._graph_key
+
+    def recorded(gamma1, gamma2, tails):
+        keys.append(original(gamma1, gamma2, tails))
+        return keys[-1]
+
+    monkeypatch.setattr(decompose, "_graph_key", recorded)
+    decompose._enumerate(builtin("fibersum_of:p4blow2_hyperplane"), spec,
+                         None)
+    assert len(keys) == count
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == sha
+
+
+def old_skeletons(ks, ells):
+    """Every product of per-left edge options, kept when the right-hand
+    sums match."""
+    q = len(ells)
+
+    def options(k):
+        pool = [(o, i) for o in range(1, k + 1) for i in range(q)]
+        return _multisets(pool, [o for o, _ in pool], k)
+
+    for choice in itertools.product(*(options(k) for k in ks)):
+        edges = [(order, j, i) for j, part in enumerate(choice)
+                 for order, i in part]
+        sums = [0] * q
+        for order, _, i in edges:
+            sums[i] += order
+        if sums == list(ells):
+            yield tuple(edges)
+
+
+def test_skeletons_match_the_product_then_filter_loop():
+    profiles = [prof for n in range(0, 4)
+                for prof in itertools.product(range(1, 4), repeat=n)]
+    for ks in profiles:
+        for ells in profiles:
+            if sum(ks) > 6 or sum(ells) > 6:
+                continue
+            assert decompose._skeletons(ks, ells) == \
+                list(old_skeletons(ks, ells)), (ks, ells)
+
+
 def test_rejected_placements_never_reach_emit():
     """The quartic emits 153 constraint assignments: every one the
     missable rule rejects stops before `emit`."""
@@ -445,6 +506,31 @@ def test_budget_is_kept_where_the_inclusion_changes_areas():
     assert decompose._area_budget(setup, spec, Bounds(area=3)) == (3, 1)
     assert enumerate_terms(setup, spec) == []
     assert len(enumerate_terms(setup, spec, Bounds(area=3))) == 1
+
+
+@pytest.mark.parametrize("extra, budget, rows", [
+    ([], 1, 0),
+    (["--area-budget", "3"], 3, 1),
+], ids=["default", "budget-3"])
+def test_a_pair_that_does_not_keep_areas_says_it_is_bounded(
+        tmp_path, capsys, extra, budget, rows):
+    """On the antidiagonal no budget bounds the component areas, so every
+    ledger there says the budget may have left terms out.  The torus
+    section does not keep areas either, but its inclusion only makes them
+    larger, so the class area still bounds every component there."""
+    torus = builtin("t2_ruled_section")
+    assert not torus.keeps_area and not decompose._shrinks_area(torus)
+    assert decompose._shrinks_area(builtin("s2xs2_antidiag"))
+    path = tmp_path / "antidiag.gw"
+    path.write_text("[space s2xs2]\n[divisor s2xs2_antidiag in s2xs2]\n"
+                    "[invariant a]\ngenus = 0\nclass = a1\nabs = pt\n",
+                    encoding="utf-8")
+    assert cli.main(["decompose", str(path), "s2xs2_antidiag", "a",
+                     *extra]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == rows
+    assert lines[-1] == (f"# area-budget\t{budget}: the pair does not keep "
+                         "areas; larger components left out")
 
 
 # -- structural invariants of every emitted term -------------------------

@@ -9,7 +9,7 @@ from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
-                          _exact_decompositions, _exact_sums,
+                          _exact_decompositions, _exact_multisets,
                           _graph_components, _multisets, _orbit_matchings,
                           _partitions, _position_filter, _relabelings,
                           _solve_preimage, assemble_class,
@@ -667,36 +667,81 @@ def test_multisets_match_brute_force(sizes):
             brute_multisets(pool, (budget,), sizes)
 
 
-def test_multisets_with_two_budgets_match_brute_force():
-    # (order, area) items as in the neck components; area may be zero
+def vector_sum(vecs, width):
+    return tuple(map(sum, zip((0,) * width, *vecs)))
+
+
+def test_exact_multisets_with_two_budgets_match_brute_force():
+    # (order, area) items as in the neck components; area may be zero.
+    # Empty vectors add nothing, so every two-budget multiset is kept.
     pool = "abcde"
     orders, areas = [1, 1, 2, 2, 3], [0, 2, 0, 3, 1]
     for b1 in range(-1, 6):
         for b2 in range(-1, 6):
-            assert _multisets(pool, orders, b1, areas, b2) == \
+            assert _exact_multisets(pool, [()] * 5, (), orders, b1,
+                                    areas, b2) == \
                 brute_multisets(pool, (b1, b2), orders, areas)
-    # zero in the first budget only is fine too
-    assert _multisets("ab", [0, 1], 1, [1, 0], 2) == [("a", "a", "b")]
+    # zero in the second budget only is fine too
+    assert _exact_multisets("ab", [(), ()], (), [1, 1], 3, [0, 1], 1) == \
+        [("a", "a", "b")]
+
+
+MIXED = [(1, 0), (0, 1), (1, -1), (-1, 2)]
+
+
+@pytest.mark.parametrize("sizes, sizes2, vecs", [
+    ([1, 2, 2, 3], [0, 0, 0, 0], MIXED),
+    ([1, 1, 2, 3], [2, 0, 1, 0], MIXED),
+    ([2, 2, 2, 2], [1, 1, 0, 0], MIXED),
+    ([1, 2, 2, 2], [0, 1, 1, 1], [(1, 0), (0, 1), (0, 1), (-1, 1)]),
+], ids=["one-budget", "two-budgets", "equal-sizes", "equal-keys"])
+def test_exact_multisets_match_brute_force(sizes, sizes2, vecs):
+    """Vectors with negative entries, zero and nonzero targets, budgets
+    below zero, and two items with the same (vector, size, second size)."""
+    pool = "abcd"
+    of = dict(zip(pool, vecs))
+    for b1 in range(-1, 8):
+        for b2 in range(-1, 4):
+            walked = brute_multisets(pool, (b1, b2), sizes, sizes2)
+            for target in product(range(-2, 4), repeat=2):
+                assert _exact_multisets(pool, vecs, target, sizes, b1,
+                                        sizes2, b2) == [
+                    ms for ms in walked
+                    if vector_sum([of[x] for x in ms], 2) == target]
+
+
+def test_exact_multisets_reject_a_decreasing_pool():
+    with pytest.raises(InvariantError, match="must not decrease"):
+        _exact_multisets("ab", [(1,), (0,)], (1,), [2, 1], 3, [0, 0], 0)
 
 
 def test_exact_sums_match_class_sums():
-    """Vector sums keep exactly the multisets whose class sum is the
+    """The search keeps exactly the multisets whose class sum is the
     target, the empty one included when the target is zero."""
     X = builtin("p3blow2")
     model = X.effective
     parts = model.classes(5)
+
+    def exact_sums(multisets, target):
+        # the filter the one search replaces, on integer vectors
+        width = len(target.vec)
+        return [ms for ms in multisets
+                if vector_sum([p.vec for p in ms], width) == target.vec]
+
     for target in [X.zero(), X.cls({"lambda": 1}),
                    X.cls({"lambda": 2, "eps1": -1}),
                    X.cls({"lambda": 1, "eps1": -1, "eps2": -1})]:
         area = model.area(target)
         found = _exact_decompositions(parts, target, model.area)
         candidates = _multisets(parts, [model.area(p) for p in parts], area)
+        assert found == exact_sums(candidates, target)
         assert found == [ms for ms in candidates
                          if sum(ms, X.zero()) == target]
         assert found
     assert _exact_decompositions(parts, X.zero(), model.area) == [()]
-    assert _exact_sums([()], X.zero()) == [()]
-    assert _exact_sums([()], X.cls({"lambda": 1})) == []
+    assert _exact_multisets([], [], X.zero().vec, [], 0, [], 0) == [()]
+    assert _exact_multisets([], [], X.cls({"lambda": 1}).vec,
+                            [], 0, [], 0) == []
 
 
 def test_partitions_are_weakly_decreasing_and_complete():
@@ -727,11 +772,18 @@ def test_solve_preimage_on_the_antidiagonal():
     assert _solve_preimage(anti, X.gen("a1")) is None
 
 
-@pytest.mark.parametrize("sizes, more", [
-    ([1, 0], ()),
-    ([2, -1], ()),
-    ([1, 0], ([1, 0], 2)),
-], ids=["zero", "negative", "zero-in-both"])
-def test_multisets_reject_free_items(sizes, more):
+@pytest.mark.parametrize("sizes", [[1, 0], [2, -1]],
+                         ids=["zero", "negative"])
+def test_multisets_reject_free_items(sizes):
     with pytest.raises(InvariantError, match="free class"):
-        _multisets("ab", sizes, 3, *more)
+        _multisets("ab", sizes, 3)
+
+
+@pytest.mark.parametrize("sizes, sizes2", [
+    ([0, 1], [0, 1]),
+    ([0, 1], [1, 0]),
+    ([1, 1], [1, -1]),
+], ids=["zero-in-both", "zero-in-first", "negative-second"])
+def test_exact_multisets_reject_free_items(sizes, sizes2):
+    with pytest.raises(InvariantError, match="free class"):
+        _exact_multisets("ab", [(), ()], (), sizes, 3, sizes2, 2)

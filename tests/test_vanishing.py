@@ -12,6 +12,7 @@ from relgw.vanishing import (
     ADMISSIBLE,
     DIMENSION_MISMATCH,
     FIBER_MULTIPLE,
+    NEGATIVE_AREA,
     NEGATIVE_INTERSECTION,
     RULED_PULLED_BACK,
     ZERO,
@@ -39,6 +40,24 @@ def test_dimension_gate():
     assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
     two_points = InvariantSpec(p2, 0, lam, (Insertion(p2.point),) * 2, ())
     assert decide(two_points).kind == ADMISSIBLE
+
+
+def test_negative_area_is_zero_after_the_dimension_gate():
+    p2 = builtin("p2")
+    lam = p2.gen("lambda")
+    spec = InvariantSpec(p2, 4, lam.scale(-1), (Insertion(lam),), ())
+    assert expected_dimension(spec) == 0
+    v = decide(spec)
+    assert v.kind == ZERO and v.reason == NEGATIVE_AREA
+    assert Evaluator(seed_table()).evaluate(spec).value == 0
+    # the dimension gate still reports a count of the wrong dimension
+    short = InvariantSpec(p2, 3, lam.scale(-1), (Insertion(lam),), ())
+    assert decide(short).reason == DIMENSION_MISMATCH
+    # area 0 is not negative: a1 - a2 on S2xS2 stays admissible
+    s2xs2 = builtin("s2xs2")
+    flat = InvariantSpec(s2xs2, 1, s2xs2.cls({"a1": 1, "a2": -1}), (), ())
+    assert s2xs2.area(flat.beta) == 0 and expected_dimension(flat) == 0
+    assert decide(flat).kind == ADMISSIBLE
 
 
 def test_hyperplane_family_census():

@@ -23,7 +23,8 @@ from functools import cache
 from math import factorial
 from operator import add, sub
 
-from .dimension import Insertion, InvariantError, InvariantSpec, expected_dimension
+from .dimension import (Insertion, InvariantError, InvariantSpec,
+                        constraint_codim, expected_dimension)
 from .kbeval import Evaluator, KnowledgeBase, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
@@ -79,8 +80,17 @@ class GraphComponent:
     insertions: tuple = ()
 
     def token(self) -> str:
-        ins = ",".join(sorted(i.token() for i in self.insertions))
-        return f"[{self.cls.encode()};g{self.genus};{ins}]"
+        """Canonical text form.
+
+        The text is built on the first call and kept on the instance, outside
+        the dataclass fields, so equality, hashing and repr do not see it.
+        """
+        out = self.__dict__.get("_token")
+        if out is None:
+            ins = ",".join(sorted(i.token() for i in self.insertions))
+            out = f"[{self.cls.encode()};g{self.genus};{ins}]"
+            object.__setattr__(self, "_token", out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,80 @@ def _multinomial(count: int, vec) -> int:
     return ways
 
 
+def _placed(setup: FiberSumSetup, groups):
+    """Per constraint group, {side: (insertion, gain)} for the sides its
+    slots reach: "L" for divisor-side components, "R" for bundle-side ones.
+
+    The insertion is the group's constraint as it lands on that side; the
+    gain, 1 - codim in the side's ambient space, is what one copy of it
+    adds to a component's expected dimension.  The gain is None where the
+    side's spec refuses the insertion.
+    """
+    out = []
+    for side, ins, _ in groups:
+        lands = []
+        if side != "Y":
+            lands.append(("L", setup.left, Insertion(ins.cls, ins.descendents)))
+        if side == "Y":
+            lands.append(("R", setup.right, _convert_neck(setup, ins)))
+        elif side == "split":
+            lands.append(("R", setup.right, Insertion(
+                split_form(setup.left, ins.cls), pulled_back=True)))
+        sides = {}
+        for where, pair, placed in lands:
+            try:
+                InvariantSpec(pair, 0, cls(pair.ambient.basis, {}), (placed,))
+            except InvariantError:
+                sides[where] = (placed, None)
+                continue
+            sides[where] = (placed, 1 - constraint_codim(placed, pair.ambient.n))
+        out.append(sides)
+    return out
+
+
+def _slack_table(setup: FiberSumSetup, choices, placed, comps1, comps2,
+                 tails1, tails2):
+    """(base, rows): the integer slack of every constraint assignment.
+
+    `base` holds the slack of each bare component with its tails, the
+    divisor-side ones first.  `rows` holds, per constraint group, each of
+    its composition vectors with its weight and what it adds to every
+    slack.  A vector that puts a constraint on a side whose spec refuses it
+    is dropped, as building its components would raise.  Raises
+    InvariantError where the spec of a bare component does.
+    """
+    base = [expected_dimension(_left_spec(setup, c, t))
+            for c, t in zip(comps1, tails1)]
+    base += [expected_dimension(_right_spec(setup, c, t))
+             for c, t in zip(comps2, tails2)]
+    p = len(comps1)
+    rows = []
+    for (_, _, slots, vectors), sides in zip(choices, placed):
+        kept = []
+        for vec, w in vectors:
+            delta = [0] * len(base)
+            for (where, k), n in zip(slots, vec):
+                if not n:
+                    continue
+                gain = sides[where][1]
+                if gain is None:
+                    break
+                delta[k if where == "L" else p + k] += n * gain
+            else:
+                kept.append((vec, w, delta))
+        rows.append(kept)
+    return base, rows
+
+
+def _balanced(base, rows, bounds):
+    """The assignments of `rows`, in the order of their product, whose
+    every slack lies within its (low, high) bound, each with its slacks."""
+    for assignment in itertools.product(*rows):
+        slack = [sum(col) for col in zip(base, *(d for _, _, d in assignment))]
+        if all(lo <= s <= hi for s, (lo, hi) in zip(slack, bounds)):
+            yield assignment, slack
+
+
 def _connected(p: int, q: int, edges) -> bool:
     find = _union_find((j, p + i) for _, j, i in edges)
     return len({find(v) for v in range(p + q)}) <= 1
@@ -286,6 +370,16 @@ def _skeletons(ks, ells):
                                  enumerate(chosen + (part,)) for o, i in p))
 
     rec(0, tuple(ells), ())
+    return out
+
+
+def _connected_skeletons(memo: dict, ks, ells):
+    """The skeletons of one contact profile whose graph is connected,
+    built on the first call for the profile and kept in `memo`."""
+    out = memo.get((ks, ells))
+    if out is None:
+        out = memo[ks, ells] = [s for s in _skeletons(ks, ells)
+                                if _connected(len(ks), len(ells), s)]
     return out
 
 
@@ -372,15 +466,16 @@ def _area_budget(setup: FiberSumSetup, spec: InvariantSpec,
                  bounds: Bounds | None) -> tuple[int, int]:
     """(area budget of the enumeration, area of the count's class).
 
-    Without a budget the class area is used.  When the pair keeps areas, no
-    component of a term is larger than the class, so a larger budget is
-    cut to the class area: it would only add neck totals that leave the
-    original side a class of negative area.
+    Without a budget the class area is used.  When the pair's inclusion
+    shrinks no divisor class's area (`_shrinks_area`), no component of a
+    term is larger than the class, so a larger budget is cut to the class
+    area: it would only add neck totals that leave the original side a
+    class of negative area.
     """
     class_area = int(setup.total.area(spec.beta))
     if bounds is None or bounds.area is None:
         return class_area, class_area
-    if bounds.area > class_area and setup.left.keeps_area:
+    if bounds.area > class_area and not _shrinks_area(setup.left):
         return class_area, class_area
     return bounds.area, class_area
 
@@ -421,6 +516,10 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             _convert_neck(setup, ins)  # fail fast when not placeable
         elif side == "split":
             split_form(setup.left, ins.cls)
+    placed = _placed(setup, groups)
+    # (contact profile on the divisor side, on the bundle side) -> its
+    # connected skeletons
+    skeletons: dict[tuple, list] = {}
 
     excluded: dict[str, int] = {}
 
@@ -468,8 +567,19 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         requirement that both end components carry zero-dimensional
         problems, so grades are solved for first and only matching basis
         elements are tried.
+
+        A component's slack is `expected_dimension` of its spec with probe
+        tails of the fundamental class, and that is linear in the absolute
+        insertions: slack = base + sum of n * (1 - codim(placed)) over the
+        constraints placed on it, n copies each, with codim taken in the
+        side's ambient space.  So the base is computed once per component
+        and the gain once per group and side (`_placed`), the slacks are
+        checked as integers, and components are built only for the
+        assignments that pass.  `expected_dimension` stays the reference:
+        it gives each base, and `_make_term` checks every emitted
+        component with it.
         """
-        p, q = len(parts1), len(parts2)
+        p = len(parts1)
         choices, rejected = _placements(setup, groups, parts1, parts2)
         if rejected:
             excluded["missable-insertion"] = \
@@ -483,58 +593,44 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         left_edges = [[e for e, (_, j, _) in enumerate(skeleton) if j == jj]
                       for jj in range(p)]
         right_edges = [[e for e, (_, _, i) in enumerate(skeleton) if i == ii]
-                       for ii in range(q)]
+                       for ii in range(len(parts2))]
         dn = D.n
+        try:
+            base, rows = _slack_table(
+                setup, choices, placed,
+                [GraphComponent(c, g) for c, g in zip(parts1, genera1)],
+                [GraphComponent(c, g) for c, g in zip(parts2, genera2)],
+                [[probe[e] for e in edges] for edges in left_edges],
+                [[probe[e] for e in edges] for edges in right_edges])
+        except InvariantError:
+            return
+        # grade sums forced on each component by zero-dimensionality;
+        # probe tails carry the fundamental class (codim 1 on the left,
+        # codim n through its dual on the right), and each tail's grade
+        # lies in 0..dn
+        bounds = [(0, dn * len(edges)) for edges in left_edges] + \
+            [(-dn * len(edges), 0) for edges in right_edges]
 
-        for assignment in itertools.product(*(v for _, _, _, v in choices)):
+        for assignment, slack in _balanced(base, rows, bounds):
             weight = 1
             per_comp: dict[tuple, list] = {}
-            for (side, ins, slots, _), (vec, w) in zip(choices, assignment):
+            for (_, _, slots, _), sides, (vec, w, _) in zip(
+                    choices, placed, assignment):
                 weight *= w
                 for slot, nslot in zip(slots, vec):
-                    if not nslot:
-                        continue
-                    if slot[0] == "L":
-                        placed = Insertion(ins.cls, ins.descendents)
-                    elif side == "Y":
-                        placed = _convert_neck(setup, ins)
-                    else:
-                        placed = Insertion(split_form(setup.left, ins.cls),
-                                           pulled_back=True)
-                    per_comp.setdefault(slot, []).extend([placed] * nslot)
+                    if nslot:
+                        per_comp.setdefault(slot, []).extend(
+                            [sides[slot[0]][0]] * nslot)
             gamma1 = tuple(
-                GraphComponent(parts1[j], genera1[j],
-                               tuple(per_comp.get(("L", j), ())))
-                for j in range(p))
+                GraphComponent(c, g, tuple(per_comp.get(("L", j), ())))
+                for j, (c, g) in enumerate(zip(parts1, genera1)))
             gamma2 = tuple(
-                GraphComponent(parts2[i], genera2[i],
-                               tuple(per_comp.get(("R", i), ())))
-                for i in range(q))
-
-            # grade sums forced on each component by zero-dimensionality;
-            # probe tails carry the fundamental class (codim 1 on the left,
-            # codim n through its dual on the right)
-            try:
-                need_left = []
-                for j in range(p):
-                    t = len(left_edges[j])
-                    slack = expected_dimension(_left_spec(
-                        setup, gamma1[j], [probe[e] for e in left_edges[j]]))
-                    need_left.append(dn * t - slack)
-                need_right = []
-                for i in range(q):
-                    t = len(right_edges[i])
-                    slack = expected_dimension(_right_spec(
-                        setup, gamma2[i], [probe[e] for e in right_edges[i]]))
-                    need_right.append(slack + dn * t)
-            except InvariantError:
-                continue
-            if any(g < 0 or g > dn * len(left_edges[j])
-                   for j, g in enumerate(need_left)):
-                continue
-            if any(g < 0 or g > dn * len(right_edges[i])
-                   for i, g in enumerate(need_right)):
-                continue
+                GraphComponent(c, g, tuple(per_comp.get(("R", i), ())))
+                for i, (c, g) in enumerate(zip(parts2, genera2)))
+            need_left = [dn * len(edges) - s
+                         for edges, s in zip(left_edges, slack)]
+            need_right = [s + dn * len(edges)
+                          for edges, s in zip(right_edges, slack[p:])]
 
             grades = [None] * len(skeleton)
 
@@ -621,6 +717,14 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             [ell for ell, _ in pool], d, [alpha_areas[k] for k in fits] * d,
             room)
 
+        # each neck's bundle-side classes, contact profile and genus
+        # minima, built once for every splitting
+        neck_sides = [(tuple(setup.ruled.class_of(a, ell) for ell, a in neck),
+                       tuple(ell for ell, _ in neck),
+                       tuple(0 if a.is_zero else dmodel.min_genus(a)
+                             for _, a in neck))
+                      for neck in necks]
+
         for parts1 in splittings:
             ks = tuple(setup.left.contact_count(c) for c in parts1)
             if any(k < 0 for k in ks):
@@ -629,16 +733,12 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             if any(k == 0 for k in ks):
                 skip("disconnected")
                 continue
-            for neck in necks:
-                parts2 = tuple(setup.ruled.class_of(a, ell) for ell, a in neck)
-                ells = tuple(ell for ell, _ in neck)
-                minima = tuple(xmodel.min_genus(c) for c in parts1) + tuple(
-                    0 if a.is_zero else dmodel.min_genus(a) for _, a in neck)
-                p = len(parts1)
-                for skeleton in _skeletons(ks, ells):
-                    if not _connected(p, len(parts2), skeleton):
-                        continue
-                    for genera in genus_plans(minima, len(skeleton)):
+            minima1 = tuple(xmodel.min_genus(c) for c in parts1)
+            p = len(parts1)
+            for parts2, ells, minima2 in neck_sides:
+                for skeleton in _connected_skeletons(skeletons, ks, ells):
+                    for genera in genus_plans(minima1 + minima2,
+                                              len(skeleton)):
                         distribute(parts1, parts2, skeleton,
                                    genera[:p], genera[p:])
 

@@ -269,15 +269,6 @@ class DivisorPair:
     def contact_count(self, beta: HomologyClass) -> int:
         return self.ambient.intersect(beta, self.divisor_class)
 
-    @property
-    def keeps_area(self) -> bool:
-        """True when every divisor curve class has the same area as its
-        image in the ambient space (checked on the curve generators; both
-        areas are linear)."""
-        X, D = self.ambient, self.divisor
-        return all(X.area(self.inclusion(gen(D.basis, g))) ==
-                   D.area(gen(D.basis, g)) for g in D.basis.names(1))
-
 
 @dataclass(frozen=True)
 class RuledSetup:

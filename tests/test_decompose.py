@@ -10,7 +10,8 @@ from relgw import cli, decompose
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
                              compare_abs_rel, enumerate_terms,
                              evaluate_decomposition, split_form)
-from relgw.dimension import Insertion, InvariantSpec, expected_dimension
+from relgw.dimension import (Insertion, InvariantError, InvariantSpec,
+                             expected_dimension)
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
 from relgw.strata import _multisets, graph_genus
@@ -474,15 +475,208 @@ def test_rejected_placements_never_reach_emit():
         enumerate_terms(setup, spec, Bounds(max_terms=152))
 
 
+# -- the slack check is on integers ----------------------------------------
+
+
+def quartic_with(constraints):
+    text = (SCENARIOS / "quartic_difference.gw").read_text(encoding="utf-8")
+    return parse_scenario(text.replace(
+        "abs = pt, pt, pi@split, pi@split, pi@split",
+        f"abs = {constraints}")).invariants["main"]
+
+
+def p2_ledger_scenario(degree, points, on_y):
+    """N_degree on P2 through `points` points, the last `on_y` of them
+    placed on the bundle side of the hyperplane's fiber sum."""
+    abs_ = ["pt"] * (points - on_y) + ["pt@Y"] * on_y
+    return parse_scenario(
+        "[space p2]\n[divisor p2_hyperplane in p2]\n[invariant n]\n"
+        f"genus = 0\nclass = {degree}*lambda\nabs = {', '.join(abs_)}\n")
+
+
+def old_slack_loop(setup, choices, comps1, comps2, tails1, tails2):
+    """The slack check as a build-then-test loop: place the insertions of
+    every assignment on the components and take `expected_dimension` of
+    each component's spec.  Yields (vectors, slacks, kept) per assignment;
+    slacks is None where a spec refuses the build."""
+    dn = setup.left.divisor.n
+    for assignment in itertools.product(*(v for _, _, _, v in choices)):
+        left = [[] for _ in comps1]
+        right = [[] for _ in comps2]
+        for (side, ins, slots, _), (vec, _) in zip(choices, assignment):
+            for (where, k), n in zip(slots, vec):
+                if where == "L":
+                    left[k] += [Insertion(ins.cls, ins.descendents)] * n
+                elif side == "Y":
+                    right[k] += [decompose._convert_neck(setup, ins)] * n
+                else:
+                    right[k] += [Insertion(split_form(setup.left, ins.cls),
+                                           pulled_back=True)] * n
+        vectors = tuple(vec for vec, _ in assignment)
+        try:
+            slacks = [expected_dimension(decompose._left_spec(
+                setup, decompose.GraphComponent(c.cls, c.genus, tuple(ins)),
+                t)) for c, ins, t in zip(comps1, left, tails1)]
+            slacks += [expected_dimension(decompose._right_spec(
+                setup, decompose.GraphComponent(c.cls, c.genus, tuple(ins)),
+                t)) for c, ins, t in zip(comps2, right, tails2)]
+        except InvariantError:
+            yield vectors, None, False
+            continue
+        need = [dn * len(t) - s for s, t in zip(slacks, tails1)]
+        need += [s + dn * len(t) for s, t in zip(slacks[len(comps1):], tails2)]
+        yield vectors, slacks, all(0 <= g <= dn * len(t) for g, t
+                                   in zip(need, tails1 + tails2))
+
+
+@pytest.mark.parametrize("setup_name, scenario, walked, kept", [
+    ("p4blow2_hyperplane", "quartic:pt, pt, pi@split, pi@split, pi@split",
+     91, 41),
+    ("p4blow2_hyperplane", "quartic:pt, pt, pi, pi@split, pi@split",
+     79, 36),
+    ("p4blow2_hyperplane", "quartic:pt, pt@Y, pi@split, pi@split, pi@split",
+     30, 10),
+    ("p2_hyperplane", "p2:4,11,3", 1421, 87),
+], ids=["quartic", "plain-and-split", "point-on-bundle-side", "N4-3-on-Y"])
+def test_integer_slack_matches_expected_dimension(
+        monkeypatch, setup_name, scenario, walked, kept):
+    """Every assignment `distribute` walks, rejected ones included, has
+    the integer slack `expected_dimension` gives its built components, and
+    the assignments that reach `fill` are the ones the build-then-test
+    loop lets through, with the same slacks."""
+    kind, _, args = scenario.partition(":")
+    if kind == "quartic":
+        spec = quartic_with(args)
+    else:
+        spec = p2_ledger_scenario(*map(int, args.split(","))).invariants["n"]
+    setup = builtin(f"fibersum_of:{setup_name}")
+    calls = []
+    original_table, original_balanced = \
+        decompose._slack_table, decompose._balanced
+
+    def table(setup, choices, placed, comps1, comps2, tails1, tails2):
+        call = [(setup, choices, comps1, comps2, tails1, tails2), None, []]
+        calls.append(call)
+        call[1] = original_table(setup, choices, placed, comps1, comps2,
+                                 tails1, tails2)
+        return call[1]
+
+    def balanced(base, rows, bounds):
+        calls[-1][2] = list(original_balanced(base, rows, bounds))
+        return iter(calls[-1][2])
+
+    monkeypatch.setattr(decompose, "_slack_table", table)
+    monkeypatch.setattr(decompose, "_balanced", balanced)
+    decompose._enumerate(setup, spec, None)
+
+    total = total_kept = 0
+    for args, table_out, passed in calls:
+        program = {}
+        if table_out is not None:
+            base, rows = table_out
+            for assignment in itertools.product(*rows):
+                program[tuple(vec for vec, _, _ in assignment)] = [
+                    sum(col) for col in
+                    zip(base, *(delta for _, _, delta in assignment))]
+        survivors = []
+        for vectors, slacks, ok in old_slack_loop(*args):
+            total += 1
+            assert program.get(vectors) == slacks
+            if ok:
+                survivors.append((vectors, slacks))
+        assert [(tuple(vec for vec, _, _ in assignment), slacks)
+                for assignment, slacks in passed] == survivors
+        total_kept += len(survivors)
+    assert (total, total_kept) == (walked, kept)
+
+
+def test_skeletons_are_built_once_per_contact_profile(monkeypatch):
+    """The quartic asks for the connected skeletons of each (divisor-side,
+    bundle-side) contact profile once, and every list kept is the
+    `_skeletons` output with the disconnected graphs left out."""
+    memos, built = [], Counter()
+    original_memo = decompose._connected_skeletons
+    original_skeletons = decompose._skeletons
+
+    def remembered(memo, ks, ells):
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+        return original_memo(memo, ks, ells)
+
+    def counted(ks, ells):
+        built[ks, ells] += 1
+        return original_skeletons(ks, ells)
+
+    monkeypatch.setattr(decompose, "_connected_skeletons", remembered)
+    monkeypatch.setattr(decompose, "_skeletons", counted)
+    decompose._enumerate(*quartic_case(), None)
+    memo, = memos
+    assert len(memo) > 1
+    assert set(built.values()) == {1}
+    assert set(built) == set(memo)
+    for (ks, ells), kept in memo.items():
+        assert kept == [s for s in original_skeletons(ks, ells)
+                        if decompose._connected(len(ks), len(ells), s)]
+
+
+def test_component_token_is_built_once():
+    setup = builtin("fibersum_of:p4blow2_hyperplane")
+    P = setup.total
+    comp = decompose.GraphComponent(
+        P.cls({"lambda": 2}), 0, (Insertion(P.point), Insertion(P.gen("pi"))))
+    fresh = decompose.GraphComponent(comp.cls, comp.genus, comp.insertions)
+    before = (hash(comp), repr(comp))
+    token = comp.token()
+    assert token == "[2*lambda;g0;pi,pt]"
+    assert comp.token() is token
+    assert fresh.token() == token and fresh.token() is not token
+    assert comp == fresh
+    assert (hash(comp), repr(comp)) == before == (hash(fresh), repr(fresh))
+
+
+@pytest.mark.parametrize("degree, points, on_y, sha", [
+    (4, 11, 3,
+     "1e2a32fe356b74a7b05e32e5b441d9060237045b4a9eea304f1cf740917a01bf"),
+    (5, 14, 0,
+     "6c13cca5b97665d1a3921b070dc81d4faa01ec355f5b21b38aa2d51d3a5e706e"),
+    (5, 14, 2,
+     "e3ea2f98c3f5c0fa56f91ed7ea351fac12f3a929bda0591776763fbdd5ae4da4"),
+], ids=["N4-3-on-Y", "N5-0-on-Y", "N5-2-on-Y"])
+def test_p2_ledgers_of_degree_four_and_five_are_pinned(
+        degree, points, on_y, sha):
+    """The ledgers of N_4 and N_5 on the hyperplane's fiber sum, with some
+    points on the bundle side, byte for byte."""
+    text, status = cli.run("decompose", p2_ledger_scenario(
+        degree, points, on_y), ("p2_hyperplane", "n"))
+    assert status == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
 # -- area budgets ----------------------------------------------------------
 
 
 def test_budget_above_the_class_area_changes_nothing():
     setup, spec = quartic_case()
-    assert setup.left.keeps_area
+    assert not decompose._shrinks_area(setup.left)
     assert decompose._area_budget(setup, spec, Bounds(area=100)) == (8, 8)
     assert decompose._enumerate(setup, spec, Bounds(area=12)) == \
         decompose._enumerate(setup, spec, None)
+
+
+def test_torus_budget_above_the_class_area_changes_nothing(capsys):
+    """The torus section's inclusion only makes areas larger, so a budget
+    above the class area is cut to it there too: the neck totals it would
+    add leave the original side nothing of positive area."""
+    setup = builtin("fibersum_of:t2_ruled_section")
+    assert decompose._area_budget(setup, section_case()[1],
+                                  Bounds(area=8)) == (3, 3)
+    ledgers = []
+    for extra in ([], ["--area-budget", "8"]):
+        assert cli.main(["decompose", str(SCENARIOS / "torus_section.gw"),
+                         "t2_ruled_section", "through_point", *extra]) == 0
+        ledgers.append(capsys.readouterr().out)
+    assert ledgers[1] == ledgers[0]
+    assert "# excluded\tarea-exhausted=2" in ledgers[1].splitlines()
 
 
 def test_budget_below_the_class_area_is_reported(capsys):
@@ -502,7 +696,7 @@ def test_budget_is_kept_where_the_inclusion_changes_areas():
     setup = builtin("fibersum_of:s2xs2_antidiag")
     X = setup.total
     spec = InvariantSpec(X, 0, X.cls({"a1": 1}), (Insertion(X.point),))
-    assert not setup.left.keeps_area
+    assert decompose._shrinks_area(setup.left)
     assert decompose._area_budget(setup, spec, Bounds(area=3)) == (3, 1)
     assert enumerate_terms(setup, spec) == []
     assert len(enumerate_terms(setup, spec, Bounds(area=3))) == 1
@@ -519,7 +713,7 @@ def test_a_pair_that_does_not_keep_areas_says_it_is_bounded(
     section does not keep areas either, but its inclusion only makes them
     larger, so the class area still bounds every component there."""
     torus = builtin("t2_ruled_section")
-    assert not torus.keeps_area and not decompose._shrinks_area(torus)
+    assert not decompose._shrinks_area(torus)
     assert decompose._shrinks_area(builtin("s2xs2_antidiag"))
     path = tmp_path / "antidiag.gw"
     path.write_text("[space s2xs2]\n[divisor s2xs2_antidiag in s2xs2]\n"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from relgw.decompose import _shrinks_area
 from relgw.lattice import cls, gen
 from relgw.spaces import Branch, CatalogError, EffectiveModel, builtin
 
@@ -20,11 +21,15 @@ def test_affine_complements_are_the_hyperplanes_of_projective_space():
 
 
 def test_pairs_that_keep_curve_areas():
-    # the torus section doubles its area in the ruled surface and the
-    # antidiagonal sphere has area 0 in S2xS2
-    got = [name for name in PAIRS if builtin(name).keeps_area]
+    # no divisor class loses area in the ambient space, except the
+    # antidiagonal sphere, which has area 0 in S2xS2; the torus section
+    # doubles its area in the ruled surface.  The point of p1_point has no
+    # curve class.
+    got = [name for name in PAIRS if builtin(name).divisor.effective is None
+           or not _shrinks_area(builtin(name))]
     assert got == ["p1_point", "p2_hyperplane", "p3_hyperplane",
-                   "p4_hyperplane", "p2blow1_exc", "p4blow2_hyperplane"]
+                   "p4_hyperplane", "p2blow1_exc", "p4blow2_hyperplane",
+                   "t2_ruled_section"]
 
 
 def test_split_half_is_the_restriction_of_the_constraint():

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .dimension import _PLACES, Insertion, InvariantError, InvariantSpec
 from .lattice import GradeError, HomologyClass, cls
 from .spaces import CatalogError, DivisorPair, RuledSetup, Space, builtin
-from .strata import Contact, LevelComponent, StratumType
+from .strata import Contact, LevelComponent, StratumType, neck_model
 
 __all__ = [
     "ScenarioError",
@@ -486,6 +486,11 @@ class _Parser:
         if "level" not in got:
             self.fail("components need level=<int>", lineno, col)
         level, genus, fiber = number("level"), number("genus"), number("fiber")
+        if level >= 1:
+            try:
+                neck_model(pair)
+            except InvariantError as e:
+                self.fail(str(e), lineno, got["level"][1])
 
         def contacts(key):
             out = []

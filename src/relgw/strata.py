@@ -348,9 +348,10 @@ def _slot_orders(contacts):
         yield {c.node: pos for c, pos in zip(marked, moved)}
 
 
-def stratum_key(s: StratumType) -> str:
-    """Canonical one-line form, stable under relabeling of nodes and of
-    identical components; used for deduplication, output and golden files."""
+def _searched_key(s: StratumType) -> str:
+    """`stratum_key` by exhaustive search: the least edge text over every
+    placement of identical components and every slot order of their ends.
+    It is the key of any stratum, condition P of `stratum_key` or not."""
     if not s.components:
         return "empty"
     comps = sorted(s.components, key=_comp_data)
@@ -376,6 +377,116 @@ def stratum_key(s: StratumType) -> str:
                 if best is None or text < best:
                     best = text
     return body + "#" + (best or "")
+
+
+def _matched_runs(s: StratumType, comps):
+    """Under condition P of `stratum_key`: per component, its infinity-side
+    runs of matched slots as (first position, nodes); the matched zero runs
+    as (component, the run's positions in text order); and for each matched
+    infinity node, the number of its partner's zero run.  None outside P."""
+    partner, targets = {}, set()
+    for a, b in s.matchings:
+        if a in partner or b in targets:
+            return None
+        partner[a] = b
+        targets.add(b)
+    side_of, inf_runs, zero_runs, run_of = {}, [], [], {}
+    for ci, comp in enumerate(comps):
+        runs = []
+        for side, contacts, matched in (("z", comp.zero, targets),
+                                        ("i", comp.inf, partner)):
+            groups = {}
+            for c in contacts:
+                if c.node in side_of:
+                    return None
+                side_of[c.node] = side
+                groups.setdefault((-c.mult, _enc(c.constraint)), []).append(c.node)
+            start = 0
+            for label in sorted(groups):
+                nodes = groups[label]
+                hits = sum(node in matched for node in nodes)
+                if hits not in (0, len(nodes)):
+                    return None
+                if hits and side == "i":
+                    runs.append((start, nodes))
+                elif hits:
+                    # the texts of the run's positions as they sort inside
+                    # an edge text, where ";" follows: "10;" < "1;"
+                    order = sorted(map(str, range(start, start + len(nodes))),
+                                   key=lambda p: p + ";")
+                    run_of.update((node, len(zero_runs)) for node in nodes)
+                    zero_runs.append((ci, order))
+                start += len(nodes)
+        inf_runs.append(runs)
+    if any(side_of.get(a) != "i" for a in partner) or \
+            any(side_of.get(b) != "z" for b in targets):
+        return None
+    return inf_runs, zero_runs, {a: run_of[b] for a, b in partner.items()}
+
+
+def stratum_key(s: StratumType) -> str:
+    """Canonical one-line form, stable under relabeling of nodes and of
+    identical components; used for deduplication, output and golden files.
+
+    The key is the sorted component texts and the least edge text over
+    every relabeling: a placement of identical components, then an order
+    of each run of equal slots on each side of each component.  A
+    relabeling's edges are sorted by the positions of their ends, compared
+    as numbers; edge texts are compared as strings.  `_searched_key` tries
+    every relabeling.
+
+    Condition P: every matching joins an infinity node to a zero node, no
+    node is in two matchings, and no run of equal slots mixes matched and
+    unmatched nodes.  Every stratum `validate` accepts meets P.  Under P,
+    for one placement, the first coordinates of the sorted edges are the
+    positions of the matched infinity runs whatever the slot orders, each
+    once, in (component, position) order, so two edge texts differ only in
+    the zero positions they list, and comparing them is comparing those
+    lists, each entry with ";" appended (the separator that follows it;
+    the last entry is forced, see below).  The infinity-side and zero-side
+    orders act on separate coordinates: the first chooses which node, and
+    so which partner, sits at each edge, the second which position that
+    partner gets.  So one greedy pass per placement is exact.  Walk the
+    matched infinity slots in order; at each, of the nodes of its run not
+    yet placed, take the one whose partner's run offers the least next
+    position text, and give the partner that position.  Two nodes tie only
+    when their partners share a zero run, and then exchanging the two
+    nodes together with their partners changes no text, so either choice
+    leads to the same least text.  The last edge, which no ";" follows, is
+    forced: one node is left, and its partner's run has one position left.
+    The least text over the placements is the key; outside P the search
+    is exhaustive.
+    """
+    if not s.components:
+        return "empty"
+    comps = sorted(s.components, key=_comp_data)
+    found = _matched_runs(s, comps)
+    if found is None:
+        return _searched_key(s)
+    inf_runs, zero_runs, run_of = found
+    body = "&".join(_comp_text(c) for c in comps)
+    best = None
+    for placement in _relabelings([_comp_data(c) for c in comps]):
+        given = [0] * len(zero_runs)
+        parts = []
+        for ci, at in sorted(enumerate(placement), key=lambda pair: pair[1]):
+            for start, nodes in inf_runs[ci]:
+                left = list(nodes)
+                for p in range(start, start + len(nodes)):
+                    least = None
+                    for node in left:
+                        r = run_of[node]
+                        cj, order = zero_runs[r]
+                        text = f"{placement[cj]}z{order[given[r]]};"
+                        if least is None or text < least:
+                            least, pick, run = text, node, r
+                    left.remove(pick)
+                    given[run] += 1
+                    parts.append(f"{at}i{p}-{least}")
+        text = "".join(parts)[:-1]
+        if best is None or text < best:
+            best = text
+    return body + "#" + best
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +831,12 @@ def _attach_contacts(spec, bottom, level_plan, q):
     over a level-0 component of negative contact count.  A plan whose top
     ends admit no assignment of the relative insertions is dropped next,
     still before its boundary options are built.
+
+    A (boundary choice, outer assignment) pair that leaves some level with
+    only bare components (`LevelComponent.bare`: genus 0, pure fiber, one
+    end on each side) is skipped before `_materialize`: every stratum built
+    from it is one `validate` rejects as an unstable level.  The remaining
+    pairs keep their order.
     """
     pair = spec.pair
     k = len(level_plan)
@@ -798,8 +915,22 @@ def _attach_contacts(spec, bottom, level_plan, q):
     choices = [chosen for chosen in product(*boundaries)
                if sum(len(p) for low, _ in chosen for p in low) == need]
     for chosen in choices:
+        if any(_bare_level(comps_by_level[i], chosen[i - 1][1], chosen[i][0])
+               for i in range(1, k)):
+            continue
         for outer in outers:
-            yield from _materialize(spec, comps_by_level, chosen, outer, k, q)
+            if not _bare_level(comps_by_level[k], chosen[k - 1][1], outer):
+                yield from _materialize(spec, comps_by_level, chosen, outer,
+                                        k, q)
+
+
+def _bare_level(comps, zeros, infs) -> bool:
+    """Whether every component of a positive level, each given as (alpha,
+    fiber degree, genus) with its zero-side and infinity-side ends, would
+    be `LevelComponent.bare`.  Both sides of a pure fiber carry its fiber
+    degree, so one end on each side makes the two orders equal."""
+    return all(a.is_zero and g == 0 and len(z) == 1 and len(i) == 1
+               for (a, _, g), z, i in zip(comps, zeros, infs))
 
 
 def _order_subsets(items, need):

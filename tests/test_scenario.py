@@ -166,6 +166,13 @@ MALFORMED = {
                    5, 9, "class must be a curve class, got grade 3"),
     "level-zero-class-grade": (P2_STRATUM + "comp level=0 class=pt inf=1:a\n",
                                5, 20, "class must be a curve class, got grade 0"),
+    # positive levels live in the neck model, which a point divisor lacks
+    "neck-model": ("[space p1]\n[divisor p1_point in p1]\n[stratum s]\n"
+                   "pair = p1_point\n"
+                   "comp level=0 genus=0 class=fund inf=1:a\n"
+                   "comp level=1 genus=0 alpha=0 fiber=1 zero=1:b inf=1:c\n"
+                   "match = a->b\n",
+                   6, 12, "no neck model below dimension 2"),
     "alpha-grade": (P2_STRATUM
                     + "comp level=1 alpha=pt fiber=1 zero=1:a inf=1:b\n",
                     5, 20, "alpha must be a curve class, got grade 0"),
@@ -239,6 +246,36 @@ def test_exit_one_on_failed_check(capsys):
     assert status("index", SCENARIOS / "conic_tangent.gw",
                   "--max-levels", "0") == 1
     assert "exceeds --max-levels 0" in capsys.readouterr().out
+
+
+# `index` prints the key of a declared stratum before validating it, so a
+# stratum `validate` rejects still gets one.  These two break condition P
+# of `strata.stratum_key`, so their keys come from the exhaustive search
+MALFORMED_STRATA = {
+    "reversed-matching": (
+        "comp level=0 genus=0 class=lambda inf=1:a\n"
+        "comp level=1 genus=0 alpha=fund fiber=2 zero=1:b inf=2:c:pt\n"
+        "match = b->a\n",
+        ["key L0:g0:lambda:z[]:i[1]&L1:g0:fund+2f:z[1]:i[2:pt]#1z0-0i0",
+         "issue matching-structure"]),
+    "reused-node": (
+        "comp level=0 genus=0 class=lambda inf=1:a1\n"
+        "comp level=0 genus=0 class=lambda inf=1:a2\n"
+        "comp level=1 genus=0 alpha=0 fiber=2 zero=1:b1,1:b2 inf=2:c:pt\n"
+        "match = a1->b1, a2->b1\n",
+        ["key L0:g0:lambda:z[]:i[1]&L0:g0:lambda:z[]:i[1]"
+         "&L1:g0:0+2f:z[1,1]:i[2:pt]#0i0-2z0;1i0-2z0",
+         "issue node-reuse", "issue unmatched-node"]),
+}
+
+
+@pytest.mark.parametrize("body, lines", MALFORMED_STRATA.values(),
+                         ids=MALFORMED_STRATA.keys())
+def test_index_keys_a_malformed_stratum(tmp_path, capsys, body, lines):
+    path = tmp_path / "bad.gw"
+    path.write_text(P2_STRATUM + body, encoding="utf-8")
+    assert status("index", path) == 1
+    assert capsys.readouterr().out == "\n".join(["stratum s", *lines]) + "\n"
 
 
 def test_exit_two_on_unknown_name(capsys):

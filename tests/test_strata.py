@@ -1,4 +1,6 @@
 import hashlib
+import random
+from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -12,7 +14,7 @@ from relgw.strata import (Contact, LevelComponent, StratumType,
                           _exact_decompositions, _exact_multisets,
                           _graph_components, _multisets, _orbit_matchings,
                           _partitions, _position_filter, _relabelings,
-                          _solve_preimage, assemble_class,
+                          _searched_key, _solve_preimage, assemble_class,
                           enumerate_strata, multilevel_index, stratum_flags,
                           stratum_key, total_genus, validate)
 
@@ -344,10 +346,24 @@ def enumerate_with_plans(spec, k, mp):
     return enumerate_strata(spec, k), plans
 
 
+def spy_keys(mp):
+    """The list of every stratum `enumerate_strata` will key, kept or not."""
+    keyed = []
+    key = strata_module.stratum_key
+
+    def spy(s):
+        keyed.append(s)
+        return key(s)
+
+    mp.setattr(strata_module, "stratum_key", spy)
+    return keyed
+
+
 @pytest.fixture(scope="module")
 def torus():
     """The torus cubic at depth 2, with (total genus, graph components) of
-    every candidate that reached `total_genus` and every level plan."""
+    every candidate that reached `total_genus`, every level plan and every
+    stratum keyed."""
     seen = []
 
     def spy(s):
@@ -357,12 +373,22 @@ def torus():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata_module, "total_genus", spy)
+        keyed = spy_keys(mp)
         strata, plans = enumerate_with_plans(cubic_torus_spec(), 2, mp)
-    return strata, seen, plans
+    return strata, seen, plans, keyed
+
+
+@pytest.fixture(scope="module")
+def torus_three():
+    """The torus cubic at depth 3, with every stratum keyed."""
+    with pytest.MonkeyPatch.context() as mp:
+        keyed = spy_keys(mp)
+        strata = enumerate_strata(cubic_torus_spec(), 3)
+    return strata, keyed
 
 
 def test_enumerate_torus_scenario(torus):
-    strata, _, _ = torus
+    strata, _, _, _ = torus
     keys = {stratum_key(s): s for s in strata}
     kone = stratum_key(torus_stratum_one_level())
     ktwo = stratum_key(torus_stratum_two_levels())
@@ -430,41 +456,42 @@ def test_depth_two_representatives_are_pinned(make, sha):
 
 
 def test_torus_enumeration_is_pinned(torus):
-    strata, _, _ = torus
+    strata, _, _, _ = torus
     assert key_digest(strata) == TORUS_KEYS
     assert any(all(c.level > 0 for c in s.components) for s in strata)
 
 
 def test_torus_representatives_are_pinned(torus):
-    strata, _, _ = torus
+    strata, _, _, _ = torus
     assert representative_digest(strata) == TORUS_REPRESENTATIVES
 
 
 def test_symmetric_matchings_are_not_built(torus):
     # 5,796 candidates when every pairing of interchangeable contacts was
-    # built; one per orbit leaves 2,139, and one level plan per isomorphism
-    # class, each able to close its end degrees, leaves 908
-    _, seen, _ = torus
-    assert len(seen) <= 908
+    # built; one per orbit leaves 2,139, one level plan per isomorphism
+    # class, each able to close its end degrees, leaves 908, and no level
+    # of bare fibers leaves 680
+    _, seen, _, _ = torus
+    assert len(seen) <= 680
 
 
 def test_hopeless_level_plans_are_not_made(torus):
     # 11,787 plans when every fiber degree and every order of identical
     # components was tried
-    _, _, plans = torus
+    _, _, plans, _ = torus
     assert len(plans) <= 1672
 
 
 def test_connected_candidates_have_the_count_genus(torus):
     # a structural choice whose Euler characteristic misses the genus is
     # rejected before its matchings are built
-    _, seen, _ = torus
+    _, seen, _, _ = torus
     assert seen
     assert {genus for genus, parts in seen if parts == 1} == {1}
 
 
-def test_torus_depth_three_is_pinned():
-    strata = enumerate_strata(cubic_torus_spec(), 3)
+def test_torus_depth_three_is_pinned(torus_three):
+    strata, _ = torus_three
     assert key_digest(strata) == (
         888, "5d62a2901891fd050c845609cd9289222e009ebc47aea7403c577bbbc6709f1e")
     assert representative_digest(strata) == \
@@ -529,7 +556,7 @@ def broken_plan_rules(pair, bottom, level_plan):
 
 
 def test_level_plans_obey_both_rules(torus):
-    _, _, plans = torus
+    _, _, plans, _ = torus
     cases = [(P2H, plans)]
     for spec in [conic_tangent_spec(), conic_split_spec(),
                  line_genus_one_spec(),
@@ -564,6 +591,44 @@ def test_degree_floor_waits_over_negative_contact_counts():
     assert closing
     for bottom, _ in closing:
         assert any(spec.pair.contact_count(c) < 0 for c, _ in bottom)
+
+
+def materialize_calls(spec, plans, cut):
+    """The arguments of every `_materialize` call that `_attach_contacts`
+    makes on the level plans, with the bare-level cut or without it."""
+    calls = []
+    q = strata_module.neck_model(spec.pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strata_module, "_materialize",
+                   lambda *args: calls.append(args) or ())
+        if not cut:
+            mp.setattr(strata_module, "_bare_level", lambda *_: False)
+        for bottom, level_plan in plans:
+            list(strata_module._attach_contacts(spec, bottom, level_plan, q))
+    return calls
+
+
+def test_pairs_with_a_bare_level_build_only_unstable_strata(torus):
+    cases = [(cubic_torus_spec(), torus[2])]
+    spec = fund_contact_spec(*P4B_LINE_GENUS_ONE)
+    with pytest.MonkeyPatch.context() as mp:
+        cases.append((spec, enumerate_with_plans(spec, 2, mp)[1]))
+    for spec, plans in cases:
+        kept = iter(materialize_calls(spec, plans, cut=True))
+        want, skipped = next(kept, None), []
+        for args in materialize_calls(spec, plans, cut=False):
+            if args == want:
+                want = next(kept, None)
+            else:
+                skipped.append(args)
+        # the kept calls come in their old order
+        assert want is None
+        assert skipped
+        for args in skipped:
+            built = list(strata_module._materialize(*args))
+            assert built
+            for s in built:
+                assert "unstable-level" in validate(s)
 
 
 def test_enumerate_rejects_missing_contact_data():
@@ -787,3 +852,138 @@ def test_multisets_reject_free_items(sizes):
 def test_exact_multisets_reject_free_items(sizes, sizes2):
     with pytest.raises(InvariantError, match="free class"):
         _exact_multisets("ab", [(), ()], (), sizes, 3, sizes2, 2)
+
+
+# --- the greedy key against the exhaustive search -------------------------
+
+
+def assert_keys_match_the_search(keyed):
+    assert keyed
+    for s in keyed:
+        assert stratum_key(s) == _searched_key(s)
+
+
+def test_greedy_key_matches_the_search_on_the_torus(torus_three):
+    # depth 3 keys every candidate that depth 2 keys, and more
+    assert_keys_match_the_search(torus_three[1])
+
+
+@pytest.mark.parametrize("pair", ["p2_hyperplane", "p3_hyperplane"])
+def test_greedy_key_matches_the_search_on_the_census(pair):
+    # the census shapes: degree <= 3, genus <= 1, depth 1 and 2.  Depth 2
+    # keys every candidate that depth 1 keys, and the torus cubic at depth 2
+    # is in the torus test
+    pair = builtin(pair)
+    keyed = []
+    for d, g in product((1, 2, 3), (0, 1)):
+        for orders in _partitions(d):
+            if (pair, d, g, orders) == (P2H, 3, 1, (2, 1)):
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                seen = spy_keys(mp)
+                enumerate_strata(
+                    fund_contact_spec(pair, g, {"lambda": d}, orders), 2)
+            keyed += seen
+    assert_keys_match_the_search(keyed)
+
+
+def test_greedy_key_compares_component_texts():
+    # the text "10z8;" sorts before "9z0;": the second end of the conic C
+    # goes to the fiber at index 9, after the one at index 10; as numbers
+    # the order would be the other way round
+    x, pt = P2H.ambient, gen(P2H.divisor.basis, "pt")
+    low = [LevelComponent(0, 0, cls=x.cls({"lambda": d}),
+                          inf=(Contact(f"a{d}", d),)) for d in range(2, 10)]
+    conic = LevelComponent(0, 0, cls=x.cls({"lambda": 2}),
+                           inf=(Contact("c1", 1), Contact("c2", 1)))
+    small = LevelComponent(1, 0, alpha=dzero(P2H), fiber=1,
+                           zero=(Contact("p", 1),), inf=(Contact("pt", 1, pt),))
+    big = LevelComponent(1, 0, alpha=dzero(P2H), fiber=45,
+                         zero=tuple(Contact(f"b{d}", d) for d in range(1, 10)),
+                         inf=(Contact("top", 45, pt),))
+    s = StratumType(P2H, (big, small, conic, *low),
+                    (("c1", "p"), ("c2", "b1"),
+                     *((f"a{d}", f"b{d}") for d in range(2, 10))))
+    assert validate(s) == []
+    key = stratum_key(s)
+    assert key == _searched_key(s)
+    assert "#0i0-10z7;1i0-10z8;1i1-9z0;2i0-10z6;" in key
+
+
+def test_greedy_key_compares_position_texts():
+    # the fiber takes twelve order-1 ends in runs told apart by their
+    # constraints: none at positions 0-1, k*pt at position k for k = 2..9,
+    # fund at 10-11.  Position 0 goes to the first edge; then the two ends
+    # of the conic compete for positions 1 and 10, and "11z10;" sorts
+    # before "11z1;", though "11z1" is a prefix of "11z10"
+    x, d = P2H.ambient, P2H.divisor
+    pt, fund = gen(d.basis, "pt"), gen(d.basis, "fund")
+    labels = [None, None, *(d.cls({"pt": k}) for k in range(2, 10)),
+              fund, fund]
+    fiber = LevelComponent(1, 0, alpha=dzero(P2H), fiber=12,
+                           zero=tuple(Contact(f"z{j}", 1, c)
+                                      for j, c in enumerate(labels)),
+                           inf=(Contact("top", 12, pt),))
+    line, conic = x.gen("lambda"), x.cls({"lambda": 2})
+    low = [LevelComponent(0, 0, cls=line, inf=(Contact("e", 1),)),
+           LevelComponent(0, 1, cls=conic,
+                          inf=(Contact("w0", 1), Contact("w1", 1)))]
+    low += [LevelComponent(0, g, cls=line, inf=(Contact(f"r{g}", 1),))
+            for g in range(2, 11)]
+    s = StratumType(P2H, (fiber, *low),
+                    (("e", "z0"), ("w0", "z1"), ("w1", "z10"),
+                     *((f"r{g}", f"z{g}") for g in range(2, 10)),
+                     ("r10", "z11")))
+    assert validate(s) == []
+    key = stratum_key(s)
+    assert key == _searched_key(s)
+    assert "#0i0-11z0;1i0-11z10;1i1-11z1;" in key
+
+
+def test_greedy_key_orders_positions_as_the_text_does():
+    # eleven order-1 ends on one run on each side, so the search would try
+    # 11! orders of each.  Edge texts compare "1z10;" < "1z1;", so the
+    # least text hands the zero positions out as 0, 10, 1, 2, ..., 9, where
+    # number order gives 0, 1, ..., 10 and plain string order 0, 1, 10, 2, ...
+    x, pt = P2H.ambient, gen(P2H.divisor.basis, "pt")
+    ones = range(11)
+    low = LevelComponent(0, 0, cls=x.cls({"lambda": 11}),
+                         inf=tuple(Contact(f"a{i}", 1) for i in ones))
+    fiber = LevelComponent(1, 0, alpha=dzero(P2H), fiber=11,
+                           zero=tuple(Contact(f"b{i}", 1) for i in ones),
+                           inf=(Contact("top", 11, pt),))
+    s = StratumType(P2H, (fiber, low),
+                    tuple((f"a{i}", f"b{3 * i % 11}") for i in ones))
+    assert validate(s) == []
+    run = ",".join("1" for _ in ones)
+    edges = ";".join(f"0i{i}-1z{p}"
+                     for i, p in enumerate([0, 10, *range(1, 10)]))
+    assert stratum_key(s) == (f"L0:g0:11*lambda:z[]:i[{run}]"
+                              f"&L1:g0:0+11f:z[{run}]:i[11:pt]#{edges}")
+
+
+def relabeled(s, rng):
+    """`s` with fresh node names, and its components, their ends and its
+    matchings in a random order."""
+    nodes = [c.node for comp in s.components for c in comp.zero + comp.inf]
+    fresh = dict(zip(nodes, (f"v{n}" for n in rng.sample(range(1000),
+                                                         len(nodes)))))
+
+    def ends(contacts):
+        out = [replace(c, node=fresh[c.node]) for c in contacts]
+        rng.shuffle(out)
+        return out
+
+    comps = [replace(comp, zero=ends(comp.zero), inf=ends(comp.inf))
+             for comp in s.components]
+    matchings = [(fresh[a], fresh[b]) for a, b in s.matchings]
+    rng.shuffle(comps)
+    rng.shuffle(matchings)
+    return StratumType(s.pair, comps, matchings, s.insertions)
+
+
+def test_greedy_key_ignores_names_and_orders(torus):
+    rng = random.Random(23)
+    for s in torus[3]:
+        t = relabeled(s, rng)
+        assert stratum_key(t) == stratum_key(s) == _searched_key(t)

@@ -174,6 +174,17 @@ class InvariantSpec:
 # dimension formulas
 
 
+def check_contact_orders(spec: InvariantSpec) -> None:
+    """The contact data of a relative count: DefinedZero when the class
+    meets the divisor negatively, InvariantError when the contact orders do
+    not add up to the number of points it meets the divisor in."""
+    d = spec.pair.contact_count(spec.beta)
+    if d < 0:
+        raise DefinedZero(f"class meets divisor in {d} < 0 points")
+    if sum(spec.contact_orders) != d:
+        raise InvariantError(f"contact orders must sum to {d}")
+
+
 def raw_dimension(spec: InvariantSpec) -> int:
     """Dimension of the moduli problem before homological constraints.
 
@@ -182,11 +193,7 @@ def raw_dimension(spec: InvariantSpec) -> int:
     constraint_codim, with the fundamental class as the free default.
     """
     if spec.pair is not None:
-        d = spec.pair.contact_count(spec.beta)
-        if d < 0:
-            raise DefinedZero(f"class meets divisor in {d} < 0 points")
-        if sum(spec.contact_orders) != d:
-            raise InvariantError(f"contact orders must sum to {d}")
+        check_contact_orders(spec)
     n, g = spec.n, spec.genus
     k, r = len(spec.absolutes), len(spec.relatives)
     excess = sum(o - 1 for o in spec.contact_orders)

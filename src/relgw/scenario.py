@@ -29,7 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .dimension import _PLACES, Insertion, InvariantError, InvariantSpec
+from .dimension import (_PLACES, DefinedZero, Insertion, InvariantError,
+                        InvariantSpec, check_contact_orders)
 from .lattice import GradeError, HomologyClass, cls
 from .spaces import CatalogError, DivisorPair, RuledSetup, Space, builtin
 from .strata import Contact, LevelComponent, StratumType, neck_model
@@ -412,6 +413,14 @@ class _Parser:
                                  tuple(relatives))
         except InvariantError as e:
             self.fail(str(e), line, 1)
+        if spec.pair is not None:
+            try:
+                check_contact_orders(spec)
+            except DefinedZero:
+                pass        # a verdict, which the commands report
+            except InvariantError as e:
+                _, lineno, col = got.get("rel", got["pair"])
+                self.fail(str(e), lineno, col)
         self.sc.invariants[name] = spec
 
     def section_stratum(self, args, line, body):

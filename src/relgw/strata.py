@@ -150,8 +150,11 @@ def validate(s: StratumType) -> list[str]:
         return ["node-reuse"]
 
     depth = s.depth
-    present = {c.level for c in s.components}
-    if any(i not in present for i in range(1, depth + 1)):
+    by_level = {}
+    for c in s.components:
+        by_level.setdefault(c.level, []).append(c)
+    # the positive levels present are distinct integers in 1..depth
+    if len(by_level.keys() - {0}) != depth:
         out.append("level-gap")
 
     dbasis = s.pair.divisor.basis.name
@@ -195,9 +198,8 @@ def validate(s: StratumType) -> list[str]:
         elif comp.level < depth:
             out.append("unmatched-node")
 
-    for i in range(1, depth + 1):
-        level = [c for c in s.components if c.level == i]
-        if level and all(c.bare for c in level):
+    for i in sorted(by_level.keys() - {0}):
+        if all(c.bare for c in by_level[i]):
             out.append("unstable-level")
 
     if _graph_components(s) > 1:
@@ -700,6 +702,8 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
     for k in range(1, max_levels + 1):
         for bottom in _multisets_with_budget(xcands, budget,
                                              lambda cg: X.area(cg[0])):
+            if sum(g for _, g in bottom) > spec.genus:
+                continue    # see the genus budget of `_build_levels`
             used = make_cls(X.basis, {})
             for c, _ in bottom:
                 used = used + c
@@ -715,9 +719,11 @@ def _build_levels(spec, k, bottom, alpha_total):
     """Fill levels 1..k over the chosen level-0 components.
 
     A level plan lists (alpha, fiber degree, genus) for the components of
-    each level.  Two rules keep only plans that can close, one per
-    isomorphism class; neither changes which keys `enumerate_strata`
-    finds, nor the stratum it keeps for each.
+    each level, and it comes with the end degrees of every component,
+    level 0 included, as `_component_degrees` gives them.  The rules below
+    keep only plans that can close, one per isomorphism class; none
+    changes which keys `enumerate_strata` finds, nor the stratum it keeps
+    for each, since every stratum of a dropped plan is one `add` rejects.
 
     Degree floor: each component's zero-side degree,
     `q.end_degrees(alpha, fiber)[0]`, is at least 0.  With the twist -1 of
@@ -725,19 +731,37 @@ def _build_levels(spec, k, bottom, alpha_total):
     infinity-side degrees of the level below.  Above a level none of whose
     degrees is negative, a negative zero-side degree therefore leaves the
     positive zero-side degrees a larger sum than the positive lower ones,
-    the case `_attach_contacts` rejects.  Infinity-side degrees of a
-    positive level are fiber degrees, never negative, so the floor holds
-    from level 2 on, and at level 1 when no level-0 component has a
-    negative contact count.
+    which the window below rejects.  Infinity-side degrees of a positive
+    level are fiber degrees, never negative, so the floor holds from level
+    2 on, and at level 1 when no level-0 component has a negative contact
+    count.
 
     Sorted identical components: along adjacent components of one alpha
     (the pure-fiber ones included) the (fiber, genus) pairs do not
     decrease.  Choices come with fiber degrees in lexicographic order and,
     for each, genera in lexicographic order, so the sorted arrangement of
     a level is the first one made.  Later levels see a level only through
-    its fiber degree sum and the alpha it leaves over, so any other
-    arrangement yields only strata isomorphic to those of the sorted one,
-    which came first.
+    the multiset of its components and the alpha it leaves over, so any
+    other arrangement yields only strata isomorphic to those of the sorted
+    one, which came first.
+
+    Genus budget: the cycle rank e - v + c of a graph is never negative,
+    so `total_genus` is at least the components' genus sum, and the genera
+    chosen so far never exceed the count's genus.
+
+    Edge-count window: every part of a lower-side boundary partition
+    becomes one matching, and only ends of positive degree carry parts.
+    A boundary's lower and upper part pools are equal, so its positive
+    lower and upper degrees have one sum, and its edge count lies between
+    max(#positive lower, #positive upper) and that sum.  A kept stratum is
+    connected with G + e - v + 1 equal to the count's genus.  Its
+    subgraph on levels 0..j has at least the fewest edges of those
+    boundaries, so its cycle rank is at least fewest - v + 1; a subgraph's
+    cycle rank never exceeds the whole graph's, which is at most the genus
+    left after levels 0..j.  So a plan is cut as soon as fewest - v + 1
+    passes the genus left, whatever levels would follow.  The most edges
+    are checked at the closing level, with the top ends, whose degrees
+    must add up to the contact orders.
     """
     pair = spec.pair
     D = pair.divisor
@@ -753,23 +777,28 @@ def _build_levels(spec, k, bottom, alpha_total):
         abudget = D.area(alpha_total)
         alpha_parts = list(dmodel.classes(abudget)) if abudget > 0 else []
 
-    bottom_degs = [pair.contact_count(c) for c, _ in bottom]
-    bottom_deg = sum(bottom_degs)
-    floor_from = 1 if min(bottom_degs, default=0) >= 0 else 2
+    bottom_ends = [(None, pair.contact_count(c)) for c, _ in bottom]
+    floor_from = 1 if all(d >= 0 for _, d in bottom_ends) else 2
+    orders = sum(ins.order for ins in spec.relatives)
 
-    def level_choices(remaining_alpha, prev_deg, level):
+    def level_choices(remaining_alpha, below, level, left, v, fewest, most):
+        """(components, their end degrees, gamma, fewest edges, most
+        edges) for each choice of the level, with `below` the infinity-side
+        degrees of the level under it and the window's totals so far."""
         if level == k:
             picks = _exact_decompositions(alpha_parts, remaining_alpha, D.area)
         else:
             room = D.area(remaining_alpha)
             picks = _multisets_with_budget(alpha_parts, room, D.area) \
                 if room >= 0 else []
+        lower = [d for d in below if d > 0]
+        most += sum(lower)
         for alphas in picks:
             gamma = dzero
             for a in alphas:
                 gamma = gamma + a
-            total_d = prev_deg + pair.normal_degree(gamma)
-            if total_d < 0:
+            total_d = sum(below) + pair.normal_degree(gamma)
+            if total_d < 0 or (level == k and total_d != orders):
                 continue
             # the least fiber degrees that give a zero side of degree >= 0
             floors = [max(0, -q.end_degrees(a, 0)[0]) if level >= floor_from
@@ -780,57 +809,60 @@ def _build_levels(spec, k, bottom, alpha_total):
                 labels = list(alphas) + [dzero] * m
                 same = [i for i in range(1, len(labels))
                         if labels[i] == labels[i - 1]]
-                genus_ranges = [range(dmodel.min_genus(a), spec.genus + 1)
-                                for a in alphas]
-                genus_ranges += [range(0, spec.genus + 1)] * m
+                mins = [dmodel.min_genus(a) for a in alphas] + [0] * m
+                n = v + len(labels)
                 for ds in _compositions(total_d, floors + [1] * m):
                     if any(ds[i - 1] > ds[i] for i in same):
                         continue
+                    degs = [q.end_degrees(a, d) for a, d in zip(labels, ds)]
+                    upper = [z for z, _ in degs if z > 0]
+                    if sum(upper) != sum(lower):
+                        continue
+                    fewest_now = fewest + max(len(lower), len(upper))
+                    # the genus sums that keep the window open
+                    hi = left - max(0, fewest_now - n + 1)
+                    lo = left - (most - n + 1) if level == k else 0
                     ties = [i for i in same if ds[i - 1] == ds[i]]
-                    for gs in product(*genus_ranges):
-                        if sum(gs) > spec.genus or \
+                    for gs in product(*[range(g, hi + 1) for g in mins]):
+                        if not lo <= sum(gs) <= hi or \
                                 any(gs[i - 1] > gs[i] for i in ties):
                             continue
-                        yield list(zip(labels, ds, gs)), gamma
+                        yield (list(zip(labels, ds, gs)), degs, gamma,
+                               fewest_now, most)
 
-    def rec(level, remaining_alpha, prev_deg, acc):
-        if level > k:
-            if remaining_alpha.is_zero:
-                yield list(acc)
-            return
-        for comps, gamma in level_choices(remaining_alpha, prev_deg, level):
-            acc.append(comps)
-            yield from rec(level + 1, remaining_alpha - gamma,
-                           sum(d for _, d, _ in comps), acc)
-            acc.pop()
+    def rec(level, remaining_alpha, left, v, fewest, most, plan, ends):
+        below = [d for _, d in ends[-1]]
+        for comps, degs, gamma, fewest_now, most_now in level_choices(
+                remaining_alpha, below, level, left, v, fewest, most):
+            plan.append(comps)
+            ends.append(degs)
+            if level == k:
+                yield list(plan), list(ends)
+            else:
+                yield from rec(level + 1, remaining_alpha - gamma,
+                               left - sum(g for _, _, g in comps),
+                               v + len(comps), fewest_now, most_now, plan,
+                               ends)
+            plan.pop()
+            ends.pop()
 
-    for level_plan in rec(1, alpha_total, bottom_deg, []):
-        yield from _attach_contacts(spec, bottom, level_plan, q)
+    left = spec.genus - sum(g for _, g in bottom)
+    for level_plan, ends in rec(1, alpha_total, left, len(bottom), 0, 0, [],
+                                [bottom_ends]):
+        yield from _attach_contacts(spec, bottom, level_plan, ends)
 
 
-def _attach_contacts(spec, bottom, level_plan, q):
+def _attach_contacts(spec, bottom, level_plan, ends):
     """Choose end partitions, matchings and outer assignments.
 
-    A level plan fixes the vertex count v and the genus sum G of every
-    stratum built from it, and a choice of boundary partitions fixes the
-    edge count e: every part of a lower-side partition becomes exactly one
-    matching.  `total_genus` is G + e - v + c for c connected components of
-    the matching graph, and `validate` rejects c > 1 as disconnected, so
-    every stratum that `enumerate_strata` keeps has G + e - v + 1 equal to
-    the count's genus.  Boundary choices with any other e are dropped
-    before their matchings are built; the survivors keep their order.
-
-    The end degrees bound e before any boundary option is built.  Only
-    ends of positive degree carry parts, and a boundary's lower and upper
-    part pools must be equal, so the positive lower and upper degrees of
-    one boundary have one sum, and its edge count, the number of parts,
-    lies between max(#positive lower, #positive upper) and that sum.  A
-    level plan whose sums differ, or whose bounds summed over the
-    boundaries miss e, yields nothing and is dropped at once.  The degree
-    floor of `_build_levels` leaves the sums unequal only at boundary 0,
-    over a level-0 component of negative contact count.  A plan whose top
-    ends admit no assignment of the relative insertions is dropped next,
-    still before its boundary options are built.
+    `ends` lists the (zero-side, infinity-side) degrees of each level's
+    components, level 0 included.  A choice of boundary partitions fixes
+    the edge count: every part of a lower-side partition becomes exactly
+    one matching.  `total_genus` is G + e - v + c for c connected
+    components of the matching graph, and `validate` rejects c > 1 as
+    disconnected, so only boundary choices with G + e - v + 1 equal to the
+    count's genus are kept; `_build_levels` has already checked that such
+    an e lies in the plan's window.  The survivors keep their order.
 
     A (boundary choice, outer assignment) pair that leaves some level with
     only bare components (`LevelComponent.bare`: genus 0, pure fiber, one
@@ -838,26 +870,17 @@ def _attach_contacts(spec, bottom, level_plan, q):
     from it is one `validate` rejects as an unstable level.  The remaining
     pairs keep their order.
     """
-    pair = spec.pair
     k = len(level_plan)
-
     comps_by_level = {0: list(bottom)}
     for i, comps in enumerate(level_plan, start=1):
         comps_by_level[i] = comps
-
-    def degrees(level, data):
-        if level == 0:
-            return None, pair.contact_count(data[0])
-        return q.end_degrees(data[0], data[1])
 
     def partitions(deg):
         return _partitions(deg) if deg >= 0 else ((),)
 
     def boundary_options(i):
-        lower = comps_by_level[i]
-        upper = comps_by_level[i + 1]
-        lower_infs = [partitions(degrees(i, data)[1]) for data in lower]
-        upper_zeros = [partitions(degrees(i + 1, data)[0]) for data in upper]
+        lower_infs = [partitions(d) for _, d in ends[i]]
+        upper_zeros = [partitions(z) for z, _ in ends[i + 1]]
         for low_choice in product(*lower_infs):
             low_pool = sorted(m for p in low_choice for m in p)
             for up_choice in product(*upper_zeros):
@@ -867,19 +890,10 @@ def _attach_contacts(spec, bottom, level_plan, q):
                 yield low_choice, up_choice
 
     def outer_assignments():
-        top = comps_by_level[k]
-        rel = list(spec.relatives)
-        degs = []
-        for data in top:
-            _, degi = degrees(k, data)
-            if degi < 0:
-                return
-            degs.append(degi)
-        if sum(i.order for i in rel) != sum(degs):
-            return
+        degs = [d for _, d in ends[k]]
 
         def rec(ci, remaining):
-            if ci == len(top):
+            if ci == len(degs):
                 if not remaining:
                     yield []
                 return
@@ -890,24 +904,12 @@ def _attach_contacts(spec, bottom, level_plan, q):
                 for tail in rec(ci + 1, rest):
                     yield [subset] + tail
 
-        yield from rec(0, rel)
+        yield from rec(0, list(spec.relatives))
 
     vertices = [data for comps in comps_by_level.values() for data in comps]
     # the edge count that, on a connected graph, closes the count's genus
     need = spec.genus - graph_genus(sum(data[-1] for data in vertices), 0,
                                     len(vertices), 1)
-    fewest = most = 0
-    for i in range(0, k):
-        lower = [d for d in (degrees(i, data)[1] for data in comps_by_level[i])
-                 if d > 0]
-        upper = [d for d in (degrees(i + 1, data)[0]
-                             for data in comps_by_level[i + 1]) if d > 0]
-        if sum(lower) != sum(upper):
-            return
-        fewest += max(len(lower), len(upper))
-        most += sum(lower)
-    if not fewest <= need <= most:
-        return
     outers = list(outer_assignments())
     if not outers:
         return
@@ -920,8 +922,7 @@ def _attach_contacts(spec, bottom, level_plan, q):
             continue
         for outer in outers:
             if not _bare_level(comps_by_level[k], chosen[k - 1][1], outer):
-                yield from _materialize(spec, comps_by_level, chosen, outer,
-                                        k, q)
+                yield from _materialize(spec, comps_by_level, chosen, outer, k)
 
 
 def _bare_level(comps, zeros, infs) -> bool:
@@ -993,7 +994,7 @@ def _orbit_matchings(lower, upper):
     yield from rec(0)
 
 
-def _materialize(spec, comps_by_level, chosen, outer, k, q):
+def _materialize(spec, comps_by_level, chosen, outer, k):
     """Build concrete stratum objects for one structural choice.
 
     Each boundary pairs its lower and upper nodes of equal multiplicity.

@@ -1,4 +1,5 @@
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,8 @@ P3_INVARIANT = P3 + "[invariant x]\nspace = p3\ngenus = 0\n"
 P2_PAIR = "[space p2]\n[divisor p2_hyperplane in p2]\n"
 P2_STRATUM = P2_PAIR + "[stratum s]\npair = p2_hyperplane\n"
 P2_NODE = P2_STRATUM + "comp level=0 genus=0 class=lambda inf=1:a\n"
+P2_CUBIC = (P2_PAIR + "[invariant x]\npair = p2_hyperplane\ngenus = 0\n"
+            "class = 3*lambda\n")
 
 MALFORMED = {
     "fraction": (P3 + "[class b = 1/2*lambda]\n",
@@ -123,6 +126,13 @@ MALFORMED = {
     "relative": (P2_PAIR + "[invariant x]\npair = p2_hyperplane\ngenus = 0\n"
                  "class = lambda\nrel = (x, pt)\n",
                  7, 7, "relative entries look like (order, class)"),
+    # the contact orders of a relative count add up to the class's
+    # meeting number with the divisor, checked where the count is read
+    "contact-sum": (P2_CUBIC + "rel = (2,fund)\n",
+                    7, 7, "contact orders must sum to 3"),
+    "contact-sum-empty": (P2_CUBIC + "rel =\n",
+                          7, 6, "contact orders must sum to 3"),
+    "contact-sum-absent": (P2_CUBIC, 4, 8, "contact orders must sum to 3"),
     "rel-needs-pair": (P3_INVARIANT + "class = lambda\nrel = (1, pt)\n",
                        6, 7, "rel= needs a pair= target"),
     "contact": (P2_STRATUM + "comp level=0 class=lambda inf=a\n",
@@ -276,6 +286,18 @@ def test_index_keys_a_malformed_stratum(tmp_path, capsys, body, lines):
     path.write_text(P2_STRATUM + body, encoding="utf-8")
     assert status("index", path) == 1
     assert capsys.readouterr().out == "\n".join(["stratum s", *lines]) + "\n"
+
+
+def test_a_far_off_level_is_a_gap(tmp_path, capsys):
+    # validation walks the levels present, not every level up to the depth
+    path = tmp_path / "far.gw"
+    path.write_text(P2_NODE + f"comp level={10 ** 12} genus=0 alpha=0 "
+                    "fiber=1 zero=1:b inf=1:c\nmatch = a->b\n",
+                    encoding="utf-8")
+    start = time.perf_counter()
+    assert status("index", path) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "issue level-gap\n" in capsys.readouterr().out
 
 
 def test_exit_two_on_unknown_name(capsys):

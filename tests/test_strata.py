@@ -333,14 +333,14 @@ def test_enumerate_split_scenario():
 
 
 def enumerate_with_plans(spec, k, mp):
-    """The strata of the count and the (level-0 components, level plan) of
-    every plan that reached `_attach_contacts`."""
+    """The strata of the count and the (level-0 components, level plan,
+    end degrees) of every plan that reached `_attach_contacts`."""
     plans = []
     attach = strata_module._attach_contacts
 
-    def spy(spec_, bottom, level_plan, q):
-        plans.append((bottom, level_plan))
-        return attach(spec_, bottom, level_plan, q)
+    def spy(spec_, bottom, level_plan, ends):
+        plans.append((bottom, level_plan, ends))
+        return attach(spec_, bottom, level_plan, ends)
 
     mp.setattr(strata_module, "_attach_contacts", spy)
     return enumerate_strata(spec, k), plans
@@ -380,11 +380,12 @@ def torus():
 
 @pytest.fixture(scope="module")
 def torus_three():
-    """The torus cubic at depth 3, with every stratum keyed."""
+    """The torus cubic at depth 3, with every stratum keyed and every level
+    plan."""
     with pytest.MonkeyPatch.context() as mp:
         keyed = spy_keys(mp)
-        strata = enumerate_strata(cubic_torus_spec(), 3)
-    return strata, keyed
+        strata, plans = enumerate_with_plans(cubic_torus_spec(), 3, mp)
+    return strata, keyed, plans
 
 
 def test_enumerate_torus_scenario(torus):
@@ -469,17 +470,20 @@ def test_torus_representatives_are_pinned(torus):
 def test_symmetric_matchings_are_not_built(torus):
     # 5,796 candidates when every pairing of interchangeable contacts was
     # built; one per orbit leaves 2,139, one level plan per isomorphism
-    # class, each able to close its end degrees, leaves 908, and no level
-    # of bare fibers leaves 680
+    # class, each able to close its end degrees, leaves 908, no level of
+    # bare fibers leaves 680, and no plan over the genus budget or outside
+    # the edge-count window leaves 378
     _, seen, _, _ = torus
-    assert len(seen) <= 680
+    assert len(seen) <= 378
 
 
 def test_hopeless_level_plans_are_not_made(torus):
     # 11,787 plans when every fiber degree and every order of identical
-    # components was tried
+    # components was tried; 1,672 with the degree floor and sorted
+    # identical components, before the genus budget and the edge-count
+    # window cut plans while their levels are chosen
     _, _, plans, _ = torus
-    assert len(plans) <= 1672
+    assert len(plans) <= 337
 
 
 def test_connected_candidates_have_the_count_genus(torus):
@@ -491,7 +495,7 @@ def test_connected_candidates_have_the_count_genus(torus):
 
 
 def test_torus_depth_three_is_pinned(torus_three):
-    strata, _ = torus_three
+    strata, _, _ = torus_three
     assert key_digest(strata) == (
         888, "5d62a2901891fd050c845609cd9289222e009ebc47aea7403c577bbbc6709f1e")
     assert representative_digest(strata) == \
@@ -507,12 +511,22 @@ ANTI_A1_2A2 = (builtin("s2xs2_antidiag"), 0, {"a1": 1, "a2": 2}, (1,))
 P4B = builtin("p4blow2_hyperplane")
 P4B_2EPS1 = (P4B, 0, {"eps1": 2}, (2,))
 P4B_LINE_GENUS_ONE = (P4B, 1, {"lambda": 1}, (1,))
+P4B_CONIC_MINUS_EPS1 = (P4B, 0, {"lambda": 2, "eps1": -1}, (1,))
 T2_SECTION_GENUS_ONE = (builtin("t2_ruled_section"), 1, {"s": 1, "f": 2}, (1,))
 
 
 def fund_contact_spec(pair, genus, coeffs, orders):
     return InvariantSpec(pair, genus, pair.ambient.cls(coeffs),
                          relatives=tuple(rel(pair, o, "fund") for o in orders))
+
+
+@pytest.fixture(scope="module")
+def conic_minus_eps1():
+    """A count whose level plans over a level-0 component of negative
+    contact count reach `_attach_contacts`, with every such plan."""
+    spec = fund_contact_spec(*P4B_CONIC_MINUS_EPS1)
+    with pytest.MonkeyPatch.context() as mp:
+        return spec, enumerate_with_plans(spec, 2, mp)[1]
 
 
 @pytest.mark.parametrize("case, count, keys, reps", [
@@ -555,9 +569,9 @@ def broken_plan_rules(pair, bottom, level_plan):
     return broken
 
 
-def test_level_plans_obey_both_rules(torus):
+def test_level_plans_obey_both_rules(torus, conic_minus_eps1):
     _, _, plans, _ = torus
-    cases = [(P2H, plans)]
+    cases = [(P2H, plans), (P4B, conic_minus_eps1[1])]
     for spec in [conic_tangent_spec(), conic_split_spec(),
                  line_genus_one_spec(),
                  fund_contact_spec(*ANTI_A1_2A2),
@@ -568,7 +582,7 @@ def test_level_plans_obey_both_rules(torus):
     identical = negative = 0
     for pair, made in cases:
         assert made
-        for bottom, level_plan in made:
+        for bottom, level_plan, _ in made:
             assert broken_plan_rules(pair, bottom, level_plan) == set()
             identical += any(a == b for comps in level_plan
                              for (a, _, _), (b, _, _) in zip(comps, comps[1:]))
@@ -577,34 +591,84 @@ def test_level_plans_obey_both_rules(torus):
     assert identical and negative
 
 
-def test_degree_floor_waits_over_negative_contact_counts():
+def test_degree_floor_waits_over_negative_contact_counts(conic_minus_eps1):
     # over a level-0 component of negative contact count, a level-1
     # component with a negative zero side can still close its ends
-    spec = fund_contact_spec(*P4B_LINE_GENUS_ONE)
-    q = strata_module.neck_model(spec.pair)
-    with pytest.MonkeyPatch.context() as mp:
-        _, plans = enumerate_with_plans(spec, 2, mp)
+    spec, plans = conic_minus_eps1
     closing = [
-        (bottom, level_plan) for bottom, level_plan in plans
-        if any(q.end_degrees(a, d)[0] < 0 for a, d, _ in level_plan[0])
-        and list(strata_module._attach_contacts(spec, bottom, level_plan, q))]
+        (bottom, level_plan, ends) for bottom, level_plan, ends in plans
+        if any(z < 0 for z, _ in ends[1])
+        and list(strata_module._attach_contacts(spec, bottom, level_plan, ends))]
     assert closing
-    for bottom, _ in closing:
+    for bottom, _, _ in closing:
         assert any(spec.pair.contact_count(c) < 0 for c, _ in bottom)
+
+
+def window(spec, bottom, level_plan):
+    """(genus left, edges that close it on a connected graph, fewest
+    edges, most edges) of a level plan, and whether every boundary's
+    positive lower and upper degrees have one sum."""
+    pair = spec.pair
+    q = strata_module.neck_model(pair)
+    infs = [pair.contact_count(c) for c, _ in bottom]
+    left = spec.genus - sum(g for _, g in bottom)
+    v, fewest, most, balanced = len(bottom), 0, 0, True
+    for comps in level_plan:
+        lower = [d for d in infs if d > 0]
+        upper = [z for z in (q.end_degrees(a, d)[0] for a, d, _ in comps)
+                 if z > 0]
+        balanced &= sum(lower) == sum(upper)
+        fewest += max(len(lower), len(upper))
+        most += sum(lower)
+        left -= sum(g for _, _, g in comps)
+        v += len(comps)
+        infs = [q.end_degrees(a, d)[1] for a, d, _ in comps]
+    return left, left + v - 1, fewest, most, balanced
+
+
+def test_plans_reaching_attach_can_close(torus, torus_three,
+                                         conic_minus_eps1):
+    cases = [(cubic_torus_spec(), torus[2]),
+             (cubic_torus_spec(), torus_three[2]), conic_minus_eps1]
+    for case in (EXC_LINE_GENUS_ONE, ANTI_A1_2A2, P4B_2EPS1,
+                 P4B_LINE_GENUS_ONE, T2_SECTION_GENUS_ONE):
+        spec = fund_contact_spec(*case)
+        with pytest.MonkeyPatch.context() as mp:
+            cases.append((spec, enumerate_with_plans(spec, 2, mp)[1]))
+    tight = set()
+    for spec, plans in cases:
+        assert plans
+        q = strata_module.neck_model(spec.pair)
+        orders = sum(ins.order for ins in spec.relatives)
+        for bottom, level_plan, ends in plans:
+            # the carried end degrees are the catalog's
+            assert ends == [[(None, spec.pair.contact_count(c))
+                             for c, _ in bottom]] + \
+                [[q.end_degrees(a, d) for a, d, _ in comps]
+                 for comps in level_plan]
+            assert sum(d for _, d in ends[-1]) == orders
+            left, need, fewest, most, balanced = \
+                window(spec, bottom, level_plan)
+            assert balanced
+            assert left >= 0
+            assert fewest <= need <= most
+            tight.update({"fewest"} if fewest == need else set(),
+                         {"most"} if need == most else set())
+    # both bounds of the window are met by some plan
+    assert tight == {"fewest", "most"}
 
 
 def materialize_calls(spec, plans, cut):
     """The arguments of every `_materialize` call that `_attach_contacts`
     makes on the level plans, with the bare-level cut or without it."""
     calls = []
-    q = strata_module.neck_model(spec.pair)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata_module, "_materialize",
                    lambda *args: calls.append(args) or ())
         if not cut:
             mp.setattr(strata_module, "_bare_level", lambda *_: False)
-        for bottom, level_plan in plans:
-            list(strata_module._attach_contacts(spec, bottom, level_plan, q))
+        for plan in plans:
+            list(strata_module._attach_contacts(spec, *plan))
     return calls
 
 

@@ -195,7 +195,7 @@ def _groups(spec: InvariantSpec):
     """Identical constraints bundled together, with their declared side."""
     buckets: dict[tuple, list[Insertion]] = {}
     for ins in spec.absolutes:
-        key = (ins.place, ins.cls.encode(), ins.descendents)
+        key = (ins.place, ins.cls.encode())
         buckets.setdefault(key, []).append(ins)
     return [(key[0], items[0], len(items))
             for key, items in sorted(buckets.items())]
@@ -266,7 +266,7 @@ def _placed(setup: FiberSumSetup, groups):
     for side, ins, _ in groups:
         lands = []
         if side != "Y":
-            lands.append(("L", setup.left, Insertion(ins.cls, ins.descendents)))
+            lands.append(("L", setup.left, Insertion(ins.cls)))
         if side == "Y":
             lands.append(("R", setup.right, _convert_neck(setup, ins)))
         elif side == "split":
@@ -436,8 +436,6 @@ def _check_setup(setup: FiberSumSetup) -> None:
 def _convert_neck(setup: FiberSumSetup, ins: Insertion):
     """A constraint declared on the bundle side, as a bundle insertion."""
     total = setup.ruled.total
-    if ins.descendents:
-        raise DecompositionError("descendent constraints cannot change sides")
     if ins.cls.grade == 0:
         return Insertion(total.point)
     if ins.cls.grade == setup.total.n:

@@ -10,7 +10,7 @@ component at a positive level is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .lattice import HomologyClass
 from .spaces import DivisorPair, Space
@@ -38,8 +38,8 @@ _PLACES = ("X", "Y", "split")
 
 @dataclass(frozen=True)
 class Insertion:
-    """One constraint: a homology class, possibly with a descendent power,
-    possibly tied to the divisor with a contact order.
+    """One primary constraint: a homology class, possibly tied to the
+    divisor with a contact order.  Every field after `cls` is keyword-only.
 
     `order` is None for an absolute insertion and the contact multiplicity
     (>= 1) otherwise.  `pulled_back` marks an absolute constraint pi^-1(c)
@@ -50,7 +50,7 @@ class Insertion:
     """
 
     cls: HomologyClass
-    descendents: int = 0
+    _: KW_ONLY
     order: int | None = None
     pulled_back: bool = False
     place: str = "X"
@@ -58,13 +58,8 @@ class Insertion:
     def __post_init__(self):
         if self.cls.is_zero or self.cls.grade is None:
             raise InvariantError("constraint classes must be homogeneous and nonzero")
-        if self.descendents < 0:
-            raise InvariantError("descendent power must be >= 0")
-        if self.order is not None:
-            if self.order < 1:
-                raise InvariantError("contact order must be >= 1")
-            if self.descendents:
-                raise InvariantError("contact insertions carry no descendents")
+        if self.order is not None and self.order < 1:
+            raise InvariantError("contact order must be >= 1")
         if self.place not in _PLACES:
             raise InvariantError(f"unknown placement {self.place!r}")
 
@@ -75,17 +70,11 @@ class Insertion:
     def token(self) -> str:
         if self.relative:
             return f"({self.order},{self.cls.encode()})"
-        parts = []
-        if self.descendents:
-            parts.append(f"tau{self.descendents}:")
-        if self.pulled_back:
-            parts.append("pb:")
-        parts.append(self.cls.encode())
-        return "".join(parts)
+        return ("pb:" if self.pulled_back else "") + self.cls.encode()
 
 
 def _abs_sort_key(ins: Insertion):
-    return (ins.cls.grade, ins.cls.encode(), ins.descendents, ins.pulled_back)
+    return (ins.cls.grade, ins.cls.encode(), ins.pulled_back)
 
 
 def _rel_sort_key(ins: Insertion):
@@ -205,10 +194,7 @@ def constraint_codim(ins: Insertion, n: int) -> int:
 
     A pulled-back class lives in the (n-1)-dimensional divisor, and its
     preimage has the codimension it has there."""
-    codim = (n - 1 if ins.pulled_back else n) - ins.cls.grade
-    if not ins.relative:
-        codim += ins.descendents
-    return codim
+    return (n - 1 if ins.pulled_back else n) - ins.cls.grade
 
 
 def expected_dimension(spec: InvariantSpec) -> int:

@@ -417,8 +417,6 @@ class Evaluator:
 def _rule_degree_zero(ev: Evaluator, spec: InvariantSpec):
     if not spec.beta.is_zero or spec.pair is not None:
         return None
-    if any(i.descendents for i in spec.absolutes):
-        return None
     if len(spec.absolutes) != 3:
         return (Fraction(0), (), "degree-zero: not a three-point bracket")
     table = spec.space.products
@@ -434,7 +432,7 @@ def _rule_fundamental(ev: Evaluator, spec: InvariantSpec):
     for ins in spec.absolutes:
         # the preimage of the whole divisor is the whole ambient space
         whole = spec.pair.divisor if ins.pulled_back else spec.space
-        if ins.cls == whole.fundamental and not ins.descendents:
+        if ins.cls == whole.fundamental:
             return (Fraction(0), (), "fundamental-class insertion")
     return None
 
@@ -483,8 +481,6 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
         return None
     classes = [t.cls for t in spec.relatives]
     for ins in spec.absolutes:
-        if ins.descendents:
-            return None
         if ins.pulled_back:
             classes.append(ins.cls)
         elif ins.cls.grade == 0:
@@ -573,7 +569,7 @@ def _rule_divisor_axiom(ev: Evaluator, spec: InvariantSpec):
         return None
     X = spec.space
     for i, ins in enumerate(spec.absolutes):
-        if ins.cls.grade == X.n - 1 and not ins.descendents:
+        if ins.cls.grade == X.n - 1:
             factor = X.intersect(spec.beta, ins.cls)
             rest = spec.absolutes[:i] + spec.absolutes[i + 1:]
             child = InvariantSpec(X, 0, spec.beta, rest, ())
@@ -598,7 +594,7 @@ def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
         return None
     model = spec.space.effective
     for ins in spec.absolutes:
-        if ins.descendents or not model.in_missable(ins.cls):
+        if not model.in_missable(ins.cls):
             return None
     moved = [Insertion(blow.push(ins.cls)) for ins in spec.absolutes]
     moved += [Insertion(blow.base.point)] * sum(ms)

@@ -12,10 +12,10 @@ owns the indented-or-not `key = value` lines up to the next header:
     abs = pt, pt, pi@split, pi@split, pi@split
     [run decompose p4blow2_hyperplane main]
 
-An `abs =` entry is a class of the ambient space, `tau<k>(<class>)` for a
-descendent, or `pull(<divisor class>)`: the preimage of a class of the
-divisor, on a `pair =` target whose ambient is ruled over it.  A trailing
-`@X`, `@Y` or `@split` places it for a splitting.
+An `abs =` entry is a class of the ambient space or `pull(<divisor
+class>)`: the preimage of a class of the divisor, on a `pair =` target
+whose ambient is ruled over it.  A trailing `@X`, `@Y` or `@split` places
+it for a splitting.
 
 Blank lines and `#` comments are skipped; everything else must parse, and
 every diagnostic carries the 1-based line and column it points at.
@@ -80,7 +80,6 @@ _TERM = re.compile(
     + _NAME + r")")
 _KEY = re.compile(r"(?P<head>space|pair):(?P<target>[^;]+);g=(?P<genus>\d+);"
                   r"b=(?P<beta>[^;]*);abs=(?P<abs>[^;]*)(?:;rel=(?P<rel>[^;]*))?")
-_KEY_PREFIX = re.compile(r"(?:tau(\d+):)?(pb:)?")
 _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 
 
@@ -178,10 +177,6 @@ class _Parser:
                           line, col + at + 1)
             place = tag
             text = text[:at].rstrip()
-        desc = 0
-        m = re.match(r"tau(\d+)\(\s*(.*?)\s*\)$", text)
-        if m:
-            desc, text, col = int(m.group(1)), m.group(2), col + m.start(2)
         pulled = False
         space = target.ambient if isinstance(target, DivisorPair) else target
         m = re.match(r"pull\(\s*(.*?)\s*\)$", text)
@@ -194,8 +189,7 @@ class _Parser:
             space, text, col = target.divisor, m.group(1), col + m.start(1)
         c = self.resolve_class(space, text, line, col)
         try:
-            return Insertion(c, descendents=desc, pulled_back=pulled,
-                             place=place)
+            return Insertion(c, pulled_back=pulled, place=place)
         except InvariantError as e:
             self.fail(str(e), line, col)
 
@@ -544,8 +538,8 @@ def parse_scenario(text: str) -> Scenario:
 
 def parse_key(text: str, line: int) -> InvariantSpec:
     """The count a knowledge-base key names, read back from the form that
-    `InvariantSpec.key()` writes (`tau<k>:` and `pb:` prefix a descendent
-    and a pulled-back constraint, whose class is in the divisor's basis).
+    `InvariantSpec.key()` writes (`pb:` prefixes a pulled-back constraint,
+    whose class is in the divisor's basis).
     A ScenarioError points into `line`, with the key as its first column,
     when the text names no count.  The text need not be canonical: the
     spec's own key says what it should read."""
@@ -569,14 +563,13 @@ def parse_key(text: str, line: int) -> InvariantSpec:
     beta = p.resolve_curve("b", space, m["beta"], line, m.start("beta") + 1)
     absolutes = []
     for token, tcol in _split_list(m["abs"], m.start("abs") + 1):
-        prefix = _KEY_PREFIX.match(token)
-        basis = (target.divisor.basis if prefix[2] and head == "pair"
+        pulled = token.startswith("pb:")
+        skip = 3 if pulled else 0
+        basis = (target.divisor.basis if pulled and head == "pair"
                  else space.basis)
-        c = p.parse_comb(basis, token[prefix.end():], line,
-                         tcol + prefix.end())
+        c = p.parse_comb(basis, token[skip:], line, tcol + skip)
         try:
-            absolutes.append(Insertion(c, descendents=int(prefix[1] or 0),
-                                       pulled_back=bool(prefix[2])))
+            absolutes.append(Insertion(c, pulled_back=pulled))
         except InvariantError as e:
             p.fail(str(e), line, tcol)
     relatives = []

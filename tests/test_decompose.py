@@ -506,7 +506,7 @@ def old_slack_loop(setup, choices, comps1, comps2, tails1, tails2):
         for (side, ins, slots, _), (vec, _) in zip(choices, assignment):
             for (where, k), n in zip(slots, vec):
                 if where == "L":
-                    left[k] += [Insertion(ins.cls, ins.descendents)] * n
+                    left[k] += [Insertion(ins.cls)] * n
                 elif side == "Y":
                     right[k] += [decompose._convert_neck(setup, ins)] * n
                 else:

@@ -18,8 +18,8 @@ def rel(pair, order, name):
     return Insertion(gen(pair.divisor.basis, name), order=order)
 
 
-def absins(space, name, desc=0):
-    return Insertion(gen(space.basis, name), descendents=desc)
+def absins(space, name):
+    return Insertion(gen(space.basis, name))
 
 
 def free_marks(space, k):
@@ -101,7 +101,6 @@ def test_codim_examples():
     pair = builtin("p2_hyperplane")
     assert constraint_codim(rel(pair, 1, "fund"), 2) == 1
     assert constraint_codim(rel(pair, 2, "pt"), 2) == 2
-    assert constraint_codim(absins(pair.ambient, "pt", desc=1), 2) == 3
     assert constraint_codim(absins(pair.ambient, "fund"), 2) == 0
 
 
@@ -109,8 +108,9 @@ def test_insertion_validation():
     p2 = builtin("p2")
     with pytest.raises(InvariantError):
         Insertion(gen(p2.basis, "pt"), order=0)
-    with pytest.raises(InvariantError):
-        Insertion(gen(p2.basis, "pt"), order=1, descendents=1)
+    # a second positional argument would silently be a contact order
+    with pytest.raises(TypeError):
+        Insertion(gen(p2.basis, "pt"), 1)
     with pytest.raises(InvariantError):
         Insertion(cls(p2.basis, {}))
     # mixed-grade classes never get as far as an insertion
@@ -292,7 +292,7 @@ def test_fundamental_contacts_cost_one_each():
 def test_expected_dimension_permutation_invariant():
     pair = builtin("p4blow2_hyperplane")
     X = pair.ambient
-    absolutes = [absins(X, "pt"), absins(X, "pi"), absins(X, "lambda", desc=1)]
+    absolutes = [absins(X, "pt"), absins(X, "pi"), absins(X, "lambda")]
     relatives = [rel(pair, 1, "lambda"), rel(pair, 1, "fund")]
     beta = gen(X.basis, "lambda", 2)
     specs = [InvariantSpec(pair, 0, beta, tuple(a), tuple(r))
@@ -313,9 +313,6 @@ def test_canonical_keys():
                           absolutes=free_marks(pair.ambient, 2),
                           relatives=(rel(pair, 1, "fund"), rel(pair, 1, "pt")))
     assert spec2.key() == "pair:p2_hyperplane;g=0;b=2*lambda;abs=fund,fund;rel=(1,fund),(1,pt)"
-
-    tagged = InvariantSpec(p3, 0, lam, (absins(p3, "lambda", desc=2),))
-    assert "tau2:lambda" in tagged.key()
 
 
 def test_main_stratum_index_equals_expected_dimension():

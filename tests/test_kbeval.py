@@ -143,8 +143,10 @@ def test_parse_skips_blanks_and_comments():
     ("pair:p3;g=0;b=lambda;abs=;rel=", "line 2, col 6: 'p3' is not a pair"),
     ("space:p3;g=0;b=lambda;abs=pt,foo",
      "line 2, col 30: unknown generator 'foo' in basis p3"),
+    ("space:p2;g=0;b=lambda;abs=tau1:pt",
+     "line 2, col 27: unknown generator 'tau1' in basis p2"),
 ], ids=["order", "class-text", "no-key", "unknown-id", "space-with-rel",
-        "space-as-pair", "unknown-generator"])
+        "space-as-pair", "unknown-generator", "psi-power"])
 def test_parse_rejects_keys_that_are_not_canonical(text, message):
     with pytest.raises(EvalError) as err:
         KnowledgeBase.parse(f"# header\n{text}\t1/1\tuser\n")
@@ -158,9 +160,8 @@ def test_parse_reads_back_every_kind_of_insertion():
                              (Insertion(D.point, pulled_back=True),),
                              (Insertion(D.point, order=1),))
     assert "abs=pb:pt;" in relative.key()
-    tagged = InvariantSpec(P3, 0, LAM.scale(2),
-                           (Insertion(PT, descendents=2), Insertion(LAM)))
-    text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, tagged))
+    primary = absolute(P3, LAM.scale(2), PT, LAM)
+    text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, primary))
     assert KnowledgeBase.parse(text).dump() == text
 
 

@@ -216,12 +216,13 @@ MALFORMED = {
     "pull-ambient-class": ("[invariant x]\npair = t2_ruled_section\n"
                            "genus = 0\nclass = f\nabs = pull(f)\n", 5, 12,
                            "unknown generator 'f' in basis t2_base"),
-    # the column inside tau<k>(...) counts the stripped prefix
+    # constraints are primary: a psi power is no syntax, so `tau1` reads
+    # as a class name and fails where it starts
     "tau-class": (P3_INVARIANT + "class = lambda\nabs = pt, tau1(foo)\n",
-                  6, 16, "unknown generator 'foo' in basis p3"),
+                  6, 11, "unknown generator 'tau1' in basis p3"),
     "tau-pull": ("[invariant x]\npair = t2_ruled_section\ngenus = 0\n"
-                 "class = f\nabs = tau1( pull(f))\n", 5, 18,
-                 "unknown generator 'f' in basis t2_base"),
+                 "class = f\nabs = tau1( pull(f))\n", 5, 7,
+                 "unknown generator 'tau1' in basis t2_ruled"),
 }
 
 
@@ -359,8 +360,10 @@ def test_exit_two_on_mixed_grades(tmp_path, capsys):
     "key\tnonzero\tprov",
     # a pb: class is in the divisor's basis; the fiber f is not
     "pair:t2_ruled_section;g=0;b=f;abs=pb:f,pb:f;rel=(1,pt)\t0/1\tuser",
+    # constraints are primary: tau1 is no prefix, so it is no class either
+    "space:p2;g=0;b=lambda;abs=tau1:pt\t1/1\tuser",
 ], ids=["two-fields", "bad-value", "conflicts-with-seed", "zero-denominator",
-        "nonzero", "pulled-back-ambient-class"])
+        "nonzero", "pulled-back-ambient-class", "psi-power"])
 def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
     path = tmp_path / "extra.kb"
     path.write_text(line + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "relgw"
 
-PIN = 67
+PIN = 66
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 

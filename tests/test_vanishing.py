@@ -60,6 +60,35 @@ def test_negative_area_is_zero_after_the_dimension_gate():
     assert decide(flat).kind == ADMISSIBLE
 
 
+def test_exceptional_support_answers_what_decide_admits():
+    # eps1+eps2 on p3blow2 has area 2 and lies on no branch; decide finds
+    # two points admissible, and only the exceptional-support clause of
+    # is_isolated sends the count to 0, so the clause stays
+    X = builtin("p3blow2")
+    model = X.effective
+    both = X.cls({"eps1": 1, "eps2": 1})
+    assert model.is_isolated(both)
+    assert model.is_isolated(X.cls({"eps1": 2, "eps2": -1}))
+    spec = InvariantSpec(X, 0, both, (Insertion(X.point),) * 2, ())
+    assert X.area(both) == 2 and expected_dimension(spec) == 0
+    assert decide(spec).kind == ADMISSIBLE
+    r = Evaluator(seed_table()).evaluate(spec)
+    assert r.value == 0
+    assert r.trace == ("isolated-locus: generic pt misses it", "factor 0")
+    # exceptional-only curve classes with coefficients in [-2, 2] that reach
+    # the clause: 6 of positive area and 4 of area 0 on each blow-up
+    for name in ("p3blow2", "p4blow2"):
+        X = builtin(name)
+        areas = []
+        for a, b in itertools.product(range(-2, 3), repeat=2):
+            c = X.cls({e: k for e, k in (("eps1", a), ("eps2", b)) if k})
+            if not c.is_zero and X.effective.is_isolated(c) \
+                    and not X.effective.is_effective(c):
+                areas.append(X.area(c))
+        assert sum(a > 0 for a in areas) == 6, name
+        assert areas.count(0) == 4, name
+
+
 def test_hyperplane_family_census():
     # every relative count of lines against the hyperplane dies except the
     # single point condition on the line itself

@@ -52,7 +52,7 @@ def _knowledge(options) -> KnowledgeBase:
             raise CommandError(f"cannot read kb file: {e}")
         try:
             kb.merge(KnowledgeBase.parse(text))
-        except EvalError as e:
+        except (EvalError, ScenarioError) as e:
             raise CommandError(f"kb file {path}: {e}") from e
     return kb
 

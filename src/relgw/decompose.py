@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from operator import add, sub
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
@@ -28,7 +28,7 @@ from .dimension import (Insertion, InvariantError, InvariantSpec,
 from .kbeval import Evaluator, KnowledgeBase, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
-from .strata import (_compositions, _exact_decompositions, _exact_multisets,
+from .strata import (_compositions, _exact_decompositions, _ExactSums,
                      _multisets, _relabelings, _union_find, graph_genus)
 from .vanishing import decide
 
@@ -210,11 +210,15 @@ def _placements(setup: FiberSumSetup, groups, parts1, parts2):
     class stays inside a rigid locus: a missable class on an isolated
     divisor-side class, or a point moved to the bundle side on a component
     whose divisor part is nonzero and isolated.  The rule depends only on
-    the pair (group, slot), so it is decided once per slot.  Each choice is
-    (side, insertion, slots, [(vector, weight)]) and keeps the composition
-    vectors that put nothing on a forbidden slot, with their integer
-    multinomial weights; `rejected` counts the assignments of all groups
-    together that some forbidden slot rules out.
+    the pair (group, slot), so the forbidden slots are decided first, once
+    per slot.  Each choice is (side, insertion, slots, [(vector, weight)])
+    and holds the composition vectors over the allowed slots, with zeros
+    at the forbidden ones, in lexicographic order and with their integer
+    multinomial weights.  Once a group has no vector the later groups are
+    left out, as no assignment remains.  `rejected` counts the assignments
+    of all groups together that some forbidden slot rules out, in closed
+    form: the product over groups of C(n+s-1, s-1), with n copies over s
+    slots, less the same product over the allowed slots.
     """
     xmodel, dmodel = setup.total.effective, setup.left.divisor.effective
 
@@ -235,14 +239,36 @@ def _placements(setup: FiberSumSetup, groups, parts1, parts2):
         forbidden = [missable and xmodel.is_isolated(parts1[k])
                      if where == "L" else point and rigid_neck(parts2[k])
                      for where, k in slots]
-        vectors = list(_compositions(count, [0] * len(slots)))
-        allowed = [vec for vec in vectors
-                   if not any(n for n, no in zip(vec, forbidden) if no)]
-        built *= len(vectors)
-        kept *= len(allowed)
-        choices.append((side, ins, slots,
-                        [(vec, _multinomial(count, vec)) for vec in allowed]))
+        built *= _vector_count(count, len(slots))
+        kept *= _vector_count(count, sum(not no for no in forbidden))
+        if not choices or choices[-1][3]:
+            choices.append((side, ins, slots,
+                            _allowed_vectors(count, forbidden)))
     return choices, built - kept
+
+
+def _vector_count(count: int, slots: int) -> int:
+    """The composition vectors of `count` over `slots` slots,
+    C(count+slots-1, slots-1); one empty vector for nothing over none."""
+    return comb(count + slots - 1, slots - 1) if slots else int(count == 0)
+
+
+def _allowed_vectors(count: int, forbidden):
+    """The composition vectors of `count` that put nothing on a slot marked
+    in `forbidden`, in lexicographic order, each with its multinomial
+    weight: built over the allowed slots, with zeros put back at the
+    forbidden ones."""
+    allowed = [k for k, no in enumerate(forbidden) if not no]
+    parts = _compositions(count, [0] * len(allowed))
+    if len(allowed) == len(forbidden):
+        return [(part, _multinomial(count, part)) for part in parts]
+    out = []
+    for part in parts:
+        vec = [0] * len(forbidden)
+        for k, n in zip(allowed, part):
+            vec[k] = n
+        out.append((tuple(vec), _multinomial(count, part)))
+    return out
 
 
 def _multinomial(count: int, vec) -> int:
@@ -320,11 +346,35 @@ def _slack_table(setup: FiberSumSetup, choices, placed, comps1, comps2,
 
 def _balanced(base, rows, bounds):
     """The assignments of `rows`, in the order of their product, whose
-    every slack lies within its (low, high) bound, each with its slacks."""
-    for assignment in itertools.product(*rows):
-        slack = [sum(col) for col in zip(base, *(d for _, _, d in assignment))]
-        if all(lo <= s <= hi for s, (lo, hi) in zip(slack, bounds)):
-            yield assignment, slack
+    every slack lies within its (low, high) bound, each with its slacks.
+
+    The walk is depth-first in product order, one row per level.  A prefix
+    is cut as soon as some slack, plus the least (or the most) that the
+    rows still to come can add to it, falls outside its bound.
+    """
+    if not all(rows):
+        return
+    # least[r], most[r]: what rows r, r+1, ... add to each slack at least
+    # and at most
+    least, most = [[0] * len(base)], [[0] * len(base)]
+    for row in reversed(rows):
+        cols = list(zip(*(delta for _, _, delta in row)))
+        least.append([a + min(c) for a, c in zip(least[-1], cols)])
+        most.append([a + max(c) for a, c in zip(most[-1], cols)])
+    least.reverse()
+    most.reverse()
+    stack = [(0, list(base), ())]
+    while stack:
+        r, slack, chosen = stack.pop()
+        if any(s + lo_add > hi or s + hi_add < lo for s, lo_add, hi_add,
+               (lo, hi) in zip(slack, least[r], most[r], bounds)):
+            continue
+        if r == len(rows):
+            yield chosen, slack
+            continue
+        for entry in reversed(rows[r]):
+            stack.append((r + 1, list(map(add, slack, entry[2])),
+                          chosen + (entry,)))
 
 
 def _connected(p: int, q: int, edges) -> bool:
@@ -555,16 +605,29 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     dzero = cls(D.basis, {})
     alphas = [dzero] + _cone_members(dmodel, budget)
     alpha_areas = [dmodel.area(a) for a in alphas]
+    # one exact-sum table per pool, read for every class it splits: the
+    # splittings of each remainder into connected pieces, and the necks,
+    # pairs (ell, alpha) with ell up to the largest contact count of a
+    # remainder, ordered by ell then alpha
+    remainders = [(a, spec.beta - setup.left.inclusion(a)) for a in alphas]
+    splittings_of = _ExactSums(xpieces, [p.vec for p in xpieces],
+                               [X.area(p) for p in xpieces],
+                               [0] * len(xpieces))
+    dmax = max(setup.left.contact_count(b) for _, b in remainders)
+    neck_pool = [(ell, a) for ell in range(1, dmax + 1) for a in alphas]
+    necks_of = _ExactSums(neck_pool, [a.vec for _, a in neck_pool],
+                          [ell for ell, _ in neck_pool], alpha_areas * dmax)
 
     def distribute(parts1, parts2, skeleton, genera1, genera2):
         """Spread constraint groups over the components, then label edges.
 
-        The missable rule is decided per (group, slot) by `_placements`;
-        the assignments it rules out are counted as `missable-insertion`,
-        never built.  The edge labels are forced up to grade by the
-        requirement that both end components carry zero-dimensional
-        problems, so grades are solved for first and only matching basis
-        elements are tried.
+        The missable rule is decided per (group, slot) by `_placements`,
+        which builds composition vectors over the allowed slots only; the
+        assignments it rules out are counted in closed form as
+        `missable-insertion`, never built.  The edge labels are forced up
+        to grade by the requirement that both end components carry
+        zero-dimensional problems, so grades are solved for first and only
+        matching basis elements are tried.
 
         A component's slack is `expected_dimension` of its spec with probe
         tails of the fundamental class, and that is linear in the absolute
@@ -572,10 +635,11 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         constraints placed on it, n copies each, with codim taken in the
         side's ambient space.  So the base is computed once per component
         and the gain once per group and side (`_placed`), the slacks are
-        checked as integers, and components are built only for the
-        assignments that pass.  `expected_dimension` stays the reference:
-        it gives each base, and `_make_term` checks every emitted
-        component with it.
+        checked as integers, a prefix of groups whose slacks can no longer
+        reach their bounds is cut (`_balanced`), and components are built
+        only for the assignments that pass.  `expected_dimension` stays
+        the reference: it gives each base, and `_make_term` checks every
+        emitted component with it.
         """
         p = len(parts1)
         choices, rejected = _placements(setup, groups, parts1, parts2)
@@ -689,7 +753,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             for genera in genus_plans(minima, 0):
                 distribute((), (comp_cls,), (), (), genera)
             return
-        splittings = _exact_decompositions(xpieces, beta1, X.area)
+        splittings = splittings_of(beta1.vec, X.area(beta1), 0)
         if not splittings:
             skip("ineffective-remainder")
             return
@@ -707,13 +771,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
             return
         # neck components (ell, alpha): the ells add up to d and the alphas
         # to alpha_tot, whose area bounds the search
-        room = dmodel.area(alpha_tot)
-        fits = [k for k, area in enumerate(alpha_areas) if area <= room]
-        pool = [(ell, alphas[k]) for ell in range(1, d + 1) for k in fits]
-        necks = _exact_multisets(
-            pool, [a.vec for _, a in pool], alpha_tot.vec,
-            [ell for ell, _ in pool], d, [alpha_areas[k] for k in fits] * d,
-            room)
+        necks = necks_of(alpha_tot.vec, d, dmodel.area(alpha_tot))
 
         # each neck's bundle-side classes, contact profile and genus
         # minima, built once for every splitting
@@ -740,8 +798,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
                         distribute(parts1, parts2, skeleton,
                                    genera[:p], genera[p:])
 
-    for alpha_tot in alphas:
-        beta1 = spec.beta - setup.left.inclusion(alpha_tot)
+    for alpha_tot, beta1 in remainders:
         if not beta1.is_zero and X.area(beta1) <= 0:
             skip("area-exhausted")
             continue

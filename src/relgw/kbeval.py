@@ -117,27 +117,36 @@ class KnowledgeBase:
 
     @classmethod
     def parse(cls_, text: str) -> "KnowledgeBase":
+        """The base a text form holds.  A malformed line raises a
+        ScenarioError at its line and at the column of what is wrong: the
+        first tab (or the line's end) for a wrong field count, the value
+        field for a bad or conflicting value, and inside the key for a key
+        that names no count or not in its canonical form."""
         kb = cls_()
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                raise EvalError(f"line {lineno}: expected 3 tab fields")
+                raise ScenarioError("expected 3 tab fields", lineno,
+                                    line.find("\t") + 1 or len(line) + 1)
             key, valtext, prov = parts
             try:
                 num, den = valtext.split("/")
                 value = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError) as err:
-                raise EvalError(f"line {lineno}: bad value {valtext!r}") from err
-            try:
-                canonical = parse_key(key, lineno).key()
-            except ScenarioError as err:
-                raise EvalError(str(err)) from err
+                raise ScenarioError(f"bad value {valtext!r}", lineno,
+                                    len(key) + 2) from err
+            canonical = parse_key(key, lineno).key()
             if canonical != key:
-                raise EvalError(f"line {lineno}: key {key} is not canonical; "
-                                f"write {canonical}")
-            kb.add(key, value, prov)
+                col = next((i for i, (a, b) in enumerate(zip(key, canonical))
+                            if a != b), min(len(key), len(canonical))) + 1
+                raise ScenarioError(f"key {key} is not canonical; "
+                                    f"write {canonical}", lineno, col)
+            try:
+                kb.add(key, value, prov)
+            except EvalError as err:
+                raise ScenarioError(str(err), lineno, len(key) + 2) from err
         return kb
 
 

@@ -541,8 +541,8 @@ def parse_key(text: str, line: int) -> InvariantSpec:
     `InvariantSpec.key()` writes (`pb:` prefixes a pulled-back constraint,
     whose class is in the divisor's basis).
     A ScenarioError points into `line`, with the key as its first column,
-    when the text names no count.  The text need not be canonical: the
-    spec's own key says what it should read."""
+    at the entry at fault when the text names no count.  The text need not
+    be canonical: the spec's own key says what it should read."""
     p = _Parser("")
     m = _KEY.fullmatch(text)
     if m is None:
@@ -561,6 +561,7 @@ def parse_key(text: str, line: int) -> InvariantSpec:
         p.fail(f"{m['target']!r} is not a {head} id", line, col)
     space = target if head == "space" else target.ambient
     beta = p.resolve_curve("b", space, m["beta"], line, m.start("beta") + 1)
+    genus = int(m["genus"])
     absolutes = []
     for token, tcol in _split_list(m["abs"], m.start("abs") + 1):
         pulled = token.startswith("pb:")
@@ -569,15 +570,18 @@ def parse_key(text: str, line: int) -> InvariantSpec:
                  else space.basis)
         c = p.parse_comb(basis, token[skip:], line, tcol + skip)
         try:
-            absolutes.append(Insertion(c, pulled_back=pulled))
+            ins = Insertion(c, pulled_back=pulled)
+            # the spec's rules on this entry alone, so an error points at it
+            InvariantSpec(target, genus, beta, (ins,))
         except InvariantError as e:
             p.fail(str(e), line, tcol)
+        absolutes.append(ins)
     relatives = []
     if head == "pair":
         relatives = [p.parse_relative(target.divisor, token, line, tcol)
                      for token, tcol in _split_list(m["rel"], m.start("rel") + 1)]
     try:
-        return InvariantSpec(target, int(m["genus"]), beta, tuple(absolutes),
+        return InvariantSpec(target, genus, beta, tuple(absolutes),
                              tuple(relatives))
     except InvariantError as e:
         p.fail(str(e), line)

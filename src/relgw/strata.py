@@ -9,6 +9,7 @@ stored as (section part, fiber multiple).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
@@ -522,46 +523,80 @@ def _multisets(pool, sizes, budget):
     return out
 
 
-def _exact_multisets(pool, vecs, target, sizes, budget, sizes2, budget2):
-    """Multisets drawn from `pool`, repeats allowed, whose `sizes` add up
-    to exactly `budget`, whose `sizes2` add up to exactly `budget2` and
-    whose integer vectors `vecs` add up to the vector `target`.
+class _ExactSums:
+    """A table of the multisets drawn from `pool`, repeats allowed, by
+    exact sum: `table(target, budget, budget2)` lists those whose `sizes`
+    add up to exactly `budget`, whose `sizes2` add up to exactly `budget2`
+    and whose integer vectors `vecs` add up to the vector `target`.
 
     Each multiset is a tuple listing its items in pool order; the tuples
     come in lexicographic order of the pool positions, as in `_multisets`.
     Sizes are positive and do not decrease along the pool, and second
     sizes are non-negative.  So the last item of a multiset is the one
-    whose size is all that is left: it is looked up by (vector left, size
-    left, second size left), and the walk only goes into items smaller
-    than what is left, which all come before it in the pool.
+    whose size is all that is left: it is looked up by the vector left and
+    kept when its sizes are the ones left, and the walk only goes into
+    items smaller than what is left, which all come before it in the
+    pool.  The position
+    tuples that reach each (vector left, size left, second size left) are
+    kept, so reading one table for many targets walks each of them once.
+    The recursion goes through a method, not a closure, so the memo is
+    freed with the table and not only by the cycle collector.
     """
-    if any(s <= 0 for s in sizes) or any(t < 0 for t in sizes2):
-        raise InvariantError("effectivity model produced a free class")
-    if any(a > b for a, b in zip(sizes, sizes[1:])):
-        raise InvariantError("multiset pool sizes must not decrease")
-    last: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(vecs, sizes, sizes2)):
-        last.setdefault(key, []).append(i)
-    out, acc = [], []
 
-    def rec(start, rem, left, left2):
-        for i in range(start, len(pool)):
-            if sizes[i] >= left:
+    def __init__(self, pool, vecs, sizes, sizes2):
+        if any(s <= 0 for s in sizes) or any(t < 0 for t in sizes2):
+            raise InvariantError("effectivity model produced a free class")
+        if any(a > b for a, b in zip(sizes, sizes[1:])):
+            raise InvariantError("multiset pool sizes must not decrease")
+        self.pool, self.vecs = pool, vecs
+        self.sizes, self.sizes2 = sizes, sizes2
+        # vector -> the pool positions holding it, in pool order
+        self.at: dict[tuple, list[int]] = {}
+        for i, vec in enumerate(vecs):
+            self.at.setdefault(vec, []).append(i)
+        self.memo: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def __call__(self, target, budget, budget2):
+        if budget == 0:
+            return [()] if budget2 == 0 and not any(target) else []
+        if budget < 0 or budget2 < 0:
+            return []
+        key = (tuple(target), budget, budget2)
+        found = self.memo.get(key)
+        if found is None:
+            found = self._reach(*key)
+        pool = self.pool
+        return [tuple(pool[i] for i in t) for t in found]
+
+    def _reach(self, rem, left, left2):
+        """The position tuples, in lexicographic order, of the multisets
+        that add up to exactly (rem, left, left2), kept in the memo; left
+        is positive and the memo holds no entry for it yet."""
+        memo, vecs = self.memo, self.vecs
+        sizes, sizes2 = self.sizes, self.sizes2
+        out = []
+        for i, size in enumerate(sizes):
+            if size >= left:
                 break
             if sizes2[i] <= left2:
-                acc.append(pool[i])
-                rec(i, tuple(map(sub, rem, vecs[i])), left - sizes[i],
-                    left2 - sizes2[i])
-                acc.pop()
-        out.extend((*acc, pool[i])
-                   for i in last.get((rem, left, left2), ()) if i >= start)
+                child = (tuple(map(sub, rem, vecs[i])), left - size,
+                         left2 - sizes2[i])
+                tails = memo.get(child)
+                if tails is None:
+                    tails = self._reach(*child)
+                if tails:
+                    out.extend((i, *t)
+                               for t in tails[bisect_left(tails, (i,)):])
+        out += [(i,) for i in self.at.get(rem, ())
+                if sizes[i] == left and sizes2[i] == left2]
+        memo[rem, left, left2] = out
+        return out
 
-    if budget == 0:
-        if budget2 == 0 and not any(target):
-            out.append(())
-    elif budget > 0 and budget2 >= 0:
-        rec(0, target, budget, budget2)
-    return out
+
+def _exact_multisets(pool, vecs, target, sizes, budget, sizes2, budget2):
+    """The multisets of one exact sum, read once from a fresh
+    `_ExactSums` table."""
+    return _ExactSums(pool, vecs, sizes, sizes2)(target, budget, budget2)
 
 
 @cache

@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from relgw import cli, decompose
+from relgw import cli, decompose, strata
 from relgw.decompose import (Bounds, BoundError, DecompositionError,
                              compare_abs_rel, enumerate_terms,
                              evaluate_decomposition, split_form)
@@ -14,7 +16,8 @@ from relgw.dimension import (Insertion, InvariantError, InvariantSpec,
                              expected_dimension)
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
-from relgw.strata import _multisets, graph_genus
+from relgw.strata import (_compositions, _exact_multisets, _ExactSums,
+                          _multisets, graph_genus)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -529,6 +532,15 @@ def old_slack_loop(setup, choices, comps1, comps2, tails1, tails2):
                                    in zip(need, tails1 + tails2))
 
 
+def product_then_filter(base, rows, bounds):
+    """`_balanced` as a walk of the whole product of the rows, the slacks
+    tested at the end."""
+    for assignment in itertools.product(*rows):
+        slack = [sum(col) for col in zip(base, *(d for _, _, d in assignment))]
+        if all(lo <= s <= hi for s, (lo, hi) in zip(slack, bounds)):
+            yield assignment, slack
+
+
 @pytest.mark.parametrize("setup_name, scenario, walked, kept", [
     ("p4blow2_hyperplane", "quartic:pt, pt, pi@split, pi@split, pi@split",
      91, 41),
@@ -540,10 +552,12 @@ def old_slack_loop(setup, choices, comps1, comps2, tails1, tails2):
 ], ids=["quartic", "plain-and-split", "point-on-bundle-side", "N4-3-on-Y"])
 def test_integer_slack_matches_expected_dimension(
         monkeypatch, setup_name, scenario, walked, kept):
-    """Every assignment `distribute` walks, rejected ones included, has
-    the integer slack `expected_dimension` gives its built components, and
-    the assignments that reach `fill` are the ones the build-then-test
-    loop lets through, with the same slacks."""
+    """Every assignment of the full product of a `distribute` call's rows,
+    rejected ones included, has the integer slack `expected_dimension`
+    gives its built components, and the assignments that reach `fill` are
+    the ones the build-then-test loop lets through, with the same slacks:
+    the prefix cut of `_balanced` yields what the product-then-filter walk
+    does."""
     kind, _, args = scenario.partition(":")
     if kind == "quartic":
         spec = quartic_with(args)
@@ -563,6 +577,7 @@ def test_integer_slack_matches_expected_dimension(
 
     def balanced(base, rows, bounds):
         calls[-1][2] = list(original_balanced(base, rows, bounds))
+        assert calls[-1][2] == list(product_then_filter(base, rows, bounds))
         return iter(calls[-1][2])
 
     monkeypatch.setattr(decompose, "_slack_table", table)
@@ -617,6 +632,81 @@ def test_skeletons_are_built_once_per_contact_profile(monkeypatch):
     for (ks, ells), kept in memo.items():
         assert kept == [s for s in original_skeletons(ks, ells)
                         if decompose._connected(len(ks), len(ells), s)]
+
+
+def test_exact_sum_tables_are_built_once_per_pool(monkeypatch):
+    """The quartic builds one exact-sum table for its splittings and one
+    for its necks, reads each for every class it splits, and every read
+    gives what a fresh one-shot search gives."""
+    tables = []
+
+    class Recorded(_ExactSums):
+        def __init__(self, pool, vecs, sizes, sizes2):
+            super().__init__(pool, vecs, sizes, sizes2)
+            self.args, self.reads = (pool, vecs, sizes, sizes2), []
+            tables.append(self)
+
+        def __call__(self, target, budget, budget2):
+            out = super().__call__(target, budget, budget2)
+            self.reads.append(((target, budget, budget2), out))
+            return out
+
+    monkeypatch.setattr(decompose, "_ExactSums", Recorded)
+    setup, spec = quartic_case()
+    decompose._enumerate(setup, spec, None)
+    splits, necks = tables
+    assert splits.args[0] == setup.total.effective.classes(
+        int(setup.total.area(spec.beta)))
+    assert all(isinstance(item, tuple) and len(item) == 2
+               for item in necks.args[0])
+    for table in tables:
+        assert len(table.reads) > 1
+        for read, out in table.reads:
+            assert out == _exact_multisets(table.args[0], table.args[1],
+                                           read[0], table.args[2], read[1],
+                                           table.args[3], read[2])
+
+
+def test_exact_sum_tables_are_freed_without_the_cycle_collector(
+        monkeypatch):
+    """Every exact-sum table `_enumerate` makes, its own two and the
+    one-shot ones, is freed by reference counting once it returns."""
+    made = []
+
+    class Watched(_ExactSums):
+        def __init__(self, pool, vecs, sizes, sizes2):
+            super().__init__(pool, vecs, sizes, sizes2)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(decompose, "_ExactSums", Watched)
+    monkeypatch.setattr(strata, "_ExactSums", Watched)
+    setup, spec = quartic_case()
+    gc.disable()
+    try:
+        decompose._enumerate(setup, spec, None)
+        assert len(made) >= 2
+        assert [ref() for ref in made] == [None] * len(made)
+    finally:
+        gc.enable()
+
+
+def test_closed_form_counts_match_the_built_vectors():
+    """For every count, slot number and forbidden mask, the closed-form
+    counts are the numbers of built composition vectors, and the vectors
+    built over the allowed slots are, in order, those of the full list
+    that put nothing on a forbidden slot, with their weights."""
+    for count in range(5):
+        for slots in range(5):
+            vectors = list(_compositions(count, [0] * slots))
+            assert decompose._vector_count(count, slots) == len(vectors)
+            for forbidden in itertools.product((False, True), repeat=slots):
+                kept = [vec for vec in vectors
+                        if not any(n for n, no in zip(vec, forbidden) if no)]
+                allowed = slots - sum(forbidden)
+                assert decompose._vector_count(count, allowed) == len(kept)
+                assert decompose._allowed_vectors(count, forbidden) == [
+                    (vec, decompose._multinomial(count, vec))
+                    for vec in kept]
 
 
 def test_component_token_is_built_once():

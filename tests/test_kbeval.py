@@ -23,7 +23,7 @@ from relgw.kbeval import (
     standard_identities,
 )
 from relgw.lattice import cls, gen
-from relgw.scenario import parse_scenario
+from relgw.scenario import ScenarioError, parse_scenario
 from relgw.spaces import CatalogError, builtin
 
 P3 = builtin("p3")
@@ -115,14 +115,32 @@ def test_kb_merge():
         a.merge(bad)
 
 
-@pytest.mark.parametrize("line", [
-    "only-two\tfields",
-    "key\tnot-a-fraction\tseed(x)",
-    "key\t1.5\tseed(x)",
-])
+# line -> (column, message) of the positioned error
+MALFORMED_LINES = {
+    "only-two\tfields": (9, "expected 3 tab fields"),
+    "key\tnot-a-fraction\tseed(x)": (5, "bad value 'not-a-fraction'"),
+    "key\t1.5\tseed(x)": (5, "bad value '1.5'"),
+    # no tab at all: the end of the line
+    "space:p3;g=0;b=lambda;abs=pt,pt": (32, "expected 3 tab fields"),
+    "a\tb\tc\td": (2, "expected 3 tab fields"),
+    "space:p3;g=0;b=lambda;abs=pt,pt\t1/0\tuser": (33, "bad value '1/0'"),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES)
 def test_parse_rejects_malformed_lines(line):
-    with pytest.raises(EvalError):
-        KnowledgeBase.parse(line)
+    with pytest.raises(ScenarioError) as err:
+        KnowledgeBase.parse(f"# header\n{line}\n")
+    assert (err.value.line, err.value.col, err.value.message) == \
+        (2, *MALFORMED_LINES[line])
+
+
+def test_parse_positions_a_conflicting_value_at_its_value_field():
+    key = absolute(P3, LAM, PT, PT).key()
+    with pytest.raises(ScenarioError) as err:
+        KnowledgeBase.parse(f"{key}\t1/1\tuser\n{key}\t2/1\tuser\n")
+    assert (err.value.line, err.value.col) == (2, len(key) + 2)
+    assert err.value.message.startswith(f"conflicting values for {key}")
 
 
 def test_parse_skips_blanks_and_comments():
@@ -133,10 +151,11 @@ def test_parse_skips_blanks_and_comments():
 
 @pytest.mark.parametrize("text,message", [
     ("space:p3;g=0;b=lambda;abs=lambda,pt,lambda",
-     "line 2: key space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not "
+     "line 2, col 27: key space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not "
      "canonical; write space:p3;g=0;b=lambda;abs=pt,lambda,lambda"),
     ("space:p3;g=0;b=2*lambda-lambda;abs=pt,pt",
-     "line 2: key space:p3;g=0;b=2*lambda-lambda;abs=pt,pt is not canonical"),
+     "line 2, col 16: key space:p3;g=0;b=2*lambda-lambda;abs=pt,pt is not "
+     "canonical"),
     ("k", "line 2, col 1: keys look like"),
     ("space:p9;g=0;b=lambda;abs=", "line 2, col 7: unknown space id 'p9'"),
     ("space:p3;g=0;b=lambda;abs=pt,pt;rel=", "line 2, col 1: pair keys"),
@@ -145,10 +164,23 @@ def test_parse_skips_blanks_and_comments():
      "line 2, col 30: unknown generator 'foo' in basis p3"),
     ("space:p2;g=0;b=lambda;abs=tau1:pt",
      "line 2, col 27: unknown generator 'tau1' in basis p2"),
+    # a spec-level error points at the entry at fault
+    ("space:p2;g=0;b=lambda;abs=pb:pt,pt",
+     "line 2, col 27: pulled-back constraint pb:pt needs a pair whose "
+     "ambient is ruled"),
+    ("pair:p2_hyperplane;g=0;b=lambda;abs=pt,pb:pt;rel=(1,pt)",
+     "line 2, col 40: pulled-back constraint pb:pt needs a pair whose "
+     "ambient is ruled"),
+    # a key longer than its canonical form differs where the form ends
+    ("space:p3;g=0;b=lambda;abs=pt,pt,",
+     "line 2, col 32: key space:p3;g=0;b=lambda;abs=pt,pt, is not "
+     "canonical"),
 ], ids=["order", "class-text", "no-key", "unknown-id", "space-with-rel",
-        "space-as-pair", "unknown-generator", "psi-power"])
+        "space-as-pair", "unknown-generator", "psi-power",
+        "pulled-back-on-a-space", "pulled-back-on-a-flat-pair",
+        "trailing-comma"])
 def test_parse_rejects_keys_that_are_not_canonical(text, message):
-    with pytest.raises(EvalError) as err:
+    with pytest.raises(ScenarioError) as err:
         KnowledgeBase.parse(f"# header\n{text}\t1/1\tuser\n")
     assert str(err.value).startswith(message)
 

@@ -6,10 +6,12 @@ second copy.
 - The end degrees of a bundle class are `RuledSetup.end_degrees`; outside
   the catalog only `vanishing.decide` reads a section class, the zero
   section of a ruled pair.
-- Multisets of an exact sum come from the one exact-sum search,
-  `strata._exact_multisets`, on integer vectors: in `decompose.py` and
-  `strata.py` a started sum `sum(items, start)`, which builds a class sum,
-  appears only in `decompose._side_sum` and the ledger total.
+- Multisets of an exact sum come from the one exact-sum search, the
+  memoized table `strata._ExactSums`, on integer vectors; a one-shot
+  search (`strata._exact_multisets`) reads a fresh table.  In
+  `decompose.py` and `strata.py` a started sum `sum(items, start)`, which
+  builds a class sum, appears only in `decompose._side_sum` and the ledger
+  total.
 - No function, class or assigned name (dunders aside) is defined at the
   top level of two modules: a second definition under a taken name is a
   second implementation that the unread-definition scan cannot tell from

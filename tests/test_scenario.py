@@ -1,5 +1,8 @@
+import io
 import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -396,9 +399,96 @@ def test_exit_two_on_a_kb_key_that_is_not_canonical(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        f"error: kb file {kb}: line 1: key "
+        f"error: kb file {kb}: line 1, col 27: key "
         "space:p3;g=0;b=lambda;abs=lambda,pt,lambda is not canonical; "
         "write space:p3;g=0;b=lambda;abs=pt,lambda,lambda\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("space:p3;g=0;b=lambda;abs=pt,lambda,lambda",
+     "line 1, col 43: expected 3 tab fields"),
+    ("space:p3;g=0;b=lambda;abs=pt,lambda,lambda\t5\tuser",
+     "line 1, col 44: bad value '5'"),
+    ("space:p3;g=0;b=2*lambda-lambda;abs=pt,lambda,lambda\t5/1\tuser",
+     "line 1, col 16: key space:p3;g=0;b=2*lambda-lambda;abs=pt,lambda,"
+     "lambda is not canonical; write space:p3;g=0;b=lambda;"
+     "abs=pt,lambda,lambda"),
+    ("space:p2;g=0;b=lambda;abs=pb:pt,pt\t1/1\tuser",
+     "line 1, col 27: pulled-back constraint pb:pt needs a pair whose "
+     "ambient is ruled"),
+], ids=["field-count", "bad-value", "not-canonical", "pulled-back-on-a-space"])
+def test_kb_errors_exit_two_with_their_position(tmp_path, capsys, line,
+                                                message):
+    path = tmp_path / "line.gw"
+    path.write_text(LINE_POINT_TWO_LINES, encoding="utf-8")
+    kb = tmp_path / "extra.kb"
+    kb.write_text(line + "\n", encoding="utf-8")
+    assert status("eval", path, "x", "--kb", kb) == 2
+    assert capsys.readouterr() == ("", f"error: kb file {kb}: {message}\n")
+
+
+# -- any --kb text ends in a value or a positioned error ----------------
+
+KB_LINES = ["space:p2;g=0;b=lambda;abs=pt,pt\t1/1\tseed",
+            "space:p2;g=0;b=2*lambda;abs=pt,pt,pt,pt,pt\t1/1\tseed",
+            "pair:p2_hyperplane;g=0;b=lambda;abs=pt;rel=(1,pt)\t1/1\tuser"]
+KB_TOKENS = sorted({tok for line in KB_LINES
+                    for tok in re.split(r"(\W)", line) if tok})
+CONICS_P2 = """\
+[space p2]
+[invariant x]
+space = p2
+genus = 0
+class = 2*lambda
+abs = pt, pt, pt, pt, pt
+"""
+
+
+@st.composite
+def edited_kb_files(draw):
+    """The three-line kb file with a few lines dropped, copied or spliced."""
+    lines = list(KB_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "copy", "splice", "splice")))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            line = lines[i]
+            j = draw(st.integers(0, len(line)))
+            k = draw(st.integers(j, min(len(line), j + 8)))
+            piece = draw(st.sampled_from(KB_TOKENS) | st.text(max_size=3))
+            lines[i] = line[:j] + piece + line[k:]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_unedited_kb_file_evaluates(tmp_path, capsys):
+    path, kb = tmp_path / "conics.gw", tmp_path / "extra.kb"
+    path.write_text(CONICS_P2, encoding="utf-8")
+    kb.write_text("\n".join(KB_LINES) + "\n", encoding="utf-8")
+    assert status("eval", path, "x", "--kb", kb) == 0
+    assert "value 1\n" in capsys.readouterr().out
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(edited_kb_files())
+def test_any_kb_text_evaluates_or_exits_two_with_a_position(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, kb = Path(tmp) / "conics.gw", Path(tmp) / "extra.kb"
+        path.write_text(CONICS_P2, encoding="utf-8")
+        kb.write_text(text, encoding="utf-8", newline="")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = status("eval", path, "x", "--kb", kb)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert re.search(r"line \d+, col \d+: ", err.getvalue()), \
+            err.getvalue()
 
 
 DISTINCT_FIBERS = """\

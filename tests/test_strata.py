@@ -11,7 +11,7 @@ from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
 from relgw.strata import (Contact, LevelComponent, StratumType,
-                          _exact_decompositions, _exact_multisets,
+                          _exact_decompositions, _exact_multisets, _ExactSums,
                           _graph_components, _multisets, _orbit_matchings,
                           _partitions, _position_filter, _relabelings,
                           _searched_key, _solve_preimage, assemble_class,
@@ -818,12 +818,15 @@ def test_exact_multisets_with_two_budgets_match_brute_force():
 MIXED = [(1, 0), (0, 1), (1, -1), (-1, 2)]
 
 
-@pytest.mark.parametrize("sizes, sizes2, vecs", [
+EXACT_CASES = pytest.mark.parametrize("sizes, sizes2, vecs", [
     ([1, 2, 2, 3], [0, 0, 0, 0], MIXED),
     ([1, 1, 2, 3], [2, 0, 1, 0], MIXED),
     ([2, 2, 2, 2], [1, 1, 0, 0], MIXED),
     ([1, 2, 2, 2], [0, 1, 1, 1], [(1, 0), (0, 1), (0, 1), (-1, 1)]),
 ], ids=["one-budget", "two-budgets", "equal-sizes", "equal-keys"])
+
+
+@EXACT_CASES
 def test_exact_multisets_match_brute_force(sizes, sizes2, vecs):
     """Vectors with negative entries, zero and nonzero targets, budgets
     below zero, and two items with the same (vector, size, second size)."""
@@ -837,6 +840,22 @@ def test_exact_multisets_match_brute_force(sizes, sizes2, vecs):
                                         sizes2, b2) == [
                     ms for ms in walked
                     if vector_sum([of[x] for x in ms], 2) == target]
+
+
+@EXACT_CASES
+def test_one_table_read_for_many_targets_matches_fresh_reads(
+        sizes, sizes2, vecs):
+    """A table keeps what each read walked; reading it for every target,
+    in one order and then in the reverse one, gives what a fresh one-shot
+    read gives, which the brute-force test above checks."""
+    pool = "abcd"
+    table = _ExactSums(pool, vecs, sizes, sizes2)
+    reads = [(target, b1, b2) for b1 in range(-1, 8) for b2 in range(-1, 4)
+             for target in product(range(-2, 4), repeat=2)]
+    for target, b1, b2 in reads + reads[::-1]:
+        assert table(target, b1, b2) == _exact_multisets(
+            pool, vecs, target, sizes, b1, sizes2, b2)
+    assert table.memo
 
 
 def test_exact_multisets_reject_a_decreasing_pool():

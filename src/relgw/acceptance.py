@@ -702,7 +702,8 @@ def check_property_suite():
     spec = _quartic_relative()
     first = Evaluator(kb).evaluate(spec)
     need(isinstance(first, Value), "relative conic bracket did not evaluate")
-    snapshot = KnowledgeBase.parse(kb.dump())
+    snapshot = KnowledgeBase()
+    snapshot.load(kb.dump())
     for step in first.trace:
         if step.startswith("kb: "):
             key = step[4:].rsplit(" [", 1)[0]

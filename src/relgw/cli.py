@@ -51,8 +51,8 @@ def _knowledge(options) -> KnowledgeBase:
         except (OSError, UnicodeDecodeError) as e:
             raise CommandError(f"cannot read kb file: {e}")
         try:
-            kb.merge(KnowledgeBase.parse(text))
-        except (EvalError, ScenarioError) as e:
+            kb.load(text)
+        except ScenarioError as e:
             raise CommandError(f"kb file {path}: {e}") from e
     return kb
 

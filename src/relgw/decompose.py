@@ -28,8 +28,8 @@ from .dimension import (Insertion, InvariantError, InvariantSpec,
 from .kbeval import Evaluator, KnowledgeBase, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
-from .strata import (_compositions, _exact_decompositions, _ExactSums,
-                     _multisets, _relabelings, _union_find, graph_genus)
+from .strata import (_compositions, _ExactSums, _relabelings, _union_find,
+                     graph_genus)
 from .vanishing import decide
 
 PULLED_BACK_MISS = "pulled-back-miss"
@@ -166,7 +166,9 @@ def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
     generic representatives stay inside a fixed one-dimensional locus of
     the divisor."""
     pieces = [p for p in model.classes(model.area(alpha)) if model.is_isolated(p)]
-    return bool(_exact_decompositions(pieces, alpha, model.area))
+    table = _ExactSums(pieces, [p.vec for p in pieces],
+                       [model.area(p) for p in pieces], [0] * len(pieces))
+    return bool(table(alpha.vec, model.area(alpha), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +391,10 @@ def _edge_options(k: int, q: int):
     a multiset of (order, right) pairs whose orders add up to k and its
     load the sum of orders it puts on each bundle-side component."""
     pool = [(o, i) for o in range(1, k + 1) for i in range(q)]
+    table = _ExactSums(pool, [()] * len(pool), [o for o, _ in pool],
+                       [0] * len(pool))
     out = []
-    for part in _multisets(pool, [o for o, _ in pool], k):
+    for part in table((), k, 0):
         load = [0] * q
         for o, i in part:
             load[i] += o

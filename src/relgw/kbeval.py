@@ -61,11 +61,12 @@ class KBEntry:
 class KnowledgeBase:
     """Append-only store of `InvariantSpec.key()` -> exact value.
 
-    Entries from another base (a `--kb` file) come in through `merge`, which
-    rejects conflicting values.  The text form (`dump`, `parse`) is one
-    `key<TAB>p/q<TAB>provenance` line per entry.  `parse` takes only
-    canonical keys: it reads each key back into the count it names, and a
-    key other than that count's `key()` could never be looked up.
+    The text form (`dump`, `load`) is one `key<TAB>p/q<TAB>provenance` line
+    per entry; a `--kb` file is loaded into the seeded base, so a value that
+    conflicts with an entry already there is an error at its line.  `load`
+    takes only canonical keys: it reads each key back into the count it
+    names, and a key other than that count's `key()` could never be looked
+    up.
     """
 
     def __init__(self, entries=()):
@@ -102,27 +103,18 @@ class KnowledgeBase:
         self._entries[key] = KBEntry(key, value, provenance)
         return True
 
-    def merge(self, other: "KnowledgeBase") -> int:
-        """Fold another base in; conflicting values raise.  Returns additions."""
-        added = 0
-        for e in other.entries():
-            if self.add(e.key, e.value, e.provenance):
-                added += 1
-        return added
-
     def dump(self) -> str:
         lines = [f"{e.key}\t{e.value_text()}\t{e.provenance}"
                  for e in self.entries()]
         return "".join(line + "\n" for line in lines)
 
-    @classmethod
-    def parse(cls_, text: str) -> "KnowledgeBase":
-        """The base a text form holds.  A malformed line raises a
+    def load(self, text: str) -> None:
+        """Add the entries a text form holds.  A malformed line raises a
         ScenarioError at its line and at the column of what is wrong: the
         first tab (or the line's end) for a wrong field count, the value
-        field for a bad or conflicting value, and inside the key for a key
-        that names no count or not in its canonical form."""
-        kb = cls_()
+        field for a bad value or one that conflicts with an entry of this
+        base or an earlier line, and inside the key for a key that names
+        no count or not in its canonical form."""
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -144,10 +136,9 @@ class KnowledgeBase:
                 raise ScenarioError(f"key {key} is not canonical; "
                                     f"write {canonical}", lineno, col)
             try:
-                kb.add(key, value, prov)
+                self.add(key, value, prov)
             except EvalError as err:
                 raise ScenarioError(str(err), lineno, len(key) + 2) from err
-        return kb
 
 
 def _plain(*classes: HomologyClass) -> tuple[Insertion, ...]:
@@ -161,7 +152,7 @@ def seed_table() -> KnowledgeBase:
     """The built-in values everything else is derived from.
 
     The entries are built on the first call; every call returns a fresh
-    base over a copy of them, so what a solver or a `--kb` merge adds to one
+    base over a copy of them, so what a solver or a `--kb` file adds to one
     base never reaches another.
     """
     if _SEEDED:

@@ -496,33 +496,6 @@ def stratum_key(s: StratumType) -> str:
 # enumeration
 
 
-def _multisets(pool, sizes, budget):
-    """Multisets drawn from `pool`, repeats allowed, whose `sizes` add up
-    to exactly `budget`.
-
-    Each multiset is a tuple listing its items in pool order; the tuples
-    come in lexicographic order of the pool positions.  Sizes are positive
-    integers, so the search ends.
-    """
-    if any(s <= 0 for s in sizes):
-        raise InvariantError("effectivity model produced a free class")
-    out, acc = [], []
-
-    def rec(start, left):
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            if sizes[i] <= left:
-                acc.append(pool[i])
-                rec(i, left - sizes[i])
-                acc.pop()
-
-    if budget >= 0:
-        rec(0, budget)
-    return out
-
-
 class _ExactSums:
     """A table of the multisets drawn from `pool`, repeats allowed, by
     exact sum: `table(target, budget, budget2)` lists those whose `sizes`
@@ -530,7 +503,7 @@ class _ExactSums:
     and whose integer vectors `vecs` add up to the vector `target`.
 
     Each multiset is a tuple listing its items in pool order; the tuples
-    come in lexicographic order of the pool positions, as in `_multisets`.
+    come in lexicographic order of the pool positions.
     Sizes are positive and do not decrease along the pool, and second
     sizes are non-negative.  So the last item of a multiset is the one
     whose size is all that is left: it is looked up by the vector left and
@@ -593,17 +566,16 @@ class _ExactSums:
         return out
 
 
-def _exact_multisets(pool, vecs, target, sizes, budget, sizes2, budget2):
-    """The multisets of one exact sum, read once from a fresh
-    `_ExactSums` table."""
-    return _ExactSums(pool, vecs, sizes, sizes2)(target, budget, budget2)
-
-
 @cache
 def _partitions(total: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplicity multisets (weakly decreasing) summing to total."""
-    pool = range(total, 0, -1)
-    return tuple(_multisets(pool, pool, total))
+    """Multiplicity multisets (weakly decreasing) summing to total, in
+    reverse lexicographic order.  The table lists them weakly increasing,
+    and no partition of total is a prefix of another, so reversing each
+    and sorting in reverse gives that order."""
+    pool = range(1, total + 1)
+    table = _ExactSums(pool, [()] * total, pool, [0] * total)
+    return tuple(sorted((p[::-1] for p in table((), total, 0)),
+                        reverse=True))
 
 
 def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass | None:
@@ -619,22 +591,6 @@ def _solve_preimage(pair: DivisorPair, target: HomologyClass) -> HomologyClass |
     if coeffs is None or any(v.denominator != 1 for v in coeffs):
         return None
     return make_cls(D.basis, {g: int(v) for g, v in zip(gens, coeffs)})
-
-
-def _multisets_with_budget(items, budget, cost):
-    """Multisets of items whose costs (all positive) sum to <= budget."""
-    items = list(items)
-    sizes = [cost(c) for c in items]
-    return [ms for b in range(budget + 1)
-            for ms in _multisets(items, sizes, b)]
-
-
-def _exact_decompositions(parts, target, measure):
-    """Multisets drawn from `parts`, listed in order of increasing
-    `measure`, summing exactly to `target`."""
-    return _exact_multisets(parts, [p.vec for p in parts], target.vec,
-                            [measure(p) for p in parts], measure(target),
-                            [0] * len(parts), 0)
 
 
 def _compositions(total, mins):
@@ -732,11 +688,16 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
                     (), spec.absolutes))
 
     budget = X.area(spec.beta)
+    # (class, genus) pairs by area, as `classes` sorts them: the level-0
+    # multisets of area at most the count's, read once for every depth
     xcands = [(c, gc) for c in xmodel.classes(budget)
               for gc in range(xmodel.min_genus(c), spec.genus + 1)]
+    n = len(xcands)
+    table = _ExactSums(xcands, [()] * n, [X.area(c) for c, _ in xcands],
+                       [0] * n)
+    bottoms = [ms for b in range(budget + 1) for ms in table((), b, 0)]
     for k in range(1, max_levels + 1):
-        for bottom in _multisets_with_budget(xcands, budget,
-                                             lambda cg: X.area(cg[0])):
+        for bottom in bottoms:
             if sum(g for _, g in bottom) > spec.genus:
                 continue    # see the genus budget of `_build_levels`
             used = make_cls(X.basis, {})
@@ -811,6 +772,13 @@ def _build_levels(spec, k, bottom, alpha_total):
             raise InvariantError(f"{D.name}: no effectivity model")
         abudget = D.area(alpha_total)
         alpha_parts = list(dmodel.classes(abudget)) if abudget > 0 else []
+    # one table for the closing level's exact sums and one, over empty
+    # vectors, for the multisets of area at most what is left
+    areas = [D.area(a) for a in alpha_parts]
+    zeros = [0] * len(alpha_parts)
+    exact = _ExactSums(alpha_parts, [a.vec for a in alpha_parts], areas,
+                       zeros)
+    within = _ExactSums(alpha_parts, [()] * len(alpha_parts), areas, zeros)
 
     bottom_ends = [(None, pair.contact_count(c)) for c, _ in bottom]
     floor_from = 1 if all(d >= 0 for _, d in bottom_ends) else 2
@@ -820,12 +788,11 @@ def _build_levels(spec, k, bottom, alpha_total):
         """(components, their end degrees, gamma, fewest edges, most
         edges) for each choice of the level, with `below` the infinity-side
         degrees of the level under it and the window's totals so far."""
+        room = D.area(remaining_alpha)
         if level == k:
-            picks = _exact_decompositions(alpha_parts, remaining_alpha, D.area)
+            picks = exact(remaining_alpha.vec, room, 0)
         else:
-            room = D.area(remaining_alpha)
-            picks = _multisets_with_budget(alpha_parts, room, D.area) \
-                if room >= 0 else []
+            picks = [ms for b in range(room + 1) for ms in within((), b, 0)]
         lower = [d for d in below if d > 0]
         most += sum(lower)
         for alphas in picks:

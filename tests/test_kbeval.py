@@ -55,11 +55,17 @@ CONICS = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
 # -- knowledge base ----------------------------------------------------------
 
 
+def loaded(text):
+    kb = KnowledgeBase()
+    kb.load(text)
+    return kb
+
+
 def test_seed_table_round_trips():
     kb = seed_table()
     assert len(kb) == 11
     text = kb.dump()
-    again = KnowledgeBase.parse(text)
+    again = loaded(text)
     assert again.dump() == text
     # sorted by key, one tab-separated line each
     keys = [line.split("\t")[0] for line in text.splitlines()]
@@ -103,16 +109,19 @@ def test_kb_rejects_conflicting_values():
 
 
 def test_kb_merge():
+    """A text form loads into a base that already holds entries: a value
+    it already holds is kept once, and a conflicting one is an error at
+    its line's value field."""
+    x, y = absolute(P3, LAM, PT, PT).key(), absolute(P3, LAM, PT, LAM).key()
     a = KnowledgeBase()
-    a.add("x", Fraction(1), "seed(a)")
-    b = KnowledgeBase()
-    b.add("x", Fraction(1), "seed(a)")
-    b.add("y", Fraction(2), "seed(b)")
-    assert a.merge(b) == 1
-    bad = KnowledgeBase()
-    bad.add("x", Fraction(3), "seed(c)")
-    with pytest.raises(EvalError):
-        a.merge(bad)
+    a.add(x, Fraction(1), "seed(a)")
+    a.load(f"{x}\t1/1\tseed(a)\n{y}\t2/1\tseed(b)\n")
+    assert len(a) == 2
+    assert a.get(x).provenance == "seed(a)" and a.get(y).value == 2
+    with pytest.raises(ScenarioError) as err:
+        a.load(f"{x}\t3/1\tseed(c)\n")
+    assert (err.value.line, err.value.col) == (1, len(x) + 2)
+    assert err.value.message == f"conflicting values for {x}: 1 vs 3"
 
 
 # line -> (column, message) of the positioned error
@@ -130,7 +139,7 @@ MALFORMED_LINES = {
 @pytest.mark.parametrize("line", MALFORMED_LINES)
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(ScenarioError) as err:
-        KnowledgeBase.parse(f"# header\n{line}\n")
+        loaded(f"# header\n{line}\n")
     assert (err.value.line, err.value.col, err.value.message) == \
         (2, *MALFORMED_LINES[line])
 
@@ -138,14 +147,14 @@ def test_parse_rejects_malformed_lines(line):
 def test_parse_positions_a_conflicting_value_at_its_value_field():
     key = absolute(P3, LAM, PT, PT).key()
     with pytest.raises(ScenarioError) as err:
-        KnowledgeBase.parse(f"{key}\t1/1\tuser\n{key}\t2/1\tuser\n")
+        loaded(f"{key}\t1/1\tuser\n{key}\t2/1\tuser\n")
     assert (err.value.line, err.value.col) == (2, len(key) + 2)
     assert err.value.message.startswith(f"conflicting values for {key}")
 
 
 def test_parse_skips_blanks_and_comments():
     key = absolute(P3, LAM, PT, PT).key()
-    kb = KnowledgeBase.parse(f"# header\n\n{key}\t2/1\tseed(x)\n")
+    kb = loaded(f"# header\n\n{key}\t2/1\tseed(x)\n")
     assert kb.get(key).value == 2
 
 
@@ -181,7 +190,7 @@ def test_parse_skips_blanks_and_comments():
         "trailing-comma"])
 def test_parse_rejects_keys_that_are_not_canonical(text, message):
     with pytest.raises(ScenarioError) as err:
-        KnowledgeBase.parse(f"# header\n{text}\t1/1\tuser\n")
+        loaded(f"# header\n{text}\t1/1\tuser\n")
     assert str(err.value).startswith(message)
 
 
@@ -194,7 +203,7 @@ def test_parse_reads_back_every_kind_of_insertion():
     assert "abs=pb:pt;" in relative.key()
     primary = absolute(P3, LAM.scale(2), PT, LAM)
     text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, primary))
-    assert KnowledgeBase.parse(text).dump() == text
+    assert loaded(text).dump() == text
 
 
 # -- single rules ------------------------------------------------------------

@@ -6,12 +6,14 @@ second copy.
 - The end degrees of a bundle class are `RuledSetup.end_degrees`; outside
   the catalog only `vanishing.decide` reads a section class, the zero
   section of a ruled pair.
-- Multisets of an exact sum come from the one exact-sum search, the
-  memoized table `strata._ExactSums`, on integer vectors; a one-shot
-  search (`strata._exact_multisets`) reads a fresh table.  In
-  `decompose.py` and `strata.py` a started sum `sum(items, start)`, which
-  builds a class sum, appears only in `decompose._side_sum` and the ledger
-  total.
+- Multisets of an exact sum, partitions and edge options included, come
+  from the one exact-sum search, the memoized table `strata._ExactSums`,
+  on integer vectors (empty ones where no class sum is asked for); each
+  caller reads a table, and no wrapper stands between.  Every function in
+  `decompose.py` and `strata.py` that calls itself is pinned, so a second
+  recursive search shows up in this file.  In `decompose.py` and
+  `strata.py` a started sum `sum(items, start)`, which builds a class sum,
+  appears only in `decompose._side_sum` and the ledger total.
 - No function, class or assigned name (dunders aside) is defined at the
   top level of two modules: a second definition under a taken name is a
   second implementation that the unread-definition scan cannot tell from
@@ -246,6 +248,79 @@ def test_multisets_are_filtered_without_class_sums():
         found += started_sums(module,
                               (SRC / module).read_text(encoding="utf-8"))
     assert found == []
+
+
+# module -> every function that calls itself, as `enclosing.name`
+RECURSIVE = {
+    "decompose.py": ["_skeletons.rec", "distribute.fill", "fill.assign"],
+    "strata.py": ["_ExactSums._reach", "_compositions.rec",
+                  "_build_levels.rec", "outer_assignments.rec",
+                  "_order_subsets.rec", "_orbit_matchings.rec"],
+}
+
+
+def self_calls(source: str) -> list[str]:
+    """`enclosing.name` (`name` at the top level) of every function that
+    calls itself, by its name or as `self.<name>`, anywhere in its body,
+    in source order; the enclosing scope is the innermost function or
+    class around it."""
+    found = []
+
+    def called(func) -> str | None:
+        if isinstance(func, ast.Name):
+            return func.id
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "self"):
+            return func.attr
+        return None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Call) and called(n.func) == child.name
+                       for n in ast.walk(child)):
+                    found.append(f"{scope}.{child.name}" if scope
+                                 else child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_self_call_detector():
+    source = ('def walk(n):\n'
+              '    return [] if n == 0 else walk(n - 1)\n'
+              'def outer(xs):\n'
+              '    def rec(i):\n'
+              '        if i < len(xs):\n'
+              '            rec(i + 1)\n'
+              '    return rec(0)\n'
+              'class Table:\n'
+              '    def _reach(self, left):\n'
+              '        return self._reach(left - 1) if left else []\n'
+              '    def __call__(self, left):\n'
+              '        return self._reach(left)\n'
+              '    def add(self, other):\n'
+              '        return other.add(self)\n'
+              'def once(xs):\n'
+              '    return sorted(xs, key=once_key)\n'
+              'def fill(i):\n'
+              '    def assign(j):\n'
+              '        return fill(j) if j else assign(j + 1)\n'
+              '    return assign(i)\n')
+    assert self_calls(source) == [
+        "walk", "outer.rec", "Table._reach", "fill", "fill.assign"]
+
+
+def test_recursive_searches_are_pinned():
+    found = {module: self_calls((SRC / module).read_text(encoding="utf-8"))
+             for module in RECURSIVE}
+    assert found == RECURSIVE
 
 
 def bound_names(target) -> list[str]:

@@ -52,10 +52,10 @@ TOKENS = sorted({tok for lines in SHIPPED for line in lines
 
 
 @st.composite
-def edited_scenarios(draw):
-    """A shipped file with a few lines dropped, copied or spliced."""
-    lines = list(draw(st.sampled_from(SHIPPED)))
-    for _ in range(draw(st.integers(0, 3))):
+def edited_scenarios(draw, files, least):
+    """One of `files` with `least` to 3 lines dropped, copied or spliced."""
+    lines = list(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(least, 3))):
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
@@ -74,7 +74,7 @@ def edited_scenarios(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(edited_scenarios() | st.text(max_size=80))
+@given(edited_scenarios(SHIPPED, 0) | st.text(max_size=80))
 def test_any_text_parses_or_raises_scenario_error(text):
     try:
         parse_scenario(text)
@@ -355,25 +355,27 @@ def test_exit_two_on_mixed_grades(tmp_path, capsys):
         "(('lambda', 1), ('pi', 1))\n")
 
 
-@pytest.mark.parametrize("line", [
-    "only-two\tfields",
-    "key\tnot-a-number\tprov",
-    "space:s2xs2;g=0;b=a1;abs=pt\t2/1\tconflict",
-    "key\t1/0\tprov",
-    "key\tnonzero\tprov",
+@pytest.mark.parametrize("line, position", [
+    ("only-two\tfields", "line 1, col 9"),
+    ("key\tnot-a-number\tprov", "line 1, col 5"),
+    # the file is loaded into the seeded base, which holds the value 1
+    ("space:s2xs2;g=0;b=a1;abs=pt\t2/1\tconflict", "line 1, col 29"),
+    ("key\t1/0\tprov", "line 1, col 5"),
+    ("key\tnonzero\tprov", "line 1, col 5"),
     # a pb: class is in the divisor's basis; the fiber f is not
-    "pair:t2_ruled_section;g=0;b=f;abs=pb:f,pb:f;rel=(1,pt)\t0/1\tuser",
+    ("pair:t2_ruled_section;g=0;b=f;abs=pb:f,pb:f;rel=(1,pt)\t0/1\tuser",
+     "line 1, col 38"),
     # constraints are primary: tau1 is no prefix, so it is no class either
-    "space:p2;g=0;b=lambda;abs=tau1:pt\t1/1\tuser",
+    ("space:p2;g=0;b=lambda;abs=tau1:pt\t1/1\tuser", "line 1, col 27"),
 ], ids=["two-fields", "bad-value", "conflicts-with-seed", "zero-denominator",
         "nonzero", "pulled-back-ambient-class", "psi-power"])
-def test_exit_two_on_malformed_kb(tmp_path, capsys, line):
+def test_exit_two_on_malformed_kb(tmp_path, capsys, line, position):
     path = tmp_path / "extra.kb"
     path.write_text(line + "\n", encoding="utf-8")
     assert status("eval", SCENARIOS / "vanishing_checks.gw",
                   "ruling_absolute", "--kb", path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: kb file ")
+    assert err.startswith(f"error: kb file {path}: {position}: ")
     assert "Traceback" not in err
 
 
@@ -488,6 +490,30 @@ def test_any_kb_text_evaluates_or_exits_two_with_a_position(text):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert re.search(r"line \d+, col \d+: ", err.getvalue()), \
+            err.getvalue()
+
+
+# -- any edit of a cheap shipped scenario runs or exits two with a position
+
+# the shipped files whose runs take milliseconds: the quartic is left out
+CHEAP = [(SCENARIOS / f"{name}.gw").read_text(encoding="utf-8").splitlines()
+         for name in ("blowup_line", "conic_tangent", "torus_section",
+                      "vanishing_checks")]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(edited_scenarios(CHEAP, 1))
+def test_any_scenario_runs_or_exits_two_with_a_position(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.gw"
+        path.write_text(text, encoding="utf-8", newline="")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = status("run", path)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert re.match(r"error: .*: line \d+, col \d+: ", err.getvalue()), \
             err.getvalue()
 
 

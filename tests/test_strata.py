@@ -10,9 +10,8 @@ from relgw.dimension import (DefinedZero, Insertion, InvariantError,
 from relgw import strata as strata_module
 from relgw.lattice import cls, gen
 from relgw.spaces import builtin
-from relgw.strata import (Contact, LevelComponent, StratumType,
-                          _exact_decompositions, _exact_multisets, _ExactSums,
-                          _graph_components, _multisets, _orbit_matchings,
+from relgw.strata import (Contact, LevelComponent, StratumType, _ExactSums,
+                          _graph_components, _orbit_matchings,
                           _partitions, _position_filter, _relabelings,
                           _searched_key, _solve_preimage, assemble_class,
                           enumerate_strata, multilevel_index, stratum_flags,
@@ -788,11 +787,22 @@ def brute_multisets(pool, budgets, *size_lists):
     return [tuple(pool[i] for i in idx) for idx in found]
 
 
+def fresh_read(pool, vecs, target, sizes, budget, sizes2, budget2):
+    """The multisets of one exact sum, read once from a fresh table."""
+    return _ExactSums(pool, vecs, sizes, sizes2)(target, budget, budget2)
+
+
 @pytest.mark.parametrize("sizes", [[1, 2, 2, 3], [3, 1, 2, 1], [2, 4, 5, 3]])
 def test_multisets_match_brute_force(sizes):
-    pool = "abcd"
+    """Over empty vectors a table lists the multisets of one size sum.  A
+    table takes its pool by size, so the pool is sorted first; unsorted,
+    it is refused."""
+    if sizes != sorted(sizes):
+        with pytest.raises(InvariantError, match="must not decrease"):
+            _ExactSums("abcd", [()] * 4, sizes, [0] * 4)
+    pool, sizes = zip(*sorted(zip("abcd", sizes), key=lambda t: t[1]))
     for budget in range(-1, 9):
-        assert _multisets(pool, sizes, budget) == \
+        assert fresh_read(pool, [()] * 4, (), sizes, budget, [0] * 4, 0) == \
             brute_multisets(pool, (budget,), sizes)
 
 
@@ -807,11 +817,10 @@ def test_exact_multisets_with_two_budgets_match_brute_force():
     orders, areas = [1, 1, 2, 2, 3], [0, 2, 0, 3, 1]
     for b1 in range(-1, 6):
         for b2 in range(-1, 6):
-            assert _exact_multisets(pool, [()] * 5, (), orders, b1,
-                                    areas, b2) == \
+            assert fresh_read(pool, [()] * 5, (), orders, b1, areas, b2) == \
                 brute_multisets(pool, (b1, b2), orders, areas)
     # zero in the second budget only is fine too
-    assert _exact_multisets("ab", [(), ()], (), [1, 1], 3, [0, 1], 1) == \
+    assert fresh_read("ab", [(), ()], (), [1, 1], 3, [0, 1], 1) == \
         [("a", "a", "b")]
 
 
@@ -836,8 +845,8 @@ def test_exact_multisets_match_brute_force(sizes, sizes2, vecs):
         for b2 in range(-1, 4):
             walked = brute_multisets(pool, (b1, b2), sizes, sizes2)
             for target in product(range(-2, 4), repeat=2):
-                assert _exact_multisets(pool, vecs, target, sizes, b1,
-                                        sizes2, b2) == [
+                assert fresh_read(pool, vecs, target, sizes, b1,
+                                  sizes2, b2) == [
                     ms for ms in walked
                     if vector_sum([of[x] for x in ms], 2) == target]
 
@@ -853,14 +862,14 @@ def test_one_table_read_for_many_targets_matches_fresh_reads(
     reads = [(target, b1, b2) for b1 in range(-1, 8) for b2 in range(-1, 4)
              for target in product(range(-2, 4), repeat=2)]
     for target, b1, b2 in reads + reads[::-1]:
-        assert table(target, b1, b2) == _exact_multisets(
+        assert table(target, b1, b2) == fresh_read(
             pool, vecs, target, sizes, b1, sizes2, b2)
     assert table.memo
 
 
 def test_exact_multisets_reject_a_decreasing_pool():
     with pytest.raises(InvariantError, match="must not decrease"):
-        _exact_multisets("ab", [(1,), (0,)], (1,), [2, 1], 3, [0, 0], 0)
+        fresh_read("ab", [(1,), (0,)], (1,), [2, 1], 3, [0, 0], 0)
 
 
 def test_exact_sums_match_class_sums():
@@ -869,6 +878,8 @@ def test_exact_sums_match_class_sums():
     X = builtin("p3blow2")
     model = X.effective
     parts = model.classes(5)
+    n = len(parts)
+    vecs, areas = [p.vec for p in parts], [model.area(p) for p in parts]
 
     def exact_sums(multisets, target):
         # the filter the one search replaces, on integer vectors
@@ -880,16 +891,16 @@ def test_exact_sums_match_class_sums():
                    X.cls({"lambda": 2, "eps1": -1}),
                    X.cls({"lambda": 1, "eps1": -1, "eps2": -1})]:
         area = model.area(target)
-        found = _exact_decompositions(parts, target, model.area)
-        candidates = _multisets(parts, [model.area(p) for p in parts], area)
+        found = fresh_read(parts, vecs, target.vec, areas, area, [0] * n, 0)
+        candidates = fresh_read(parts, [()] * n, (), areas, area, [0] * n, 0)
         assert found == exact_sums(candidates, target)
         assert found == [ms for ms in candidates
                          if sum(ms, X.zero()) == target]
         assert found
-    assert _exact_decompositions(parts, X.zero(), model.area) == [()]
-    assert _exact_multisets([], [], X.zero().vec, [], 0, [], 0) == [()]
-    assert _exact_multisets([], [], X.cls({"lambda": 1}).vec,
-                            [], 0, [], 0) == []
+    assert fresh_read(parts, vecs, X.zero().vec, areas, 0, [0] * n, 0) == \
+        [()]
+    assert fresh_read([], [], X.zero().vec, [], 0, [], 0) == [()]
+    assert fresh_read([], [], X.cls({"lambda": 1}).vec, [], 0, [], 0) == []
 
 
 def test_partitions_are_weakly_decreasing_and_complete():
@@ -898,6 +909,17 @@ def test_partitions_are_weakly_decreasing_and_complete():
     assert _partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     # cached, and immutable so no caller can change what the next one reads
     assert _partitions(4) is _partitions(4)
+
+
+def test_partitions_order_is_pinned():
+    """`boundary_options` walks partitions in this order, so the stratum
+    `enumerate_strata` keeps for a key depends on it: largest first part
+    first, as reversed sorted tuples sort in reverse."""
+    for n in range(9):
+        assert _partitions(n) == tuple(sorted(
+            (c[::-1] for r in range(n + 1)
+             for c in combinations_with_replacement(range(1, n + 1), r)
+             if sum(c) == n), reverse=True)), n
 
 
 def test_relabelings_are_the_label_preserving_permutations():
@@ -924,7 +946,7 @@ def test_solve_preimage_on_the_antidiagonal():
                          ids=["zero", "negative"])
 def test_multisets_reject_free_items(sizes):
     with pytest.raises(InvariantError, match="free class"):
-        _multisets("ab", sizes, 3)
+        _ExactSums("ab", [(), ()], sizes, [0, 0])
 
 
 @pytest.mark.parametrize("sizes, sizes2", [
@@ -934,7 +956,7 @@ def test_multisets_reject_free_items(sizes):
 ], ids=["zero-in-both", "zero-in-first", "negative-second"])
 def test_exact_multisets_reject_free_items(sizes, sizes2):
     with pytest.raises(InvariantError, match="free class"):
-        _exact_multisets("ab", [(), ()], (), sizes, 3, sizes2, 2)
+        fresh_read("ab", [(), ()], (), sizes, 3, sizes2, 2)
 
 
 # --- the greedy key against the exhaustive search -------------------------

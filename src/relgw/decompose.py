@@ -122,10 +122,16 @@ class DecompTerm:
     multiplicity: Fraction
 
     def encode(self) -> str:
-        g1 = ",".join(c.token() for c in self.gamma1)
-        g2 = ",".join(c.token() for c in self.gamma2)
-        t = ",".join(t.token() for t in self.tails)
-        return f"g1={g1}|g2={g2}|tails={t}"
+        """Canonical text form, kept on the instance as `GraphComponent`
+        keeps its token."""
+        out = self.__dict__.get("_code")
+        if out is None:
+            g1 = ",".join(c.token() for c in self.gamma1)
+            g2 = ",".join(c.token() for c in self.gamma2)
+            t = ",".join(t.token() for t in self.tails)
+            out = f"g1={g1}|g2={g2}|tails={t}"
+            object.__setattr__(self, "_code", out)
+        return out
 
     def __str__(self) -> str:
         return self.encode()
@@ -187,6 +193,77 @@ def _right_spec(setup: FiberSumSetup, comp: GraphComponent,
     rels = tuple(Insertion(t.dual, order=t.order) for t in tails)
     return InvariantSpec(setup.right, comp.genus, comp.cls,
                          tuple(comp.insertions), rels)
+
+
+class _ComponentTable:
+    """The components of one ledger, from enumeration to evaluation.
+
+    A component is keyed by its side ("L" divisor side, "R" bundle side),
+    its token and the (order, class text) of its tails in the order given,
+    the class on the divisor side and its dual on the bundle side: text,
+    as hashing a spec hashes its whole space.  Each entry [spec, expected
+    dimension, prune reason] is filled in on first read, and whether a
+    divisor class is missable is kept per class.
+    """
+
+    def __init__(self, setup: FiberSumSetup):
+        self.setup = setup
+        self.entries: dict[tuple, list] = {}
+        self.missable: dict[tuple, bool] = {}
+
+    def entry(self, side: str, comp: GraphComponent, tails) -> list:
+        """The entry of one component; its spec raises as `_left_spec` or
+        `_right_spec` does, and a component that raises keeps no entry."""
+        key = (side, comp.token(), tuple(
+            (t.order, (t.cls if side == "L" else t.dual).encode())
+            for t in tails))
+        out = self.entries.get(key)
+        if out is None:
+            spec_of = _left_spec if side == "L" else _right_spec
+            out = self.entries[key] = [spec_of(self.setup, comp, tails),
+                                       None, None]
+        return out
+
+    def dimension(self, side: str, comp: GraphComponent, tails) -> int:
+        out = self.entry(side, comp, tails)
+        if out[1] is None:
+            out[1] = expected_dimension(out[0])
+        return out[1]
+
+    def reason(self, side: str, comp: GraphComponent, tails) -> str | None:
+        """The first structural reason the component vanishes, or None:
+        `decide`'s, then on the bundle side a pulled-back miss.  Kept as
+        "" when there is none."""
+        out = self.entry(side, comp, tails)
+        if out[2] is None:
+            verdict = decide(out[0])
+            if verdict.is_zero:
+                out[2] = verdict.reason
+            elif side == "R":
+                out[2] = self.missed(comp) or ""
+            else:
+                out[2] = ""
+        return out[2] or None
+
+    def missed(self, comp: GraphComponent) -> str | None:
+        """Pulled-back constraints of high codimension miss the rigid
+        locus that carries every invariant representative of a
+        section-type class."""
+        setup = self.setup
+        if comp.genus != 0:
+            return None
+        alpha = setup.ruled.projection(comp.cls)
+        if alpha.is_zero:
+            return None
+        n = setup.total.n
+        if not any(ins.pulled_back and ins.cls.grade <= n - 3
+                   for ins in comp.insertions):
+            return None
+        missable = self.missable.get(alpha.vec)
+        if missable is None:
+            missable = self.missable[alpha.vec] = _missable_class(
+                setup.left.divisor.effective, alpha)
+        return PULLED_BACK_MISS if missable else None
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +389,8 @@ def _placed(setup: FiberSumSetup, groups):
     return out
 
 
-def _slack_table(setup: FiberSumSetup, choices, placed, comps1, comps2,
-                 tails1, tails2):
+def _slack_table(components: _ComponentTable, choices, placed, comps1,
+                 comps2, tails1, tails2):
     """(base, rows): the integer slack of every constraint assignment.
 
     `base` holds the slack of each bare component with its tails, the
@@ -323,10 +400,8 @@ def _slack_table(setup: FiberSumSetup, choices, placed, comps1, comps2,
     is dropped, as building its components would raise.  Raises
     InvariantError where the spec of a bare component does.
     """
-    base = [expected_dimension(_left_spec(setup, c, t))
-            for c, t in zip(comps1, tails1)]
-    base += [expected_dimension(_right_spec(setup, c, t))
-             for c, t in zip(comps2, tails2)]
+    base = [components.dimension("L", c, t) for c, t in zip(comps1, tails1)]
+    base += [components.dimension("R", c, t) for c, t in zip(comps2, tails2)]
     p = len(comps1)
     rows = []
     for (_, _, slots, vectors), sides in zip(choices, placed):
@@ -437,9 +512,13 @@ def _connected_skeletons(memo: dict, ks, ells):
     return out
 
 
-def _canonical(setup, gamma1, gamma2, tails):
+def _canonical(gamma1, gamma2, tails):
     """Sort components, minimize the edge list over label-preserving
-    permutations, and count the automorphisms that fix it."""
+    permutations, and count the automorphisms that fix it.
+
+    Edges are searched as sorted (order, class text, left, right) tuples;
+    the first strict minimum wins, and `Tail`s are built for it alone,
+    listed by token."""
 
     def arrange(comps):
         order = sorted(range(len(comps)), key=lambda i: comps[i].token())
@@ -448,24 +527,23 @@ def _canonical(setup, gamma1, gamma2, tails):
 
     g1, remap1 = arrange(gamma1)
     g2, remap2 = arrange(gamma2)
-    base = tuple(replace(t, left=remap1[t.left], right=remap2[t.right])
-                 for t in tails)
-
-    perms1 = list(_relabelings([c.token() for c in g1]))
+    base = [(t.order, t.cls.encode(), remap1[t.left], remap2[t.right])
+            for t in tails]
+    identity = tuple(sorted(base))
     perms2 = list(_relabelings([c.token() for c in g2]))
-    identity = _edge_key(base)
     best = None
     aut = 0
-    for s in perms1:
+    for s in _relabelings([c.token() for c in g1]):
         for t in perms2:
-            mapped = tuple(replace(e, left=s[e.left], right=t[e.right])
-                           for e in base)
-            key = _edge_key(mapped)
+            key = tuple(sorted((o, c, s[j], t[i]) for o, c, j, i in base))
             if key == identity:
                 aut += 1
             if best is None or key < best[0]:
-                best = (key, mapped)
-    canonical = tuple(sorted(best[1], key=lambda e: e.token()))
+                best = (key, s, t)
+    _, s, t = best
+    canonical = tuple(sorted(
+        (replace(e, left=s[j], right=t[i])
+         for e, (_, _, j, i) in zip(tails, base)), key=lambda e: e.token()))
     return g1, g2, canonical, aut
 
 
@@ -474,11 +552,6 @@ def _graph_key(gamma1, gamma2, tails):
     return (tuple(c.token() for c in gamma1),
             tuple(c.token() for c in gamma2),
             tuple(t.token() for t in tails))
-
-
-def _edge_key(edges):
-    return tuple(sorted((e.order, e.cls.encode(), e.left, e.right)
-                        for e in edges))
 
 
 def _check_setup(setup: FiberSumSetup) -> None:
@@ -510,7 +583,7 @@ def enumerate_terms(setup: FiberSumSetup, spec: InvariantSpec,
     genus.  Returns DecompTerm objects with multiplicities attached;
     exclusion counters are available through evaluate_decomposition.
     """
-    terms, _ = _enumerate(setup, spec, bounds)
+    terms, _ = _enumerate(_ComponentTable(setup), spec, bounds)
     return terms
 
 
@@ -547,8 +620,11 @@ def _shrinks_area(pair) -> bool:
     return any(X.area(pair.inclusion(c)) < D.area(c) for c in spans)
 
 
-def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
+def _enumerate(components: _ComponentTable, spec: InvariantSpec,
                bounds: Bounds | None):
+    """(terms, excluded) of the splitting of `spec` along the setup of
+    `components`, the ledger's component table."""
+    setup = components.setup
     _check_setup(setup)
     if spec.pair is not None or spec.relatives:
         raise DecompositionError("the splitting starts from an absolute count")
@@ -642,8 +718,9 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         checked as integers, a prefix of groups whose slacks can no longer
         reach their bounds is cut (`_balanced`), and components are built
         only for the assignments that pass.  `expected_dimension` stays
-        the reference: it gives each base, and `_make_term` checks every
-        emitted component with it.
+        the reference: through the ledger's component table it gives each
+        base, and `_make_term` checks each distinct emitted component with
+        it, once per ledger.
         """
         p = len(parts1)
         choices, rejected = _placements(setup, groups, parts1, parts2)
@@ -663,7 +740,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
         dn = D.n
         try:
             base, rows = _slack_table(
-                setup, choices, placed,
+                components, choices, placed,
                 [GraphComponent(c, g) for c, g in zip(parts1, genera1)],
                 [GraphComponent(c, g) for c, g in zip(parts2, genera2)],
                 [[probe[e] for e in edges] for edges in left_edges],
@@ -811,7 +888,7 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     # isomorphic indexed graphs are one term and must weigh the same
     emitted: dict[str, DecompTerm] = {}
     for weight, gamma1, gamma2, tails in graphs.values():
-        term = _make_term(setup, gamma1, gamma2, tails, weight)
+        term = _make_term(components, gamma1, gamma2, tails, weight)
         key = term.encode()
         if emitted.setdefault(key, term).multiplicity != term.multiplicity:
             raise DecompositionError(
@@ -820,24 +897,26 @@ def _enumerate(setup: FiberSumSetup, spec: InvariantSpec,
     return terms, excluded
 
 
-def _tail_lists(gamma1, gamma2, tails):
-    """The tails at each divisor-side and at each bundle-side component."""
-    return ([[t for t in tails if t.left == j] for j in range(len(gamma1))],
-            [[t for t in tails if t.right == i] for i in range(len(gamma2))])
+def _sided(gamma1, gamma2, tails):
+    """(side, index, component, its tails) for each component of a graph,
+    the divisor side ("L") first, then the bundle side ("R")."""
+    for j, comp in enumerate(gamma1):
+        yield "L", j, comp, [t for t in tails if t.left == j]
+    for i, comp in enumerate(gamma2):
+        yield "R", i, comp, [t for t in tails if t.right == i]
 
 
-def _make_term(setup: FiberSumSetup, gamma1, gamma2, tails,
+def _make_term(components: _ComponentTable, gamma1, gamma2, tails,
                weight: int) -> DecompTerm:
     """The canonical term of one indexed graph; its multiplicity is the
-    graph's weight over the automorphisms of the labelled graph."""
-    per_left, per_right = _tail_lists(gamma1, gamma2, tails)
-    for comp, at in zip(gamma1, per_left):
-        if expected_dimension(_left_spec(setup, comp, at)) != 0:
+    graph's weight over the automorphisms of the labelled graph.  Each
+    component's expected dimension, which must be 0, is read from the
+    table, so it is computed once per distinct component of the ledger."""
+    for side, _, comp, at in _sided(gamma1, gamma2, tails):
+        if components.dimension(side, comp, at) != 0:
             raise DecompositionError(f"unbalanced component {comp.token()}")
-    for comp, at in zip(gamma2, per_right):
-        if expected_dimension(_right_spec(setup, comp, at)) != 0:
-            raise DecompositionError(f"unbalanced component {comp.token()}")
-    g1, g2, canon, aut = _canonical(setup, gamma1, gamma2, tails)
+    g1, g2, canon, aut = _canonical(gamma1, gamma2, tails)
+    setup = components.setup
     return DecompTerm(
         beta1=_side_sum(setup.total, (c.cls for c in g1)),
         beta2=_side_sum(setup.ruled.total, (c.cls for c in g2)),
@@ -860,44 +939,11 @@ def _side_sum(space: Space, classes) -> HomologyClass:
 # pruning and evaluation
 
 
-def _prune_left(setup: FiberSumSetup, comp: GraphComponent, tails):
-    verdict = decide(_left_spec(setup, comp, tails))
-    return verdict.reason if verdict.is_zero else None
-
-
-def _prune_right(setup: FiberSumSetup, comp: GraphComponent, tails):
-    verdict = decide(_right_spec(setup, comp, tails))
-    if verdict.is_zero:
-        return verdict.reason
-    return _prune_miss(setup, comp, tails)
-
-
-def _prune_miss(setup: FiberSumSetup, comp: GraphComponent, tails):
-    """Pulled-back constraints of high codimension miss the rigid locus
-    that carries every invariant representative of a section-type class."""
-    if comp.genus != 0:
-        return None
-    alpha = setup.ruled.projection(comp.cls)
-    if alpha.is_zero:
-        return None
-    n = setup.total.n
-    if not any(ins.pulled_back and ins.cls.grade <= n - 3
-               for ins in comp.insertions):
-        return None
-    if _missable_class(setup.left.divisor.effective, alpha):
-        return PULLED_BACK_MISS
-    return None
-
-
-def prune_term(setup: FiberSumSetup, term: DecompTerm) -> str | None:
-    """First structural reason the term vanishes, or None."""
-    per_left, per_right = _tail_lists(term.gamma1, term.gamma2, term.tails)
-    for comp, tails in zip(term.gamma1, per_left):
-        reason = _prune_left(setup, comp, tails)
-        if reason is not None:
-            return reason
-    for comp, tails in zip(term.gamma2, per_right):
-        reason = _prune_right(setup, comp, tails)
+def prune_term(components: _ComponentTable, term: DecompTerm) -> str | None:
+    """First structural reason the term vanishes, or None: the reasons of
+    its components in the ledger's component table, divisor side first."""
+    for side, _, comp, tails in _sided(term.gamma1, term.gamma2, term.tails):
+        reason = components.reason(side, comp, tails)
         if reason is not None:
             return reason
     return None
@@ -972,30 +1018,27 @@ class Ledger:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_term(setup: FiberSumSetup, term: DecompTerm,
+def _evaluate_term(components: _ComponentTable, term: DecompTerm,
                    evaluator: Evaluator) -> TermReport:
-    reason = prune_term(setup, term)
+    reason = prune_term(components, term)
     if reason is not None:
         return TermReport(term, PRUNED, reason)
-    per_left, per_right = _tail_lists(term.gamma1, term.gamma2, term.tails)
     factors: list[str] = []
     values: list[Fraction] = []
     blockers: list[str] = []
     zero_note = ""
-    for side, comps, tail_lists, spec_of in (
-            ("L", term.gamma1, per_left, _left_spec),
-            ("R", term.gamma2, per_right, _right_spec)):
-        for idx, (comp, tails) in enumerate(zip(comps, tail_lists)):
-            result = evaluator.evaluate(spec_of(setup, comp, tails))
-            tag = f"{side}{idx}"
-            if result.known:
-                factors.append(f"{tag}={result.value}")
-                values.append(result.value)
-                if result.value == 0 and not zero_note:
-                    zero_note = result.trace[0] if result.trace else "zero factor"
-            else:
-                factors.append(f"{tag}=?")
-                blockers.extend(result.blockers)
+    for side, idx, comp, tails in _sided(term.gamma1, term.gamma2,
+                                         term.tails):
+        result = evaluator.evaluate(components.entry(side, comp, tails)[0])
+        tag = f"{side}{idx}"
+        if result.known:
+            factors.append(f"{tag}={result.value}")
+            values.append(result.value)
+            if result.value == 0 and not zero_note:
+                zero_note = result.trace[0] if result.trace else "zero factor"
+        else:
+            factors.append(f"{tag}=?")
+            blockers.extend(result.blockers)
     if any(v == 0 for v in values):
         return TermReport(term, OK, zero_note, tuple(factors), Fraction(0))
     if blockers:
@@ -1016,7 +1059,8 @@ def evaluate_decomposition(setup: FiberSumSetup, spec: InvariantSpec,
     The rows are evaluated in canonical order by one evaluator, which may
     add solver-derived entries to the knowledge base.
     """
-    terms, excluded = _enumerate(setup, spec, bounds)
+    components = _ComponentTable(setup)
+    terms, excluded = _enumerate(components, spec, bounds)
     budget, class_area = _area_budget(setup, spec, bounds)
     if _shrinks_area(setup.left):
         area_cut = (f"{budget}: the pair does not keep areas; "
@@ -1028,7 +1072,8 @@ def evaluate_decomposition(setup: FiberSumSetup, spec: InvariantSpec,
         area_cut = None
     evaluator = Evaluator(kb if kb is not None else seed_table())
     return Ledger(setup.name, spec.key(),
-                  reports=[_evaluate_term(setup, t, evaluator) for t in terms],
+                  reports=[_evaluate_term(components, t, evaluator)
+                           for t in terms],
                   excluded=excluded, area_cut=area_cut)
 
 

@@ -696,6 +696,8 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
     table = _ExactSums(xcands, [()] * n, [X.area(c) for c, _ in xcands],
                        [0] * n)
     bottoms = [ms for b in range(budget + 1) for ms in table((), b, 0)]
+    # (lower degrees, upper degrees) -> the boundary's options
+    boundaries: dict[tuple, list] = {}
     for k in range(1, max_levels + 1):
         for bottom in bottoms:
             if sum(g for _, g in bottom) > spec.genus:
@@ -706,13 +708,15 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
             alpha_total = _solve_preimage(pair, spec.beta - used)
             if alpha_total is None:
                 continue
-            for s in _build_levels(spec, k, bottom, alpha_total):
+            for s in _build_levels(spec, k, bottom, alpha_total,
+                                   boundaries):
                 add(s)
     return [found[key] for key in sorted(found)]
 
 
-def _build_levels(spec, k, bottom, alpha_total):
-    """Fill levels 1..k over the chosen level-0 components.
+def _build_levels(spec, k, bottom, alpha_total, boundaries):
+    """Fill levels 1..k over the chosen level-0 components.  `boundaries`
+    is the call's table of boundary options (`_boundary_options`).
 
     A level plan lists (alpha, fiber degree, genus) for the components of
     each level, and it comes with the end degrees of every component,
@@ -851,10 +855,34 @@ def _build_levels(spec, k, bottom, alpha_total):
     left = spec.genus - sum(g for _, g in bottom)
     for level_plan, ends in rec(1, alpha_total, left, len(bottom), 0, 0, [],
                                 [bottom_ends]):
-        yield from _attach_contacts(spec, bottom, level_plan, ends)
+        yield from _attach_contacts(spec, bottom, level_plan, ends,
+                                    boundaries)
 
 
-def _attach_contacts(spec, bottom, level_plan, ends):
+def _boundary_options(memo: dict, lower, upper):
+    """The (lower choice, upper choice) pairs of one boundary whose part
+    pools agree: a choice takes one partition per end, an end of negative
+    degree taking the empty one.  They depend only on the lower
+    infinity-side and upper zero-side degrees, so they are built on the
+    first call for the two degree lists and kept in `memo`."""
+    out = memo.get((lower, upper))
+    if out is not None:
+        return out
+
+    def partitions(deg):
+        return _partitions(deg) if deg >= 0 else ((),)
+
+    out = memo[lower, upper] = []
+    ups = [partitions(z) for z in upper]
+    for low_choice in product(*map(partitions, lower)):
+        low_pool = sorted(m for p in low_choice for m in p)
+        for up_choice in product(*ups):
+            if sorted(m for p in up_choice for m in p) == low_pool:
+                out.append((low_choice, up_choice))
+    return out
+
+
+def _attach_contacts(spec, bottom, level_plan, ends, boundaries):
     """Choose end partitions, matchings and outer assignments.
 
     `ends` lists the (zero-side, infinity-side) degrees of each level's
@@ -865,6 +893,7 @@ def _attach_contacts(spec, bottom, level_plan, ends):
     disconnected, so only boundary choices with G + e - v + 1 equal to the
     count's genus are kept; `_build_levels` has already checked that such
     an e lies in the plan's window.  The survivors keep their order.
+    Each boundary's options are read from the `boundaries` table.
 
     A (boundary choice, outer assignment) pair that leaves some level with
     only bare components (`LevelComponent.bare`: genus 0, pure fiber, one
@@ -876,20 +905,6 @@ def _attach_contacts(spec, bottom, level_plan, ends):
     comps_by_level = {0: list(bottom)}
     for i, comps in enumerate(level_plan, start=1):
         comps_by_level[i] = comps
-
-    def partitions(deg):
-        return _partitions(deg) if deg >= 0 else ((),)
-
-    def boundary_options(i):
-        lower_infs = [partitions(d) for _, d in ends[i]]
-        upper_zeros = [partitions(z) for z, _ in ends[i + 1]]
-        for low_choice in product(*lower_infs):
-            low_pool = sorted(m for p in low_choice for m in p)
-            for up_choice in product(*upper_zeros):
-                up_pool = sorted(m for p in up_choice for m in p)
-                if low_pool != up_pool:
-                    continue
-                yield low_choice, up_choice
 
     def outer_assignments():
         degs = [d for _, d in ends[k]]
@@ -915,8 +930,10 @@ def _attach_contacts(spec, bottom, level_plan, ends):
     outers = list(outer_assignments())
     if not outers:
         return
-    boundaries = [list(boundary_options(i)) for i in range(0, k)]
-    choices = [chosen for chosen in product(*boundaries)
+    options = [_boundary_options(boundaries, tuple(d for _, d in ends[i]),
+                                 tuple(z for z, _ in ends[i + 1]))
+               for i in range(k)]
+    choices = [chosen for chosen in product(*options)
                if sum(len(p) for low, _ in chosen for p in low) == need]
     for chosen in choices:
         if any(_bare_level(comps_by_level[i], chosen[i - 1][1], chosen[i][0])

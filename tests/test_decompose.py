@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from relgw.dimension import (Insertion, InvariantError, InvariantSpec,
 from relgw.lattice import HomologyClass
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
-from relgw.strata import _compositions, _ExactSums, graph_genus
+from relgw.strata import (_compositions, _ExactSums, _relabelings,
+                          graph_genus)
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -404,7 +406,8 @@ def test_counted_exclusions_match_the_build_then_test_loop(
         return choices, rejected
 
     monkeypatch.setattr(decompose, "_placements", checked)
-    _, excluded = decompose._enumerate(setup, spec, None)
+    _, excluded = decompose._enumerate(
+        decompose._ComponentTable(setup), spec, None)
     assert brute_total == missable
     assert excluded == {**QUARTIC_EXCLUDED, "missable-insertion": missable}
 
@@ -433,8 +436,8 @@ def test_emission_order_is_pinned(monkeypatch, constraints, count, sha):
         return keys[-1]
 
     monkeypatch.setattr(decompose, "_graph_key", recorded)
-    decompose._enumerate(builtin("fibersum_of:p4blow2_hyperplane"), spec,
-                         None)
+    setup = builtin("fibersum_of:p4blow2_hyperplane")
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
     assert len(keys) == count
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == sha
 
@@ -572,10 +575,11 @@ def test_integer_slack_matches_expected_dimension(
     original_table, original_balanced = \
         decompose._slack_table, decompose._balanced
 
-    def table(setup, choices, placed, comps1, comps2, tails1, tails2):
-        call = [(setup, choices, comps1, comps2, tails1, tails2), None, []]
+    def table(components, choices, placed, comps1, comps2, tails1, tails2):
+        call = [(components.setup, choices, comps1, comps2, tails1, tails2),
+                None, []]
         calls.append(call)
-        call[1] = original_table(setup, choices, placed, comps1, comps2,
+        call[1] = original_table(components, choices, placed, comps1, comps2,
                                  tails1, tails2)
         return call[1]
 
@@ -586,7 +590,7 @@ def test_integer_slack_matches_expected_dimension(
 
     monkeypatch.setattr(decompose, "_slack_table", table)
     monkeypatch.setattr(decompose, "_balanced", balanced)
-    decompose._enumerate(setup, spec, None)
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
 
     total = total_kept = 0
     for args, table_out, passed in calls:
@@ -628,7 +632,8 @@ def test_skeletons_are_built_once_per_contact_profile(monkeypatch):
 
     monkeypatch.setattr(decompose, "_connected_skeletons", remembered)
     monkeypatch.setattr(decompose, "_skeletons", counted)
-    decompose._enumerate(*quartic_case(), None)
+    setup, spec = quartic_case()
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
     memo, = memos
     assert len(memo) > 1
     assert set(built.values()) == {1}
@@ -659,7 +664,7 @@ def test_exact_sum_tables_are_built_once_per_pool(monkeypatch):
 
     monkeypatch.setattr(decompose, "_ExactSums", Recorded)
     setup, spec = quartic_case()
-    decompose._enumerate(setup, spec, None)
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
     xpieces = setup.total.effective.classes(int(setup.total.area(spec.beta)))
     [splits] = [t for t in tables if t.args[0] == xpieces]
     [necks] = [t for t in tables if t.args[0] and all(
@@ -687,7 +692,7 @@ def test_exact_sum_tables_are_freed_without_the_cycle_collector(
     setup, spec = quartic_case()
     gc.disable()
     try:
-        decompose._enumerate(setup, spec, None)
+        decompose._enumerate(decompose._ComponentTable(setup), spec, None)
         assert len(made) >= 2
         assert [ref() for ref in made] == [None] * len(made)
     finally:
@@ -746,6 +751,150 @@ def test_p2_ledgers_of_degree_four_and_five_are_pinned(
     assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
+# -- one component table per ledger, relabelings on plain tuples -----------
+
+
+def old_canonical(gamma1, gamma2, tails):
+    """`_canonical` as a search over `Tail`s: every relabeling is built
+    with `replace` and compared by its sorted edge key; the first strict
+    minimum wins, and `aut` counts the relabelings that fix the edges."""
+
+    def edge_key(edges):
+        return tuple(sorted((e.order, e.cls.encode(), e.left, e.right)
+                            for e in edges))
+
+    def arrange(comps):
+        order = sorted(range(len(comps)), key=lambda i: comps[i].token())
+        remap = {old: new for new, old in enumerate(order)}
+        return tuple(comps[i] for i in order), remap
+
+    g1, remap1 = arrange(gamma1)
+    g2, remap2 = arrange(gamma2)
+    base = tuple(replace(t, left=remap1[t.left], right=remap2[t.right])
+                 for t in tails)
+    perms1 = list(_relabelings([c.token() for c in g1]))
+    perms2 = list(_relabelings([c.token() for c in g2]))
+    identity = edge_key(base)
+    best = None
+    aut = 0
+    for s in perms1:
+        for t in perms2:
+            mapped = tuple(replace(e, left=s[e.left], right=t[e.right])
+                           for e in base)
+            key = edge_key(mapped)
+            if key == identity:
+                aut += 1
+            if best is None or key < best[0]:
+                best = (key, mapped)
+    return g1, g2, tuple(sorted(best[1], key=lambda e: e.token())), aut
+
+
+def test_canonical_matches_the_tail_search(monkeypatch):
+    """Every indexed graph that reaches `_make_term` in the quartic, the
+    blown-up line, both torus ledgers and the pinned N_4 ledger gets the
+    components, tails and automorphism count the `Tail` search gives."""
+    graphs = []
+    original = decompose._make_term
+
+    def recorded(components, gamma1, gamma2, tails, weight):
+        graphs.append((gamma1, gamma2, tails))
+        return original(components, gamma1, gamma2, tails, weight)
+
+    monkeypatch.setattr(decompose, "_make_term", recorded)
+    for name in ("quartic_difference", "blowup_line", "torus_section"):
+        scenario = parse_scenario(
+            (SCENARIOS / f"{name}.gw").read_text(encoding="utf-8"))
+        assert cli.run("run", scenario)[1] == 0
+    assert cli.run("decompose", p2_ledger_scenario(4, 11, 3),
+                   ("p2_hyperplane", "n"))[1] == 0
+    moved = auts = 0
+    for gamma1, gamma2, tails in graphs:
+        got = decompose._canonical(gamma1, gamma2, tails)
+        want = old_canonical(gamma1, gamma2, tails)
+        assert got == want
+        assert [t.token() for t in got[2]] == [t.token() for t in want[2]]
+        moved += got[2] != tuple(sorted(tails, key=lambda e: e.token()))
+        auts += got[3] > 1
+    # graphs whose labels move and graphs with automorphisms are both seen
+    assert len(graphs) > 100 and moved and auts
+
+
+def component_key(side, comp, tails):
+    return (side, comp.token(), tuple(
+        (t.order, (t.cls if side == "L" else t.dual).encode())
+        for t in tails))
+
+
+def test_each_component_is_built_checked_and_decided_once(monkeypatch):
+    """On the quartic ledger every distinct (side, component, tails) has
+    its spec built, its expected dimension taken and its vanishing decided
+    at most once, though the quartic's terms and slack checks meet the
+    same components again and again."""
+    built, checked, decided = Counter(), Counter(), Counter()
+    owner = {}
+
+    def spec_of(side, original):
+        def build(setup, comp, tails):
+            key = component_key(side, comp, tails)
+            built[key] += 1
+            spec = original(setup, comp, tails)
+            owner[id(spec)] = (key, spec)
+            return spec
+        return build
+
+    def count(counter, original):
+        def call(spec):
+            counter[owner[id(spec)][0]] += 1
+            return original(spec)
+        return call
+
+    monkeypatch.setattr(decompose, "_left_spec",
+                        spec_of("L", decompose._left_spec))
+    monkeypatch.setattr(decompose, "_right_spec",
+                        spec_of("R", decompose._right_spec))
+    monkeypatch.setattr(decompose, "expected_dimension",
+                        count(checked, decompose.expected_dimension))
+    monkeypatch.setattr(decompose, "decide", count(decided, decompose.decide))
+    ledger = evaluate_decomposition(*quartic_case())
+    assert len(ledger.reports) == 112
+    assert (len(built), len(checked), len(decided)) == (195, 193, 134)
+    for counter in (built, checked, decided):
+        assert set(counter.values()) == {1}
+
+
+def test_term_text_is_built_once():
+    setup, spec = section_case()
+    term = enumerate_terms(setup, spec)[1]
+    fresh = replace(term)
+    before = (hash(fresh), repr(fresh))
+    code = fresh.encode()
+    assert code == "g1=[f;g0;pt]|g2=[f+fund_0;g1;]|tails=(1,fund)@0:0"
+    assert fresh.encode() is code
+    assert term.encode() == code and term.encode() is not code
+    assert fresh == term
+    assert (hash(fresh), repr(fresh)) == before == (hash(term), repr(term))
+
+
+def test_component_table_is_freed_without_the_cycle_collector(monkeypatch):
+    """The component table of a ledger is freed by reference counting once
+    `evaluate_decomposition` returns."""
+    made = []
+
+    class Watched(decompose._ComponentTable):
+        def __init__(self, setup):
+            super().__init__(setup)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(decompose, "_ComponentTable", Watched)
+    gc.disable()
+    try:
+        ledger = evaluate_decomposition(*quartic_case())
+        assert len(ledger.reports) == 112
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
+
+
 # -- area budgets ----------------------------------------------------------
 
 
@@ -753,8 +902,9 @@ def test_budget_above_the_class_area_changes_nothing():
     setup, spec = quartic_case()
     assert not decompose._shrinks_area(setup.left)
     assert decompose._area_budget(setup, spec, Bounds(area=100)) == (8, 8)
-    assert decompose._enumerate(setup, spec, Bounds(area=12)) == \
-        decompose._enumerate(setup, spec, None)
+    assert decompose._enumerate(decompose._ComponentTable(setup), spec,
+                                Bounds(area=12)) == \
+        decompose._enumerate(decompose._ComponentTable(setup), spec, None)
 
 
 def test_torus_budget_above_the_class_area_changes_nothing(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement, permutations, product
@@ -337,9 +338,9 @@ def enumerate_with_plans(spec, k, mp):
     plans = []
     attach = strata_module._attach_contacts
 
-    def spy(spec_, bottom, level_plan, ends):
+    def spy(spec_, bottom, level_plan, ends, boundaries):
         plans.append((bottom, level_plan, ends))
-        return attach(spec_, bottom, level_plan, ends)
+        return attach(spec_, bottom, level_plan, ends, boundaries)
 
     mp.setattr(strata_module, "_attach_contacts", spy)
     return enumerate_strata(spec, k), plans
@@ -597,7 +598,8 @@ def test_degree_floor_waits_over_negative_contact_counts(conic_minus_eps1):
     closing = [
         (bottom, level_plan, ends) for bottom, level_plan, ends in plans
         if any(z < 0 for z, _ in ends[1])
-        and list(strata_module._attach_contacts(spec, bottom, level_plan, ends))]
+        and list(strata_module._attach_contacts(spec, bottom, level_plan,
+                                                ends, {}))]
     assert closing
     for bottom, _, _ in closing:
         assert any(spec.pair.contact_count(c) < 0 for c, _ in bottom)
@@ -667,7 +669,7 @@ def materialize_calls(spec, plans, cut):
         if not cut:
             mp.setattr(strata_module, "_bare_level", lambda *_: False)
         for plan in plans:
-            list(strata_module._attach_contacts(spec, *plan))
+            list(strata_module._attach_contacts(spec, *plan, {}))
     return calls
 
 
@@ -692,6 +694,46 @@ def test_pairs_with_a_bare_level_build_only_unstable_strata(torus):
             assert built
             for s in built:
                 assert "unstable-level" in validate(s)
+
+
+def old_boundary_options(lower, upper):
+    """A boundary's options as `_attach_contacts` built them for every
+    level plan: each product of per-end partitions, the lower ones
+    outside, kept when the sorted part pools agree."""
+    def partitions(deg):
+        return _partitions(deg) if deg >= 0 else ((),)
+
+    return [(low, up)
+            for low in product(*[partitions(d) for d in lower])
+            for up in product(*[partitions(z) for z in upper])
+            if sorted(m for p in low for m in p)
+            == sorted(m for p in up for m in p)]
+
+
+def test_boundary_options_are_built_once_per_degree_lists(monkeypatch):
+    """The torus cubic at depth 2 keeps one boundary table for its
+    `enumerate_strata` call, builds the options of each (lower, upper)
+    degree-list pair once, and every read gives what a fresh build gives;
+    the keys and representatives stay pinned."""
+    memos, reads, built = [], [], Counter()
+    original = strata_module._boundary_options
+
+    def recorded(memo, lower, upper):
+        if not memos or memos[-1] is not memo:
+            memos.append(memo)
+        built[lower, upper] += (lower, upper) not in memo
+        reads.append((lower, upper))
+        out = original(memo, lower, upper)
+        assert out == old_boundary_options(lower, upper)
+        return out
+
+    monkeypatch.setattr(strata_module, "_boundary_options", recorded)
+    strata = enumerate_strata(cubic_torus_spec(), 2)
+    assert key_digest(strata) == TORUS_KEYS
+    assert representative_digest(strata) == TORUS_REPRESENTATIVES
+    memo, = memos
+    assert set(built.values()) == {1} and set(built) == set(memo)
+    assert len(reads) > 2 * len(memo)
 
 
 def test_enumerate_rejects_missing_contact_data():
@@ -912,7 +954,7 @@ def test_partitions_are_weakly_decreasing_and_complete():
 
 
 def test_partitions_order_is_pinned():
-    """`boundary_options` walks partitions in this order, so the stratum
+    """`_boundary_options` walks partitions in this order, so the stratum
     `enumerate_strata` keeps for a key depends on it: largest first part
     first, as reversed sorted tuples sort in reverse."""
     for n in range(9):

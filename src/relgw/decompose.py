@@ -721,6 +721,13 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         the reference: through the ledger's component table it gives each
         base, and `_make_term` checks each distinct emitted component with
         it, once per ledger.
+
+        Tail grades: a divisor-side component's tail grades, each in
+        0..dn, add up to what its slack leaves, and so do a bundle-side
+        component's.  `_compositions` lists each divisor-side component's
+        grade vectors, and their product keeps the ones whose bundle-side
+        loads match.  The skeleton lists edges by divisor-side component,
+        so grade vectors come in lexicographic order.
         """
         p = len(parts1)
         choices, rejected = _placements(setup, groups, parts1, parts2)
@@ -751,10 +758,10 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         # probe tails carry the fundamental class (codim 1 on the left,
         # codim n through its dual on the right), and each tail's grade
         # lies in 0..dn
-        bounds = [(0, dn * len(edges)) for edges in left_edges] + \
+        windows = [(0, dn * len(edges)) for edges in left_edges] + \
             [(-dn * len(edges), 0) for edges in right_edges]
 
-        for assignment, slack in _balanced(base, rows, bounds):
+        for assignment, slack in _balanced(base, rows, windows):
             weight = 1
             per_comp: dict[tuple, list] = {}
             for (_, _, slots, _), sides, (vec, w, _) in zip(
@@ -775,42 +782,22 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
             need_right = [s + dn * len(edges)
                           for edges, s in zip(right_edges, slack[p:])]
 
-            grades = [None] * len(skeleton)
-
-            def fill(j, rem_left, rem_right):
-                if j == p:
-                    if any(rem_right):
-                        return
-                    options = [by_grade.get(g, ()) for g in grades]
-                    if not all(options):
-                        return
-                    for names in itertools.product(*options):
-                        tails = tuple(
-                            Tail(order, gen(D.basis, name), duals[name],
-                                 jj, ii)
-                            for (order, jj, ii), name
-                            in zip(skeleton, names))
-                        emit(gamma1, gamma2, tails, weight)
-                    return
-
-                def assign(edges, left_over):
-                    if not edges:
-                        if left_over == 0:
-                            fill(j + 1, rem_left, rem_right)
-                        return
-                    e = edges[0]
-                    i = skeleton[e][2]
-                    for g in range(min(dn, left_over,
-                                       rem_right[i]) + 1):
-                        grades[e] = g
-                        rem_right[i] -= g
-                        assign(edges[1:], left_over - g)
-                        rem_right[i] += g
-                        grades[e] = None
-
-                assign(left_edges[j], rem_left[j])
-
-            fill(0, need_left, list(need_right))
+            per_left = [[gs for gs in _compositions(need, [0] * len(edges))
+                         if all(g <= dn for g in gs)]
+                        for need, edges in zip(need_left, left_edges)]
+            for parts in itertools.product(*per_left):
+                grades = [g for gs in parts for g in gs]
+                load = [0] * len(parts2)
+                for (_, _, i), g in zip(skeleton, grades):
+                    load[i] += g
+                if load != need_right:
+                    continue
+                for names in itertools.product(
+                        *[by_grade.get(g, ()) for g in grades]):
+                    tails = tuple(
+                        Tail(order, gen(D.basis, name), duals[name], j, i)
+                        for (order, j, i), name in zip(skeleton, names))
+                    emit(gamma1, gamma2, tails, weight)
 
     def genus_plans(minima, edges):
         """Component genera for a connected graph with one vertex per

@@ -689,8 +689,12 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
 
     budget = X.area(spec.beta)
     # (class, genus) pairs by area, as `classes` sorts them: the level-0
-    # multisets of area at most the count's, read once for every depth
+    # multisets of area at most the count's, read once for every depth.
+    # A class that meets D in no point has no ends, so at depth >= 1 its
+    # component is an isolated vertex and `validate` rejects the stratum
+    # as disconnected; such classes are left out
     xcands = [(c, gc) for c in xmodel.classes(budget)
+              if pair.contact_count(c) > 0
               for gc in range(xmodel.min_genus(c), spec.genus + 1)]
     n = len(xcands)
     table = _ExactSums(xcands, [()] * n, [X.area(c) for c, _ in xcands],
@@ -726,15 +730,14 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
     for each, since every stratum of a dropped plan is one `add` rejects.
 
     Degree floor: each component's zero-side degree,
-    `q.end_degrees(alpha, fiber)[0]`, is at least 0.  With the twist -1 of
+    `q.end_degrees(alpha, fiber)[0]`, is at least 0.  Every level-0
+    component meets D (`enumerate_strata` leaves out the classes that do
+    not), and infinity-side degrees of a positive level are fiber degrees,
+    so no lower degree of a boundary is negative.  With the twist -1 of
     the neck model the zero-side degrees of a level add up to the
-    infinity-side degrees of the level below.  Above a level none of whose
-    degrees is negative, a negative zero-side degree therefore leaves the
-    positive zero-side degrees a larger sum than the positive lower ones,
-    which the window below rejects.  Infinity-side degrees of a positive
-    level are fiber degrees, never negative, so the floor holds from level
-    2 on, and at level 1 when no level-0 component has a negative contact
-    count.
+    infinity-side degrees of the level below, so a negative zero-side
+    degree leaves the positive ones a larger sum than the lower part pool,
+    and no boundary option pairs them.
 
     Sorted identical components: along adjacent components of one alpha
     (the pure-fiber ones included) the (fiber, genus) pairs do not
@@ -751,14 +754,13 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
 
     Edge-count window: every part of a lower-side boundary partition
     becomes one matching, and only ends of positive degree carry parts.
-    A boundary's lower and upper part pools are equal, so its positive
-    lower and upper degrees have one sum, and its edge count lies between
-    max(#positive lower, #positive upper) and that sum.  A kept stratum is
-    connected with G + e - v + 1 equal to the count's genus.  Its
-    subgraph on levels 0..j has at least the fewest edges of those
-    boundaries, so its cycle rank is at least fewest - v + 1; a subgraph's
-    cycle rank never exceeds the whole graph's, which is at most the genus
-    left after levels 0..j.  So a plan is cut as soon as fewest - v + 1
+    With the floor, a boundary's upper degrees add up to its lower ones,
+    so its edge count lies between max(#positive lower, #positive upper)
+    and that sum.  A kept stratum is connected with G + e - v + 1 equal
+    to the count's genus.  Its subgraph on levels 0..j has at least the
+    fewest edges of those boundaries, so its cycle rank is at least
+    fewest - v + 1; a subgraph's cycle rank never exceeds the whole
+    graph's, which is at most the genus left after levels 0..j.  So a plan is cut as soon as fewest - v + 1
     passes the genus left, whatever levels would follow.  The most edges
     are checked at the closing level, with the top ends, whose degrees
     must add up to the contact orders.
@@ -785,7 +787,6 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
     within = _ExactSums(alpha_parts, [()] * len(alpha_parts), areas, zeros)
 
     bottom_ends = [(None, pair.contact_count(c)) for c, _ in bottom]
-    floor_from = 1 if all(d >= 0 for _, d in bottom_ends) else 2
     orders = sum(ins.order for ins in spec.relatives)
 
     def level_choices(remaining_alpha, below, level, left, v, fewest, most):
@@ -804,11 +805,10 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
             for a in alphas:
                 gamma = gamma + a
             total_d = sum(below) + pair.normal_degree(gamma)
-            if total_d < 0 or (level == k and total_d != orders):
+            if level == k and total_d != orders:
                 continue
             # the least fiber degrees that give a zero side of degree >= 0
-            floors = [max(0, -q.end_degrees(a, 0)[0]) if level >= floor_from
-                      else 0 for a in alphas]
+            floors = [max(0, -q.end_degrees(a, 0)[0]) for a in alphas]
             for m in range(0, total_d + 1):
                 if not alphas and m == 0:
                     continue
@@ -822,8 +822,6 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
                         continue
                     degs = [q.end_degrees(a, d) for a, d in zip(labels, ds)]
                     upper = [z for z, _ in degs if z > 0]
-                    if sum(upper) != sum(lower):
-                        continue
                     fewest_now = fewest + max(len(lower), len(upper))
                     # the genus sums that keep the window open
                     hi = left - max(0, fewest_now - n + 1)
@@ -861,20 +859,16 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
 
 def _boundary_options(memo: dict, lower, upper):
     """The (lower choice, upper choice) pairs of one boundary whose part
-    pools agree: a choice takes one partition per end, an end of negative
-    degree taking the empty one.  They depend only on the lower
-    infinity-side and upper zero-side degrees, so they are built on the
-    first call for the two degree lists and kept in `memo`."""
+    pools agree: a choice takes one partition per end.  They depend only
+    on the lower infinity-side and upper zero-side degrees, so they are
+    built on the first call for the two degree lists and kept in `memo`."""
     out = memo.get((lower, upper))
     if out is not None:
         return out
 
-    def partitions(deg):
-        return _partitions(deg) if deg >= 0 else ((),)
-
     out = memo[lower, upper] = []
-    ups = [partitions(z) for z in upper]
-    for low_choice in product(*map(partitions, lower)):
+    ups = [_partitions(z) for z in upper]
+    for low_choice in product(*map(_partitions, lower)):
         low_pool = sorted(m for p in low_choice for m in p)
         for up_choice in product(*ups):
             if sorted(m for p in up_choice for m in p) == low_pool:

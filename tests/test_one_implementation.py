@@ -252,7 +252,7 @@ def test_multisets_are_filtered_without_class_sums():
 
 # module -> every function that calls itself, as `enclosing.name`
 RECURSIVE = {
-    "decompose.py": ["_skeletons.rec", "distribute.fill", "fill.assign"],
+    "decompose.py": ["_skeletons.rec"],
     "strata.py": ["_ExactSums._reach", "_compositions.rec",
                   "_build_levels.rec", "outer_assignments.rec",
                   "_order_subsets.rec", "_orbit_matchings.rec"],

@@ -522,8 +522,10 @@ def fund_contact_spec(pair, genus, coeffs, orders):
 
 @pytest.fixture(scope="module")
 def conic_minus_eps1():
-    """A count whose level plans over a level-0 component of negative
-    contact count reach `_attach_contacts`, with every such plan."""
+    """A count with level-0 classes of negative contact count, which
+    `enumerate_strata` leaves out, and level-1 components whose zero side
+    the degree floor keeps non-negative, with every plan that reached
+    `_attach_contacts`."""
     spec = fund_contact_spec(*P4B_CONIC_MINUS_EPS1)
     with pytest.MonkeyPatch.context() as mp:
         return spec, enumerate_with_plans(spec, 2, mp)[1]
@@ -557,11 +559,9 @@ def test_non_hyperplane_enumeration_is_pinned(case, count, keys, reps):
 def broken_plan_rules(pair, bottom, level_plan):
     """The rules of `_build_levels` that a level plan breaks."""
     q = strata_module.neck_model(pair)
-    floor_from = 1 if all(pair.contact_count(c) >= 0 for c, _ in bottom) else 2
     broken = set()
-    for level, comps in enumerate(level_plan, start=1):
-        if level >= floor_from and \
-                any(q.end_degrees(a, d)[0] < 0 for a, d, _ in comps):
+    for comps in level_plan:
+        if any(q.end_degrees(a, d)[0] < 0 for a, d, _ in comps):
             broken.add("degree-floor")
         if any(a == b and (d, g) > (e, h)
                for (a, d, g), (b, e, h) in zip(comps, comps[1:])):
@@ -579,30 +579,82 @@ def test_level_plans_obey_both_rules(torus, conic_minus_eps1):
                  fund_contact_spec(*T2_SECTION_GENUS_ONE)]:
         with pytest.MonkeyPatch.context() as mp:
             cases.append((spec.pair, enumerate_with_plans(spec, 2, mp)[1]))
-    identical = negative = 0
+    identical = floored = 0
     for pair, made in cases:
         assert made
+        q = strata_module.neck_model(pair)
         for bottom, level_plan, _ in made:
             assert broken_plan_rules(pair, bottom, level_plan) == set()
             identical += any(a == b for comps in level_plan
                              for (a, _, _), (b, _, _) in zip(comps, comps[1:]))
-            negative += any(pair.contact_count(c) < 0 for c, _ in bottom)
-    # both rules had something to act on
-    assert identical and negative
+            # fiber degree 0 would leave a level-1 zero side negative
+            floored += any(q.end_degrees(a, 0)[0] < 0
+                           for a, _, _ in level_plan[0])
+    # both rules had something to act on, the floor at level 1
+    assert identical and floored
 
 
-def test_degree_floor_waits_over_negative_contact_counts(conic_minus_eps1):
-    # over a level-0 component of negative contact count, a level-1
-    # component with a negative zero side can still close its ends
-    spec, plans = conic_minus_eps1
-    closing = [
-        (bottom, level_plan, ends) for bottom, level_plan, ends in plans
-        if any(z < 0 for z, _ in ends[1])
-        and list(strata_module._attach_contacts(spec, bottom, level_plan,
-                                                ends, {}))]
-    assert closing
-    for bottom, _, _ in closing:
-        assert any(spec.pair.contact_count(c) < 0 for c, _ in bottom)
+def unmet_bottoms(spec):
+    """The level-0 (class, genus) multisets holding a class that meets D
+    in no point, each with the divisor class left for the levels above,
+    as `enumerate_strata` would pass them to `_build_levels` if it did
+    not leave such classes out."""
+    pair = spec.pair
+    X = pair.ambient
+    cands = [(c, g) for c in X.effective.classes(X.area(spec.beta))
+             for g in range(X.effective.min_genus(c), spec.genus + 1)]
+    table = _ExactSums(cands, [()] * len(cands),
+                       [X.area(c) for c, _ in cands], [0] * len(cands))
+    for b in range(X.area(spec.beta) + 1):
+        for bottom in table((), b, 0):
+            if all(pair.contact_count(c) > 0 for c, _ in bottom) or \
+                    sum(g for _, g in bottom) > spec.genus:
+                continue
+            used = cls(X.basis, {})
+            for c, _ in bottom:
+                used = used + c
+            alpha = _solve_preimage(pair, spec.beta - used)
+            if alpha is not None:
+                yield bottom, alpha
+
+
+UNMET_CASES = [(EXC, 0, {"lambda": 3, "eps": -1}, (1,)),
+               (EXC, 1, {"lambda": 3, "eps": -2}, (1, 1)),
+               P4B_CONIC_MINUS_EPS1]
+
+
+def test_level_zero_classes_all_meet_the_divisor():
+    build = strata_module._build_levels
+    for case in UNMET_CASES:
+        spec = fund_contact_spec(*case)
+        assert next(unmet_bottoms(spec), None)
+        bottoms = []
+
+        def spy(spec_, k, bottom, alpha_total, boundaries):
+            bottoms.append(bottom)
+            return build(spec_, k, bottom, alpha_total, boundaries)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strata_module, "_build_levels", spy)
+            enumerate_strata(spec, 2)
+        assert bottoms
+        assert all(spec.pair.contact_count(c) > 0
+                   for bottom in bottoms for c, _ in bottom)
+
+
+def test_level_zero_classes_meeting_d_nowhere_leave_a_vertex_alone():
+    # a level-0 component of contact count <= 0 has no ends, so every
+    # stratum over it at depth >= 1 is disconnected
+    built = 0
+    for case in UNMET_CASES:
+        spec = fund_contact_spec(*case)
+        for bottom, alpha in unmet_bottoms(spec):
+            for k in (1, 2):
+                for s in strata_module._build_levels(spec, k, bottom, alpha,
+                                                     {}):
+                    built += 1
+                    assert "disconnected" in validate(s)
+    assert built
 
 
 def window(spec, bottom, level_plan):

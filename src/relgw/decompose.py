@@ -17,11 +17,11 @@ the right total genus.  Budget overflows raise; they are never silent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
-from operator import add, sub
+from operator import add, le, mul, sub
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         constraint_codim, expected_dimension)
@@ -270,6 +270,165 @@ class _ComponentTable:
 # enumeration
 
 
+class _Row:
+    """One constraint group's row in one configuration (`_placements`).
+
+    `group` indexes the ledger's groups, `slots` lists the slots the group
+    reaches and `forbidden` marks those the missable rule keeps it off.
+    The entries (vector, weight, slack delta) are the composition vectors
+    of the group's count that put nothing on a forbidden slot, nor on a
+    slot of a side whose spec refuses the constraint (`_placed`), in
+    lexicographic order, with their multinomial weights and what they add
+    to each slack, the divisor-side slacks first.  Their number (`len`)
+    and, per slack, the least and the most an entry adds are known in
+    closed form; the entries are built on the first iteration and kept.
+    """
+
+    __slots__ = ("group", "slots", "forbidden", "size", "least", "most",
+                 "build", "entries")
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        if self.entries is None:
+            self.entries = self.build()
+            self.build = None
+        return iter(self.entries)
+
+
+def _row_entries(vectors: dict, count: int, shut: tuple, gains, head, tail):
+    """The entries of a row: the vectors of `count` that put nothing on a
+    slot marked in `shut`, read from the ledger's memo `vectors` of
+    (count, mask) -> [(vector, weight)] and built there on first read,
+    each with its slack delta, `gains` per slot between the zeros `head`
+    and `tail`."""
+    out = vectors.get((count, shut))
+    if out is None:
+        out = vectors[count, shut] = _allowed_vectors(count, shut)
+    return [(vec, w, head + tuple(map(mul, vec, gains)) + tail)
+            for vec, w in out]
+
+
+class _ConfigTable:
+    """The configuration data of one ledger, each piece built on its first
+    read and kept.
+
+    - Constraint rows.  A group's row (`_Row`) depends only on the group,
+      the numbers p, q of divisor-side and bundle-side components and the
+      mask of slots the missable rule forbids, its composition vectors and
+      their weights only on the group's count and the slots it may not
+      take.  Rows are kept per (group, p, q, mask), vectors per (count,
+      mask), and whether a slot is forbidden per (group, side, slot
+      class).
+    - Piece data.  A splitting piece's contact count and least genus, and
+      a neck component's bundle-side class and least genus, per class.
+    - Tail grades of a divisor-side component, per (need, tail count).
+
+    A row reads the vector memo, not the table, so the table is freed by
+    reference counting.
+    """
+
+    def __init__(self, setup: FiberSumSetup, groups):
+        self.setup, self.groups = setup, groups
+        self.placed = _placed(setup, groups)
+        self.barred: dict[tuple, bool] = {}
+        self.vectors: dict[tuple, list] = {}
+        self.rows: dict[tuple, _Row] = {}
+        self.pieces: dict[tuple, tuple[int, int]] = {}
+        self.necks: dict[tuple, tuple] = {}
+        self.tail_grades: dict[tuple, list] = {}
+
+    def forbidden(self, g: int, where: str, c: HomologyClass) -> bool:
+        """Whether group g's constraint is kept off a component of class c
+        on side `where`: a missable class off an isolated divisor-side
+        class, and a point moved to the bundle side off a component whose
+        divisor part is nonzero and isolated."""
+        key = (g, where, c.vec)
+        out = self.barred.get(key)
+        if out is None:
+            setup = self.setup
+            side, ins, _ = self.groups[g]
+            if where == "L":
+                xmodel = setup.total.effective
+                out = xmodel.in_missable(ins.cls) and xmodel.is_isolated(c)
+            else:
+                # only a Y constraint lands on the bundle side as a plain
+                # insertion; a split one lands there pulled back
+                alpha = setup.ruled.projection(c)
+                out = (side == "Y"
+                       and _convert_neck(setup, ins).cls.grade == 0
+                       and not alpha.is_zero
+                       and setup.left.divisor.effective.is_isolated(alpha))
+            self.barred[key] = out
+        return out
+
+    def row(self, key: tuple, slots) -> _Row:
+        """The row of `key` = (group, p, q, forbidden mask) over `slots`,
+        the slots that key gives, which lie side by side among the slacks:
+        the divisor-side ones, then the bundle-side ones."""
+        out = self.rows.get(key)
+        if out is not None:
+            return out
+        g, p, q, forbidden = key
+        _, _, count = self.groups[g]
+        sides = self.placed[g]
+        gains = [sides[where][1] for where, _ in slots]
+        shut = tuple(no or gain is None for no, gain in zip(forbidden, gains))
+        gains = [0 if no else gain for no, gain in zip(shut, gains)]
+        start = p if slots and slots[0][0] == "R" else 0
+        head, tail = (0,) * start, (0,) * (p + q - start - len(slots))
+        # a slot takes 0..count copies, or all of them when it is the one
+        # open slot
+        opened = sum(not no for no in shut)
+        alone = opened == 1
+        out = self.rows[key] = _Row()
+        out.group, out.slots, out.forbidden = g, slots, forbidden
+        out.size = _vector_count(count, opened)
+        out.least = head + tuple(count * gain if alone else min(0, count * gain)
+                                 for gain in gains) + tail
+        out.most = head + tuple(count * gain if alone else max(0, count * gain)
+                                for gain in gains) + tail
+        out.build = partial(_row_entries, self.vectors, count, shut, gains,
+                            head, tail)
+        out.entries = None
+        return out
+
+    def piece(self, c: HomologyClass) -> tuple[int, int]:
+        """(contact count, least genus) of a divisor-side class."""
+        out = self.pieces.get(c.vec)
+        if out is None:
+            setup = self.setup
+            out = self.pieces[c.vec] = (setup.left.contact_count(c),
+                                        setup.total.effective.min_genus(c))
+        return out
+
+    def grades(self, need: int, tails: int) -> list:
+        """The grade vectors, in lexicographic order, of `tails` tails on
+        one divisor-side component: each grade in 0..dim D, adding up to
+        `need`."""
+        out = self.tail_grades.get((need, tails))
+        if out is None:
+            dn = self.setup.left.divisor.n
+            out = self.tail_grades[need, tails] = [
+                gs for gs in _compositions(need, [0] * tails)
+                if all(g <= dn for g in gs)]
+        return out
+
+    def neck(self, ell: int, alpha: HomologyClass) -> tuple:
+        """(bundle-side class, least genus) of the neck component of
+        contact order ell over the divisor class alpha."""
+        key = (ell, alpha.vec)
+        out = self.necks.get(key)
+        if out is None:
+            setup = self.setup
+            out = self.necks[key] = (
+                setup.ruled.class_of(alpha, ell),
+                0 if alpha.is_zero
+                else setup.left.divisor.effective.min_genus(alpha))
+        return out
+
+
 def _groups(spec: InvariantSpec):
     """Identical constraints bundled together, with their declared side."""
     buckets: dict[tuple, list[Insertion]] = {}
@@ -280,50 +439,33 @@ def _groups(spec: InvariantSpec):
             for key, items in sorted(buckets.items())]
 
 
-def _placements(setup: FiberSumSetup, groups, parts1, parts2):
-    """(choices, rejected): how each constraint group may spread over the
-    divisor-side components `parts1` ("L" slots) and the bundle-side ones
-    `parts2` ("R" slots).
+def _placements(configs: _ConfigTable, parts1, parts2):
+    """(rows, rejected): how each constraint group of the ledger's
+    configuration table may spread over the divisor-side components
+    `parts1` ("L" slots) and the bundle-side ones `parts2` ("R" slots).
 
     A constraint needing generic incidence never meets a component whose
-    class stays inside a rigid locus: a missable class on an isolated
-    divisor-side class, or a point moved to the bundle side on a component
-    whose divisor part is nonzero and isolated.  The rule depends only on
-    the pair (group, slot), so the forbidden slots are decided first, once
-    per slot.  Each choice is (side, insertion, slots, [(vector, weight)])
-    and holds the composition vectors over the allowed slots, with zeros
-    at the forbidden ones, in lexicographic order and with their integer
-    multinomial weights.  Once a group has no vector the later groups are
-    left out, as no assignment remains.  `rejected` counts the assignments
-    of all groups together that some forbidden slot rules out, in closed
-    form: the product over groups of C(n+s-1, s-1), with n copies over s
-    slots, less the same product over the allowed slots.
+    class stays inside a rigid locus (`_ConfigTable.forbidden`), so the
+    forbidden slots are decided first and each group's row is read from
+    the table by them.  `rejected` counts the assignments of all groups
+    together that some forbidden slot rules out, in closed form: the
+    product over groups of C(n+s-1, s-1), with n copies over s slots, less
+    the same product over the allowed slots.
     """
-    xmodel, dmodel = setup.total.effective, setup.left.divisor.effective
-
-    def rigid_neck(c):
-        alpha = setup.ruled.projection(c)
-        return not alpha.is_zero and dmodel.is_isolated(alpha)
-
-    left = [("L", j) for j in range(len(parts1))]
-    right = [("R", i) for i in range(len(parts2))]
-    choices = []
+    p, q = len(parts1), len(parts2)
+    left = [("L", j) for j in range(p)]
+    right = [("R", i) for i in range(q)]
+    rows = []
     built = kept = 1
-    for side, ins, count in groups:
+    for g, (side, _, count) in enumerate(configs.groups):
         slots = left if side == "X" else right if side == "Y" else left + right
-        missable = xmodel.in_missable(ins.cls)
-        # only a Y constraint lands on the bundle side as a plain insertion;
-        # a split one lands there pulled back
-        point = side == "Y" and _convert_neck(setup, ins).cls.grade == 0
-        forbidden = [missable and xmodel.is_isolated(parts1[k])
-                     if where == "L" else point and rigid_neck(parts2[k])
-                     for where, k in slots]
+        forbidden = tuple(
+            configs.forbidden(g, where, (parts1 if where == "L" else parts2)[k])
+            for where, k in slots)
         built *= _vector_count(count, len(slots))
-        kept *= _vector_count(count, sum(not no for no in forbidden))
-        if not choices or choices[-1][3]:
-            choices.append((side, ins, slots,
-                            _allowed_vectors(count, forbidden)))
-    return choices, built - kept
+        kept *= _vector_count(count, len(slots) - sum(forbidden))
+        rows.append(configs.row((g, p, q, forbidden), slots))
+    return rows, built - kept
 
 
 def _vector_count(count: int, slots: int) -> int:
@@ -389,35 +531,17 @@ def _placed(setup: FiberSumSetup, groups):
     return out
 
 
-def _slack_table(components: _ComponentTable, choices, placed, comps1,
-                 comps2, tails1, tails2):
+def _slack_table(components: _ComponentTable, rows, comps1, comps2, tails1,
+                 tails2):
     """(base, rows): the integer slack of every constraint assignment.
 
     `base` holds the slack of each bare component with its tails, the
-    divisor-side ones first.  `rows` holds, per constraint group, each of
-    its composition vectors with its weight and what it adds to every
-    slack.  A vector that puts a constraint on a side whose spec refuses it
-    is dropped, as building its components would raise.  Raises
+    divisor-side ones first; `rows`, one `_Row` per constraint group, hold
+    what each of its composition vectors adds to every slack.  Raises
     InvariantError where the spec of a bare component does.
     """
     base = [components.dimension("L", c, t) for c, t in zip(comps1, tails1)]
     base += [components.dimension("R", c, t) for c, t in zip(comps2, tails2)]
-    p = len(comps1)
-    rows = []
-    for (_, _, slots, vectors), sides in zip(choices, placed):
-        kept = []
-        for vec, w in vectors:
-            delta = [0] * len(base)
-            for (where, k), n in zip(slots, vec):
-                if not n:
-                    continue
-                gain = sides[where][1]
-                if gain is None:
-                    break
-                delta[k if where == "L" else p + k] += n * gain
-            else:
-                kept.append((vec, w, delta))
-        rows.append(kept)
     return base, rows
 
 
@@ -425,37 +549,49 @@ def _balanced(base, rows, bounds):
     """The assignments of `rows`, in the order of their product, whose
     every slack lies within its (low, high) bound, each with its slacks.
 
-    The walk is depth-first in product order, one row per level.  A prefix
-    is cut as soon as some slack, plus the least (or the most) that the
-    rows still to come can add to it, falls outside its bound.
+    The walk is depth-first in product order, one row per level.  An entry
+    is dropped as soon as some slack, plus the least (or the most) that the
+    rows after it can add to it (`_Row.least`, `_Row.most`), falls outside
+    its bound: each level keeps the window each slack must lie in.
     """
     if not all(rows):
         return
-    # least[r], most[r]: what rows r, r+1, ... add to each slack at least
-    # and at most
-    least, most = [[0] * len(base)], [[0] * len(base)]
+    # floors[r], ceils[r]: the window of each slack once r rows are
+    # chosen, so that rows r, r+1, ... can still bring it within bounds
+    floors = [[lo for lo, _ in bounds]]
+    ceils = [[hi for _, hi in bounds]]
     for row in reversed(rows):
-        cols = list(zip(*(delta for _, _, delta in row)))
-        least.append([a + min(c) for a, c in zip(least[-1], cols)])
-        most.append([a + max(c) for a, c in zip(most[-1], cols)])
-    least.reverse()
-    most.reverse()
-    stack = [(0, list(base), ())]
+        floors.append(list(map(sub, floors[-1], row.most)))
+        ceils.append(list(map(sub, ceils[-1], row.least)))
+    floors.reverse()
+    ceils.reverse()
+    if not (all(map(le, floors[0], base)) and all(map(le, base, ceils[0]))):
+        return
+    if not rows:
+        yield (), list(base)
+        return
+    last = len(rows) - 1
+    stack = [(0, base, ())]
     while stack:
         r, slack, chosen = stack.pop()
-        if any(s + lo_add > hi or s + hi_add < lo for s, lo_add, hi_add,
-               (lo, hi) in zip(slack, least[r], most[r], bounds)):
-            continue
-        if r == len(rows):
-            yield chosen, slack
-            continue
-        for entry in reversed(rows[r]):
-            stack.append((r + 1, list(map(add, slack, entry[2])),
-                          chosen + (entry,)))
+        # the room each slack leaves a delta of row r
+        lows = list(map(sub, floors[r + 1], slack))
+        highs = list(map(sub, ceils[r + 1], slack))
+        kept = []
+        for entry in rows[r]:
+            delta = entry[2]
+            if all(map(le, lows, delta)) and all(map(le, delta, highs)):
+                out = list(map(add, slack, delta))
+                if r == last:
+                    yield chosen + (entry,), out
+                else:
+                    kept.append((r + 1, out, chosen + (entry,)))
+        stack.extend(reversed(kept))
 
 
 def _connected(p: int, q: int, edges) -> bool:
-    find = _union_find((j, p + i) for _, j, i in edges)
+    # parallel edges join nothing new
+    find = _union_find({(j, p + i) for _, j, i in edges})
     return len({find(v) for v in range(p + q)}) <= 1
 
 
@@ -478,27 +614,35 @@ def _edge_options(k: int, q: int):
 
 
 def _skeletons(ks, ells):
-    """Edge multisets (order, left, right) matching both contact profiles,
-    in the order of the product of the per-left options.  A branch stops
-    as soon as a right-hand sum passes its entry of `ells`; the last left
-    component takes only the options that fill what is left."""
+    """Edge multisets (order, left, right) matching both contact profiles
+    with at least the len(ks) + len(ells) - 1 edges a connected graph
+    needs, in the order of the product of the per-left options.  A branch
+    stops as soon as a right-hand sum passes its entry of `ells`, or when
+    its edges, with one more per contact point still to place, fall short
+    of that number; the last left component takes only the options that
+    fill what is left."""
     if not ks:
         return [] if any(ells) else [()]
     per_left = [_edge_options(k, len(ells)) for k in ks]
     last = len(ks) - 1
+    # the most edges the components after j can add
+    later = [sum(ks[j + 1:]) for j in range(len(ks))]
+    need = len(ks) + len(ells) - 1
     out = []
 
-    def rec(j, left, chosen):
+    def rec(j, left, chosen, edges):
         for part, load in per_left[j]:
+            if edges + len(part) + later[j] < need:
+                continue
             if j < last:
                 rest = tuple(map(sub, left, load))
                 if min(rest) >= 0:
-                    rec(j + 1, rest, chosen + (part,))
+                    rec(j + 1, rest, chosen + (part,), edges + len(part))
             elif load == left:
                 out.append(tuple((o, jj, i) for jj, p in
                                  enumerate(chosen + (part,)) for o, i in p))
 
-    rec(0, tuple(ells), ())
+    rec(0, tuple(ells), (), 0)
     return out
 
 
@@ -542,7 +686,7 @@ def _canonical(gamma1, gamma2, tails):
                 best = (key, s, t)
     _, s, t = best
     canonical = tuple(sorted(
-        (replace(e, left=s[j], right=t[i])
+        (Tail(e.order, e.cls, e.dual, s[j], t[i])
          for e, (_, _, j, i) in zip(tails, base)), key=lambda e: e.token()))
     return g1, g2, canonical, aut
 
@@ -644,7 +788,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
             _convert_neck(setup, ins)  # fail fast when not placeable
         elif side == "split":
             split_form(setup.left, ins.cls)
-    placed = _placed(setup, groups)
+    configs = _ConfigTable(setup, groups)
     # (contact profile on the divisor side, on the bundle side) -> its
     # connected skeletons
     skeletons: dict[tuple, list] = {}
@@ -675,7 +819,9 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         else:
             graph[0] += weight
 
-    fund_name = D.basis.fundamental
+    # each divisor basis element as a tail class with its dual, built once,
+    # and the elements by grade
+    ends = {name: (gen(D.basis, name), duals[name]) for name in dnames}
     by_grade: dict[int, list[str]] = {}
     for name in dnames:
         by_grade.setdefault(D.basis.grade(name), []).append(name)
@@ -685,15 +831,19 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
     dzero = cls(D.basis, {})
     alphas = [dzero] + _cone_members(dmodel, budget)
     alpha_areas = [dmodel.area(a) for a in alphas]
+    # (alpha, remainder, its contact count) per neck total alpha
+    remainders = []
+    for a in alphas:
+        beta1 = spec.beta - setup.left.inclusion(a)
+        remainders.append((a, beta1, setup.left.contact_count(beta1)))
     # one exact-sum table per pool, read for every class it splits: the
     # splittings of each remainder into connected pieces, and the necks,
     # pairs (ell, alpha) with ell up to the largest contact count of a
     # remainder, ordered by ell then alpha
-    remainders = [(a, spec.beta - setup.left.inclusion(a)) for a in alphas]
     splittings_of = _ExactSums(xpieces, [p.vec for p in xpieces],
                                [X.area(p) for p in xpieces],
                                [0] * len(xpieces))
-    dmax = max(setup.left.contact_count(b) for _, b in remainders)
+    dmax = max(d for _, _, d in remainders)
     neck_pool = [(ell, a) for ell in range(1, dmax + 1) for a in alphas]
     necks_of = _ExactSums(neck_pool, [a.vec for _, a in neck_pool],
                           [ell for ell, _ in neck_pool], alpha_areas * dmax)
@@ -702,12 +852,12 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         """Spread constraint groups over the components, then label edges.
 
         The missable rule is decided per (group, slot) by `_placements`,
-        which builds composition vectors over the allowed slots only; the
-        assignments it rules out are counted in closed form as
-        `missable-insertion`, never built.  The edge labels are forced up
-        to grade by the requirement that both end components carry
-        zero-dimensional problems, so grades are solved for first and only
-        matching basis elements are tried.
+        which reads each group's row from the ledger's configuration table;
+        the assignments the rule rules out are counted in closed form as
+        `missable-insertion` on every call, never built.  The edge labels
+        are forced up to grade by the requirement that both end components
+        carry zero-dimensional problems, so grades are solved for first and
+        only matching basis elements are tried.
 
         A component's slack is `expected_dimension` of its spec with probe
         tails of the fundamental class, and that is linear in the absolute
@@ -716,29 +866,30 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         side's ambient space.  So the base is computed once per component
         and the gain once per group and side (`_placed`), the slacks are
         checked as integers, a prefix of groups whose slacks can no longer
-        reach their bounds is cut (`_balanced`), and components are built
-        only for the assignments that pass.  `expected_dimension` stays
+        reach their bounds is cut (`_balanced`), a row's entries are built
+        only when a walk reaches them, and components are built only for
+        the assignments that pass.  `expected_dimension` stays
         the reference: through the ledger's component table it gives each
         base, and `_make_term` checks each distinct emitted component with
         it, once per ledger.
 
         Tail grades: a divisor-side component's tail grades, each in
         0..dn, add up to what its slack leaves, and so do a bundle-side
-        component's.  `_compositions` lists each divisor-side component's
-        grade vectors, and their product keeps the ones whose bundle-side
-        loads match.  The skeleton lists edges by divisor-side component,
-        so grade vectors come in lexicographic order.
+        component's.  The configuration table lists each divisor-side
+        component's grade vectors, and their product keeps the ones whose
+        bundle-side loads match.  The skeleton lists edges by divisor-side
+        component, so grade vectors come in lexicographic order.
         """
         p = len(parts1)
-        choices, rejected = _placements(setup, groups, parts1, parts2)
+        rows, rejected = _placements(configs, parts1, parts2)
         if rejected:
             excluded["missable-insertion"] = \
                 excluded.get("missable-insertion", 0) + rejected
-        if not all(vectors for _, _, _, vectors in choices):
+        if not all(rows):
             return
 
         probe = tuple(
-            Tail(order, gen(D.basis, fund_name), duals[fund_name], j, i)
+            Tail(order, *ends[D.basis.fundamental], j, i)
             for order, j, i in skeleton)
         left_edges = [[e for e, (_, j, _) in enumerate(skeleton) if j == jj]
                       for jj in range(p)]
@@ -747,7 +898,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         dn = D.n
         try:
             base, rows = _slack_table(
-                components, choices, placed,
+                components, rows,
                 [GraphComponent(c, g) for c, g in zip(parts1, genera1)],
                 [GraphComponent(c, g) for c, g in zip(parts2, genera2)],
                 [[probe[e] for e in edges] for edges in left_edges],
@@ -764,10 +915,10 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         for assignment, slack in _balanced(base, rows, windows):
             weight = 1
             per_comp: dict[tuple, list] = {}
-            for (_, _, slots, _), sides, (vec, w, _) in zip(
-                    choices, placed, assignment):
+            for row, (vec, w, _) in zip(rows, assignment):
                 weight *= w
-                for slot, nslot in zip(slots, vec):
+                sides = configs.placed[row.group]
+                for slot, nslot in zip(row.slots, vec):
                     if nslot:
                         per_comp.setdefault(slot, []).extend(
                             [sides[slot[0]][0]] * nslot)
@@ -782,8 +933,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
             need_right = [s + dn * len(edges)
                           for edges, s in zip(right_edges, slack[p:])]
 
-            per_left = [[gs for gs in _compositions(need, [0] * len(edges))
-                         if all(g <= dn for g in gs)]
+            per_left = [configs.grades(need, len(edges))
                         for need, edges in zip(need_left, left_edges)]
             for parts in itertools.product(*per_left):
                 grades = [g for gs in parts for g in gs]
@@ -795,7 +945,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
                 for names in itertools.product(
                         *[by_grade.get(g, ()) for g in grades]):
                     tails = tuple(
-                        Tail(order, gen(D.basis, name), duals[name], j, i)
+                        Tail(order, *ends[name], j, i)
                         for (order, j, i), name in zip(skeleton, names))
                     emit(gamma1, gamma2, tails, weight)
 
@@ -805,8 +955,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         rank = graph_genus(0, edges, len(minima), 1)
         return _compositions(spec.genus - rank, minima)
 
-    def configurations(alpha_tot, beta1):
-        d = setup.left.contact_count(beta1)
+    def configurations(alpha_tot, beta1, d):
         if d < 0:
             skip("negative-contact")
             return
@@ -816,9 +965,8 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
             if any(side == "X" for side, _, _ in groups):
                 skip("unplaceable")
                 return
-            comp_cls = setup.ruled.class_of(alpha_tot, 0)
-            minima = (0 if alpha_tot.is_zero else dmodel.min_genus(alpha_tot),)
-            for genera in genus_plans(minima, 0):
+            comp_cls, least = configs.neck(0, alpha_tot)
+            for genera in genus_plans((least,), 0):
                 distribute((), (comp_cls,), (), (), genera)
             return
         splittings = splittings_of(beta1.vec, X.area(beta1), 0)
@@ -833,7 +981,7 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
                 if len(parts1) > 1:
                     skip("disconnected")
                     continue
-                minima = tuple(xmodel.min_genus(c) for c in parts1)
+                minima = tuple(configs.piece(c)[1] for c in parts1)
                 for genera in genus_plans(minima, 0):
                     distribute(parts1, (), (), genera, ())
             return
@@ -843,21 +991,21 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
 
         # each neck's bundle-side classes, contact profile and genus
         # minima, built once for every splitting
-        neck_sides = [(tuple(setup.ruled.class_of(a, ell) for ell, a in neck),
-                       tuple(ell for ell, _ in neck),
-                       tuple(0 if a.is_zero else dmodel.min_genus(a)
-                             for _, a in neck))
-                      for neck in necks]
+        neck_sides = []
+        for neck in necks:
+            data = [configs.neck(ell, a) for ell, a in neck]
+            neck_sides.append((tuple(c for c, _ in data),
+                               tuple(ell for ell, _ in neck),
+                               tuple(g for _, g in data)))
 
         for parts1 in splittings:
-            ks = tuple(setup.left.contact_count(c) for c in parts1)
+            ks, minima1 = zip(*map(configs.piece, parts1))
             if any(k < 0 for k in ks):
                 skip("negative-contact")
                 continue
             if any(k == 0 for k in ks):
                 skip("disconnected")
                 continue
-            minima1 = tuple(xmodel.min_genus(c) for c in parts1)
             p = len(parts1)
             for parts2, ells, minima2 in neck_sides:
                 for skeleton in _connected_skeletons(skeletons, ks, ells):
@@ -866,11 +1014,11 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
                         distribute(parts1, parts2, skeleton,
                                    genera[:p], genera[p:])
 
-    for alpha_tot, beta1 in remainders:
+    for alpha_tot, beta1, d in remainders:
         if not beta1.is_zero and X.area(beta1) <= 0:
             skip("area-exhausted")
             continue
-        configurations(alpha_tot, beta1)
+        configurations(alpha_tot, beta1, d)
 
     # isomorphic indexed graphs are one term and must weigh the same
     emitted: dict[str, DecompTerm] = {}
@@ -905,8 +1053,8 @@ def _make_term(components: _ComponentTable, gamma1, gamma2, tails,
     g1, g2, canon, aut = _canonical(gamma1, gamma2, tails)
     setup = components.setup
     return DecompTerm(
-        beta1=_side_sum(setup.total, (c.cls for c in g1)),
-        beta2=_side_sum(setup.ruled.total, (c.cls for c in g2)),
+        beta1=_side_sum(setup.total, g1),
+        beta2=_side_sum(setup.ruled.total, g2),
         partition=tuple(sorted((t.order for t in canon), reverse=True)),
         tails=canon,
         gamma1=g1,
@@ -915,11 +1063,11 @@ def _make_term(components: _ComponentTable, gamma1, gamma2, tails,
     )
 
 
-def _side_sum(space: Space, classes) -> HomologyClass:
-    total = cls(space.basis, {})
-    for c in classes:
-        total = total + c
-    return total
+def _side_sum(space: Space, comps) -> HomologyClass:
+    """The class of one side: the sum of its components' curve classes,
+    added up on their integer vectors."""
+    vec = tuple(map(sum, zip(space.basis._zero, *(c.cls.vec for c in comps))))
+    return HomologyClass(space.basis, vec, 1 if any(vec) else None)
 
 
 # ---------------------------------------------------------------------------

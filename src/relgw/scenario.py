@@ -128,7 +128,7 @@ class _Parser:
                           f"{m.group('num')}{m.group('frac')}",
                           line, col + m.start("num"))
             name = m.group("name")
-            if name not in basis.names():
+            if name not in basis._index:
                 self.fail(f"unknown generator {name!r} in basis {basis.name}",
                           line, col + m.start("name"))
             k = int(m.group("num") or 1)

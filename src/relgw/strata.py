@@ -509,9 +509,12 @@ class _ExactSums:
     whose size is all that is left: it is looked up by the vector left and
     kept when its sizes are the ones left, and the walk only goes into
     items smaller than what is left, which all come before it in the
-    pool.  The position
-    tuples that reach each (vector left, size left, second size left) are
-    kept, so reading one table for many targets walks each of them once.
+    pool.  Each position also keeps the least second size from there to
+    the end of its run of equal sizes, so the walk leaves a run as soon as
+    no item left in it fits the second size left; second sizes may come in
+    any order.  The position tuples that reach each (vector left, size
+    left, second size left) are kept, so reading one table for many
+    targets walks each of them once.
     The recursion goes through a method, not a closure, so the memo is
     freed with the table and not only by the cycle collector.
     """
@@ -523,6 +526,11 @@ class _ExactSums:
             raise InvariantError("multiset pool sizes must not decrease")
         self.pool, self.vecs = pool, vecs
         self.sizes, self.sizes2 = sizes, sizes2
+        # (start, end, size) of each run of equal sizes, and per position
+        # the least second size from there to the end of its run, made by
+        # the first read that walks the pool: many tables are never walked
+        self.runs: list[tuple[int, int, int]] | None = None
+        self.least: list[int] = []
         # vector -> the pool positions holding it, in pool order
         self.at: dict[tuple, list[int]] = {}
         for i, vec in enumerate(vecs):
@@ -537,23 +545,41 @@ class _ExactSums:
         key = (tuple(target), budget, budget2)
         found = self.memo.get(key)
         if found is None:
+            if self.runs is None:
+                self._index_runs()
             found = self._reach(*key)
         pool = self.pool
         return [tuple(pool[i] for i in t) for t in found]
+
+    def _index_runs(self):
+        """Fill `runs` and `least` from the sizes."""
+        sizes = self.sizes
+        n = len(sizes)
+        cuts = [0, *(i for i in range(1, n) if sizes[i] != sizes[i - 1]), n]
+        self.runs = [(a, b, sizes[a]) for a, b in zip(cuts, cuts[1:]) if a < b]
+        self.least = least = list(self.sizes2)
+        for i in range(n - 2, -1, -1):
+            if least[i + 1] < least[i] and sizes[i + 1] == sizes[i]:
+                least[i] = least[i + 1]
 
     def _reach(self, rem, left, left2):
         """The position tuples, in lexicographic order, of the multisets
         that add up to exactly (rem, left, left2), kept in the memo; left
         is positive and the memo holds no entry for it yet."""
         memo, vecs = self.memo, self.vecs
-        sizes, sizes2 = self.sizes, self.sizes2
+        sizes, sizes2, least = self.sizes, self.sizes2, self.least
         out = []
-        for i, size in enumerate(sizes):
+        for start, end, size in self.runs:
             if size >= left:
                 break
-            if sizes2[i] <= left2:
+            for i in range(start, end):
+                size2 = sizes2[i]
+                if size2 > left2:
+                    if least[i] > left2:
+                        break
+                    continue
                 child = (tuple(map(sub, rem, vecs[i])), left - size,
-                         left2 - sizes2[i])
+                         left2 - size2)
                 tails = memo.get(child)
                 if tails is None:
                     tails = self._reach(*child)

@@ -5,6 +5,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -394,16 +395,18 @@ def test_counted_exclusions_match_the_build_then_test_loop(
     original = decompose._placements
     brute_total = 0
 
-    def checked(setup, groups, parts1, parts2):
+    def checked(configs, parts1, parts2):
         nonlocal brute_total
-        choices, rejected = original(setup, groups, parts1, parts2)
-        survivors, brute = old_missable_loop(setup, groups, parts1, parts2)
+        rows, rejected = original(configs, parts1, parts2)
+        survivors, brute = old_missable_loop(
+            configs.setup, configs.groups, parts1, parts2)
         assert rejected == brute
         assert survivors == [
             tuple(vec for vec, _ in assignment) for assignment
-            in itertools.product(*(v for _, _, _, v in choices))]
+            in itertools.product(*(missable_vectors(configs.groups, row)
+                                   for row in rows))]
         brute_total += brute
-        return choices, rejected
+        return rows, rejected
 
     monkeypatch.setattr(decompose, "_placements", checked)
     _, excluded = decompose._enumerate(
@@ -466,14 +469,25 @@ def old_skeletons(ks, ells):
 
 
 def test_skeletons_match_the_product_then_filter_loop():
+    """`_skeletons` lists, in order, the products whose right-hand sums
+    match and that have the len(ks) + len(ells) - 1 edges a connected
+    graph needs; each product with fewer is disconnected."""
     profiles = [prof for n in range(0, 4)
                 for prof in itertools.product(range(1, 4), repeat=n)]
+    short = 0
     for ks in profiles:
         for ells in profiles:
             if sum(ks) > 6 or sum(ells) > 6:
                 continue
-            assert decompose._skeletons(ks, ells) == \
-                list(old_skeletons(ks, ells)), (ks, ells)
+            need = len(ks) + len(ells) - 1
+            every = list(old_skeletons(ks, ells))
+            assert decompose._skeletons(ks, ells) == [
+                s for s in every if len(s) >= need], (ks, ells)
+            for s in every:
+                if len(s) < need:
+                    short += 1
+                    assert not decompose._connected(len(ks), len(ells), s)
+    assert short
 
 
 def test_rejected_placements_never_reach_emit():
@@ -504,17 +518,26 @@ def p2_ledger_scenario(degree, points, on_y):
         f"genus = 0\nclass = {degree}*lambda\nabs = {', '.join(abs_)}\n")
 
 
-def old_slack_loop(setup, choices, comps1, comps2, tails1, tails2):
+def missable_vectors(groups, row):
+    """The composition vectors, with their weights, of the group of a row
+    that put nothing on a slot the missable rule forbids."""
+    return decompose._allowed_vectors(groups[row.group][2], row.forbidden)
+
+
+def old_slack_loop(setup, groups, rows, comps1, comps2, tails1, tails2):
     """The slack check as a build-then-test loop: place the insertions of
-    every assignment on the components and take `expected_dimension` of
-    each component's spec.  Yields (vectors, slacks, kept) per assignment;
+    every assignment of the rows' groups, over the slots the missable rule
+    allows, on the components and take `expected_dimension` of each
+    component's spec.  Yields (vectors, slacks, kept) per assignment;
     slacks is None where a spec refuses the build."""
     dn = setup.left.divisor.n
-    for assignment in itertools.product(*(v for _, _, _, v in choices)):
+    for assignment in itertools.product(*(missable_vectors(groups, row)
+                                          for row in rows)):
         left = [[] for _ in comps1]
         right = [[] for _ in comps2]
-        for (side, ins, slots, _), (vec, _) in zip(choices, assignment):
-            for (where, k), n in zip(slots, vec):
+        for row, (vec, _) in zip(rows, assignment):
+            side, ins, _ = groups[row.group]
+            for (where, k), n in zip(row.slots, vec):
                 if where == "L":
                     left[k] += [Insertion(ins.cls)] * n
                 elif side == "Y":
@@ -575,12 +598,12 @@ def test_integer_slack_matches_expected_dimension(
     original_table, original_balanced = \
         decompose._slack_table, decompose._balanced
 
-    def table(components, choices, placed, comps1, comps2, tails1, tails2):
-        call = [(components.setup, choices, comps1, comps2, tails1, tails2),
-                None, []]
+    def table(components, rows, comps1, comps2, tails1, tails2):
+        call = [(components.setup, decompose._groups(spec), rows, comps1,
+                 comps2, tails1, tails2), None, []]
         calls.append(call)
-        call[1] = original_table(components, choices, placed, comps1, comps2,
-                                 tails1, tails2)
+        call[1] = original_table(components, rows, comps1, comps2, tails1,
+                                 tails2)
         return call[1]
 
     def balanced(base, rows, bounds):
@@ -697,6 +720,40 @@ def test_exact_sum_tables_are_freed_without_the_cycle_collector(
         assert [ref() for ref in made] == [None] * len(made)
     finally:
         gc.enable()
+
+
+class CountedReads(list):
+    """A list that counts how often an item is read by index."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_the_neck_walk_leaves_a_run_once_nothing_in_it_fits(monkeypatch):
+    """The quartic's neck pool holds the divisor classes by area for each
+    contact order; the walk reads the second size (area) of every pool
+    item it looks at once, and leaves an order's run at the first area
+    too large for what is left: about 1,900 reads, where a walk over every
+    item of a smaller order makes some 27,700."""
+    tables = []
+
+    class Counted(_ExactSums):
+        def __init__(self, pool, vecs, sizes, sizes2):
+            sizes2 = CountedReads(sizes2)
+            sizes2.reads = 0
+            super().__init__(pool, vecs, sizes, sizes2)
+            sizes2.reads = 0
+            tables.append(self)
+
+    monkeypatch.setattr(decompose, "_ExactSums", Counted)
+    setup, spec = quartic_case()
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
+    [necks] = [t for t in tables if t.pool and all(
+        isinstance(item, tuple) and len(item) == 2
+        and isinstance(item[1], HomologyClass) for item in t.pool)]
+    assert len(necks.pool) == 1320
+    assert 0 < necks.sizes2.reads <= 2000
 
 
 def test_closed_form_counts_match_the_built_vectors():
@@ -886,6 +943,128 @@ def test_component_table_is_freed_without_the_cycle_collector(monkeypatch):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(decompose, "_ComponentTable", Watched)
+    gc.disable()
+    try:
+        ledger = evaluate_decomposition(*quartic_case())
+        assert len(ledger.reports) == 112
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
+
+
+# -- one configuration table per ledger ------------------------------------
+
+
+def old_allowed_vectors(count, forbidden):
+    """The composition vectors of `count` that put nothing on a forbidden
+    slot, with their multinomial weights, built one by one: the reference
+    for the rows the configuration table keeps."""
+    allowed = [k for k, no in enumerate(forbidden) if not no]
+    out = []
+    for part in _compositions(count, [0] * len(allowed)):
+        vec = [0] * len(forbidden)
+        for k, n in zip(allowed, part):
+            vec[k] = n
+        ways = factorial(count)
+        for n in part:
+            ways //= factorial(n)
+        out.append((tuple(vec), ways))
+    return out
+
+
+def old_row(groups, placed, key, slots):
+    """A group's entries (vector, weight, slack delta), one delta entry per
+    slot: a vector putting a constraint on a side whose spec refuses it is
+    dropped."""
+    g, p, q, forbidden = key
+    sides = placed[g]
+    kept = []
+    for vec, w in old_allowed_vectors(groups[g][2], forbidden):
+        delta = [0] * (p + q)
+        for (where, k), n in zip(slots, vec):
+            if not n:
+                continue
+            gain = sides[where][1]
+            if gain is None:
+                break
+            delta[k if where == "L" else p + k] += n * gain
+        else:
+            kept.append((vec, w, tuple(delta)))
+    return kept
+
+
+def ledger_case(name):
+    if name == "quartic":
+        return quartic_case()
+    return (builtin("fibersum_of:p2_hyperplane"),
+            p2_ledger_scenario(5, 14, 0).invariants["n"])
+
+
+@pytest.mark.parametrize("case", ["N5-0-on-Y", "quartic"])
+def test_rows_are_built_once_per_key_and_match_a_fresh_build(
+        monkeypatch, case):
+    """Each (group, p, q, forbidden mask) row and each (count, mask) list
+    of vectors is built at most once per ledger, a row's entries at most
+    once and only when a walk reads them, and every row equals a fresh
+    `old_row` build, with its length and slack extents in closed form."""
+    tables, rows, vectors, entries = [], [], Counter(), []
+
+    class Watched(decompose._ConfigTable):
+        def __init__(self, setup, groups):
+            super().__init__(setup, groups)
+            tables.append(self)
+
+    class Made(decompose._Row):
+        __slots__ = ()
+
+        def __init__(self):
+            rows.append(self)
+
+    original_vectors = decompose._allowed_vectors
+    original_entries = decompose._row_entries
+
+    def counted_vectors(count, forbidden):
+        vectors[count, forbidden] += 1
+        return original_vectors(count, forbidden)
+
+    def counted_entries(*args):
+        entries.append(args)
+        return original_entries(*args)
+
+    monkeypatch.setattr(decompose, "_ConfigTable", Watched)
+    monkeypatch.setattr(decompose, "_Row", Made)
+    monkeypatch.setattr(decompose, "_allowed_vectors", counted_vectors)
+    monkeypatch.setattr(decompose, "_row_entries", counted_entries)
+    setup, spec = ledger_case(case)
+    decompose._enumerate(decompose._ComponentTable(setup), spec, None)
+    table, = tables
+    assert len(rows) == len(table.rows) > 1
+    assert set(map(id, rows)) == set(map(id, table.rows.values()))
+    assert set(vectors.values()) == {1}
+    built = [row for row in rows if row.entries is not None]
+    assert 0 < len(entries) == len(built) < len(rows)
+    for key, row in table.rows.items():
+        fresh = old_row(table.groups, table.placed, key, row.slots)
+        assert list(row) == fresh
+        assert len(row) == len(fresh)
+        if fresh:
+            cols = list(zip(*(delta for _, _, delta in fresh)))
+            assert list(row.least) == [min(col) for col in cols]
+            assert list(row.most) == [max(col) for col in cols]
+
+
+def test_configuration_table_is_freed_without_the_cycle_collector(
+        monkeypatch):
+    """The configuration table of a ledger, with the rows it keeps, is
+    freed by reference counting once `_enumerate` returns."""
+    made = []
+
+    class Watched(decompose._ConfigTable):
+        def __init__(self, setup, groups):
+            super().__init__(setup, groups)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(decompose, "_ConfigTable", Watched)
     gc.disable()
     try:
         ledger = evaluate_decomposition(*quartic_case())

@@ -13,7 +13,8 @@ second copy.
   `decompose.py` and `strata.py` that calls itself is pinned, so a second
   recursive search shows up in this file.  In `decompose.py` and
   `strata.py` a started sum `sum(items, start)`, which builds a class sum,
-  appears only in `decompose._side_sum` and the ledger total.
+  appears only in the ledger total; a side's class is summed on integer
+  vectors.
 - No function, class or assigned name (dunders aside) is defined at the
   top level of two modules: a second definition under a taken name is a
   second implementation that the unread-definition scan cannot tell from
@@ -27,6 +28,11 @@ second copy.
   `kbeval.solve_unknowns` call the one elimination, `lattice.row_reduce`.
 - Each effective cone is declared once, as the branches of the one
   `spaces.EffectiveModel`: no class in `src/relgw` subclasses it.
+- The memos that outlive a call are pinned: every `functools.cache`,
+  `lru_cache` and `cached_property` in `src/relgw` is listed in `MEMOS`.
+  A per-ledger or per-enumeration table lives in a local object instead;
+  a process-wide memo makes repeated in-process passes look faster
+  without helping a `relgw` process, which computes one thing once.
 """
 
 import ast
@@ -71,7 +77,7 @@ def references(source: str, names) -> list[tuple[str, str | None, int]]:
 
 
 # module -> top-level definitions allowed a started sum
-STARTED_SUMS = {"decompose.py": {"_side_sum", "Ledger"}, "strata.py": set()}
+STARTED_SUMS = {"decompose.py": {"Ledger"}, "strata.py": set()}
 
 
 def started_sums(module: str, source: str) -> list[str]:
@@ -233,6 +239,7 @@ def test_started_sum_detector():
               '    return sum(xs), sum(x.genus for x in xs)\n'
               'ZERO = sum((), start=0)\n')
     assert started_sums("decompose.py", source) == [
+        "decompose.py:2: sum(items, start) in _side_sum",
         "decompose.py:4: sum(items, start) in _exact_decompositions",
         "decompose.py:9: sum(items, start) in module scope"]
     assert started_sums("strata.py", source) == [
@@ -381,3 +388,89 @@ def test_no_name_is_defined_in_two_modules():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     assert shared_definitions(sources) == {}
+
+
+# module -> every memo that outlives a call, as `Class.name` or `name`
+MEMOS = {
+    "decompose.py": ["_edge_options"],
+    "kbeval.py": ["SplitIdentity.sides", "SplitIdentity.side_keys",
+                  "standard_identities", "_restriction_table"],
+    "spaces.py": ["Space.point", "Space.fundamental", "Space.duals"],
+    "strata.py": ["_partitions"],
+}
+_MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def memos(source: str) -> list[str]:
+    """`Class.name` (`name` at the top level) of every function decorated
+    with `cache`, `lru_cache` or `cached_property`, named plainly, as a
+    `functools` attribute or called with arguments, and `line:call` of
+    every other call of one of them, in source order."""
+    found = []
+
+    def memo_name(node) -> str | None:
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            return None
+        return name if name in _MEMO_NAMES else None
+
+    decorators = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in child.decorator_list:
+                    decorators.add(id(dec))
+                    if isinstance(dec, ast.Call):
+                        decorators.add(id(dec.func))
+                    if memo_name(dec):
+                        found.append((child.lineno, f"{scope}.{child.name}"
+                                      if scope else child.name))
+            elif (isinstance(child, ast.Call) and id(child) not in decorators
+                  and memo_name(child.func)):
+                found.append((child.lineno,
+                              f"{child.lineno}:{memo_name(child.func)}"))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else scope)
+
+    visit(ast.parse(source), None)
+    return [name for _, name in sorted(found)]
+
+
+def test_memo_detector():
+    source = ('import functools\n'
+              'from functools import cache, lru_cache\n'
+              '@cache\n'
+              'def table():\n'
+              '    return {}\n'
+              'class Space:\n'
+              '    @functools.cached_property\n'
+              '    def point(self):\n'
+              '        return 0\n'
+              '    @lru_cache(maxsize=None)\n'
+              '    def duals(self):\n'
+              '        return {}\n'
+              '    @property\n'
+              '    def name(self):\n'
+              '        return self.cache\n'
+              'def outer():\n'
+              '    @functools.lru_cache\n'
+              '    def inner(k):\n'
+              '        return k\n'
+              '    return inner\n'
+              'keep = functools.cache(lambda k: k)\n')
+    assert memos(source) == ["table", "Space.point", "Space.duals",
+                             "outer.inner", "21:cache"]
+
+
+def test_memos_that_outlive_a_call_are_pinned():
+    found = {path.name: memos(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items()
+            if names} == MEMOS

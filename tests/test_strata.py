@@ -926,13 +926,18 @@ EXACT_CASES = pytest.mark.parametrize("sizes, sizes2, vecs", [
     ([1, 1, 2, 3], [2, 0, 1, 0], MIXED),
     ([2, 2, 2, 2], [1, 1, 0, 0], MIXED),
     ([1, 2, 2, 2], [0, 1, 1, 1], [(1, 0), (0, 1), (0, 1), (-1, 1)]),
-], ids=["one-budget", "two-budgets", "equal-sizes", "equal-keys"])
+    ([1, 2, 2, 2], [1, 0, 1, 3], MIXED),
+    ([1, 1, 1, 2], [3, 1, 0, 1], MIXED),
+], ids=["one-budget", "two-budgets", "equal-sizes", "equal-keys",
+        "rising-seconds", "falling-seconds"])
 
 
 @EXACT_CASES
 def test_exact_multisets_match_brute_force(sizes, sizes2, vecs):
     """Vectors with negative entries, zero and nonzero targets, budgets
-    below zero, and two items with the same (vector, size, second size)."""
+    below zero, and two items with the same (vector, size, second size).
+    Runs of equal sizes whose second sizes rise, fall or do both check
+    that the walk leaves a run only where nothing left in it fits."""
     pool = "abcd"
     of = dict(zip(pool, vecs))
     for b1 in range(-1, 8):

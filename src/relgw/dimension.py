@@ -47,6 +47,11 @@ class Insertion:
     the class c of the divisor, and the constraint can always be pushed off
     a fixed fiber direction.  `place` (X, Y or split) is only meaningful as
     input to the splitting enumeration and never enters a canonical key.
+
+    Construction also stores the text `token()` returns and the canonical
+    sort key `_sort_key` reads as attributes, not fields, so equality,
+    hashing and repr do not see them; `dataclasses.replace` builds them
+    again from the new fields.
     """
 
     cls: HomologyClass
@@ -56,29 +61,35 @@ class Insertion:
     place: str = "X"
 
     def __post_init__(self):
-        if self.cls.is_zero or self.cls.grade is None:
+        c = self.cls
+        if c.grade is None:
             raise InvariantError("constraint classes must be homogeneous and nonzero")
         if self.order is not None and self.order < 1:
             raise InvariantError("contact order must be >= 1")
         if self.place not in _PLACES:
             raise InvariantError(f"unknown placement {self.place!r}")
+        code = c.encode()
+        if self.order is not None:
+            token, sort = f"({self.order},{code})", (-self.order, code)
+        else:
+            token = ("pb:" if self.pulled_back else "") + code
+            sort = (c.grade, code, self.pulled_back)
+        object.__setattr__(self, "_token", token)
+        object.__setattr__(self, "_sort", sort)
 
     @property
     def relative(self) -> bool:
         return self.order is not None
 
     def token(self) -> str:
-        if self.relative:
-            return f"({self.order},{self.cls.encode()})"
-        return ("pb:" if self.pulled_back else "") + self.cls.encode()
+        return self._token
 
 
-def _abs_sort_key(ins: Insertion):
-    return (ins.cls.grade, ins.cls.encode(), ins.pulled_back)
-
-
-def _rel_sort_key(ins: Insertion):
-    return (-ins.order, ins.cls.encode())
+def _sort_key(ins: Insertion):
+    """Canonical order of a spec's insertions: absolute ones by (grade,
+    class, pulled back), relative ones by decreasing contact order, then
+    class."""
+    return ins._sort
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,12 @@ class InvariantSpec:
     ones.  Relative insertions use classes in the divisor's basis; absolute
     insertions use the ambient basis, except pulled-back ones, which need a
     pair with `ruled` and use the divisor's basis.
+
+    Construction also stores `pair` (the target when it is a DivisorPair,
+    else None), `space` (the ambient space), `n` (its dimension) and
+    `contact_orders` (the orders of the relative insertions) as attributes,
+    not fields, so equality, hashing and repr do not see them;
+    `dataclasses.replace` builds them again from the new fields.
     """
 
     target: Space | DivisorPair
@@ -98,47 +115,39 @@ class InvariantSpec:
     relatives: tuple[Insertion, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "absolutes", tuple(self.absolutes))
-        object.__setattr__(self, "relatives", tuple(self.relatives))
+        put = object.__setattr__
+        put(self, "absolutes", tuple(self.absolutes))
+        put(self, "relatives", tuple(self.relatives))
+        target = self.target
+        pair = target if isinstance(target, DivisorPair) else None
+        space = target if pair is None else pair.ambient
+        put(self, "pair", pair)
+        put(self, "space", space)
+        put(self, "n", space.n)
+        put(self, "contact_orders", tuple(ins.order for ins in self.relatives))
         if self.genus < 0:
             raise InvariantError("genus must be >= 0")
-        if self.relatives and self.pair is None:
+        if self.relatives and pair is None:
             raise InvariantError("contact insertions need a divisor pair target")
-        if self.beta.basis.name != self.space.basis.name:
+        if self.beta.basis.name != space.basis.name:
             raise InvariantError("class lives in the wrong basis")
         for ins in self.absolutes:
             if ins.relative:
                 raise InvariantError("contact insertion listed as absolute")
             if not ins.pulled_back:
-                basis = self.space.basis
-            elif self.pair is None or self.pair.ruled is None:
+                basis = space.basis
+            elif pair is None or pair.ruled is None:
                 raise InvariantError(f"pulled-back constraint {ins.token()} "
                                      "needs a pair whose ambient is ruled")
             else:
-                basis = self.pair.divisor.basis
+                basis = pair.divisor.basis
             if ins.cls.basis.name != basis.name:
                 raise InvariantError(f"absolute constraint {ins.token()} in wrong basis")
         for ins in self.relatives:
             if not ins.relative:
                 raise InvariantError("absolute insertion listed as relative")
-            if ins.cls.basis.name != self.pair.divisor.basis.name:
+            if ins.cls.basis.name != pair.divisor.basis.name:
                 raise InvariantError(f"contact constraint {ins.token()} in wrong basis")
-
-    @property
-    def pair(self) -> DivisorPair | None:
-        return self.target if isinstance(self.target, DivisorPair) else None
-
-    @property
-    def space(self) -> Space:
-        return self.target.ambient if isinstance(self.target, DivisorPair) else self.target
-
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    @property
-    def contact_orders(self) -> tuple[int, ...]:
-        return tuple(ins.order for ins in self.relatives)
 
     def key(self) -> str:
         """Canonical text form; equal keys mean the same count.
@@ -149,11 +158,11 @@ class InvariantSpec:
         out = self.__dict__.get("_key")
         if out is not None:
             return out
-        a = ",".join(i.token() for i in sorted(self.absolutes, key=_abs_sort_key))
+        a = ",".join(i.token() for i in sorted(self.absolutes, key=_sort_key))
         head = "pair" if self.pair is not None else "space"
         out = f"{head}:{self.target.name};g={self.genus};b={self.beta.encode()};abs={a}"
         if self.pair is not None:
-            r = ",".join(i.token() for i in sorted(self.relatives, key=_rel_sort_key))
+            r = ",".join(i.token() for i in sorted(self.relatives, key=_sort_key))
             out += f";rel={r}"
         object.__setattr__(self, "_key", out)
         return out

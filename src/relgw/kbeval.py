@@ -33,8 +33,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
 
-from .dimension import (Insertion, InvariantError, InvariantSpec,
-                        _abs_sort_key, _rel_sort_key)
+from .dimension import Insertion, InvariantError, InvariantSpec, _sort_key
 from .lattice import HomologyClass, cls, gen, row_reduce
 from .scenario import ScenarioError, parse_key
 from .spaces import DivisorPair, Space, builtin
@@ -145,18 +144,21 @@ def _plain(*classes: HomologyClass) -> tuple[Insertion, ...]:
     return tuple(Insertion(c) for c in classes)
 
 
-_SEEDED: list[KBEntry] = []
+_SEEDED: dict[str, KBEntry] = {}
 
 
 def seed_table() -> KnowledgeBase:
     """The built-in values everything else is derived from.
 
-    The entries are built on the first call; every call returns a fresh
-    base over a copy of them, so what a solver or a `--kb` file adds to one
-    base never reaches another.
+    The entries are built and checked through `add` on the first call; every
+    later call returns a fresh base whose store is a dict copy of them (the
+    frozen entries are shared, the dicts are not), so what a solver or a
+    `--kb` file adds to one base never reaches another.
     """
     if _SEEDED:
-        return KnowledgeBase(_SEEDED)
+        kb = KnowledgeBase()
+        kb._entries = _SEEDED.copy()
+        return kb
     kb = KnowledgeBase()
 
     p3 = builtin("p3")
@@ -204,14 +206,14 @@ def seed_table() -> KnowledgeBase:
                              (Insertion(gen(DB.basis, "eps" + j), order=1),)).key(),
                Fraction(1), "seed(exceptional-plane)")
 
-    _SEEDED.extend(kb.entries())
+    _SEEDED.update(kb._entries)
     return kb
 
 
 def normalize(spec: InvariantSpec) -> InvariantSpec:
     """Reorder insertions into the canonical order used by keys."""
-    a = tuple(sorted(spec.absolutes, key=_abs_sort_key))
-    r = tuple(sorted(spec.relatives, key=_rel_sort_key))
+    a = tuple(sorted(spec.absolutes, key=_sort_key))
+    r = tuple(sorted(spec.relatives, key=_sort_key))
     if a == spec.absolutes and r == spec.relatives:
         return spec
     return InvariantSpec(spec.target, spec.genus, spec.beta, a, r)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .dimension import (_PLACES, DefinedZero, Insertion, InvariantError,
                         InvariantSpec, check_contact_orders)
-from .lattice import GradeError, HomologyClass, cls
+from .lattice import GradeError, HomologyClass, cls, gen
 from .spaces import CatalogError, DivisorPair, RuledSetup, Space, builtin
 from .strata import Contact, LevelComponent, StratumType, neck_model
 
@@ -83,8 +83,12 @@ _KEY = re.compile(r"(?P<head>space|pair):(?P<target>[^;]+);g=(?P<genus>\d+);"
 _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 
 
-def _split_list(text: str, base_col: int):
-    """Comma-split with column tracking; parens shield nested commas."""
+def _split_list(text: str, line: int, base_col: int):
+    """Comma-split with column tracking; parens shield nested commas.  A
+    blank text is the empty list; a blank entry of a longer list, such as
+    the one after a trailing comma, is an error at its column."""
+    if not text.strip():
+        return []
     items, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -95,8 +99,13 @@ def _split_list(text: str, base_col: int):
             items.append((text[start:i], base_col + start))
             start = i + 1
     items.append((text[start:], base_col + start))
-    return [(s.strip(), col + len(s) - len(s.lstrip()))
-            for s, col in items if s.strip()]
+    out = []
+    for s, col in items:
+        col += len(s) - len(s.lstrip())
+        if not s.strip():
+            raise ScenarioError("empty list entry", line, col)
+        out.append((s.strip(), col))
+    return out
 
 
 class _Parser:
@@ -115,7 +124,10 @@ class _Parser:
 
     def parse_comb(self, basis, text, line, col) -> HomologyClass:
         """Integer combination of basis generators, e.g. 2*lambda - eps1,
-        or 0 for the zero class."""
+        or 0 for the zero class.  A bare generator name, the commonest
+        text, is read straight from the basis without the term loop."""
+        if text in basis._index:
+            return gen(basis, text)
         if text == "0":
             return cls(basis, {})
         pos, coeffs = 0, {}
@@ -390,7 +402,7 @@ class _Parser:
         absolutes = []
         if "abs" in got:
             value, lineno, col = got["abs"]
-            for text, tcol in _split_list(value, col):
+            for text, tcol in _split_list(value, lineno, col):
                 absolutes.append(self.parse_insertion(target, text, lineno, tcol))
 
         relatives = []
@@ -398,7 +410,7 @@ class _Parser:
             if "pair" not in got:
                 self.fail("rel= needs a pair= target", got["rel"][1], got["rel"][2])
             value, lineno, col = got["rel"]
-            for text, tcol in _split_list(value, col):
+            for text, tcol in _split_list(value, lineno, col):
                 relatives.append(
                     self.parse_relative(target.divisor, text, lineno, tcol))
 
@@ -443,7 +455,7 @@ class _Parser:
             if key == "pair":
                 pair = self.named_pair(value, lineno, vcol)
             elif key == "match":
-                for item, icol in _split_list(value, vcol):
+                for item, icol in _split_list(value, lineno, vcol):
                     if "->" not in item:
                         self.fail("matchings look like node->node", lineno, icol)
                     a, b = (s.strip() for s in item.split("->", 1))
@@ -454,7 +466,7 @@ class _Parser:
             else:
                 if pair is None:
                     self.fail("set pair= before abs", lineno, col)
-                for item, icol in _split_list(value, vcol):
+                for item, icol in _split_list(value, lineno, vcol):
                     insertions.append(
                         self.parse_insertion(pair, item, lineno, icol))
 
@@ -498,7 +510,7 @@ class _Parser:
         def contacts(key):
             out = []
             value, vcol = got.get(key, ("", col))
-            for item, icol in _split_list(value, vcol):
+            for item, icol in _split_list(value, lineno, vcol):
                 c = self.parse_contact(pair.divisor, item, lineno, icol)
                 if c.node in nodes:
                     self.fail(f"duplicate node {c.node!r}", lineno, icol)
@@ -563,7 +575,7 @@ def parse_key(text: str, line: int) -> InvariantSpec:
     beta = p.resolve_curve("b", space, m["beta"], line, m.start("beta") + 1)
     genus = int(m["genus"])
     absolutes = []
-    for token, tcol in _split_list(m["abs"], m.start("abs") + 1):
+    for token, tcol in _split_list(m["abs"], line, m.start("abs") + 1):
         pulled = token.startswith("pb:")
         skip = 3 if pulled else 0
         basis = (target.divisor.basis if pulled and head == "pair"
@@ -579,7 +591,8 @@ def parse_key(text: str, line: int) -> InvariantSpec:
     relatives = []
     if head == "pair":
         relatives = [p.parse_relative(target.divisor, token, line, tcol)
-                     for token, tcol in _split_list(m["rel"], m.start("rel") + 1)]
+                     for token, tcol in _split_list(m["rel"], line,
+                                                    m.start("rel") + 1)]
     try:
         return InvariantSpec(target, genus, beta, tuple(absolutes),
                              tuple(relatives))

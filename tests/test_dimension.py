@@ -1,11 +1,12 @@
 """Dimension and index formulas pinned against hand-checked values."""
 
+import dataclasses
 import random
 
 import pytest
 
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
-                             InvariantSpec, constraint_codim,
+                             InvariantSpec, _sort_key, constraint_codim,
                              expected_dimension, projection_index,
                              raw_dimension)
 from relgw.lattice import cls, gen
@@ -324,3 +325,147 @@ def test_main_stratum_index_equals_expected_dimension():
                            inf=(Contact("a", 2, gen(pair.divisor.basis, "pt")),))
     got = multilevel_index(StratumType(pair, (conic,), (), spec.absolutes))
     assert got == expected_dimension(spec) == 6
+
+
+# -- facts stored at construction ------------------------------------------
+
+# the formulas the stored facts replaced, kept here as their oracle
+
+
+def old_pair(spec):
+    return spec.target if isinstance(spec.target, DivisorPair) else None
+
+
+def old_space(spec):
+    return spec.target.ambient if isinstance(spec.target, DivisorPair) \
+        else spec.target
+
+
+def old_token(ins):
+    if ins.order is not None:
+        return f"({ins.order},{ins.cls.encode()})"
+    return ("pb:" if ins.pulled_back else "") + ins.cls.encode()
+
+
+def old_sort_key(ins):
+    if ins.order is not None:
+        return (-ins.order, ins.cls.encode())
+    return (ins.cls.grade, ins.cls.encode(), ins.pulled_back)
+
+
+def old_key(spec):
+    pair = old_pair(spec)
+    a = ",".join(old_token(i) for i in sorted(spec.absolutes, key=old_sort_key))
+    out = (f"{'pair' if pair else 'space'}:{spec.target.name};g={spec.genus};"
+           f"b={spec.beta.encode()};abs={a}")
+    if pair is not None:
+        r = ",".join(old_token(i) for i in sorted(spec.relatives, key=old_sort_key))
+        out += f";rel={r}"
+    return out
+
+
+SPACE_IDS = ("p0", "p1", "p2", "p3", "p4", "p2blow1", "p3blow2", "p4blow2",
+             "t2_ruled", "t2_base", "s2xs2", "antidiag_sphere")
+PAIR_IDS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
+            "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
+            "s2xs2_antidiag")
+
+
+def nonzero(basis):
+    return [gen(basis, name, k) for name, _ in basis.elements for k in (1, 2)]
+
+
+def sample_specs():
+    """Specs with shuffled insertions on every catalog space and pair, the
+    bundle pairs over each divisor included; the dimension is not asked."""
+    rng = random.Random(31)
+    targets = [builtin(name) for name in SPACE_IDS + PAIR_IDS]
+    for name in PAIR_IDS:
+        try:
+            targets.append(builtin(f"y_of:{name}").infinity_pair)
+        except CatalogError:
+            pass  # no P1-bundle over a zero-dimensional divisor
+    out = []
+    for target in targets:
+        pair = target if isinstance(target, DivisorPair) else None
+        space = target if pair is None else target.ambient
+        curves = [c for c in nonzero(space.basis) if c.grade == 1] + [
+            cls(space.basis, {})]
+        for _ in range(6):
+            absolutes = [Insertion(c) for c in
+                         rng.choices(nonzero(space.basis), k=3)]
+            relatives = []
+            if pair is not None:
+                classes = nonzero(pair.divisor.basis)
+                relatives = [Insertion(rng.choice(classes),
+                                       order=rng.randint(1, 3))
+                             for _ in range(rng.randint(0, 3))]
+                if pair.ruled is not None:
+                    absolutes.append(Insertion(rng.choice(classes),
+                                               pulled_back=True))
+            rng.shuffle(absolutes)
+            out.append(InvariantSpec(target, rng.randint(0, 1),
+                                     rng.choice(curves), tuple(absolutes),
+                                     tuple(relatives)))
+    return out
+
+
+SAMPLE = sample_specs()
+
+
+def assert_facts(spec):
+    assert spec.pair is old_pair(spec)
+    assert spec.space is old_space(spec)
+    assert spec.n == old_space(spec).n
+    assert spec.contact_orders == tuple(i.order for i in spec.relatives)
+    for ins in spec.absolutes + spec.relatives:
+        assert ins.token() == old_token(ins)
+        assert _sort_key(ins) == old_sort_key(ins)
+    assert spec.key() == old_key(spec)
+
+
+def test_stored_facts_are_not_fields():
+    assert [f.name for f in dataclasses.fields(InvariantSpec)] == [
+        "target", "genus", "beta", "absolutes", "relatives"]
+    assert [f.name for f in dataclasses.fields(Insertion)] == [
+        "cls", "order", "pulled_back", "place"]
+
+
+def test_stored_facts_match_their_formulas():
+    assert len(SAMPLE) == 6 * (len(SPACE_IDS) + 2 * len(PAIR_IDS) - 1)
+    for spec in SAMPLE:
+        assert_facts(spec)
+        twin = InvariantSpec(spec.target, spec.genus, spec.beta,
+                             spec.absolutes, spec.relatives)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert repr(twin) == repr(spec)
+        assert "contact_orders" not in repr(spec) and "_token" not in repr(spec)
+
+
+def test_replace_builds_the_stored_facts_again():
+    moved = 0
+    for spec in SAMPLE:
+        pair = spec.pair
+        absolutes = list(spec.absolutes)
+        for i, ins in enumerate(absolutes):
+            if ins.pulled_back:
+                pre = pair.ruled.preimage(ins.cls)
+                if pre is not None:
+                    # what kbeval._ambient_absolutes does
+                    absolutes[i] = dataclasses.replace(ins, cls=pre,
+                                                       pulled_back=False)
+                    assert absolutes[i].token() == old_token(absolutes[i])
+                    assert _sort_key(absolutes[i]) == old_sort_key(absolutes[i])
+                    moved += 1
+        if pair is None or any(i.pulled_back for i in absolutes):
+            continue
+        spec.key()  # the kept key must not follow the spec onto its ambient
+        down = dataclasses.replace(spec, target=pair.ambient,
+                                   absolutes=tuple(absolutes), relatives=())
+        assert_facts(down)
+        assert down.pair is None and down.space is pair.ambient
+        assert down.contact_orders == ()
+        again = dataclasses.replace(down, target=pair, relatives=spec.relatives)
+        assert_facts(again)
+        assert again.contact_orders == spec.contact_orders
+    assert moved > 0

@@ -100,6 +100,27 @@ def test_seed_tables_are_independent():
     assert second.dump() == SEED_DUMP
 
 
+def test_later_seed_tables_are_independent():
+    # bases after the first come from a copy of the seeded entries; what a
+    # solver or a loaded file writes into one never reaches a later one
+    first = seed_table().entries()
+    extra = absolute(P3, LAM, PT, PT).key()
+    for _ in range(2):
+        kb = seed_table()
+        assert value_of(Evaluator(kb).evaluate(CONICS)) == 4
+        kb.load(f"{extra}\t5/1\tuser\n")
+        assert CONICS.key() in kb and extra in kb
+        later = seed_table()
+        assert later.entries() == first and later.dump() == SEED_DUMP
+        assert extra not in later and CONICS.key() not in later
+    seeded = "space:s2xs2;g=0;b=a1;abs=pt"
+    with pytest.raises(ScenarioError) as err:
+        seed_table().load(f"{seeded}\t2/1\tuser\n")
+    assert (err.value.line, err.value.col) == (1, len(seeded) + 2)
+    assert err.value.message == f"conflicting values for {seeded}: 1 vs 2"
+    assert seed_table().get(seeded).value == 1
+
+
 def test_kb_rejects_conflicting_values():
     kb = KnowledgeBase()
     kb.add("k", Fraction(1), "seed(a)")
@@ -181,13 +202,16 @@ def test_parse_skips_blanks_and_comments():
      "line 2, col 40: pulled-back constraint pb:pt needs a pair whose "
      "ambient is ruled"),
     # a key longer than its canonical form differs where the form ends
-    ("space:p3;g=0;b=lambda;abs=pt,pt,",
-     "line 2, col 32: key space:p3;g=0;b=lambda;abs=pt,pt, is not "
+    ("space:p3;g=0;b=lambda;abs=pt,pt ",
+     "line 2, col 32: key space:p3;g=0;b=lambda;abs=pt,pt  is not "
      "canonical"),
+    # an empty list entry is an error of its own, as in a scenario file
+    ("space:p3;g=0;b=lambda;abs=pt,pt,",
+     "line 2, col 33: empty list entry"),
 ], ids=["order", "class-text", "no-key", "unknown-id", "space-with-rel",
         "space-as-pair", "unknown-generator", "psi-power",
         "pulled-back-on-a-space", "pulled-back-on-a-flat-pair",
-        "trailing-comma"])
+        "trailing-space", "trailing-comma"])
 def test_parse_rejects_keys_that_are_not_canonical(text, message):
     with pytest.raises(ScenarioError) as err:
         loaded(f"# header\n{text}\t1/1\tuser\n")

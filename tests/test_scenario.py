@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from relgw import cli
 from relgw.dimension import Insertion, InvariantSpec
-from relgw.scenario import ScenarioError, parse_scenario
-from relgw.spaces import builtin
+from relgw.lattice import cls
+from relgw.scenario import ScenarioError, _Parser, parse_scenario
+from relgw.spaces import CatalogError, builtin
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -226,6 +227,36 @@ MALFORMED = {
     "tau-pull": ("[invariant x]\npair = t2_ruled_section\ngenus = 0\n"
                  "class = f\nabs = tau1( pull(f))\n", 5, 7,
                  "unknown generator 'tau1' in basis t2_ruled"),
+    # texts next to a bare generator name take the term loop
+    "near-generator": (P3_INVARIANT + "class = lambd\n", 5, 9,
+                       "unknown generator 'lambd' in basis p3"),
+    "near-generator-abs": (P3_INVARIANT + "class = lambda\nabs = pt, lambd\n",
+                           6, 11, "unknown generator 'lambd' in basis p3"),
+    "generator-multiple": (P3_INVARIANT + "class = 2*pi\n", 5, 9,
+                           "class must be a curve class, got grade 2"),
+    "generator-negative": (P3_INVARIANT + "class = -pi\n", 5, 9,
+                           "class must be a curve class, got grade 2"),
+    "generator-dangling-sign": (P3_INVARIANT + "class = pi+\n", 5, 11,
+                                "expected a class term"),
+    "generator-dangling-sign-abs": (P3_INVARIANT
+                                    + "class = lambda\nabs = pt, pi+\n",
+                                    6, 13, "expected a class term"),
+    # an empty entry of a list is an error where the entry starts
+    "empty-entry": (P3_INVARIANT + "class = lambda\nabs = pt, , pt\n",
+                    6, 11, "empty list entry"),
+    "trailing-comma": (P3_INVARIANT + "class = lambda\nabs = pt,\n",
+                       6, 10, "empty list entry"),
+    "leading-comma": (P3_INVARIANT + "class = lambda\nabs = ,pt\n",
+                      6, 7, "empty list entry"),
+    "blank-entries": (P3_INVARIANT + "class = lambda\nabs = ,\n",
+                      6, 7, "empty list entry"),
+    "rel-trailing-comma": (P2_CUBIC + "rel = (3,fund),\n",
+                           7, 16, "empty list entry"),
+    "match-trailing-comma": (P2_NODE + "match = a->a,\n",
+                             6, 14, "empty list entry"),
+    "contacts-trailing-comma": (P2_STRATUM + "comp level=0 genus=0 "
+                                "class=lambda inf=1:a,\n",
+                                5, 43, "empty list entry"),
 }
 
 
@@ -242,6 +273,62 @@ def test_parser_errors_are_positioned(tmp_path, capsys, text, line, col,
     assert status("dim", path, "x") == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: line {line}, col {col}: {message}\n"
+
+
+# -- a bare generator name ------------------------------------------------
+
+CATALOG_SPACES = ("p0", "p1", "p2", "p3", "p4", "p2blow1", "p3blow2",
+                  "p4blow2", "t2_ruled", "t2_base", "s2xs2", "antidiag_sphere")
+CATALOG_PAIRS = ("p1_point", "p2_hyperplane", "p3_hyperplane",
+                 "p4_hyperplane", "p2blow1_exc", "p4blow2_hyperplane",
+                 "t2_ruled_section", "s2xs2_antidiag")
+
+
+def catalog_bases():
+    """The basis of every catalog space, divisor and `y_of:` bundle."""
+    bases = {builtin(name).basis.name: builtin(name).basis
+             for name in CATALOG_SPACES}
+    for name in CATALOG_PAIRS:
+        pair = builtin(name)
+        bases[pair.divisor.basis.name] = pair.divisor.basis
+        try:
+            total = builtin(f"y_of:{name}").total
+        except CatalogError:
+            continue  # no P1-bundle over a zero-dimensional divisor
+        bases[total.basis.name] = total.basis
+    return list(bases.values())
+
+
+def test_a_bare_generator_name_reads_as_its_class():
+    bases = catalog_bases()
+    assert len(bases) == 19
+    parser = _Parser("")
+    for basis in bases:
+        for name, _ in basis.elements:
+            got = parser.parse_comb(basis, name, 1, 1)
+            want = cls(basis, {name: 1})
+            assert (got, got.vec, got.grade, got.encode()) == \
+                (want, want.vec, want.grade, want.encode())
+
+
+def test_a_declared_class_shadows_a_generator():
+    sc = parse_scenario(P3 + "[class lambda = 2*lambda]\n[class pi = 2*pi]\n"
+                        "[invariant x]\nspace = p3\ngenus = 0\n"
+                        "class = lambda\nabs = pt, pi, lambda\n")
+    assert sc.invariants["x"].key() == "space:p3;g=0;b=2*lambda;abs=pt,2*lambda,2*pi"
+
+
+def test_near_generator_texts_that_parse_keep_their_classes():
+    sc = parse_scenario(P3_INVARIANT + "class = lambda\nabs = pt, 2*pi, -pi\n")
+    assert sc.invariants["x"].key() == "space:p3;g=0;b=lambda;abs=pt,-pi,2*pi"
+
+
+# -- list entries ------------------------------------------------------------
+
+
+def test_an_empty_list_value_is_the_empty_list():
+    spec = parse_scenario(P3_INVARIANT + "class = 0\nabs =\n").invariants["x"]
+    assert spec.absolutes == ()
 
 
 # -- exit statuses of the command line -----------------------------------

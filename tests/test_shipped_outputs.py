@@ -1,9 +1,15 @@
-"""Every report `relgw run` writes for the shipped scenario files is pinned.
+"""Every report `relgw run` writes for the shipped scenario files is pinned,
+and so is every bracket of the benchmark's bracket table.
 
 `perfbench/reference/scenarios.tsv` lists, per file, the directives in
 order and the first 16 hex digits of the sha256 of each report.  A report
 that has a golden ledger in `scenarios/golden` must equal it byte for
 byte; every other report must match its digest.
+
+`perfbench/reference/brackets.tsv` lists 1,870 one-invariant brackets over
+every catalog space and pair, with the digest of each `dim` report, the
+`vanish` verdict and the `eval` value.  A recorded value must stay, a
+recorded `unknown` may become a number, and a hand-worked value must hold.
 """
 
 import csv
@@ -45,6 +51,43 @@ def reports(text: str) -> list[tuple[str, str]]:
 REFERENCE = reference()
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def bracket_rows() -> list[dict]:
+    path = ROOT / "perfbench" / "reference" / "brackets.tsv"
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh, delimiter="\t"))
+
+
+BRACKETS = bracket_rows()
+
+
+def bracket_text(row: dict) -> str:
+    """The one-invariant scenario text of a bracket row, named `b`."""
+    lines = [f"[space {row['space']}]"]
+    if row["pair"] != "-":
+        lines.append(f"[divisor {row['pair']} in {row['space']}]")
+    lines += ["[invariant b]",
+              f"pair = {row['pair']}" if row["pair"] != "-"
+              else f"space = {row['space']}",
+              f"genus = {row['genus']}",
+              f"class = {row['class']}"]
+    if row["abs"] != "-":
+        lines.append(f"abs = {row['abs']}")
+    if row["rel"] != "-":
+        lines.append(f"rel = {row['rel']}")
+    return "\n".join(lines) + "\n"
+
+
+def report_line(text: str, head: str) -> str:
+    for line in text.splitlines():
+        if line.startswith(head + " "):
+            return line[len(head) + 1:]
+    return ""
+
+
 def test_every_shipped_file_is_pinned():
     assert sorted(REFERENCE) == sorted(p.name for p in SCENARIOS.glob("*.gw"))
     assert sum(len(rows) for rows in REFERENCE.values()) == 18
@@ -64,3 +107,33 @@ def test_run_reports_match_the_reference(name):
         else:
             assert hashlib.sha256(body.encode("utf-8")).hexdigest()[:16] == sha, \
                 f"{name}: {head} changed"
+
+
+def test_the_bracket_table_covers_the_catalog():
+    assert len(BRACKETS) == 1870
+    assert len({row["space"] for row in BRACKETS}) == 11
+    assert len({row["pair"] for row in BRACKETS} - {"-"}) == 8
+    assert sorted(row["hand"] for row in BRACKETS if row["hand"] != "-") == [
+        "1", "4", "8"]
+
+
+@pytest.mark.parametrize("space", sorted({row["space"] for row in BRACKETS}))
+def test_bracket_reports_match_the_reference(space):
+    moved = []
+    for row in BRACKETS:
+        if row["space"] != space:
+            continue
+        sc = parse_scenario(bracket_text(row))
+        (dim, s1), (vanish, s2), (ev, s3) = (
+            cli.run(command, sc, ("b",)) for command in ("dim", "vanish", "eval"))
+        assert (s1, s2, s3) == (0, 0, 0), bracket_text(row)
+        value = report_line(ev, "value")
+        if digest(dim) != row["dim_sha"]:
+            moved.append(("dim", row))
+        if report_line(vanish, "verdict") != row["verdict"]:
+            moved.append(("verdict", row))
+        if row["value"] not in ("unknown", value):
+            moved.append(("value", row))
+        if row["hand"] != "-" and value != row["hand"]:
+            moved.append(("hand", row))
+    assert moved == []

@@ -105,7 +105,9 @@ class InvariantSpec:
     else None), `space` (the ambient space), `n` (its dimension) and
     `contact_orders` (the orders of the relative insertions) as attributes,
     not fields, so equality, hashing and repr do not see them;
-    `dataclasses.replace` builds them again from the new fields.
+    `dataclasses.replace` builds them again from the new fields.  `key()`,
+    `raw_dimension` and `vanishing.decide` keep their answers the same way,
+    and a replaced spec starts with none.
     """
 
     target: Space | DivisorPair
@@ -189,13 +191,23 @@ def raw_dimension(spec: InvariantSpec) -> int:
     Contact points only contribute their tangency excess here; the condition
     that they land on the divisor at all is charged per constraint by
     constraint_codim, with the fundamental class as the free default.
+
+    The answer is kept on the spec, outside the dataclass fields, so a
+    second call on the same instance reads it back; a spec is frozen and
+    its catalog immutable.  A DefinedZero or InvariantError is never kept:
+    it is raised again on every call.
     """
+    out = spec.__dict__.get("_raw")
+    if out is not None:
+        return out
     if spec.pair is not None:
         check_contact_orders(spec)
     n, g = spec.n, spec.genus
     k, r = len(spec.absolutes), len(spec.relatives)
     excess = sum(o - 1 for o in spec.contact_orders)
-    return n * (1 - g) + spec.space.c1(spec.beta) + k + r + 3 * (g - 1) - excess
+    out = n * (1 - g) + spec.space.c1(spec.beta) + k + r + 3 * (g - 1) - excess
+    object.__setattr__(spec, "_raw", out)
+    return out
 
 
 def constraint_codim(ins: Insertion, n: int) -> int:

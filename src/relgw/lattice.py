@@ -6,7 +6,8 @@ dense int tuple `vec`, one entry per element of `GradedBasis.elements` in
 that order, plus its grade (None for the zero class).  Names and grades
 are checked once, where names become a class (`HomologyClass.from_pairs`,
 `cls`, `gen`); sums and differences only compare the two grades, and
-`encode()` is computed on first use and kept.  `IntersectionForm`,
+`encode()` is computed on first use and kept.  Each basis holds one class
+per element, which `gen` hands out.  `IntersectionForm`,
 `LinearFunctional` and `LatticeMap` hold one precomputed row per basis
 position.  All arithmetic is exact; coefficients are Python ints
 throughout.  `row_reduce` is the one linear elimination, over `Fraction`
@@ -45,6 +46,10 @@ class GradedBasis:
     (element-name, grade) pairs.  A full basis of an n-dimensional space has
     exactly one grade-0 element (the point) and one grade-n element (the
     fundamental class); for n = 0 they coincide.
+
+    Construction also builds the generator table: one `HomologyClass` per
+    element, which `gen(basis, name)` returns, so a generator is built and
+    encoded once per basis.
     """
 
     name: str
@@ -63,10 +68,17 @@ class GradedBasis:
         if len(zeros) != 1 or len(tops) != 1:
             raise LatticeError(f"{self.name}: need exactly one point and one fundamental class")
         # attributes, not fields, so equality and hashing still see only the
-        # declared data: name -> (position, grade), the zero vector, the hash
+        # declared data: name -> (position, grade), the zero vector, the
+        # hash, name -> generator class
+        zero = (0,) * len(self.elements)
         _set(self, "_index", {e: (i, g) for i, (e, g) in enumerate(self.elements)})
-        _set(self, "_zero", (0,) * len(self.elements))
+        _set(self, "_zero", zero)
         _set(self, "_hash", hash((self.name, self.n, self.elements)))
+        gens = {e: HomologyClass(self, zero[:i] + (1,) + zero[i + 1:], g)
+                for i, (e, g) in enumerate(self.elements)}
+        for c in gens.values():
+            c.encode()   # every Insertion encodes its class
+        _set(self, "_gens", gens)
 
     def __hash__(self):
         return self._hash
@@ -228,6 +240,13 @@ def cls(basis: GradedBasis, coeffs: Mapping[str, int]) -> HomologyClass:
 
 
 def gen(basis: GradedBasis, name: str, k: int = 1) -> HomologyClass:
+    """k times the basis element `name`; LatticeError for an unknown name
+    (except with k == 0, the zero class).  With k == 1 the class is the
+    basis's own, from its generator table, the same object every call."""
+    if k == 1:
+        out = basis._gens.get(name)
+        if out is not None:
+            return out
     if k == 0:
         return HomologyClass(basis, basis._zero, None)
     pos, grade = basis._entry(name)

@@ -78,6 +78,8 @@ _HEADER = re.compile(r"\[\s*(" + _NAME + r")((?:\s+[^\s\]]+)*)\s*\]\s*$")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?P<frac>/\d+)?\s*\*\s*)?(?P<name>"
     + _NAME + r")")
+_PULL = re.compile(r"pull\(\s*(.*?)\s*\)$")
+_RELATIVE = re.compile(r"\(\s*(\d+)\s*,\s*(.*?)\s*\)$")
 _KEY = re.compile(r"(?P<head>space|pair):(?P<target>[^;]+);g=(?P<genus>\d+);"
                   r"b=(?P<beta>[^;]*);abs=(?P<abs>[^;]*)(?:;rel=(?P<rel>[^;]*))?")
 _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
@@ -86,25 +88,43 @@ _COMP_KEYS = ("level", "genus", "class", "alpha", "fiber", "zero", "inf")
 def _split_list(text: str, line: int, base_col: int):
     """Comma-split with column tracking; parens shield nested commas.  A
     blank text is the empty list; a blank entry of a longer list, such as
-    the one after a trailing comma, is an error at its column."""
+    the one after a trailing comma, is an error at its column.
+
+    A text with no parenthesis, the common case, splits with `str.split`.
+    Otherwise parentheses must balance: a `)` with none open is an
+    `unbalanced parenthesis` error at its column, and so is a `(` never
+    closed, at the column of the outermost one."""
     if not text.strip():
         return []
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            items.append((text[start:i], base_col + start))
-            start = i + 1
-    items.append((text[start:], base_col + start))
-    out = []
-    for s, col in items:
-        col += len(s) - len(s.lstrip())
-        if not s.strip():
-            raise ScenarioError("empty list entry", line, col)
-        out.append((s.strip(), col))
+    if "(" not in text and ")" not in text:
+        pieces = text.split(",")
+    else:
+        pieces, depth, start, opened = [], 0, 0, 0
+        for i, ch in enumerate(text):
+            if ch == "(":
+                if not depth:
+                    opened = i
+                depth += 1
+            elif ch == ")":
+                if not depth:
+                    raise ScenarioError("unbalanced parenthesis", line,
+                                        base_col + i)
+                depth -= 1
+            elif ch == "," and not depth:
+                pieces.append(text[start:i])
+                start = i + 1
+        if depth:
+            raise ScenarioError("unbalanced parenthesis", line,
+                                base_col + opened)
+        pieces.append(text[start:])
+    out, col = [], base_col
+    for s in pieces:
+        item = s.strip()
+        lead = col + len(s) - len(s.lstrip())
+        if not item:
+            raise ScenarioError("empty list entry", line, lead)
+        out.append((item, lead))
+        col += len(s) + 1
     return out
 
 
@@ -191,7 +211,7 @@ class _Parser:
             text = text[:at].rstrip()
         pulled = False
         space = target.ambient if isinstance(target, DivisorPair) else target
-        m = re.match(r"pull\(\s*(.*?)\s*\)$", text)
+        m = _PULL.match(text)
         if m:
             if not isinstance(target, DivisorPair) or target.ruled is None:
                 self.fail(f"pull() needs a pair= target whose ambient is "
@@ -206,7 +226,7 @@ class _Parser:
             self.fail(str(e), line, col)
 
     def parse_relative(self, divisor, text, line, col) -> Insertion:
-        m = re.match(r"\(\s*(\d+)\s*,\s*(.*?)\s*\)$", text)
+        m = _RELATIVE.match(text)
         if not m:
             self.fail("relative entries look like (order, class)", line, col)
         c = self.resolve_class(divisor, m.group(2), line, col + m.start(2))

@@ -49,6 +49,12 @@ class Verdict:
         return "admissible"
 
 
+def _kept(spec: InvariantSpec, verdict: Verdict) -> Verdict:
+    """Keep `verdict` on `spec` for `decide` to read back, and return it."""
+    object.__setattr__(spec, "_verdict", verdict)
+    return verdict
+
+
 def decide(spec: InvariantSpec) -> Verdict:
     """Apply the vanishing checks in their fixed order.
 
@@ -60,12 +66,21 @@ def decide(spec: InvariantSpec) -> Verdict:
     negative energy; area 0 stays admissible, as the effective class
     a1 - a2 of S2xS2 shows), then the three geometric rules that only see
     genus-zero relative specifications.
+
+    The verdict is kept on the spec, outside the dataclass fields, so a
+    second call on the same instance reads it back; a spec is frozen and
+    its catalog immutable.  An InvariantError of an ill-posed spec is never
+    kept: it is raised again on every call.
     """
+    out = spec.__dict__.get("_verdict")
+    if out is not None:
+        return out
     pair = spec.pair
     try:
         e = expected_dimension(spec)
     except DefinedZero as stop:
-        return Verdict(ZERO, NEGATIVE_INTERSECTION, trace=(str(stop),))
+        return _kept(spec, Verdict(ZERO, NEGATIVE_INTERSECTION,
+                                   trace=(str(stop),)))
 
     # a hyperplane of P^n (complement C^n) vanishes as a family, so it
     # outranks the instance-by-instance dimension gate in the report
@@ -74,18 +89,20 @@ def decide(spec: InvariantSpec) -> Verdict:
         d = pair.contact_count(spec.beta)
         n = spec.n
         if d > 0 and (n > 1 or d > 1):
-            return Verdict(
+            return _kept(spec, Verdict(
                 ZERO, PROJECTIVE_HYPERPLANE,
-                trace=(f"degree {d} curves against the hyperplane in dimension {n}",))
+                trace=(f"degree {d} curves against the hyperplane in dimension {n}",)))
 
     if e != 0:
-        return Verdict(ZERO, DIMENSION_MISMATCH, trace=(f"expected dimension {e}",))
+        return _kept(spec, Verdict(ZERO, DIMENSION_MISMATCH,
+                                   trace=(f"expected dimension {e}",)))
     area = spec.space.area(spec.beta)
     if area < 0:
-        return Verdict(ZERO, NEGATIVE_AREA,
-                       trace=(f"class of area {area}: no curve represents it",))
+        return _kept(spec, Verdict(
+            ZERO, NEGATIVE_AREA,
+            trace=(f"class of area {area}: no curve represents it",)))
     if pair is None or spec.genus != 0:
-        return Verdict(ADMISSIBLE)
+        return _kept(spec, Verdict(ADMISSIBLE))
 
     s, r = len(spec.absolutes), len(spec.relatives)
 
@@ -96,20 +113,20 @@ def decide(spec: InvariantSpec) -> Verdict:
         if (ell is None
                 and X.intersect(spec.beta, meta.dzero_class) >= 0
                 and all(a.pulled_back for a in spec.absolutes)):
-            return Verdict(
+            return _kept(spec, Verdict(
                 ZERO, RULED_PULLED_BACK,
                 trace=("every constraint is invariant under translation "
-                       "along the ruling",))
+                       "along the ruling",)))
         if ell is not None and ell > 1:
-            return Verdict(ZERO, FIBER_MULTIPLE,
-                           trace=(f"class is {ell} times the fiber",))
+            return _kept(spec, Verdict(ZERO, FIBER_MULTIPLE,
+                                       trace=(f"class is {ell} times the fiber",)))
         if ell == 1 and s > 0 and s + r > 3:
-            return Verdict(
+            return _kept(spec, Verdict(
                 ZERO, FIBER_MULTIPLE,
                 trace=(f"fiber class with {s} absolute and {r} relative "
-                       "insertions",))
+                       "insertions",)))
 
-    return Verdict(ADMISSIBLE)
+    return _kept(spec, Verdict(ADMISSIBLE))
 
 
 def check_degeneration_hypothesis(

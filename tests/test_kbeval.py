@@ -208,10 +208,13 @@ def test_parse_skips_blanks_and_comments():
     # an empty list entry is an error of its own, as in a scenario file
     ("space:p3;g=0;b=lambda;abs=pt,pt,",
      "line 2, col 33: empty list entry"),
+    # and so is an unclosed parenthesis, at its column
+    ("pair:p2_hyperplane;g=0;b=lambda;abs=;rel=(1,pt",
+     "line 2, col 42: unbalanced parenthesis"),
 ], ids=["order", "class-text", "no-key", "unknown-id", "space-with-rel",
         "space-as-pair", "unknown-generator", "psi-power",
         "pulled-back-on-a-space", "pulled-back-on-a-flat-pair",
-        "trailing-space", "trailing-comma"])
+        "trailing-space", "trailing-comma", "unclosed-paren"])
 def test_parse_rejects_keys_that_are_not_canonical(text, message):
     with pytest.raises(ScenarioError) as err:
         loaded(f"# header\n{text}\t1/1\tuser\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,8 +8,8 @@ from fractions import Fraction
 
 from relgw.lattice import (BasisMismatchError, GradedBasis, GradeError,
                            HomologyClass, LatticeError, LinearFunctional, cls,
-                           combination)
-from relgw.spaces import builtin
+                           combination, gen)
+from relgw.spaces import CatalogError, builtin
 
 X = builtin("p4blow2")
 B = X.basis
@@ -92,6 +93,88 @@ def test_equal_bases_compare_and_hash_equal():
     assert hash(one) == hash(two) == hash(B)
     assert cls(one, {"lambda": 1}) + cls(two, {"eps1": 1}) == \
         cls(B, {"lambda": 1, "eps1": 1})
+
+
+# -- the generator table ----------------------------------------------------
+
+SPACE_IDS = ("p0", "p1", "p2", "p3", "p4", "p2blow1", "p3blow2", "p4blow2",
+             "t2_ruled", "t2_base", "s2xs2", "antidiag_sphere")
+PAIR_IDS = ("p1_point", "p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
+            "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
+            "s2xs2_antidiag")
+
+
+def reached_bases():
+    """Every basis object `builtin` reaches: catalog spaces, the ambient and
+    divisor of each pair, and the totals of the `y_of:` and `q_of:`
+    bundles with their pairs at infinity."""
+    found = {}
+
+    def add(space):
+        found[id(space.basis)] = space.basis
+
+    for name in SPACE_IDS:
+        add(builtin(name))
+    for name in PAIR_IDS:
+        pair = builtin(name)
+        add(pair.ambient)
+        add(pair.divisor)
+        for prefix in ("y_of:", "q_of:"):
+            try:
+                setup = builtin(prefix + name)
+            except CatalogError:
+                continue  # no P1-bundle over a zero-dimensional divisor
+            add(setup.total)
+            if setup.infinity_pair is not None:
+                add(setup.infinity_pair.ambient)
+                add(setup.infinity_pair.divisor)
+    return list(found.values())
+
+
+def built_gen(basis, name, k):
+    """k times a basis element, built anew as every call built it before
+    bases kept a generator table."""
+    if k == 0:
+        return HomologyClass(basis, basis._zero, None)
+    pos, grade = basis._entry(name)
+    vec = list(basis._zero)
+    vec[pos] = k
+    return HomologyClass(basis, tuple(vec), grade)
+
+
+def test_each_basis_holds_its_generators():
+    bases = reached_bases()
+    assert len({b.name for b in bases}) == len(bases) == 26
+    for b in bases:
+        for e, grade in b.elements:
+            one = gen(b, e)
+            assert one is gen(b, e)
+            want = HomologyClass.from_pairs(b, ((e, 1),))
+            assert (one, one.vec, one.grade, one.encode()) == \
+                (want, want.vec, want.grade, want.encode())
+            assert one.basis is b and one.grade == grade
+            for k in (-2, 0, 2):
+                got, old = gen(b, e, k), built_gen(b, e, k)
+                assert (got, got.vec, got.grade, got.encode()) == \
+                    (old, old.vec, old.grade, old.encode())
+        with pytest.raises(LatticeError):
+            gen(b, "nosuch")
+        with pytest.raises(LatticeError):
+            gen(b, "nosuch", 2)
+        assert gen(b, "nosuch", 0).is_zero
+
+
+def test_the_generator_table_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(GradedBasis)] == [
+        "name", "n", "elements"]
+    for b in reached_bases():
+        twin = GradedBasis(b.name, b.n, tuple(b.elements))
+        assert twin == b and hash(twin) == hash(b) == \
+            hash((b.name, b.n, b.elements))
+        assert repr(twin) == (f"GradedBasis(name={b.name!r}, n={b.n!r}, "
+                              f"elements={b.elements!r})")
+        assert gen(twin, b.point) == gen(b, b.point)
+        assert gen(twin, b.point) is not gen(b, b.point)
 
 
 # -- property: the vector classes agree with a name-keyed reference ------

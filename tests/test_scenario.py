@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from relgw import cli
 from relgw.dimension import Insertion, InvariantSpec
 from relgw.lattice import cls
-from relgw.scenario import ScenarioError, _Parser, parse_scenario
+from relgw.scenario import (ScenarioError, _Parser, _split_list,
+                             parse_scenario)
 from relgw.spaces import CatalogError, builtin
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -257,6 +258,14 @@ MALFORMED = {
     "contacts-trailing-comma": (P2_STRATUM + "comp level=0 genus=0 "
                                 "class=lambda inf=1:a,\n",
                                 5, 43, "empty list entry"),
+    # parentheses in a list value balance: an unclosed one is an error at
+    # its column, an unmatched `)` at its own
+    "unclosed-paren": ("[invariant x]\npair = t2_ruled_section\ngenus = 0\n"
+                       "class = f\nabs = pull(pt, pt\n", 5, 11,
+                       "unbalanced parenthesis"),
+    "unmatched-paren": (P2_PAIR + "[invariant x]\npair = p2_hyperplane\n"
+                        "genus = 0\nclass = lambda\nrel = (1,pt)), (1,pt)\n",
+                        7, 13, "unbalanced parenthesis"),
 }
 
 
@@ -329,6 +338,64 @@ def test_near_generator_texts_that_parse_keep_their_classes():
 def test_an_empty_list_value_is_the_empty_list():
     spec = parse_scenario(P3_INVARIANT + "class = 0\nabs =\n").invariants["x"]
     assert spec.absolutes == ()
+
+
+def walked_split(text, line, base_col):
+    """The character walk `_split_list` made on every text before it
+    split texts with no parenthesis by `str.split` and required balance."""
+    if not text.strip():
+        return []
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append((text[start:i], base_col + start))
+            start = i + 1
+    items.append((text[start:], base_col + start))
+    out = []
+    for s, col in items:
+        col += len(s) - len(s.lstrip())
+        if not s.strip():
+            raise ScenarioError("empty list entry", line, col)
+        out.append((s.strip(), col))
+    return out
+
+
+def split_outcome(split, text, base_col):
+    """The entries `split` gives, or its error as (message, line, col)."""
+    try:
+        return split(text, 3, base_col)
+    except ScenarioError as e:
+        return (e.message, e.line, e.col)
+
+
+def unbalanced_at(text):
+    """Offset of the first `)` with none open, else of the outermost `(`
+    left open, else None."""
+    opened = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            opened.append(i)
+        elif ch == ")":
+            if not opened:
+                return i
+            opened.pop()
+    return opened[0] if opened else None
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(("pt", ",", " ", "(", ")")), max_size=12)
+       .map("".join), st.integers(1, 40))
+def test_split_list_keeps_the_walk_where_parentheses_balance(text, base_col):
+    got = split_outcome(_split_list, text, base_col)
+    at = unbalanced_at(text)
+    if at is None:
+        assert got == split_outcome(walked_split, text, base_col)
+    else:
+        assert got == ("unbalanced parenthesis", 3, base_col + at)
 
 
 # -- exit statuses of the command line -----------------------------------

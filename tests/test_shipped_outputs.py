@@ -10,6 +10,8 @@ byte; every other report must match its digest.
 every catalog space and pair, with the digest of each `dim` report, the
 `vanish` verdict and the `eval` value.  A recorded value must stay, a
 recorded `unknown` may become a number, and a hand-worked value must hold.
+After the three reports, the raw dimension and verdict each bracket's spec
+keeps must equal those of an equal spec built anew.
 """
 
 import csv
@@ -20,7 +22,9 @@ from pathlib import Path
 import pytest
 
 from relgw import cli
+from relgw.dimension import DefinedZero, InvariantSpec, raw_dimension
 from relgw.scenario import parse_scenario
+from relgw.vanishing import decide
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -136,4 +140,30 @@ def test_bracket_reports_match_the_reference(space):
             moved.append(("value", row))
         if row["hand"] != "-" and value != row["hand"]:
             moved.append(("hand", row))
+    assert moved == []
+
+
+def answers(spec):
+    """The raw dimension, or the text of its DefinedZero, and the verdict."""
+    try:
+        raw = raw_dimension(spec)
+    except DefinedZero as e:
+        raw = str(e)
+    return raw, decide(spec)
+
+
+@pytest.mark.parametrize("space", sorted({row["space"] for row in BRACKETS}))
+def test_bracket_specs_keep_fresh_answers(space):
+    moved = []
+    for row in BRACKETS:
+        if row["space"] != space:
+            continue
+        sc = parse_scenario(bracket_text(row))
+        for command in ("dim", "vanish", "eval"):
+            cli.run(command, sc, ("b",))
+        spec = sc.invariants["b"]
+        fresh = InvariantSpec(spec.target, spec.genus, spec.beta,
+                              spec.absolutes, spec.relatives)
+        if answers(spec) != answers(fresh):
+            moved.append(row)
     assert moved == []

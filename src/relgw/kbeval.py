@@ -248,8 +248,10 @@ class SplitIdentity:
     the diagonal basis, and they are equal.  Equal extras are not told
     apart: a distribution is the number of copies of each distinct extra
     that goes to the first side, weighted by the ways of choosing them.
-    Both groupings' sides are built once per identity (`sides`), and
-    `side_keys` reads them from there.
+    Both groupings' sides are built once per identity (`sides`), and sorted
+    there into the live terms, where no side is structurally zero by
+    `vanishing.decide`, and the keys of the sides that are; a term with a
+    zero side adds nothing to its sum.  `side_keys` reads them from there.
     """
 
     space: Space
@@ -265,18 +267,23 @@ class SplitIdentity:
 
     @cached_property
     def sides(self) -> dict:
-        """(left, right) grouping -> its (weight, side1, side2) terms."""
-        return {(left, right): _sides(self, left, right)
+        """(left, right) grouping -> (terms, live, vanishing): its
+        (weight, side1, side2) terms, the terms with no structurally zero
+        side, and the normalized keys of the sides that are zero."""
+        return {(left, right): _live(_sides(self, left, right))
                 for left, right in self.groupings()}
 
     @cached_property
     def side_keys(self) -> frozenset[str]:
-        """Normalized keys of every side either boundary sum evaluates: the
-        only brackets a solution of this identity can give a value."""
-        return frozenset(side.key()
-                         for terms in self.sides.values()
-                         for _, side1, side2 in terms
-                         for side in (side1, side2))
+        """Normalized keys of the sides of the live terms and of the zero
+        sides: a solution of this identity can give a value only to a side
+        of a live term, and a zero side is what makes a term not live."""
+        keys = set()
+        for _, live, vanishing in self.sides.values():
+            keys |= vanishing
+            keys.update(side.key() for _, side1, side2 in live
+                        for side in (side1, side2))
+        return frozenset(keys)
 
 
 @dataclass(frozen=True)
@@ -694,27 +701,51 @@ def _sides(si: SplitIdentity, left, right):
     return tuple(sides)
 
 
+def _live(terms):
+    """(terms, live, vanishing) of one grouping: the live terms are those
+    where no side is structurally zero by `decide`, which reads no
+    knowledge base; `vanishing` holds the keys of the zero sides.  A term
+    with a side whose verdict raises stays live, so the evaluator raises
+    on it as before."""
+    live, vanishing = [], set()
+    for term in terms:
+        try:
+            zero = {side.key() for side in term[1:] if decide(side).is_zero}
+        except InvariantError:
+            zero = set()
+        if zero:
+            vanishing |= zero
+        else:
+            live.append(term)
+    return terms, tuple(live), frozenset(vanishing)
+
+
 def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
     """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
 
-    Each term of `si.sides` counts its weight times: its product goes into
-    the constant, or its known factor into the coefficient of the unknown
-    one, multiplied by the weight.  `missing` names each term with two
-    unknown factors once.  The sides evaluate with the solver held off: an
-    unknown side is a coefficient of the identity, not the start of
-    another solve.
+    Each live term of `si.sides` counts its weight times: its product goes
+    into the constant, or its known factor into the coefficient of the
+    unknown one, multiplied by the weight.  `missing` names each term with
+    two unknown factors once.  A term with a structurally zero side
+    evaluates to 0 times its other side and is skipped, unless the
+    evaluator's base holds a value for one of the zero sides: the base is
+    read before the verdict, so that evaluator walks every term.  The sides
+    evaluate with the solver held off: an unknown side is a coefficient of
+    the identity, not the start of another solve.
     """
-    sides = si.sides[(left, right)]
+    terms, live, vanishing = si.sides[(left, right)]
+    if not any(key in ev.kb for key in vanishing):
+        terms = live
     held, ev._solver_on = ev._solver_on, False
     try:
         values = [(ev.evaluate(side1), ev.evaluate(side2))
-                  for _, side1, side2 in sides]
+                  for _, side1, side2 in terms]
     finally:
         ev._solver_on = held
     const = Fraction(0)
     coeffs: dict[str, Fraction] = {}
     missing: list[str] = []
-    for (weight, side1, side2), (v1, v2) in zip(sides, values):
+    for (weight, side1, side2), (v1, v2) in zip(terms, values):
         known1 = isinstance(v1, Value)
         known2 = isinstance(v2, Value)
         if known1 and known2:

@@ -240,7 +240,15 @@ def _fiber_mult(beta: HomologyClass, fiber: HomologyClass) -> int:
 
 @dataclass(frozen=True)
 class DivisorPair:
-    """A space with a chosen smooth divisor and the lattice data relating them."""
+    """A space with a chosen smooth divisor and the lattice data relating them.
+
+    Built once, outside the fields, `_negative` is the divisor's effective
+    model cut down to the branches on which the normal degree can reach -2:
+    those with a generator of negative normal degree or an offset of normal
+    degree <= -2.  On the others every class has normal degree above -2, so
+    the degeneration hypothesis looks only here; None when no branch
+    qualifies or the divisor has no model.
+    """
 
     name: str
     ambient: Space
@@ -265,6 +273,13 @@ class DivisorPair:
                 raise CatalogError(f"{self.name}: normal degree mismatch on {g}")
             if X.c1(self.inclusion(a)) != D.c1(a) + nd:
                 raise CatalogError(f"{self.name}: adjunction mismatch on {g}")
+        model, degree = D.effective, self.normal_degree
+        negative = () if model is None else tuple(
+            b for b in model.branches
+            if any(degree(g) < 0 for g in b.generators)
+            or (b.offset is not None and degree(b.offset) <= -2))
+        object.__setattr__(self, "_negative", EffectiveModel(
+            D.basis, D.area, negative) if negative else None)
 
     def contact_count(self, beta: HomologyClass) -> int:
         return self.ambient.intersect(beta, self.divisor_class)

@@ -140,17 +140,24 @@ def check_degeneration_hypothesis(
     space.  Returns (True, None) when no such class exists, otherwise
     (False, witness).
 
-    Candidates are enumerated by their area inside the divisor; the budget
-    is wide enough to cover every catalog geometry, including ones where
-    the inclusion collapses area.
+    Candidates are enumerated by their area inside the divisor, in
+    (area, encode()) order; the budget is wide enough to cover every
+    catalog geometry, including ones where the inclusion collapses area.
+    Only the branches of the divisor's cone on which the normal degree can
+    reach -2 are enumerated (`DivisorPair._negative`), so the first witness
+    is the one the whole cone gives; with no such branch the answer is
+    (True, None) and no class is built.
     """
     X, D = pair.ambient, pair.divisor
-    xmodel, dmodel = X.effective, D.effective
-    if xmodel is None or dmodel is None:
+    xmodel = X.effective
+    if xmodel is None or D.effective is None:
         raise InvariantError(
             f"pair {pair.name} has no effective-class model on both sides")
+    negative = pair._negative
+    if negative is None:
+        return True, None
     n = X.n
-    for alpha in dmodel.classes(2 * int(X.area(beta)) + 2):
+    for alpha in negative.classes(2 * int(X.area(beta)) + 2):
         k = -pair.normal_degree(alpha)
         if k < 2:
             continue

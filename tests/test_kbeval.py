@@ -25,6 +25,7 @@ from relgw.kbeval import (
 from relgw.lattice import cls, gen
 from relgw.scenario import ScenarioError, parse_scenario
 from relgw.spaces import CatalogError, builtin
+from relgw.vanishing import decide
 
 P3 = builtin("p3")
 PT, LAM, PI = P3.point, P3.gen("lambda"), P3.gen("pi")
@@ -508,6 +509,28 @@ def counted_solves(monkeypatch) -> list[str]:
     return calls
 
 
+def counted_evaluations(monkeypatch) -> list[str]:
+    """The keys `Evaluator.evaluate` is called on, in call order."""
+    calls = []
+    real = Evaluator.evaluate
+
+    def counted(ev, spec):
+        calls.append(spec.key())
+        return real(ev, spec)
+
+    monkeypatch.setattr(Evaluator, "evaluate", counted)
+    return calls
+
+
+def test_conic_bracket_evaluates_only_live_sides(monkeypatch):
+    # the conic count and the sides of the 8 live terms of
+    # conics-two-points, with what they reduce to; the walk over all 96
+    # terms made 197 calls
+    calls = counted_evaluations(monkeypatch)
+    assert value_of(Evaluator(seed_table()).evaluate(CONICS)) == 4
+    assert len(calls) <= 21
+
+
 @pytest.mark.parametrize("spec", [
     absolute(P3, LAM.scale(2), PT, PT, PT, PT, genus=1),
     absolute(P3, LAM.scale(4), *[PT] * 8),
@@ -529,11 +552,13 @@ def test_solver_runs_only_the_identities_holding_the_target(monkeypatch):
 
 class _Recorder:
     """Stands in for an evaluator: records each side a boundary sum asks
-    for, by normalized key, and knows none of them."""
+    for, by normalized key, and knows none of them.  Its base is empty, so
+    the sums skip every term with a structurally zero side."""
 
     _solver_on = True
 
     def __init__(self):
+        self.kb = KnowledgeBase()
         self.sides = {}
 
     def evaluate(self, spec):
@@ -541,25 +566,49 @@ class _Recorder:
         return Unknown()
 
 
+def every_side(si):
+    """Normalized key -> spec of every side of every term of both
+    groupings, live or not."""
+    return {side.key(): side for terms, _, _ in si.sides.values()
+            for _, *pair in terms for side in pair}
+
+
+def live_and_vanishing(si):
+    """(keys of the sides of the live terms, keys of the zero sides)."""
+    live = {side.key() for _, terms, _ in si.sides.values()
+            for _, *pair in terms for side in pair}
+    return live, set().union(*(zero for *_, zero in si.sides.values()))
+
+
 @pytest.mark.parametrize("si", standard_identities(), ids=lambda si: si.name)
 def test_side_keys_are_the_sides_the_sums_evaluate(si):
     rec = _Recorder()
     eq, missing = splitting_identity(si, rec)
     assert eq is None and missing
-    assert si.side_keys == set(rec.sides)
+    live, vanishing = live_and_vanishing(si)
+    # the sums evaluate exactly the sides of the live terms
+    assert set(rec.sides) == live
+    assert si.side_keys == live | vanishing
+    # each zero side is zero by the verdict alone, and today every side
+    # of a term that is not live is zero or a side of a live term, so the
+    # keys are those of every side the full walk evaluates
+    sides = every_side(si)
+    assert all(decide(sides[key]).is_zero for key in vanishing)
+    assert not live & vanishing
+    assert si.side_keys == set(sides)
 
 
 def test_identities_share_only_sides_the_rules_determine():
     # the solver runs only the identities holding its target; that loses
     # nothing while no unknown side links one identity to another
-    rec = _Recorder()
+    sides = {}
     for si in standard_identities():
-        splitting_identity(si, rec)
+        sides.update(every_side(si))
     ev = Evaluator(seed_table())
     ev._solver_on = False
     for a, b in itertools.combinations(standard_identities(), 2):
         for key in a.side_keys & b.side_keys:
-            assert isinstance(ev.evaluate(rec.sides[key]), Value), key
+            assert isinstance(ev.evaluate(sides[key]), Value), key
 
 
 # -- grouped sides against the per-subset walk -------------------------------
@@ -612,26 +661,102 @@ def subset_sum(ev, si, left, right):
     return const, coeffs, missing
 
 
+def subset_equation(ev, si):
+    """What `splitting_identity` gives, from the two `subset_sum`s, with
+    the terms that have two unknown factors sorted, and an inconsistent
+    identity as its error text."""
+    (const_a, coeff_a, miss_a), (const_b, coeff_b, miss_b) = (
+        subset_sum(ev, si, left, right) for left, right in si.groupings())
+    if miss_a or miss_b:
+        return None, tuple(sorted([*set(miss_a), *set(miss_b)]))
+    coeffs = dict(coeff_a)
+    for k, v in coeff_b.items():
+        coeffs[k] = coeffs.get(k, Fraction(0)) - v
+    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    rhs = const_b - const_a
+    if not coeffs:
+        if rhs != 0:
+            return f"identity {si.name} is inconsistent: 0 = {rhs}"
+        return None, ()
+    return LinearEquation(tuple(sorted(coeffs.items())), rhs, si.name), ()
+
+
+def solved(si, ev):
+    """`splitting_identity` in the form `subset_equation` gives."""
+    try:
+        eq, missing = splitting_identity(si, ev)
+    except EvalError as err:
+        return str(err)
+    return eq, tuple(sorted(missing))
+
+
 ORACLE_IDENTITIES = standard_identities() + tuple(p2_identity(d)
                                                   for d in (2, 3, 4))
 LINES_P2 = absolute(P2, P2.gen("lambda"), P2.point, P2.point)
 
 
-@pytest.mark.parametrize("with_lines", [False, True], ids=["seeds", "n1"])
+def held_term(si):
+    """Both sides of the first term of the first grouping that is not
+    live.  Every such term here has two zero sides, so a value held for
+    one of them alone leaves the sum as it is; with both, the term adds
+    its weight."""
+    terms, live, _ = si.sides[si.groupings()[0]]
+    _, side1, side2 = next(t for t in terms if t not in live)
+    return side1.key(), side2.key()
+
+
+def oracle_base(si, kind):
+    kb = seed_table()
+    if kind == "n1":  # one line through two points: known P2 sides
+        kb.add(LINES_P2.key(), Fraction(1), "test")
+    elif kind == "held-zero-sides":  # the sums walk every term
+        for key in held_term(si):
+            kb.add(key, Fraction(1), "test")
+    return kb
+
+
+@pytest.mark.parametrize("kind", ["seeds", "n1", "held-zero-sides"])
 @pytest.mark.parametrize("si", ORACLE_IDENTITIES, ids=lambda si: si.name)
-def test_grouped_sums_equal_the_subset_walk(si, with_lines):
-    def base():
-        kb = seed_table()
-        if with_lines:  # one line through two points: known P2 sides
-            kb.add(LINES_P2.key(), Fraction(1), "test")
-        return kb
+def test_grouped_sums_equal_the_subset_walk(si, kind):
     for left, right in si.groupings():
-        const, coeffs, missing = _grouping_sum(Evaluator(base()), si, left,
-                                               right)
-        o_const, o_coeffs, o_missing = subset_sum(Evaluator(base()), si,
-                                                  left, right)
+        const, coeffs, missing = _grouping_sum(
+            Evaluator(oracle_base(si, kind)), si, left, right)
+        o_const, o_coeffs, o_missing = subset_sum(
+            Evaluator(oracle_base(si, kind)), si, left, right)
         assert (const, coeffs) == (o_const, o_coeffs)
-        assert bool(missing) == bool(o_missing)
+        # a term stands for many labeled subsets, and names itself once
+        assert len(set(missing)) == len(missing)
+        assert sorted(missing) == sorted(set(o_missing))
+    assert solved(si, Evaluator(oracle_base(si, kind))) \
+        == subset_equation(Evaluator(oracle_base(si, kind)), si)
+
+
+@pytest.mark.parametrize("si", ORACLE_IDENTITIES, ids=lambda si: si.name)
+def test_a_held_zero_side_is_read(si):
+    # the held values reach the sum only through the terms that are not
+    # live, so the walk over every term is what the oracle agrees with
+    left, right = si.groupings()[0]
+    fresh = _grouping_sum(Evaluator(seed_table()), si, left, right)
+    held = _grouping_sum(Evaluator(oracle_base(si, "held-zero-sides")), si,
+                         left, right)
+    assert held != fresh
+
+
+@pytest.mark.parametrize("si,live,terms", [
+    (standard_identities()[0], 8, 96),
+    (standard_identities()[1], 4, 32),
+    (p2_identity(2), 6, 54),
+    (p2_identity(3), 12, 144),
+    (p2_identity(4), 18, 270),
+    (p2_identity(5), 24, 432),
+    (p2_identity(6), 30, 630),
+], ids=["conics-two-points", "lines-four-lines", "p2-d2", "p2-d3", "p2-d4",
+        "p2-d5", "p2-d6"])
+def test_live_term_counts(si, live, terms):
+    # over both groupings: the terms the sums evaluate, of all the terms
+    groupings = si.sides.values()
+    assert sum(len(kept) for _, kept, _ in groupings) == live
+    assert sum(len(every) for every, _, _ in groupings) == terms
 
 
 @pytest.mark.parametrize("si,grouped,walked,keys", [
@@ -645,7 +770,7 @@ def test_grouped_sums_equal_the_subset_walk(si, with_lines):
         "p2-d5"])
 def test_grouped_side_counts(si, grouped, walked, keys):
     for left, right in si.groupings():
-        terms = si.sides[(left, right)]
+        terms, _, _ = si.sides[(left, right)]
         assert len(terms) == grouped
         if walked is not None:
             walk = subset_sides(si, left, right)

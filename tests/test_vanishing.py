@@ -3,9 +3,11 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
 from relgw.kbeval import Evaluator, _rule_drop_fundamental_tails, seed_table
-from relgw.lattice import cls, gen
+from relgw.lattice import HomologyClass, cls, gen
 from relgw.spaces import builtin
 from relgw.strata import _partitions
 from relgw.vanishing import (
@@ -173,6 +175,60 @@ def test_hypothesis_antidiagonal():
     ok, witness = check_degeneration_hypothesis(pair, X.gen("a1"))
     assert not ok
     assert witness == D.gen("fund")
+
+
+def full_walk_hypothesis(pair, beta):
+    """The check over every class of the divisor's cone, each branch
+    walked whatever its normal degrees: the oracle for the walk over the
+    branches that can reach normal degree -2."""
+    X, D = pair.ambient, pair.divisor
+    n = X.n
+    for alpha in D.effective.classes(2 * int(X.area(beta)) + 2):
+        k = -pair.normal_degree(alpha)
+        if k < 2:
+            continue
+        image = pair.inclusion(alpha)
+        remainder = beta - image
+        if remainder.is_zero or not X.effective.is_effective(remainder):
+            continue
+        bound = (n - 3) * (k - 2) if n >= 3 else 0
+        if X.c1(image) <= bound:
+            return False, alpha
+    return True, None
+
+
+# every catalog pair with an effective model on both sides: a point, the
+# divisor of p1_point, has none, nor has the ambient of a bundle pair
+MODELED_PAIRS = ("p2_hyperplane", "p3_hyperplane", "p4_hyperplane",
+                 "p2blow1_exc", "p4blow2_hyperplane", "t2_ruled_section",
+                 "s2xs2_antidiag")
+
+
+@pytest.mark.parametrize("name", MODELED_PAIRS)
+def test_hypothesis_matches_the_full_walk(name):
+    pair = builtin(name)
+    for beta in pair.ambient.effective.classes(8):
+        assert check_degeneration_hypothesis(pair, beta) \
+            == full_walk_hypothesis(pair, beta), beta.encode()
+
+
+@pytest.mark.parametrize("name", ["p2_hyperplane", "p3_hyperplane",
+                                  "p4_hyperplane"])
+def test_hyperplane_hypothesis_builds_no_class(monkeypatch, name):
+    # the normal degree is the degree, positive on every divisor class
+    pair = builtin(name)
+    classes = pair.ambient.effective.classes(8)
+    built = []
+    post = HomologyClass.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post(self)
+
+    monkeypatch.setattr(HomologyClass, "__post_init__", counted)
+    assert all(check_degeneration_hypothesis(pair, beta) == (True, None)
+               for beta in classes)
+    assert built == []
 
 
 # -- divisor classes pulled back to the bundle side ------------------------

@@ -154,18 +154,23 @@ class InvariantSpec:
     def key(self) -> str:
         """Canonical text form; equal keys mean the same count.
 
-        The text is built on the first call and kept on the instance, outside
-        the dataclass fields, so equality, hashing and repr do not see it.
+        The first call builds the text from the insertions in canonical
+        order (`_sort_key`) and keeps both on the instance, outside the
+        dataclass fields, so equality, hashing and repr do not see them:
+        `_key` holds the text and `_sorted` the (absolutes, relatives)
+        tuples in that order, which `kbeval.normalize` reads.
         """
         out = self.__dict__.get("_key")
         if out is not None:
             return out
-        a = ",".join(i.token() for i in sorted(self.absolutes, key=_sort_key))
+        a = tuple(sorted(self.absolutes, key=_sort_key))
+        r = tuple(sorted(self.relatives, key=_sort_key))
         head = "pair" if self.pair is not None else "space"
-        out = f"{head}:{self.target.name};g={self.genus};b={self.beta.encode()};abs={a}"
+        out = (f"{head}:{self.target.name};g={self.genus};"
+               f"b={self.beta.encode()};abs={','.join(i.token() for i in a)}")
         if self.pair is not None:
-            r = ",".join(i.token() for i in sorted(self.relatives, key=_sort_key))
-            out += f";rel={r}"
+            out += f";rel={','.join(i.token() for i in r)}"
+        object.__setattr__(self, "_sorted", (a, r))
         object.__setattr__(self, "_key", out)
         return out
 

@@ -33,9 +33,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
 
-from .dimension import Insertion, InvariantError, InvariantSpec, _sort_key
+from .dimension import Insertion, InvariantError, InvariantSpec
 from .lattice import HomologyClass, cls, gen, row_reduce
-from .scenario import ScenarioError, parse_key
+from .scenario import ScenarioError, parse_key, split_lines
 from .spaces import DivisorPair, Space, builtin
 from .vanishing import check_degeneration_hypothesis, decide
 
@@ -114,7 +114,7 @@ class KnowledgeBase:
         field for a bad value or one that conflicts with an entry of this
         base or an earlier line, and inside the key for a key that names
         no count or not in its canonical form."""
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(split_lines(text), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("\t")
@@ -211,12 +211,22 @@ def seed_table() -> KnowledgeBase:
 
 
 def normalize(spec: InvariantSpec) -> InvariantSpec:
-    """Reorder insertions into the canonical order used by keys."""
-    a = tuple(sorted(spec.absolutes, key=_sort_key))
-    r = tuple(sorted(spec.relatives, key=_sort_key))
+    """The spec with its insertions in the canonical order used by keys.
+
+    The order is the one `spec.key()` sorted into and kept on the spec, so
+    nothing is sorted here.  A spec already in that order is returned as
+    it is; otherwise the canonical spec is built and given the key and the
+    sorted tuples of `spec`, which are its own: sorting sorted tuples
+    leaves them as they are.
+    """
+    key = spec.key()
+    a, r = spec._sorted
     if a == spec.absolutes and r == spec.relatives:
         return spec
-    return InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
+    out = InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
+    object.__setattr__(out, "_sorted", (a, r))
+    object.__setattr__(out, "_key", key)
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,6 +326,10 @@ class Evaluator:
     it is held off while a boundary sum of an
     identity evaluates its sides (`_grouping_sum`).  The tables the rules
     read are built once per process, so a new evaluator costs no rebuild.
+    A count tries only the rules that serve its kind of target, in the
+    order of `_RULES`: `_SPACE_RULES` for a Space, `_PAIR_RULES` for a
+    DivisorPair; a rule left out of a kind's tuple declines every count of
+    that kind on its first line.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -352,7 +366,7 @@ class Evaluator:
         verdict = decide(spec)
         if verdict.is_zero:
             return Value(Fraction(0), (f"vanishing: {verdict.reason}",))
-        for rule in _RULES:
+        for rule in _SPACE_RULES if spec.pair is None else _PAIR_RULES:
             hitr = rule(self, spec)
             if hitr is None:
                 continue
@@ -652,6 +666,13 @@ _RULES = (
     _rule_blowup,
     _rule_restriction,
 )
+# the rules that serve each kind of target, in the order of `_RULES`; every
+# rule left out of one returns None on its first line for that kind
+_SPACE_RULES = tuple(rule for rule in _RULES if rule not in (
+    _rule_exceptional_tail, _rule_fiber, _rule_section_double_cover,
+    _rule_drop_fundamental_tails, _rule_push_tails))
+_PAIR_RULES = tuple(rule for rule in _RULES if rule not in (
+    _rule_degree_zero, _rule_divisor_axiom, _rule_blowup, _rule_restriction))
 
 
 # -- splitting identities ----------------------------------------------------

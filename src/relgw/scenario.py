@@ -128,9 +128,35 @@ def _split_list(text: str, line: int, base_col: int):
     return out
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, broken at line feeds, carriage returns and CR LF
+    pairs only: the lines a file opened in text mode yields.
+    `str.splitlines` also breaks at form feeds, U+0085, U+2028 and other
+    separators that such a read keeps inside a line, so every line number
+    after one would point past the line it names."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 class _Parser:
+    """One scenario text, scanned once.
+
+    The scan keeps `lines` (the text's lines, for the header of a
+    `[class]` section) and `rows`: one `(lineno, text, col)` per line that
+    is not blank once its `#` comment is cut, where `text` is what remains,
+    stripped, and `col` the 1-based column it starts at.  `parse` walks the
+    rows; a section's body is the slice of rows up to the next row that
+    starts with `[`.
+    """
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = split_lines(text)
+        self.rows = []
+        for lineno, raw in enumerate(self.lines, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if text:
+                self.rows.append((lineno, text, raw.find(text[0]) + 1))
         self.sc = Scenario()
         self.runs: list[RunDirective] = []
         # which space owns each class
@@ -235,6 +261,20 @@ class _Parser:
         except InvariantError as e:
             self.fail(str(e), line, col)
 
+    def insertions(self, parse, owner, value, line, col) -> list[Insertion]:
+        """The entries of one `abs =` or `rel =` list, each read by
+        `parse(owner, text, line, col)`.  An entry whose text repeats is the
+        Insertion its first occurrence built: the text alone decides it,
+        and the first occurrence raises any error it has."""
+        built: dict[str, Insertion] = {}
+        out = []
+        for text, tcol in _split_list(value, line, col):
+            ins = built.get(text)
+            if ins is None:
+                ins = built[text] = parse(owner, text, line, tcol)
+            out.append(ins)
+        return out
+
     def parse_contact(self, divisor, text, line, col) -> Contact:
         parts = text.split(":")
         if len(parts) not in (2, 3) or not parts[0].strip().isdecimal():
@@ -286,53 +326,39 @@ class _Parser:
     # -- sections --------------------------------------------------------
 
     def parse(self) -> Scenario:
-        i = 0
-        while i < len(self.lines):
-            raw = self.lines[i]
-            text = raw.split("#", 1)[0].rstrip()
-            if not text.strip():
-                i += 1
-                continue
-            m = _HEADER.match(text.strip())
+        rows, i = self.rows, 0
+        while i < len(rows):
+            header_line, text, col = rows[i]
+            m = _HEADER.match(text)
             if not m:
-                self.fail("expected a [section] header",
-                          i + 1, 1 + len(raw) - len(raw.lstrip()))
-            kind, args, header_line = m.group(1), m.group(2).split(), i + 1
-            body, i = self.collect_body(i + 1)
+                self.fail("expected a [section] header", header_line, col)
+            kind, args = m.group(1), m.group(2).split()
+            i += 1
+            start = i
+            while i < len(rows) and not rows[i][1].startswith("["):
+                i += 1
             handler = getattr(self, "section_" + kind, None)
             if handler is None:
                 self.fail(f"unknown section kind {kind!r}", header_line, 2)
-            handler(args, header_line, body)
+            handler(args, header_line, rows[start:i])
         self.sc.runs = tuple(self.runs)
         return self.sc
 
-    def collect_body(self, start):
-        """Lines up to the next header; keeps (lineno, text) with comments cut."""
-        body, i = [], start
-        while i < len(self.lines):
-            raw = self.lines[i]
-            text = raw.split("#", 1)[0].rstrip()
-            if text.strip().startswith("["):
-                break
-            if text.strip():
-                body.append((i + 1, text.strip(),
-                             1 + len(raw) - len(raw.lstrip())))
-            i += 1
-        return body, i
-
     def key_value(self, text, lineno, col, allowed, seen):
-        """Split a `key = value` line into (key, value, value column); the
-        key must be in `allowed` and not yet in `seen`."""
-        if "=" not in text:
+        """Split a `key = value` row into (key, value, value column); the
+        key must be in `allowed` and not yet in `seen`.  The row's text is
+        stripped already, so only the sides of the `=` need it."""
+        key, eq, value = text.partition("=")
+        if not eq:
             self.fail("expected key = value", lineno, col)
-        key, value = text.split("=", 1)
-        key = key.strip()
+        vcol = col + len(key) + 1
+        key = key.rstrip()
         if key not in allowed:
             self.fail(f"unknown field {key!r}", lineno, col)
         if key in seen:
             self.fail(f"duplicate field {key!r}", lineno, col)
-        vcol = col + text.index("=") + 1 + len(value) - len(value.lstrip())
-        return key, value.strip(), vcol
+        stripped = value.lstrip()
+        return key, stripped, vcol + len(value) - len(stripped)
 
     def fields(self, body, allowed):
         out = {}
@@ -421,18 +447,15 @@ class _Parser:
 
         absolutes = []
         if "abs" in got:
-            value, lineno, col = got["abs"]
-            for text, tcol in _split_list(value, lineno, col):
-                absolutes.append(self.parse_insertion(target, text, lineno, tcol))
+            absolutes = self.insertions(self.parse_insertion, target,
+                                        *got["abs"])
 
         relatives = []
         if "rel" in got:
             if "pair" not in got:
                 self.fail("rel= needs a pair= target", got["rel"][1], got["rel"][2])
-            value, lineno, col = got["rel"]
-            for text, tcol in _split_list(value, lineno, col):
-                relatives.append(
-                    self.parse_relative(target.divisor, text, lineno, tcol))
+            relatives = self.insertions(self.parse_relative, target.divisor,
+                                        *got["rel"])
 
         try:
             spec = InvariantSpec(target, genus, beta, tuple(absolutes),
@@ -486,9 +509,8 @@ class _Parser:
             else:
                 if pair is None:
                     self.fail("set pair= before abs", lineno, col)
-                for item, icol in _split_list(value, lineno, vcol):
-                    insertions.append(
-                        self.parse_insertion(pair, item, lineno, icol))
+                insertions = self.insertions(self.parse_insertion, pair,
+                                             value, lineno, vcol)
 
         if pair is None:
             self.fail("strata need a pair= line", line, 1)

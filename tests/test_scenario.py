@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from relgw import cli
 from relgw.dimension import Insertion, InvariantSpec
 from relgw.lattice import cls
-from relgw.scenario import (ScenarioError, _Parser, _split_list,
+from relgw.scenario import (_HEADER, ScenarioError, _Parser, _split_list,
                              parse_scenario)
 from relgw.spaces import CatalogError, builtin
+from relgw.strata import stratum_key
+from test_shipped_outputs import BRACKETS, bracket_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,6 +268,24 @@ MALFORMED = {
     "unmatched-paren": (P2_PAIR + "[invariant x]\npair = p2_hyperplane\n"
                         "genus = 0\nclass = lambda\nrel = (1,pt)), (1,pt)\n",
                         7, 13, "unbalanced parenthesis"),
+    # a repeated entry is read once, where it first appears
+    "repeated-unknown-entry": (P3_INVARIANT
+                               + "class = lambda\nabs = pt, qq, qq\n", 6, 11,
+                               "unknown generator 'qq' in basis p3"),
+    # lines break at \n, \r\n and \r only, as a file read in text mode
+    # does: a form feed or a U+2028 stays inside its line
+    "form-feed-after-a-header": ("[space p2]\x0c\n[bogus]\n", 2, 2,
+                                 "unknown section kind 'bogus'"),
+    "form-feed-after-a-value": (P3_INVARIANT.replace("= 0\n", "= 0\x0c\n")
+                                + "class = qq\n", 5, 9,
+                                "unknown generator 'qq' in basis p3"),
+    "line-separator-in-a-comment": (P3 + "[invariant x]\n"
+                                    "space = p3  # the\u2028ambient\n"
+                                    "genus = 0\nclass = qq\n", 5, 9,
+                                    "unknown generator 'qq' in basis p3"),
+    "carriage-returns": ("[space p3]\r\n[invariant x]\rspace = p3\r\n"
+                         "genus = 0\nclass = qq\r", 5, 9,
+                         "unknown generator 'qq' in basis p3"),
 }
 
 
@@ -396,6 +416,126 @@ def test_split_list_keeps_the_walk_where_parentheses_balance(text, base_col):
         assert got == split_outcome(walked_split, text, base_col)
     else:
         assert got == ("unbalanced parenthesis", 3, base_col + at)
+
+
+# -- the one scan reads what the line walk read ------------------------
+
+
+class WalkedParser(_Parser):
+    """The walk `_Parser.parse` made before it scanned the text once into
+    rows, over the same line split: every section strips its body lines
+    again, `key_value` splits and strips each one again, and every list
+    entry builds its own insertion."""
+
+    def parse(self):
+        i = 0
+        while i < len(self.lines):
+            raw = self.lines[i]
+            text = raw.split("#", 1)[0].rstrip()
+            if not text.strip():
+                i += 1
+                continue
+            m = _HEADER.match(text.strip())
+            if not m:
+                self.fail("expected a [section] header",
+                          i + 1, 1 + len(raw) - len(raw.lstrip()))
+            kind, args, header_line = m.group(1), m.group(2).split(), i + 1
+            body, i = self.collect_body(i + 1)
+            handler = getattr(self, "section_" + kind, None)
+            if handler is None:
+                self.fail(f"unknown section kind {kind!r}", header_line, 2)
+            handler(args, header_line, body)
+        self.sc.runs = tuple(self.runs)
+        return self.sc
+
+    def collect_body(self, start):
+        body, i = [], start
+        while i < len(self.lines):
+            raw = self.lines[i]
+            text = raw.split("#", 1)[0].rstrip()
+            if text.strip().startswith("["):
+                break
+            if text.strip():
+                body.append((i + 1, text.strip(),
+                             1 + len(raw) - len(raw.lstrip())))
+            i += 1
+        return body, i
+
+    def key_value(self, text, lineno, col, allowed, seen):
+        if "=" not in text:
+            self.fail("expected key = value", lineno, col)
+        key, value = text.split("=", 1)
+        key = key.strip()
+        if key not in allowed:
+            self.fail(f"unknown field {key!r}", lineno, col)
+        if key in seen:
+            self.fail(f"duplicate field {key!r}", lineno, col)
+        vcol = col + text.index("=") + 1 + len(value) - len(value.lstrip())
+        return key, value.strip(), vcol
+
+    def insertions(self, parse, owner, value, line, col):
+        return [parse(owner, text, line, tcol)
+                for text, tcol in _split_list(value, line, col)]
+
+
+def parsed(parser, text):
+    """What `parser` reads from `text`: each invariant spec with its key,
+    the classes, each stratum with its key and the runs with their lines;
+    or the error's message, line and column."""
+    try:
+        sc = parser(text).parse()
+    except ScenarioError as e:
+        return e.message, e.line, e.col
+    return ({name: (spec, spec.key()) for name, spec in sc.invariants.items()},
+            sc.classes,
+            {name: (s, stratum_key(s)) for name, s in sc.strata.items()},
+            [(run.command, run.args, run.line) for run in sc.runs])
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.gw")),
+                         ids=lambda path: path.name)
+def test_the_scan_reads_each_shipped_file_as_the_walk(path):
+    text = path.read_text(encoding="utf-8")
+    got = parsed(_Parser, text)
+    assert got == parsed(WalkedParser, text)
+    assert got[0]
+
+
+def test_the_scan_reads_each_bracket_as_the_walk():
+    texts = [bracket_text(row) for row in BRACKETS]
+    assert len(texts) == 1870
+    for text in texts:
+        assert parsed(_Parser, text) == parsed(WalkedParser, text), text
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(edited_scenarios(SHIPPED, 0) | st.text(max_size=80))
+def test_the_scan_reads_any_text_as_the_walk(text):
+    assert parsed(_Parser, text) == parsed(WalkedParser, text)
+
+
+@pytest.mark.parametrize("entries, builds", [
+    ("pt, pt, pi, pi, pi", 2),
+    # the placement is part of the text, so it has an insertion of its own
+    ("pi@split, pi, pi@split, pi@Y", 3),
+])
+def test_a_repeated_entry_is_one_insertion(monkeypatch, entries, builds):
+    text = P3_INVARIANT + f"class = lambda\nabs = {entries}\n"
+    walked = parsed(WalkedParser, text)
+    built = []
+    post = Insertion.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post(self)
+
+    monkeypatch.setattr(Insertion, "__post_init__", counted)
+    spec = parse_scenario(text).invariants["x"]
+    assert len(built) == builds
+    texts = [entry.strip() for entry in entries.split(",")]
+    assert [[a is b for b in spec.absolutes] for a in spec.absolutes] == \
+        [[s == t for t in texts] for s in texts]
+    assert parsed(_Parser, text) == walked
 
 
 # -- exit statuses of the command line -----------------------------------
@@ -628,6 +768,17 @@ def test_the_unedited_kb_file_evaluates(tmp_path, capsys):
     kb.write_text("\n".join(KB_LINES) + "\n", encoding="utf-8")
     assert status("eval", path, "x", "--kb", kb) == 0
     assert "value 1\n" in capsys.readouterr().out
+
+
+def test_a_kb_line_keeps_its_separators(tmp_path, capsys):
+    # a form feed or a U+2028 is no line break to a text-mode read, so the
+    # provenance keeps both and the line loads
+    path, kb = tmp_path / "conics.gw", tmp_path / "extra.kb"
+    path.write_text(CONICS_P2, encoding="utf-8")
+    kb.write_text(KB_LINES[1] + "\x0cnote\u2028more\n", encoding="utf-8")
+    assert status("eval", path, "x", "--kb", kb) == 0
+    out = capsys.readouterr().out
+    assert "value 1\n" in out and "[seed\x0cnote\u2028more]\n" in out
 
 
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)

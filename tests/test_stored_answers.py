@@ -1,10 +1,13 @@
-"""`raw_dimension` and `decide` keep their answer on the spec they read.
+"""`raw_dimension`, `decide` and `key` keep their answer on the spec they read.
 
 Each stores its result on the spec instance, outside the dataclass fields,
 the first time it is asked, and a later call on the same instance reads it
 back.  A stored answer must equal a fresh one on an equal spec built anew,
 must not show in equality, hashing, repr or the fields, and must not follow
 a spec through `dataclasses.replace`.  A `DefinedZero` is never stored.
+`key` keeps the insertions it sorted, which `kbeval.normalize` reads: a
+normalized spec must equal one sorted from scratch, and its stored key and
+order must be what a fresh spec computes.
 The last tests count, for one bracket, how often each body runs and how
 many classes a parse builds, so a later change cannot quietly undo the
 stores or the generator table.
@@ -18,11 +21,14 @@ import pytest
 
 from relgw import cli, decompose, dimension, vanishing
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
-                             InvariantSpec, expected_dimension, raw_dimension)
+                             InvariantSpec, _sort_key, expected_dimension,
+                             raw_dimension)
+from relgw.kbeval import normalize
 from relgw.lattice import HomologyClass
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
 from relgw.vanishing import NEGATIVE_INTERSECTION, decide
+from test_shipped_outputs import BRACKETS, bracket_text
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -105,6 +111,47 @@ def test_a_negative_contact_spec_raises_on_every_call():
         with pytest.raises(DefinedZero):
             expected_dimension(spec)
         assert decide(spec).reason == NEGATIVE_INTERSECTION
+
+
+# -- the sorted insertions `key` keeps ----------------------------------------
+
+
+def sorted_afresh(spec):
+    return (tuple(sorted(spec.absolutes, key=_sort_key)),
+            tuple(sorted(spec.relatives, key=_sort_key)))
+
+
+def assert_stored_order_holds(spec):
+    out = normalize(spec)
+    a, r = sorted_afresh(spec)
+    assert out == InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
+    assert (out.absolutes, out.relatives) == (a, r)
+    assert out.__dict__["_key"] == dataclasses.replace(out).key() == spec.key()
+    assert out._sorted == sorted_afresh(out) == spec._sorted == (a, r)
+    assert normalize(out) is out
+    return out
+
+
+def test_bracket_specs_normalize_on_their_stored_order():
+    assert len(BRACKETS) == 1870
+    for row in BRACKETS:
+        spec = parse_scenario(bracket_text(row)).invariants["b"]
+        assert_stored_order_holds(spec)
+
+
+def test_quartic_components_normalize_on_their_stored_order():
+    for spec, _ in quartic_components():
+        assert_stored_order_holds(spec)
+
+
+def test_an_unsorted_spec_normalizes_to_a_new_spec():
+    text = ("[space p3]\n[invariant x]\nspace = p3\ngenus = 0\n"
+            "class = lambda\nabs = pi, pt, lambda\n")
+    spec = parse_scenario(text).invariants["x"]
+    out = assert_stored_order_holds(spec)
+    assert out is not spec
+    assert [ins.token() for ins in out.absolutes] == ["pt", "lambda", "pi"]
+    assert spec.key() == "space:p3;g=0;b=lambda;abs=pt,lambda,pi"
 
 
 # -- call counts ---------------------------------------------------------------

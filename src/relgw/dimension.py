@@ -107,7 +107,10 @@ class InvariantSpec:
     not fields, so equality, hashing and repr do not see them;
     `dataclasses.replace` builds them again from the new fields.  `key()`,
     `raw_dimension` and `vanishing.decide` keep their answers the same way,
-    and a replaced spec starts with none.
+    and a replaced spec starts with none.  Insertion tuples are kept as
+    given (other sequences become tuples).  Each basis check compares the
+    bases by identity before it compares their names: catalog bases are
+    shared objects.
     """
 
     target: Space | DivisorPair
@@ -118,38 +121,49 @@ class InvariantSpec:
 
     def __post_init__(self):
         put = object.__setattr__
-        put(self, "absolutes", tuple(self.absolutes))
-        put(self, "relatives", tuple(self.relatives))
+        absolutes, relatives = self.absolutes, self.relatives
+        if type(absolutes) is not tuple:
+            absolutes = tuple(absolutes)
+            put(self, "absolutes", absolutes)
+        if type(relatives) is not tuple:
+            relatives = tuple(relatives)
+            put(self, "relatives", relatives)
         target = self.target
         pair = target if isinstance(target, DivisorPair) else None
         space = target if pair is None else pair.ambient
         put(self, "pair", pair)
         put(self, "space", space)
         put(self, "n", space.n)
-        put(self, "contact_orders", tuple(ins.order for ins in self.relatives))
+        put(self, "contact_orders", tuple([ins.order for ins in relatives]))
         if self.genus < 0:
             raise InvariantError("genus must be >= 0")
-        if self.relatives and pair is None:
+        if relatives and pair is None:
             raise InvariantError("contact insertions need a divisor pair target")
-        if self.beta.basis.name != space.basis.name:
+        ambient = space.basis
+        b = self.beta.basis
+        if b is not ambient and b.name != ambient.name:
             raise InvariantError("class lives in the wrong basis")
-        for ins in self.absolutes:
-            if ins.relative:
+        for ins in absolutes:
+            if ins.order is not None:
                 raise InvariantError("contact insertion listed as absolute")
             if not ins.pulled_back:
-                basis = space.basis
+                basis = ambient
             elif pair is None or pair.ruled is None:
                 raise InvariantError(f"pulled-back constraint {ins.token()} "
                                      "needs a pair whose ambient is ruled")
             else:
                 basis = pair.divisor.basis
-            if ins.cls.basis.name != basis.name:
+            b = ins.cls.basis
+            if b is not basis and b.name != basis.name:
                 raise InvariantError(f"absolute constraint {ins.token()} in wrong basis")
-        for ins in self.relatives:
-            if not ins.relative:
-                raise InvariantError("absolute insertion listed as relative")
-            if ins.cls.basis.name != pair.divisor.basis.name:
-                raise InvariantError(f"contact constraint {ins.token()} in wrong basis")
+        if relatives:
+            basis = pair.divisor.basis
+            for ins in relatives:
+                if ins.order is None:
+                    raise InvariantError("absolute insertion listed as relative")
+                b = ins.cls.basis
+                if b is not basis and b.name != basis.name:
+                    raise InvariantError(f"contact constraint {ins.token()} in wrong basis")
 
     def key(self) -> str:
         """Canonical text form; equal keys mean the same count.
@@ -209,7 +223,7 @@ def raw_dimension(spec: InvariantSpec) -> int:
         check_contact_orders(spec)
     n, g = spec.n, spec.genus
     k, r = len(spec.absolutes), len(spec.relatives)
-    excess = sum(o - 1 for o in spec.contact_orders)
+    excess = sum(spec.contact_orders) - r
     out = n * (1 - g) + spec.space.c1(spec.beta) + k + r + 3 * (g - 1) - excess
     object.__setattr__(spec, "_raw", out)
     return out

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
 
-from .dimension import Insertion, InvariantError, InvariantSpec
+from .dimension import Insertion, InvariantError, InvariantSpec, _sort_key
 from .lattice import HomologyClass, cls, gen, row_reduce
 from .scenario import ScenarioError, parse_key, split_lines
 from .spaces import DivisorPair, Space, builtin
@@ -217,7 +217,9 @@ def normalize(spec: InvariantSpec) -> InvariantSpec:
     nothing is sorted here.  A spec already in that order is returned as
     it is; otherwise the canonical spec is built and given the key and the
     sorted tuples of `spec`, which are its own: sorting sorted tuples
-    leaves them as they are.
+    leaves them as they are.  The rules build their children in that order
+    (`_sort_key`), so a child is returned as it is; a spec out of order
+    comes from outside the evaluator.
     """
     key = spec.key()
     a, r = spec._sorted
@@ -227,6 +229,10 @@ def normalize(spec: InvariantSpec) -> InvariantSpec:
     object.__setattr__(out, "_sorted", (a, r))
     object.__setattr__(out, "_key", key)
     return out
+
+
+# the value of every count that is zero, by a verdict or by a rule
+_ZERO_FRACTION = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -344,8 +350,9 @@ class Evaluator:
     def evaluate(self, spec: InvariantSpec) -> Value | Unknown:
         spec = normalize(spec)
         key = spec.key()
-        if key in self._memo:
-            return self._memo[key]
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         if key in self._active:
             cyc = " -> ".join(self._active[self._active.index(key):] + [key])
             return Unknown((f"cycle: {cyc}",))
@@ -365,7 +372,7 @@ class Evaluator:
             return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         verdict = decide(spec)
         if verdict.is_zero:
-            return Value(Fraction(0), (f"vanishing: {verdict.reason}",))
+            return Value(_ZERO_FRACTION, (f"vanishing: {verdict.reason}",))
         for rule in _SPACE_RULES if spec.pair is None else _PAIR_RULES:
             hitr = rule(self, spec)
             if hitr is None:
@@ -378,23 +385,31 @@ class Evaluator:
                 return solved
         return Unknown((f"no-rule: {key}",))
 
-    def _combine(self, factor: Fraction, children, label: str) -> Value | Unknown:
+    def _combine(self, factor: int | Fraction, children,
+                 label: str) -> Value | Unknown:
+        """The value of a rule's result: its factor times the value of each
+        child, or the child's blockers.  The factor is an int or a Fraction
+        the rule already held; a known nonzero value is built as one
+        Fraction here (a product with a child's value, or the int itself),
+        and a zero shares `_ZERO_FRACTION`."""
         if factor == 0:
-            return Value(Fraction(0), (label, "factor 0"))
-        total = Fraction(factor)
+            return Value(_ZERO_FRACTION, (label, "factor 0"))
+        total = factor
         blockers: list[str] = []
         traces: list[str] = [label]
         for child in children:
             res = self.evaluate(child)
             if isinstance(res, Value):
                 if res.value == 0:
-                    return Value(Fraction(0), (label,) + res.trace)
+                    return Value(_ZERO_FRACTION, (label,) + res.trace)
                 total *= res.value
                 traces.extend(res.trace)
             else:
                 blockers.extend(res.blockers)
         if blockers:
             return Unknown(tuple([label] + blockers))
+        if type(total) is int:
+            total = Fraction(total)
         return Value(total, tuple(traces))
 
     # -- splitting solver ---------------------------------------------------
@@ -441,22 +456,23 @@ def _rule_degree_zero(ev: Evaluator, spec: InvariantSpec):
     if not spec.beta.is_zero or spec.pair is not None:
         return None
     if len(spec.absolutes) != 3:
-        return (Fraction(0), (), "degree-zero: not a three-point bracket")
+        return (0, (), "degree-zero: not a three-point bracket")
     table = spec.space.products
     if table is None:
         return None
     val = table.point_coefficient([i.cls for i in spec.absolutes])
-    return (Fraction(val), (), "degree-zero triple product")
+    return (val, (), "degree-zero triple product")
 
 
 def _rule_fundamental(ev: Evaluator, spec: InvariantSpec):
     if spec.beta.is_zero:
         return None
+    fundamental = spec.space.fundamental
     for ins in spec.absolutes:
         # the preimage of the whole divisor is the whole ambient space
-        whole = spec.pair.divisor if ins.pulled_back else spec.space
-        if ins.cls == whole.fundamental:
-            return (Fraction(0), (), "fundamental-class insertion")
+        whole = spec.pair.divisor.fundamental if ins.pulled_back else fundamental
+        if ins.cls.grade == whole.grade and ins.cls == whole:
+            return (0, (), "fundamental-class insertion")
     return None
 
 
@@ -468,7 +484,7 @@ def _rule_isolated(ev: Evaluator, spec: InvariantSpec):
         return None
     for ins in spec.absolutes:
         if model.in_missable(ins.cls):
-            return (Fraction(0), (),
+            return (0, (),
                     f"isolated-locus: generic {ins.cls.encode()} misses it")
     return None
 
@@ -484,7 +500,7 @@ def _rule_exceptional_tail(ev: Evaluator, spec: InvariantSpec):
         return None
     for tail in spec.relatives:
         if dm.has_exceptional_support(tail.cls):
-            return (Fraction(0), (),
+            return (0, (),
                     f"exceptional-tail: {tail.cls.encode()} off the class")
     return None
 
@@ -512,7 +528,7 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
             classes.append(D.fundamental)
         else:
             return None
-    return (Fraction(D.products.point_coefficient(classes)), (), "fiber-count")
+    return (D.products.point_coefficient(classes), (), "fiber-count")
 
 
 def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
@@ -539,7 +555,7 @@ def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
         return None
     pairing = D.products.point_coefficient([tail.cls, alpha])
     value = hit.value * 2 * pairing
-    return (Fraction(value), (),
+    return (value, (),
             f"section-double-cover: 2 x {hit.value} x ({tail.cls.encode()}"
             f" . {alpha.encode()})")
 
@@ -570,7 +586,7 @@ def _rule_drop_fundamental_tails(ev: Evaluator, spec: InvariantSpec):
     if absolutes is None or not ev.hypothesis(pair, spec.beta):
         return None
     child = InvariantSpec(pair.ambient, 0, spec.beta, absolutes, ())
-    return (Fraction(1), (child,), "drop-fundamental-tails")
+    return (1, (child,), "drop-fundamental-tails")
 
 
 def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
@@ -582,9 +598,11 @@ def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
     absolutes = _ambient_absolutes(pair, spec.absolutes)
     if absolutes is None or not ev.hypothesis(pair, spec.beta):
         return None
-    pushed = tuple(Insertion(pair.push(t.cls)) for t in spec.relatives)
-    child = InvariantSpec(pair.ambient, 0, spec.beta, absolutes + pushed, ())
-    return (Fraction(1), (child,), "push-tails-inward")
+    inserted = list(absolutes)
+    inserted += [Insertion(pair.push(t.cls)) for t in spec.relatives]
+    inserted.sort(key=_sort_key)  # key order: `normalize` keeps the child
+    child = InvariantSpec(pair.ambient, 0, spec.beta, tuple(inserted), ())
+    return (1, (child,), "push-tails-inward")
 
 
 def _rule_divisor_axiom(ev: Evaluator, spec: InvariantSpec):
@@ -596,7 +614,7 @@ def _rule_divisor_axiom(ev: Evaluator, spec: InvariantSpec):
             factor = X.intersect(spec.beta, ins.cls)
             rest = spec.absolutes[:i] + spec.absolutes[i + 1:]
             child = InvariantSpec(X, 0, spec.beta, rest, ())
-            return (Fraction(factor), (child,),
+            return (factor, (child,),
                     f"divisor-axiom: {ins.cls.encode()} gives factor {factor}")
     return None
 
@@ -622,7 +640,7 @@ def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
     moved = [Insertion(blow.push(ins.cls)) for ins in spec.absolutes]
     moved += [Insertion(blow.base.point)] * sum(ms)
     child = InvariantSpec(blow.base, 0, down, tuple(moved), ())
-    return (Fraction(1), (child,),
+    return (1, (child,),
             f"blowup-comparison: +{sum(ms)} point conditions")
 
 
@@ -632,14 +650,15 @@ def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
     pt4, lam4, pi4 = p4.point, p4.gen("lambda"), p4.gen("pi")
     pt3, lam3, pi3 = p3.point, p3.gen("lambda"), p3.gen("pi")
     table = {}
+    # each target in key order, so `normalize` returns it as it is
     src = InvariantSpec(p4, 0, lam4.scale(2),
                         _plain(pt4, pt4, lam4, pi4, pi4, pi4), ())
     dst = InvariantSpec(p3, 0, lam3.scale(2),
                         _plain(pt3, pt3, lam3, lam3, lam3, lam3), ())
-    table[src.key()] = (dst, "conics meeting three planes sit in one")
+    table[src.key()] = (normalize(dst), "conics meeting three planes sit in one")
     src = InvariantSpec(p4, 0, lam4, _plain(pt4, pi4, pi4, pi4), ())
     dst = InvariantSpec(p3, 0, lam3, _plain(pt3, pi3, lam3, lam3), ())
-    table[src.key()] = (dst, "lines through a point sit in a hyperplane")
+    table[src.key()] = (normalize(dst), "lines through a point sit in a hyperplane")
     return table
 
 
@@ -650,9 +669,13 @@ def _rule_restriction(ev: Evaluator, spec: InvariantSpec):
     if hit is None:
         return None
     target, why = hit
-    return (Fraction(1), (target,), f"hyperplane-restriction: {why}")
+    return (1, (target,), f"hyperplane-restriction: {why}")
 
 
+# A rule returns None to decline a count, or (factor, children, label): the
+# count is the factor times the value of each child.  The factor is an int,
+# or a Fraction the rule already holds; `Evaluator._combine` builds the one
+# Fraction of the value.
 _RULES = (
     _rule_degree_zero,
     _rule_fundamental,

@@ -49,6 +49,11 @@ class Verdict:
         return "admissible"
 
 
+# the one admissible verdict: it is frozen and carries no trace, so every
+# admissible spec can share it
+_ADMISSIBLE_VERDICT = Verdict(ADMISSIBLE)
+
+
 def _kept(spec: InvariantSpec, verdict: Verdict) -> Verdict:
     """Keep `verdict` on `spec` for `decide` to read back, and return it."""
     object.__setattr__(spec, "_verdict", verdict)
@@ -70,7 +75,9 @@ def decide(spec: InvariantSpec) -> Verdict:
     The verdict is kept on the spec, outside the dataclass fields, so a
     second call on the same instance reads it back; a spec is frozen and
     its catalog immutable.  An InvariantError of an ill-posed spec is never
-    kept: it is raised again on every call.
+    kept: it is raised again on every call.  Every admissible spec gets the
+    one module-level admissible verdict; a zero verdict is built per spec,
+    with its trace.
     """
     out = spec.__dict__.get("_verdict")
     if out is not None:
@@ -102,7 +109,7 @@ def decide(spec: InvariantSpec) -> Verdict:
             ZERO, NEGATIVE_AREA,
             trace=(f"class of area {area}: no curve represents it",)))
     if pair is None or spec.genus != 0:
-        return _kept(spec, Verdict(ADMISSIBLE))
+        return _kept(spec, _ADMISSIBLE_VERDICT)
 
     s, r = len(spec.absolutes), len(spec.relatives)
 
@@ -126,7 +133,7 @@ def decide(spec: InvariantSpec) -> Verdict:
                 trace=(f"fiber class with {s} absolute and {r} relative "
                        "insertions",)))
 
-    return _kept(spec, Verdict(ADMISSIBLE))
+    return _kept(spec, _ADMISSIBLE_VERDICT)
 
 
 def check_degeneration_hypothesis(

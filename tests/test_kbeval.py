@@ -1,11 +1,12 @@
 """Knowledge base, rewrite rules, and the splitting solver."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from relgw import cli, kbeval
+from relgw import cli, kbeval, vanishing
 from relgw.dimension import Insertion, InvariantSpec
 from relgw.kbeval import (
     EvalError,
@@ -957,3 +958,106 @@ def test_derived_entries_replay_from_seeds():
     for entry in derived:
         if entry.key == CONICS.key():
             assert value_of(fresh.evaluate(CONICS)) == entry.value
+
+
+# -- the work of a link ------------------------------------------------------
+
+
+def evaluated_brackets():
+    """Every reference bracket parsed, with `dim` and `vanish` run on it,
+    as the benchmark runs them before `eval`."""
+    out = []
+    for row in BRACKETS:
+        sc = parse_scenario(bracket_text(row))
+        cli.run("dim", sc, ("b",))
+        cli.run("vanish", sc, ("b",))
+        out.append(sc)
+    return out
+
+
+def count_link_work(monkeypatch) -> Counter:
+    """Wrap the evaluator so the returned counter tallies `evaluate`
+    calls, hypothesis checks, `Fraction`s and `Verdict`s built, and rule
+    children that are not in key order."""
+    counts = Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Evaluator, "evaluate",
+                        counting("evaluate", Evaluator.evaluate))
+    monkeypatch.setattr(kbeval, "check_degeneration_hypothesis", counting(
+        "hypothesis", kbeval.check_degeneration_hypothesis))
+    monkeypatch.setattr(vanishing.Verdict, "__init__",
+                        counting("Verdict", vanishing.Verdict.__init__))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        counting("Fraction", Fraction.__new__)))
+
+    def checked(rule):
+        def run(ev, spec):
+            out = rule(ev, spec)
+            if out is not None:
+                counts["unsorted children"] += sum(
+                    normalize(child) is not child for child in out[1])
+            return out
+        return run
+
+    for kind in ("_SPACE_RULES", "_PAIR_RULES"):
+        monkeypatch.setattr(kbeval, kind, tuple(
+            checked(rule) for rule in getattr(kbeval, kind)))
+    return counts
+
+
+def test_a_bracket_pass_does_bounded_link_work(monkeypatch):
+    """`eval` over the 1,870 reference brackets after `dim` and `vanish`:
+    the links stay 3,445; every rule child arrives in key order; at most
+    16 `Verdict`s are built, the zero verdicts of rule children; and at
+    most 2,100 `Fraction`s are built, since a link builds at most the one
+    of its value.  A first pass builds the tables that live for the
+    process."""
+    for sc in evaluated_brackets():
+        cli.run("eval", sc, ("b",))
+    brackets = evaluated_brackets()
+    counts = count_link_work(monkeypatch)
+    for sc in brackets:
+        assert cli.run("eval", sc, ("b",))[1] == 0
+    assert counts["evaluate"] == 3445
+    assert counts["unsorted children"] == 0
+    assert counts["Verdict"] <= 16
+    assert counts["Fraction"] <= 2100
+
+
+def test_a_blown_up_exceptional_chain_is_pinned(monkeypatch):
+    """push-tails-inward, six divisor-axiom links and the blowup comparison
+    on `p2blow1_exc`: 9 links and 1 hypothesis check."""
+    [row] = [row for row in BRACKETS if row["pair"] == "p2blow1_exc"
+             and row["class"] == "lambda-eps" and row["rel"] == "(1,pt)"
+             and row["abs"] == "lambda, lambda, lambda, eps, eps, eps"]
+    sc = parse_scenario(bracket_text(row))
+    counts = count_link_work(monkeypatch)
+    out, status = cli.run("eval", sc, ("b",))
+    assert status == 0 and "blocker push-tails-inward" in out
+    assert (counts["evaluate"], counts["hypothesis"]) == (9, 1)
+    assert counts["unsorted children"] == 0
+
+
+def reversed_entries(text: str) -> str:
+    return ", ".join(reversed(text.split(", "))) if text != "-" else text
+
+
+def test_eval_reports_do_not_depend_on_insertion_order():
+    """Each reference bracket with its `abs` and `rel` lists reversed gives
+    the `eval` report of the bracket as written, byte for byte: keys are
+    canonical, and the report holds nothing else of the order."""
+    moved = []
+    for row in BRACKETS:
+        turned = dict(row, abs=reversed_entries(row["abs"]),
+                      rel=reversed_entries(row["rel"]))
+        reports = [cli.run("eval", parse_scenario(bracket_text(r)), ("b",))
+                   for r in (row, turned)]
+        if reports[0] != reports[1]:
+            moved.append(bracket_text(row))
+    assert moved == []

@@ -11,7 +11,9 @@ every catalog space and pair, with the digest of each `dim` report, the
 `vanish` verdict and the `eval` value.  A recorded value must stay, a
 recorded `unknown` may become a number, and a hand-worked value must hold.
 After the three reports, the raw dimension and verdict each bracket's spec
-keeps must equal those of an equal spec built anew.
+keeps must equal those of an equal spec built anew.  The whole `vanish` and
+`eval` reports of the table are pinned too, by one sha256 per command
+(`BRACKET_REPORTS_SHA`); a change that moves a value records it again.
 """
 
 import csv
@@ -141,6 +143,28 @@ def test_bracket_reports_match_the_reference(space):
         if row["hand"] != "-" and value != row["hand"]:
             moved.append(("hand", row))
     assert moved == []
+
+
+# sha256 of the `vanish` and of the `eval` reports of all 1,870 brackets,
+# each command's reports joined in table order, every line included
+BRACKET_REPORTS_SHA = {
+    "vanish": "226285bab18b775c1b315fe60b6208acca4a0162859204ddb35cfdbc0927be01",
+    "eval": "d37ef3114b55b6b7d04aa2c1dc23ba8b7ea3817583869b69a5954dc4079dd762",
+}
+
+
+def test_bracket_vanish_and_eval_reports_are_pinned():
+    """Whole reports, trace, blocker and cycle lines included, not only the
+    verdict and value lines the per-space test reads; `eval` runs after
+    `dim` and `vanish`, as the benchmark runs it."""
+    shas = {command: hashlib.sha256() for command in BRACKET_REPORTS_SHA}
+    for row in BRACKETS:
+        sc = parse_scenario(bracket_text(row))
+        cli.run("dim", sc, ("b",))
+        for command, sha in shas.items():
+            sha.update(cli.run(command, sc, ("b",))[0].encode("utf-8"))
+    assert {command: sha.hexdigest() for command, sha in shas.items()} == \
+        BRACKET_REPORTS_SHA
 
 
 def answers(spec):

@@ -1,5 +1,6 @@
 """Vanishing verdicts, the positivity hypothesis, and the tail reduction."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -42,6 +43,26 @@ def test_dimension_gate():
     assert v.kind == ZERO and v.reason == DIMENSION_MISMATCH
     two_points = InvariantSpec(p2, 0, lam, (Insertion(p2.point),) * 2, ())
     assert decide(two_points).kind == ADMISSIBLE
+
+
+def test_admissible_specs_share_one_verdict():
+    """Every admissible spec gets the same frozen verdict object, which
+    carries no trace; a zero verdict is built per spec, with its trace."""
+    p2 = builtin("p2")
+    lam = p2.gen("lambda")
+    lines = InvariantSpec(p2, 0, lam, (Insertion(p2.point),) * 2, ())
+    conics = InvariantSpec(p2, 0, lam.scale(2), (Insertion(p2.point),) * 5, ())
+    shared = decide(lines)
+    assert decide(conics) is shared
+    assert shared.kind == ADMISSIBLE and shared.trace == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.kind = ZERO
+    short = [InvariantSpec(p2, 0, lam, (Insertion(p2.point),), ())
+             for _ in range(2)]
+    first, second = (decide(spec) for spec in short)
+    assert first == second and first is not second
+    assert first.reason == DIMENSION_MISMATCH
+    assert first.trace == ("expected dimension 1",)
 
 
 def test_negative_area_is_zero_after_the_dimension_gate():

@@ -80,7 +80,7 @@ def cmd_dim(scenario, args, options):
         lines.append(f"raw none ({e})")
         lines.append("expected none (count is zero by definition)")
         return "\n".join(lines) + "\n", 0
-    for ins in spec.absolutes + spec.relatives:
+    for ins in scenario.written.get(args[0], spec.absolutes + spec.relatives):
         lines.append(f"constraint {ins.token()} codim "
                      f"{constraint_codim(ins, spec.n)}")
     lines.append(f"expected {expected_dimension(spec)}")

@@ -9,9 +9,12 @@ splitting identities give linear equations whose solution fills in unknowns
 such as the conic count through two points and four lines.
 
 Every knowledge-base key is an `InvariantSpec.key()` and every value an
-exact `Fraction`.  `Evaluator` orchestrates: knowledge-base lookup,
-vanishing verdict, rules in a fixed order, then the splitting solver,
-memoizing along the way.  Every value carries a trace naming the rules and
+exact `Fraction`.  A spec holds its insertions in key order and its key
+from construction, so the evaluator reads a bracket, a rule's child or an
+identity's side as it comes, and two brackets that differ only in the
+written order of their insertions are one count.  `Evaluator`
+orchestrates: knowledge-base lookup, vanishing verdict, rules in a fixed
+order, then the splitting solver, memoizing along the way.  Every value carries a trace naming the rules and
 entries it used.
 
 The fixed tables (the seed entries, the hyperplane restrictions, the
@@ -33,7 +36,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, prod
 
-from .dimension import Insertion, InvariantError, InvariantSpec, _sort_key
+from .dimension import Insertion, InvariantError, InvariantSpec
 from .lattice import HomologyClass, cls, gen, row_reduce
 from .scenario import ScenarioError, parse_key, split_lines
 from .spaces import DivisorPair, Space, builtin
@@ -210,27 +213,6 @@ def seed_table() -> KnowledgeBase:
     return kb
 
 
-def normalize(spec: InvariantSpec) -> InvariantSpec:
-    """The spec with its insertions in the canonical order used by keys.
-
-    The order is the one `spec.key()` sorted into and kept on the spec, so
-    nothing is sorted here.  A spec already in that order is returned as
-    it is; otherwise the canonical spec is built and given the key and the
-    sorted tuples of `spec`, which are its own: sorting sorted tuples
-    leaves them as they are.  The rules build their children in that order
-    (`_sort_key`), so a child is returned as it is; a spec out of order
-    comes from outside the evaluator.
-    """
-    key = spec.key()
-    a, r = spec._sorted
-    if a == spec.absolutes and r == spec.relatives:
-        return spec
-    out = InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
-    object.__setattr__(out, "_sorted", (a, r))
-    object.__setattr__(out, "_key", key)
-    return out
-
-
 # the value of every count that is zero, by a verdict or by a rule
 _ZERO_FRACTION = Fraction(0)
 
@@ -238,7 +220,7 @@ _ZERO_FRACTION = Fraction(0)
 @dataclass(frozen=True)
 class Value:
     value: Fraction
-    trace: tuple[str, ...] = ()
+    trace: tuple[str, ...]
 
     @property
     def known(self) -> bool:
@@ -285,13 +267,13 @@ class SplitIdentity:
     def sides(self) -> dict:
         """(left, right) grouping -> (terms, live, vanishing): its
         (weight, side1, side2) terms, the terms with no structurally zero
-        side, and the normalized keys of the sides that are zero."""
+        side, and the keys of the sides that are zero."""
         return {(left, right): _live(_sides(self, left, right))
                 for left, right in self.groupings()}
 
     @cached_property
     def side_keys(self) -> frozenset[str]:
-        """Normalized keys of the sides of the live terms and of the zero
+        """Keys of the sides of the live terms and of the zero
         sides: a solution of this identity can give a value only to a side
         of a live term, and a zero side is what makes a term not live."""
         keys = set()
@@ -348,7 +330,6 @@ class Evaluator:
     # -- entry points ------------------------------------------------------
 
     def evaluate(self, spec: InvariantSpec) -> Value | Unknown:
-        spec = normalize(spec)
         key = spec.key()
         hit = self._memo.get(key)
         if hit is not None:
@@ -598,10 +579,9 @@ def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
     absolutes = _ambient_absolutes(pair, spec.absolutes)
     if absolutes is None or not ev.hypothesis(pair, spec.beta):
         return None
-    inserted = list(absolutes)
-    inserted += [Insertion(pair.push(t.cls)) for t in spec.relatives]
-    inserted.sort(key=_sort_key)  # key order: `normalize` keeps the child
-    child = InvariantSpec(pair.ambient, 0, spec.beta, tuple(inserted), ())
+    inserted = absolutes + tuple([Insertion(pair.push(t.cls))
+                                  for t in spec.relatives])
+    child = InvariantSpec(pair.ambient, 0, spec.beta, inserted, ())
     return (1, (child,), "push-tails-inward")
 
 
@@ -650,15 +630,14 @@ def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
     pt4, lam4, pi4 = p4.point, p4.gen("lambda"), p4.gen("pi")
     pt3, lam3, pi3 = p3.point, p3.gen("lambda"), p3.gen("pi")
     table = {}
-    # each target in key order, so `normalize` returns it as it is
     src = InvariantSpec(p4, 0, lam4.scale(2),
                         _plain(pt4, pt4, lam4, pi4, pi4, pi4), ())
     dst = InvariantSpec(p3, 0, lam3.scale(2),
                         _plain(pt3, pt3, lam3, lam3, lam3, lam3), ())
-    table[src.key()] = (normalize(dst), "conics meeting three planes sit in one")
+    table[src.key()] = (dst, "conics meeting three planes sit in one")
     src = InvariantSpec(p4, 0, lam4, _plain(pt4, pi4, pi4, pi4), ())
     dst = InvariantSpec(p3, 0, lam3, _plain(pt3, pi3, lam3, lam3), ())
-    table[src.key()] = (normalize(dst), "lines through a point sit in a hyperplane")
+    table[src.key()] = (dst, "lines through a point sit in a hyperplane")
     return table
 
 
@@ -722,7 +701,8 @@ def _sides(si: SplitIdentity, left, right):
     class splittings, the number k_i of copies of each distinct extra (of
     m_i in all) that goes to the first side, and the diagonal basis.  A term
     stands for the prod C(m_i, k_i) distributions of the labeled extras
-    that give it, and that count is its weight.  Sides come normalized."""
+    that give it, and that count is its weight.  Each side keeps its
+    insertions in key order, as every spec does."""
     space = si.space
     distinct = tuple(dict.fromkeys(si.extras))
     mults = [si.extras.count(c) for c in distinct]
@@ -737,11 +717,11 @@ def _sides(si: SplitIdentity, left, right):
             for e, edual in duals:
                 sides.append((
                     weight,
-                    normalize(InvariantSpec(
-                        space, 0, b1, _plain(left[0], left[1], *s_left, e), ())),
-                    normalize(InvariantSpec(
+                    InvariantSpec(
+                        space, 0, b1, _plain(left[0], left[1], *s_left, e), ()),
+                    InvariantSpec(
                         space, 0, b2,
-                        _plain(edual, right[0], right[1], *s_right), ()))))
+                        _plain(edual, right[0], right[1], *s_right), ())))
     return tuple(sides)
 
 

@@ -63,12 +63,18 @@ class RunDirective:
 
 @dataclass
 class Scenario:
-    """Everything a file declares, with all names resolved."""
+    """Everything a file declares, with all names resolved.
+
+    An invariant's spec holds its insertions in key order; `written` keeps,
+    per invariant the parser read, its absolute then its relative
+    insertions in the order the file gives them, which `relgw dim` prints.
+    """
 
     spaces: dict[str, Space] = field(default_factory=dict)
     pairs: dict[str, DivisorPair] = field(default_factory=dict)
     classes: dict[str, HomologyClass] = field(default_factory=dict)
     invariants: dict[str, InvariantSpec] = field(default_factory=dict)
+    written: dict[str, tuple[Insertion, ...]] = field(default_factory=dict)
     strata: dict[str, StratumType] = field(default_factory=dict)
     runs: tuple[RunDirective, ...] = ()
 
@@ -458,8 +464,7 @@ class _Parser:
                                         *got["rel"])
 
         try:
-            spec = InvariantSpec(target, genus, beta, tuple(absolutes),
-                                 tuple(relatives))
+            spec = InvariantSpec(target, genus, beta, absolutes, relatives)
         except InvariantError as e:
             self.fail(str(e), line, 1)
         if spec.pair is not None:
@@ -471,6 +476,7 @@ class _Parser:
                 _, lineno, col = got.get("rel", got["pair"])
                 self.fail(str(e), lineno, col)
         self.sc.invariants[name] = spec
+        self.sc.written[name] = tuple(absolutes + relatives)
 
     def section_stratum(self, args, line, body):
         if len(args) != 1:

@@ -797,11 +797,16 @@ def test_component_token_is_built_once():
      "6c13cca5b97665d1a3921b070dc81d4faa01ec355f5b21b38aa2d51d3a5e706e"),
     (5, 14, 2,
      "e3ea2f98c3f5c0fa56f91ed7ea351fac12f3a929bda0591776763fbdd5ae4da4"),
-], ids=["N4-3-on-Y", "N5-0-on-Y", "N5-2-on-Y"])
+    (6, 17, 0,
+     "a4bd52396e50e2d9e9fb77f4baeac7991585d47f1399cceb59f9bc98ac43531e"),
+    (6, 17, 2,
+     "96c5b47b948b213e70a43805af30292e22e2bb6508b58450842a52f9062cf204"),
+], ids=["N4-3-on-Y", "N5-0-on-Y", "N5-2-on-Y", "N6-0-on-Y", "N6-2-on-Y"])
 def test_p2_ledgers_of_degree_four_and_five_are_pinned(
         degree, points, on_y, sha):
-    """The ledgers of N_4 and N_5 on the hyperplane's fiber sum, with some
-    points on the bundle side, byte for byte."""
+    """The ledgers of N_4, N_5 and N_6 on the hyperplane's fiber sum, with
+    some or no points on the bundle side, byte for byte.  The name keeps
+    the degrees it was first written for."""
     text, status = cli.run("decompose", p2_ledger_scenario(
         degree, points, on_y), ("p2_hyperplane", "n"))
     assert status == 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from relgw import cli, kbeval, vanishing
-from relgw.dimension import Insertion, InvariantSpec
+from relgw.dimension import Insertion, InvariantSpec, _sort_key
 from relgw.kbeval import (
     EvalError,
     Evaluator,
@@ -17,14 +17,13 @@ from relgw.kbeval import (
     Unknown,
     Value,
     _grouping_sum,
-    normalize,
     seed_table,
     solve_unknowns,
     splitting_identity,
     standard_identities,
 )
 from relgw.lattice import cls, gen
-from relgw.scenario import ScenarioError, parse_scenario
+from relgw.scenario import Scenario, ScenarioError, parse_scenario
 from relgw.spaces import CatalogError, builtin
 from relgw.vanishing import decide
 from test_shipped_outputs import BRACKETS, SCENARIOS, bracket_text
@@ -554,7 +553,7 @@ def test_solver_runs_only_the_identities_holding_the_target(monkeypatch):
 
 class _Recorder:
     """Stands in for an evaluator: records each side a boundary sum asks
-    for, by normalized key, and knows none of them.  Its base is empty, so
+    for, by key, and knows none of them.  Its base is empty, so
     the sums skip every term with a structurally zero side."""
 
     _solver_on = True
@@ -564,12 +563,12 @@ class _Recorder:
         self.sides = {}
 
     def evaluate(self, spec):
-        self.sides[normalize(spec).key()] = spec
+        self.sides[spec.key()] = spec
         return Unknown()
 
 
 def every_side(si):
-    """Normalized key -> spec of every side of every term of both
+    """Key -> spec of every side of every term of both
     groupings, live or not."""
     return {side.key(): side for terms, _, _ in si.sides.values()
             for _, *pair in terms for side in pair}
@@ -656,7 +655,7 @@ def subset_sum(ev, si, left, right):
         elif isinstance(v1, Value) or isinstance(v2, Value):
             known, other = (v1, side2) if isinstance(v1, Value) else (v2, side1)
             if known.value != 0:
-                k = normalize(other).key()
+                k = other.key()
                 coeffs[k] = coeffs.get(k, Fraction(0)) + known.value
         else:
             missing.append(f"{side1.key()} x {side2.key()}")
@@ -779,7 +778,7 @@ def test_grouped_side_counts(si, grouped, walked, keys):
             assert len(walk) == walked
             # every labeled distribution is one unit of some term's weight
             assert sum(weight for weight, _, _ in terms) == walked
-            assert {normalize(side).key() for pair in walk for side in pair} \
+            assert {side.key() for pair in walk for side in pair} \
                 == {side.key() for _, *pair in terms for side in pair}
     if keys is not None:
         assert len(si.side_keys) == keys
@@ -835,10 +834,12 @@ def test_key_is_built_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(Insertion, "token", counted)
     spec = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
+    assert len(builds) == 6  # one token per insertion, at construction
     first = spec.key()
     assert spec.key() is first
-    assert len(builds) == 6  # one token per insertion, once
+    assert len(builds) == 6  # `key()` reads none
     fresh = absolute(P3, LAM.scale(2), PT, PT, LAM, LAM, LAM, LAM)
+    assert len(builds) == 12
     assert fresh == spec and hash(fresh) == hash(spec)
     assert repr(fresh) == repr(spec)
     assert fresh.key() == first and len(builds) == 12
@@ -975,6 +976,11 @@ def evaluated_brackets():
     return out
 
 
+def in_key_order(spec) -> bool:
+    return all(tuple(sorted(tuple_, key=_sort_key)) == tuple_
+               for tuple_ in (spec.absolutes, spec.relatives))
+
+
 def count_link_work(monkeypatch) -> Counter:
     """Wrap the evaluator so the returned counter tallies `evaluate`
     calls, hypothesis checks, `Fraction`s and `Verdict`s built, and rule
@@ -1001,7 +1007,7 @@ def count_link_work(monkeypatch) -> Counter:
             out = rule(ev, spec)
             if out is not None:
                 counts["unsorted children"] += sum(
-                    normalize(child) is not child for child in out[1])
+                    not in_key_order(child) for child in out[1])
             return out
         return run
 
@@ -1050,14 +1056,35 @@ def reversed_entries(text: str) -> str:
 
 def test_eval_reports_do_not_depend_on_insertion_order():
     """Each reference bracket with its `abs` and `rel` lists reversed gives
-    the `eval` report of the bracket as written, byte for byte: keys are
-    canonical, and the report holds nothing else of the order."""
+    the `eval` and the `vanish` report of the bracket as written, byte for
+    byte: keys are canonical, and neither report holds anything else of
+    the order."""
     moved = []
     for row in BRACKETS:
         turned = dict(row, abs=reversed_entries(row["abs"]),
                       rel=reversed_entries(row["rel"]))
-        reports = [cli.run("eval", parse_scenario(bracket_text(r)), ("b",))
-                   for r in (row, turned)]
-        if reports[0] != reports[1]:
-            moved.append(bracket_text(row))
+        for command in ("eval", "vanish"):
+            reports = [cli.run(command, parse_scenario(bracket_text(r)),
+                               ("b",)) for r in (row, turned)]
+            if reports[0] != reports[1]:
+                moved.append(f"{command}: {bracket_text(row)}")
     assert moved == []
+
+
+def test_dim_prints_constraints_as_written():
+    """`dim` lists the constraints in the order the file gives them, under
+    the canonical key; a spec in a scenario the parser did not build has
+    no written order, and its constraints come in key order."""
+    text = ("[space p3]\n[invariant x]\nspace = p3\ngenus = 0\n"
+            "class = lambda\nabs = pi, pt, lambda\n")
+    sc = parse_scenario(text)
+    head = ["invariant x", "key space:p3;g=0;b=lambda;abs=pt,lambda,pi",
+            "raw 7"]
+    written = ["constraint pi codim 1", "constraint pt codim 3",
+               "constraint lambda codim 2"]
+    keyed = [written[1], written[2], written[0]]
+    for scenario, constraints in (
+            (sc, written),
+            (Scenario(invariants={"x": sc.invariants["x"]}), keyed)):
+        assert cli.run("dim", scenario, ("x",)) == (
+            "\n".join(head + constraints + ["expected 1"]) + "\n", 0)

@@ -26,6 +26,9 @@ second copy.
   `Evaluator.evaluate`.
 - A linear solve goes through `lattice.combination`: only it and
   `kbeval.solve_unknowns` call the one elimination, `lattice.row_reduce`.
+- The canonical order of a spec's insertions is applied only when the
+  spec is built: `_sort_key` is read only by `InvariantSpec`, so no other
+  module sorts insertions into key order a second time.
 - Each effective cone is declared once, as the branches of the one
   `spaces.EffectiveModel`: no class in `src/relgw` subclasses it.
 - The memos that outlive a call are pinned: every `functools.cache`,
@@ -50,6 +53,7 @@ ALLOWED = {
                           ("kbeval.py", "_rule_section_double_cover")},
     "row_reduce": {("lattice.py", "combination"),
                    ("kbeval.py", "solve_unknowns")},
+    "_sort_key": {("dimension.py", "InvariantSpec")},
 }
 # what the splitting ledger may import from the evaluator's module
 DECOMPOSE_FROM_KBEVAL = {"Evaluator", "KnowledgeBase", "seed_table"}
@@ -155,6 +159,22 @@ def test_detector_finds_a_second_linear_solve():
         "strata.py:1: row_reduce in module scope",
         "strata.py:3: row_reduce in combination",
         "strata.py:5: row_reduce in _solve_preimage"]
+
+
+def test_detector_finds_a_second_canonical_sort():
+    source = ('from .dimension import _sort_key as by_key\n'
+              'class InvariantSpec:\n'
+              '    def __post_init__(self):\n'
+              '        a = sorted(self.absolutes, key=_sort_key)\n'
+              'def _rule_push_tails(ev, spec):\n'
+              '    return sorted(spec.absolutes, key=dimension._sort_key)\n')
+    assert misplaced("dimension.py", source) == [
+        "dimension.py:1: _sort_key in module scope",
+        "dimension.py:6: _sort_key in _rule_push_tails"]
+    assert misplaced("kbeval.py", source) == [
+        "kbeval.py:1: _sort_key in module scope",
+        "kbeval.py:4: _sort_key in InvariantSpec",
+        "kbeval.py:6: _sort_key in _rule_push_tails"]
 
 
 def subclasses(source: str, base: str) -> list[str]:

@@ -1,13 +1,15 @@
-"""`raw_dimension`, `decide` and `key` keep their answer on the spec they read.
+"""`raw_dimension` and `decide` keep their answer on the spec they read, and
+a spec is canonical from construction.
 
-Each stores its result on the spec instance, outside the dataclass fields,
-the first time it is asked, and a later call on the same instance reads it
-back.  A stored answer must equal a fresh one on an equal spec built anew,
-must not show in equality, hashing, repr or the fields, and must not follow
-a spec through `dataclasses.replace`.  A `DefinedZero` is never stored.
-`key` keeps the insertions it sorted, which `kbeval.normalize` reads: a
-normalized spec must equal one sorted from scratch, and its stored key and
-order must be what a fresh spec computes.
+Each of the two stores its result on the spec instance, outside the
+dataclass fields, the first time it is asked, and a later call on the same
+instance reads it back.  A stored answer must equal a fresh one on an equal
+spec built anew, must not show in equality, hashing, repr or the fields,
+and must not follow a spec through `dataclasses.replace`.  A `DefinedZero`
+is never stored.  A spec sorts its insertions into key order and builds its
+key when it is built: one built from its insertions out of order must equal
+one built from them in order, field for field, with the same key, hash and
+repr.
 The last tests count, for one bracket, how often each body runs and how
 many classes a parse builds, so a later change cannot quietly undo the
 stores or the generator table.
@@ -23,7 +25,6 @@ from relgw import cli, decompose, dimension, vanishing
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, _sort_key, expected_dimension,
                              raw_dimension)
-from relgw.kbeval import normalize
 from relgw.lattice import HomologyClass
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
@@ -113,45 +114,53 @@ def test_a_negative_contact_spec_raises_on_every_call():
         assert decide(spec).reason == NEGATIVE_INTERSECTION
 
 
-# -- the sorted insertions `key` keeps ----------------------------------------
+# -- the canonical order of a spec's insertions ------------------------------
 
 
-def sorted_afresh(spec):
-    return (tuple(sorted(spec.absolutes, key=_sort_key)),
-            tuple(sorted(spec.relatives, key=_sort_key)))
+def fields(spec):
+    return tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
 
 
-def assert_stored_order_holds(spec):
-    out = normalize(spec)
-    a, r = sorted_afresh(spec)
-    assert out == InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
-    assert (out.absolutes, out.relatives) == (a, r)
-    assert out.__dict__["_key"] == dataclasses.replace(out).key() == spec.key()
-    assert out._sorted == sorted_afresh(out) == spec._sorted == (a, r)
-    assert normalize(out) is out
-    return out
+def assert_order_is_canonical(spec):
+    """The spec built from its insertions out of order (reversed) equals
+    the spec built from them in key order: same fields, key, hash and
+    repr, with the insertions kept in that order.  Both keep the key of
+    `spec`."""
+    a, r = spec.absolutes[::-1], spec.relatives[::-1]
+    ordered = (tuple(sorted(a, key=_sort_key)), tuple(sorted(r, key=_sort_key)))
+    turned = InvariantSpec(spec.target, spec.genus, spec.beta, a, r)
+    built = InvariantSpec(spec.target, spec.genus, spec.beta, *ordered)
+    assert (built.absolutes, built.relatives) == ordered
+    assert fields(turned) == fields(built) and turned == built
+    assert turned.key() == built.key() == spec.key()
+    assert hash(turned) == hash(built)
+    assert repr(turned) == repr(built)
 
 
-def test_bracket_specs_normalize_on_their_stored_order():
+def test_bracket_specs_are_canonical_in_any_order():
     assert len(BRACKETS) == 1870
     for row in BRACKETS:
         spec = parse_scenario(bracket_text(row)).invariants["b"]
-        assert_stored_order_holds(spec)
+        assert_order_is_canonical(spec)
 
 
-def test_quartic_components_normalize_on_their_stored_order():
-    for spec, _ in quartic_components():
-        assert_stored_order_holds(spec)
+def test_quartic_components_are_canonical_in_any_order():
+    components = quartic_components()
+    assert len(components) == 193
+    for spec, _ in components:
+        assert_order_is_canonical(spec)
 
 
-def test_an_unsorted_spec_normalizes_to_a_new_spec():
+def test_a_spec_written_out_of_order_is_built_in_key_order():
     text = ("[space p3]\n[invariant x]\nspace = p3\ngenus = 0\n"
             "class = lambda\nabs = pi, pt, lambda\n")
-    spec = parse_scenario(text).invariants["x"]
-    out = assert_stored_order_holds(spec)
-    assert out is not spec
-    assert [ins.token() for ins in out.absolutes] == ["pt", "lambda", "pi"]
+    sc = parse_scenario(text)
+    spec = sc.invariants["x"]
+    assert_order_is_canonical(spec)
+    assert [ins.token() for ins in spec.absolutes] == ["pt", "lambda", "pi"]
+    assert [ins.token() for ins in sc.written["x"]] == ["pi", "pt", "lambda"]
     assert spec.key() == "space:p3;g=0;b=lambda;abs=pt,lambda,pi"
+    assert spec == InvariantSpec(spec.target, 0, spec.beta, sc.written["x"])
 
 
 # -- call counts ---------------------------------------------------------------

@@ -106,7 +106,13 @@ class Tail:
     right: int
 
     def token(self) -> str:
-        return f"({self.order},{self.cls.encode()})@{self.left}:{self.right}"
+        """Canonical text form, built on the first call and kept on the
+        instance as `GraphComponent` keeps its token."""
+        out = self.__dict__.get("_token")
+        if out is None:
+            out = f"({self.order},{self.cls.encode()})@{self.left}:{self.right}"
+            object.__setattr__(self, "_token", out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,47 +187,55 @@ def _missable_class(model: EffectiveModel, alpha: HomologyClass) -> bool:
 # sides of one component
 
 
-def _left_spec(setup: FiberSumSetup, comp: GraphComponent,
-               tails) -> InvariantSpec:
-    rels = tuple(Insertion(t.cls, order=t.order) for t in tails)
-    return InvariantSpec(setup.left, comp.genus, comp.cls,
-                         tuple(comp.insertions), rels)
-
-
-def _right_spec(setup: FiberSumSetup, comp: GraphComponent,
-                tails) -> InvariantSpec:
-    rels = tuple(Insertion(t.dual, order=t.order) for t in tails)
-    return InvariantSpec(setup.right, comp.genus, comp.cls,
-                         tuple(comp.insertions), rels)
+def _component_spec(pair, comp: GraphComponent, rels) -> InvariantSpec:
+    """The count one component carries on its side's pair, with the
+    contact insertions `rels` of its tails."""
+    return InvariantSpec(pair, comp.genus, comp.cls, comp.insertions, rels)
 
 
 class _ComponentTable:
     """The components of one ledger, from enumeration to evaluation.
 
     A component is keyed by its side ("L" divisor side, "R" bundle side),
-    its token and the (order, class text) of its tails in the order given,
-    the class on the divisor side and its dual on the bundle side: text,
-    as hashing a spec hashes its whole space.  Each entry [spec, expected
-    dimension, prune reason] is filled in on first read, and whether a
-    divisor class is missable is kept per class.
+    its token and the (order, class vector) of its tails in the order
+    given, the class on the divisor side and its dual on the bundle side:
+    plain tuples, as hashing a spec hashes its whole space.  Each entry
+    [spec, expected dimension, prune reason] is filled in on first read.
+    The contact insertion of a tail end is built once per (order, class)
+    and shared by every spec that has it, and whether a divisor class is
+    missable is kept per class.
     """
 
     def __init__(self, setup: FiberSumSetup):
         self.setup = setup
         self.entries: dict[tuple, list] = {}
+        self.ends: dict[tuple, Insertion] = {}
         self.missable: dict[tuple, bool] = {}
 
     def entry(self, side: str, comp: GraphComponent, tails) -> list:
-        """The entry of one component; its spec raises as `_left_spec` or
-        `_right_spec` does, and a component that raises keeps no entry."""
-        key = (side, comp.token(), tuple(
-            (t.order, (t.cls if side == "L" else t.dual).encode())
-            for t in tails))
+        """The entry of one component; its spec raises as `InvariantSpec`
+        does, and a component that raises keeps no entry."""
+        if side == "L":
+            parts = tuple([(t.order, t.cls.vec) for t in tails])
+        else:
+            parts = tuple([(t.order, t.dual.vec) for t in tails])
+        key = (side, comp.token(), parts)
         out = self.entries.get(key)
         if out is None:
-            spec_of = _left_spec if side == "L" else _right_spec
-            out = self.entries[key] = [spec_of(self.setup, comp, tails),
+            setup = self.setup
+            pair = setup.left if side == "L" else setup.right
+            rels = tuple([self.end(t.order, t.cls if side == "L" else t.dual)
+                          for t in tails])
+            out = self.entries[key] = [_component_spec(pair, comp, rels),
                                        None, None]
+        return out
+
+    def end(self, order: int, c: HomologyClass) -> Insertion:
+        """The contact insertion of order `order` and class c."""
+        key = (order, c.vec)
+        out = self.ends.get(key)
+        if out is None:
+            out = self.ends[key] = Insertion(c, order=order)
         return out
 
     def dimension(self, side: str, comp: GraphComponent, tails) -> int:
@@ -589,6 +603,14 @@ def _balanced(base, rows, bounds):
         stack.extend(reversed(kept))
 
 
+def _constrained(comp: GraphComponent, insertions) -> GraphComponent:
+    """The bare component `comp` with `insertions` placed on it; itself
+    when there are none."""
+    if not insertions:
+        return comp
+    return GraphComponent(comp.cls, comp.genus, tuple(insertions))
+
+
 def _connected(p: int, q: int, edges) -> bool:
     # parallel edges join nothing new
     find = _union_find({(j, p + i) for _, j, i in edges})
@@ -657,27 +679,40 @@ def _connected_skeletons(memo: dict, ks, ells):
 
 
 def _canonical(gamma1, gamma2, tails):
-    """Sort components, minimize the edge list over label-preserving
-    permutations, and count the automorphisms that fix it.
+    """Sort components by token, minimize the edge list over the
+    relabelings that move a component only among those of equal token,
+    and count the automorphisms, the relabelings that fix it.
 
-    Edges are searched as sorted (order, class text, left, right) tuples;
-    the first strict minimum wins, and `Tail`s are built for it alone,
-    listed by token."""
+    When neither side has two components of equal token, the identity is
+    the only relabeling: there is one automorphism, and the tails, moved
+    with their components, are listed by token; a tail whose ends do not
+    move is kept as it is.  Otherwise edges are searched as sorted
+    (order, class text, left, right) tuples; the first strict minimum
+    wins, and `Tail`s are built for it alone, listed by token."""
 
     def arrange(comps):
-        order = sorted(range(len(comps)), key=lambda i: comps[i].token())
-        remap = {old: new for new, old in enumerate(order)}
-        return tuple(comps[i] for i in order), remap
+        tokens = [c.token() for c in comps]
+        order = sorted(range(len(comps)), key=tokens.__getitem__)
+        remap = [0] * len(comps)
+        for new, old in enumerate(order):
+            remap[old] = new
+        labels = [tokens[i] for i in order]
+        return tuple(comps[i] for i in order), remap, labels
 
-    g1, remap1 = arrange(gamma1)
-    g2, remap2 = arrange(gamma2)
+    g1, remap1, labels1 = arrange(gamma1)
+    g2, remap2, labels2 = arrange(gamma2)
+    if len(set(labels1)) == len(labels1) and len(set(labels2)) == len(labels2):
+        moved = [t if remap1[t.left] == t.left and remap2[t.right] == t.right
+                 else Tail(t.order, t.cls, t.dual, remap1[t.left],
+                           remap2[t.right]) for t in tails]
+        return g1, g2, tuple(sorted(moved, key=Tail.token)), 1
     base = [(t.order, t.cls.encode(), remap1[t.left], remap2[t.right])
             for t in tails]
     identity = tuple(sorted(base))
-    perms2 = list(_relabelings([c.token() for c in g2]))
+    perms2 = list(_relabelings(labels2))
     best = None
     aut = 0
-    for s in _relabelings([c.token() for c in g1]):
+    for s in _relabelings(labels1):
         for t in perms2:
             key = tuple(sorted((o, c, s[j], t[i]) for o, c, j, i in base))
             if key == identity:
@@ -687,7 +722,7 @@ def _canonical(gamma1, gamma2, tails):
     _, s, t = best
     canonical = tuple(sorted(
         (Tail(e.order, e.cls, e.dual, s[j], t[i])
-         for e, (_, _, j, i) in zip(tails, base)), key=lambda e: e.token()))
+         for e, (_, _, j, i) in zip(tails, base)), key=Tail.token))
     return g1, g2, canonical, aut
 
 
@@ -800,6 +835,18 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
 
     # indexed graph -> [summed weight, gamma1, gamma2, tails]
     graphs: dict[tuple, list] = {}
+    # (side, class vector, genus) -> the component with no constraints
+    bare: dict[tuple, GraphComponent] = {}
+
+    def bare_components(side, parts, genera):
+        out = []
+        for c, g in zip(parts, genera):
+            comp = bare.get((side, c.vec, g))
+            if comp is None:
+                comp = bare[side, c.vec, g] = GraphComponent(c, g)
+            out.append(comp)
+        return out
+
     candidates = 0
 
     def emit(gamma1, gamma2, tails, weight):
@@ -868,10 +915,11 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         checked as integers, a prefix of groups whose slacks can no longer
         reach their bounds is cut (`_balanced`), a row's entries are built
         only when a walk reaches them, and components are built only for
-        the assignments that pass.  `expected_dimension` stays
-        the reference: through the ledger's component table it gives each
-        base, and `_make_term` checks each distinct emitted component with
-        it, once per ledger.
+        the assignments that pass; a component that takes no constraint
+        is the bare one, built once per (side, class, genus) in the
+        ledger.  `expected_dimension` stays the reference: through the
+        ledger's component table it gives each base, and `_make_term`
+        checks each distinct emitted component with it, once per ledger.
 
         Tail grades: a divisor-side component's tail grades, each in
         0..dn, add up to what its slack leaves, and so do a bundle-side
@@ -896,11 +944,11 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
         right_edges = [[e for e, (_, _, i) in enumerate(skeleton) if i == ii]
                        for ii in range(len(parts2))]
         dn = D.n
+        comps1 = bare_components("L", parts1, genera1)
+        comps2 = bare_components("R", parts2, genera2)
         try:
             base, rows = _slack_table(
-                components, rows,
-                [GraphComponent(c, g) for c, g in zip(parts1, genera1)],
-                [GraphComponent(c, g) for c, g in zip(parts2, genera2)],
+                components, rows, comps1, comps2,
                 [[probe[e] for e in edges] for edges in left_edges],
                 [[probe[e] for e in edges] for edges in right_edges])
         except InvariantError:
@@ -922,12 +970,10 @@ def _enumerate(components: _ComponentTable, spec: InvariantSpec,
                     if nslot:
                         per_comp.setdefault(slot, []).extend(
                             [sides[slot[0]][0]] * nslot)
-            gamma1 = tuple(
-                GraphComponent(c, g, tuple(per_comp.get(("L", j), ())))
-                for j, (c, g) in enumerate(zip(parts1, genera1)))
-            gamma2 = tuple(
-                GraphComponent(c, g, tuple(per_comp.get(("R", i), ())))
-                for i, (c, g) in enumerate(zip(parts2, genera2)))
+            gamma1 = tuple(_constrained(comp, per_comp.get(("L", j)))
+                           for j, comp in enumerate(comps1))
+            gamma2 = tuple(_constrained(comp, per_comp.get(("R", i)))
+                           for i, comp in enumerate(comps2))
             need_left = [dn * len(edges) - s
                          for edges, s in zip(left_edges, slack)]
             need_right = [s + dn * len(edges)
@@ -1065,7 +1111,10 @@ def _make_term(components: _ComponentTable, gamma1, gamma2, tails,
 
 def _side_sum(space: Space, comps) -> HomologyClass:
     """The class of one side: the sum of its components' curve classes,
-    added up on their integer vectors."""
+    added up on their integer vectors; a side of one component has that
+    component's class."""
+    if len(comps) == 1:
+        return comps[0].cls
     vec = tuple(map(sum, zip(space.basis._zero, *(c.cls.vec for c in comps))))
     return HomologyClass(space.basis, vec, 1 if any(vec) else None)
 

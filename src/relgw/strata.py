@@ -548,8 +548,8 @@ class _ExactSums:
             if self.runs is None:
                 self._index_runs()
             found = self._reach(*key)
-        pool = self.pool
-        return [tuple(pool[i] for i in t) for t in found]
+        item = self.pool.__getitem__
+        return [tuple(map(item, t)) for t in found]
 
     def _index_runs(self):
         """Fill `runs` and `least` from the sizes."""

@@ -547,12 +547,14 @@ def old_slack_loop(setup, groups, rows, comps1, comps2, tails1, tails2):
                                            pulled_back=True)] * n
         vectors = tuple(vec for vec, _ in assignment)
         try:
-            slacks = [expected_dimension(decompose._left_spec(
-                setup, decompose.GraphComponent(c.cls, c.genus, tuple(ins)),
-                t)) for c, ins, t in zip(comps1, left, tails1)]
-            slacks += [expected_dimension(decompose._right_spec(
-                setup, decompose.GraphComponent(c.cls, c.genus, tuple(ins)),
-                t)) for c, ins, t in zip(comps2, right, tails2)]
+            slacks = [expected_dimension(InvariantSpec(
+                setup.left, c.genus, c.cls, tuple(ins),
+                tuple(Insertion(e.cls, order=e.order) for e in t)))
+                for c, ins, t in zip(comps1, left, tails1)]
+            slacks += [expected_dimension(InvariantSpec(
+                setup.right, c.genus, c.cls, tuple(ins),
+                tuple(Insertion(e.dual, order=e.order) for e in t)))
+                for c, ins, t in zip(comps2, right, tails2)]
         except InvariantError:
             yield vectors, None, False
             continue
@@ -853,8 +855,10 @@ def old_canonical(gamma1, gamma2, tails):
 
 def test_canonical_matches_the_tail_search(monkeypatch):
     """Every indexed graph that reaches `_make_term` in the quartic, the
-    blown-up line, both torus ledgers and the pinned N_4 ledger gets the
-    components, tails and automorphism count the `Tail` search gives."""
+    blown-up line, both torus ledgers and the pinned N_4, N_5 and N_6
+    ledgers with points on the bundle side gets the components, tails and
+    automorphism count the `Tail` search gives, whether `_canonical` takes
+    the identity or searches the relabelings."""
     graphs = []
     original = decompose._make_term
 
@@ -867,24 +871,31 @@ def test_canonical_matches_the_tail_search(monkeypatch):
         scenario = parse_scenario(
             (SCENARIOS / f"{name}.gw").read_text(encoding="utf-8"))
         assert cli.run("run", scenario)[1] == 0
-    assert cli.run("decompose", p2_ledger_scenario(4, 11, 3),
-                   ("p2_hyperplane", "n"))[1] == 0
-    moved = auts = 0
+    for degree, points, on_y in ((4, 11, 3), (5, 14, 2), (6, 17, 2)):
+        assert cli.run("decompose", p2_ledger_scenario(degree, points, on_y),
+                       ("p2_hyperplane", "n"))[1] == 0
+    searches = []
+    original_relabelings = decompose._relabelings
+
+    def relabelings(labels):
+        searches.append(labels)
+        return original_relabelings(labels)
+
+    monkeypatch.setattr(decompose, "_relabelings", relabelings)
+    moved = auts = searched = 0
     for gamma1, gamma2, tails in graphs:
+        before = len(searches)
         got = decompose._canonical(gamma1, gamma2, tails)
+        searched += len(searches) > before
         want = old_canonical(gamma1, gamma2, tails)
         assert got == want
         assert [t.token() for t in got[2]] == [t.token() for t in want[2]]
         moved += got[2] != tuple(sorted(tails, key=lambda e: e.token()))
         auts += got[3] > 1
-    # graphs whose labels move and graphs with automorphisms are both seen
-    assert len(graphs) > 100 and moved and auts
-
-
-def component_key(side, comp, tails):
-    return (side, comp.token(), tuple(
-        (t.order, (t.cls if side == "L" else t.dual).encode())
-        for t in tails))
+    # graphs whose labels move, graphs with automorphisms, and graphs on
+    # either path are all seen
+    assert len(graphs) > 300 and moved and auts
+    assert 0 < searched < len(graphs)
 
 
 def test_each_component_is_built_checked_and_decided_once(monkeypatch):
@@ -894,15 +905,14 @@ def test_each_component_is_built_checked_and_decided_once(monkeypatch):
     same components again and again."""
     built, checked, decided = Counter(), Counter(), Counter()
     owner = {}
+    original_spec = decompose._component_spec
 
-    def spec_of(side, original):
-        def build(setup, comp, tails):
-            key = component_key(side, comp, tails)
-            built[key] += 1
-            spec = original(setup, comp, tails)
-            owner[id(spec)] = (key, spec)
-            return spec
-        return build
+    def spec_of(pair, comp, rels):
+        key = (pair.name, comp.token(), tuple(r.token() for r in rels))
+        built[key] += 1
+        spec = original_spec(pair, comp, rels)
+        owner[id(spec)] = (key, spec)
+        return spec
 
     def count(counter, original):
         def call(spec):
@@ -910,10 +920,7 @@ def test_each_component_is_built_checked_and_decided_once(monkeypatch):
             return original(spec)
         return call
 
-    monkeypatch.setattr(decompose, "_left_spec",
-                        spec_of("L", decompose._left_spec))
-    monkeypatch.setattr(decompose, "_right_spec",
-                        spec_of("R", decompose._right_spec))
+    monkeypatch.setattr(decompose, "_component_spec", spec_of)
     monkeypatch.setattr(decompose, "expected_dimension",
                         count(checked, decompose.expected_dimension))
     monkeypatch.setattr(decompose, "decide", count(decided, decompose.decide))
@@ -922,6 +929,54 @@ def test_each_component_is_built_checked_and_decided_once(monkeypatch):
     assert (len(built), len(checked), len(decided)) == (195, 193, 134)
     for counter in (built, checked, decided):
         assert set(counter.values()) == {1}
+
+
+def test_the_quartic_term_stage_builds_each_piece_once(monkeypatch):
+    """On the quartic ledger `_canonical` searches relabelings only for
+    the 28 of its 153 graphs where some side has two components of equal
+    token; the component table builds 195 specs and one contact insertion
+    per distinct (order, class), 16 in all; and each `Tail` builds its
+    token text once."""
+    graphs, searched, contacts, specs, texts = [], set(), [], [], []
+    original_canonical = decompose._canonical
+    original_relabelings = decompose._relabelings
+    original_spec = decompose._component_spec
+    original_token = decompose.Tail.token
+
+    def canonical(gamma1, gamma2, tails):
+        graphs.append(tails)
+        return original_canonical(gamma1, gamma2, tails)
+
+    def relabelings(labels):
+        searched.add(len(graphs))
+        return original_relabelings(labels)
+
+    def insertion(c, **kwargs):
+        out = Insertion(c, **kwargs)
+        if out.order is not None:
+            contacts.append((out.order, c.vec))
+        return out
+
+    def spec(pair, comp, rels):
+        specs.append(rels)
+        return original_spec(pair, comp, rels)
+
+    def token(tail):
+        if "_token" not in tail.__dict__:
+            texts.append(tail)
+        return original_token(tail)
+
+    monkeypatch.setattr(decompose, "_canonical", canonical)
+    monkeypatch.setattr(decompose, "_relabelings", relabelings)
+    monkeypatch.setattr(decompose, "Insertion", insertion)
+    monkeypatch.setattr(decompose, "_component_spec", spec)
+    monkeypatch.setattr(decompose.Tail, "token", token)
+    ledger = evaluate_decomposition(*quartic_case())
+    assert len(ledger.reports) == 112
+    assert (len(graphs), len(searched)) == (153, 28)
+    assert len(contacts) == len(set(contacts)) == 16
+    assert len(specs) == 195
+    assert texts and len(texts) == len({id(t) for t in texts})
 
 
 def test_term_text_is_built_once():
@@ -938,14 +993,20 @@ def test_term_text_is_built_once():
 
 
 def test_component_table_is_freed_without_the_cycle_collector(monkeypatch):
-    """The component table of a ledger is freed by reference counting once
+    """The component table of a ledger, with the contact insertions of its
+    tail ends, is freed by reference counting once
     `evaluate_decomposition` returns."""
-    made = []
+    made, ends = [], []
 
     class Watched(decompose._ComponentTable):
         def __init__(self, setup):
             super().__init__(setup)
             made.append(weakref.ref(self))
+
+        def end(self, order, c):
+            out = super().end(order, c)
+            ends.append(weakref.ref(out))
+            return out
 
     monkeypatch.setattr(decompose, "_ComponentTable", Watched)
     gc.disable()
@@ -953,6 +1014,7 @@ def test_component_table_is_freed_without_the_cycle_collector(monkeypatch):
         ledger = evaluate_decomposition(*quartic_case())
         assert len(ledger.reports) == 112
         assert len(made) == 1 and made[0]() is None
+        assert ends and [ref() for ref in ends] == [None] * len(ends)
     finally:
         gc.enable()
 
@@ -1336,6 +1398,6 @@ def test_pulled_back_marker_token():
     half = Insertion(D.gen("lambda"), pulled_back=True)
     assert half.token() == "pb:lambda"
     comp = decompose.GraphComponent(setup.ruled.fiber, 0, (half,))
-    spec = decompose._right_spec(setup, comp, ())
+    spec = decompose._component_spec(setup.right, comp, ())
     assert spec.absolutes == (half,)
     assert spec.key().endswith(";abs=pb:lambda;rel=")

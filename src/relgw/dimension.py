@@ -78,10 +78,6 @@ class Insertion:
         object.__setattr__(self, "_token", token)
         object.__setattr__(self, "_sort", sort)
 
-    @property
-    def relative(self) -> bool:
-        return self.order is not None
-
     def token(self) -> str:
         return self._token
 

@@ -315,9 +315,8 @@ class Evaluator:
     identity evaluates its sides (`_grouping_sum`).  The tables the rules
     read are built once per process, so a new evaluator costs no rebuild.
     A count tries only the rules that serve its kind of target, in the
-    order of `_RULES`: `_SPACE_RULES` for a Space, `_PAIR_RULES` for a
-    DivisorPair; a rule left out of a kind's tuple declines every count of
-    that kind on its first line.
+    order of their tuple: `_SPACE_RULES` for a Space, `_PAIR_RULES` for a
+    DivisorPair.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -434,7 +433,7 @@ class Evaluator:
 
 
 def _rule_degree_zero(ev: Evaluator, spec: InvariantSpec):
-    if not spec.beta.is_zero or spec.pair is not None:
+    if not spec.beta.is_zero:
         return None
     if len(spec.absolutes) != 3:
         return (0, (), "degree-zero: not a three-point bracket")
@@ -472,8 +471,6 @@ def _rule_isolated(ev: Evaluator, spec: InvariantSpec):
 
 def _rule_exceptional_tail(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
-    if pair is None:
-        return None
     xm, dm = pair.ambient.effective, pair.divisor.effective
     if xm is None or dm is None:
         return None
@@ -492,7 +489,7 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
     absolute constraint cuts out.  Declines without a product table or when
     a constraint has no divisor counterpart."""
     pair = spec.pair
-    if pair is None or pair.ruled is None or spec.genus != 0:
+    if pair.ruled is None or spec.genus != 0:
         return None
     if pair.ruled.fiber_degree(spec.beta) != 1:
         return None
@@ -514,7 +511,7 @@ def _rule_fiber(ev: Evaluator, spec: InvariantSpec):
 
 def _rule_section_double_cover(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
-    if pair is None or pair.ruled is None or spec.genus != 0:
+    if pair.ruled is None or spec.genus != 0:
         return None
     if spec.absolutes or len(spec.relatives) != 1:
         return None
@@ -558,7 +555,7 @@ def _ambient_absolutes(pair: DivisorPair, absolutes):
 
 def _rule_drop_fundamental_tails(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
-    if pair is None or spec.genus != 0:
+    if spec.genus != 0:
         return None
     if any(t.order != 1 or t.cls != pair.divisor.fundamental
            for t in spec.relatives):
@@ -572,7 +569,7 @@ def _rule_drop_fundamental_tails(ev: Evaluator, spec: InvariantSpec):
 
 def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
     pair = spec.pair
-    if pair is None or spec.genus != 0 or pair.push is None:
+    if spec.genus != 0 or pair.push is None:
         return None
     if not spec.relatives or any(t.order != 1 for t in spec.relatives):
         return None
@@ -586,7 +583,7 @@ def _rule_push_tails(ev: Evaluator, spec: InvariantSpec):
 
 
 def _rule_divisor_axiom(ev: Evaluator, spec: InvariantSpec):
-    if spec.pair is not None or spec.genus != 0 or spec.beta.is_zero:
+    if spec.genus != 0 or spec.beta.is_zero:
         return None
     X = spec.space
     for i, ins in enumerate(spec.absolutes):
@@ -607,7 +604,7 @@ def _rule_blowup(ev: Evaluator, spec: InvariantSpec):
     count in class pi_*(beta) with sum m_i extra point constraints.  Other
     genera and multiplicities are outside the theorem and do not fire."""
     blow = spec.space.blowdown
-    if spec.pair is not None or blow is None or spec.genus != 0:
+    if blow is None or spec.genus != 0:
         return None
     ms = [-spec.beta.coeff(e) for e in blow.exceptional]
     down = blow.push(spec.beta)
@@ -642,8 +639,6 @@ def _restriction_table() -> dict[str, tuple[InvariantSpec, str]]:
 
 
 def _rule_restriction(ev: Evaluator, spec: InvariantSpec):
-    if spec.pair is not None:
-        return None
     hit = _restriction_table().get(spec.key())
     if hit is None:
         return None
@@ -655,8 +650,18 @@ def _rule_restriction(ev: Evaluator, spec: InvariantSpec):
 # count is the factor times the value of each child.  The factor is an int,
 # or a Fraction the rule already holds; `Evaluator._combine` builds the one
 # Fraction of the value.
-_RULES = (
+# Each tuple lists, in trial order, the rules that serve one kind of count:
+# `spec.pair` is None for every count `_SPACE_RULES` sees and a DivisorPair
+# for every count `_PAIR_RULES` sees.
+_SPACE_RULES = (
     _rule_degree_zero,
+    _rule_fundamental,
+    _rule_isolated,
+    _rule_divisor_axiom,
+    _rule_blowup,
+    _rule_restriction,
+)
+_PAIR_RULES = (
     _rule_fundamental,
     _rule_isolated,
     _rule_exceptional_tail,
@@ -664,17 +669,7 @@ _RULES = (
     _rule_section_double_cover,
     _rule_drop_fundamental_tails,
     _rule_push_tails,
-    _rule_divisor_axiom,
-    _rule_blowup,
-    _rule_restriction,
 )
-# the rules that serve each kind of target, in the order of `_RULES`; every
-# rule left out of one returns None on its first line for that kind
-_SPACE_RULES = tuple(rule for rule in _RULES if rule not in (
-    _rule_exceptional_tail, _rule_fiber, _rule_section_double_cover,
-    _rule_drop_fundamental_tails, _rule_push_tails))
-_PAIR_RULES = tuple(rule for rule in _RULES if rule not in (
-    _rule_degree_zero, _rule_divisor_axiom, _rule_blowup, _rule_restriction))
 
 
 # -- splitting identities ----------------------------------------------------

@@ -26,7 +26,7 @@ from relgw.lattice import cls, gen
 from relgw.scenario import Scenario, ScenarioError, parse_scenario
 from relgw.spaces import CatalogError, builtin
 from relgw.vanishing import decide
-from test_shipped_outputs import BRACKETS, SCENARIOS, bracket_text
+from test_shipped_outputs import BRACKETS, bracket_text
 
 P3 = builtin("p3")
 PT, LAM, PI = P3.point, P3.gen("lambda"), P3.gen("pi")
@@ -782,43 +782,6 @@ def test_grouped_side_counts(si, grouped, walked, keys):
                 == {side.key() for _, *pair in terms for side in pair}
     if keys is not None:
         assert len(si.side_keys) == keys
-
-
-# -- rules by target kind ----------------------------------------------------
-
-
-def test_each_kind_tries_its_rules_in_table_order():
-    rules = kbeval._RULES
-    for kind in (kbeval._SPACE_RULES, kbeval._PAIR_RULES):
-        assert kind == tuple(rule for rule in rules if rule in kind)
-    assert set(kbeval._SPACE_RULES) | set(kbeval._PAIR_RULES) == set(rules)
-
-
-def test_a_rule_left_out_of_a_kind_declines_every_count_of_it(monkeypatch):
-    """Every count that reaches the rules while the bracket table and the
-    shipped files with the four golden ledgers are evaluated is declined
-    by each rule left out of its kind's tuple."""
-    kinds = {False: kbeval._SPACE_RULES, True: kbeval._PAIR_RULES}
-    reached = {False: [], True: []}
-
-    def record(ev, spec):
-        reached[spec.pair is not None].append((ev, spec))
-
-    monkeypatch.setattr(kbeval, "_SPACE_RULES", (record,) + kinds[False])
-    monkeypatch.setattr(kbeval, "_PAIR_RULES", (record,) + kinds[True])
-    for row in BRACKETS:
-        sc = parse_scenario(bracket_text(row))
-        assert cli.run("eval", sc, ("b",))[1] == 0
-    for name in ("blowup_line", "quartic_difference", "torus_section"):
-        text = (SCENARIOS / f"{name}.gw").read_text(encoding="utf-8")
-        assert cli.run("run", parse_scenario(text))[1] == 0
-    for paired, tried in kinds.items():
-        assert reached[paired]
-        left_out = [rule for rule in kbeval._RULES if rule not in tried]
-        assert left_out
-        for ev, spec in reached[paired]:
-            assert [rule(ev, spec) for rule in left_out] == \
-                [None] * len(left_out), spec.key()
 
 
 # -- keys and the solver path ------------------------------------------------

@@ -24,6 +24,10 @@ second copy.
   The splitting ledger takes from `kbeval` only the `Evaluator`, the
   `KnowledgeBase` and `seed_table`: every factor of a term goes through
   `Evaluator.evaluate`.
+- The kinds of count a rule serves are declared once, by the tuples
+  that list it, `kbeval._SPACE_RULES` and `kbeval._PAIR_RULES`: no
+  `_rule_*` function in `kbeval.py` compares `pair` or `spec.pair` with
+  `None` to tell the kinds apart.
 - A linear solve goes through `lattice.combination`: only it and
   `kbeval.solve_unknowns` call the one elimination, `lattice.row_reduce`.
 - The canonical order of a spec's insertions is applied only when the
@@ -239,6 +243,57 @@ def test_kbeval_import_detector():
 def test_ledger_factors_go_through_the_evaluator():
     source = (SRC / "decompose.py").read_text(encoding="utf-8")
     assert set(kbeval_imports(source)) <= DECOMPOSE_FROM_KBEVAL
+
+
+def _is_pair(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "pair")
+            or (isinstance(node, ast.Attribute) and node.attr == "pair"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "spec"))
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def kind_tests(source: str) -> list[str]:
+    """line: rule of every comparison of `pair` or `spec.pair` with `None`
+    inside a `_rule_*` function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_rule_")):
+            continue
+        for cmp in ast.walk(node):
+            if not isinstance(cmp, ast.Compare):
+                continue
+            operands = [cmp.left] + cmp.comparators
+            if any(map(_is_pair, operands)) and any(map(_is_none, operands)):
+                found.append((cmp.lineno, f"{cmp.lineno}: {node.name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_kind_test_detector():
+    source = ('def _rule_fiber(ev, spec):\n'
+              '    pair = spec.pair\n'
+              '    if pair is None or pair.ruled is None:\n'
+              '        return None\n'
+              'def _rule_blowup(ev, spec):\n'
+              '    if spec.pair is not None or spec.genus != 0:\n'
+              '        return None\n'
+              '    return None == spec.pair\n'
+              'def _rule_push_tails(ev, spec):\n'
+              '    pair = spec.pair\n'
+              '    return pair.ruled is None or pair.push is None\n'
+              'def _compute(self, spec):\n'
+              '    return spec.pair is None\n')
+    assert kind_tests(source) == [
+        "3: _rule_fiber", "6: _rule_blowup", "8: _rule_blowup"]
+
+
+def test_rules_leave_the_kind_to_their_tuples():
+    source = (SRC / "kbeval.py").read_text(encoding="utf-8")
+    assert kind_tests(source) == []
 
 
 def test_each_concept_has_one_implementation():

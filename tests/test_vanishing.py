@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from relgw.dimension import Insertion, InvariantSpec, expected_dimension
-from relgw.kbeval import Evaluator, _rule_drop_fundamental_tails, seed_table
+from relgw.kbeval import (
+    _SPACE_RULES,
+    Evaluator,
+    _rule_drop_fundamental_tails,
+    seed_table,
+)
 from relgw.lattice import HomologyClass, cls, gen
 from relgw.spaces import builtin
 from relgw.strata import _partitions
@@ -344,9 +349,14 @@ def test_drop_tails_blocked_by_witness():
 
 
 def test_drop_tails_needs_a_relative_count():
+    # an absolute count never tries the rule: it is not a Space rule
+    assert _rule_drop_fundamental_tails not in _SPACE_RULES
     X = builtin("p2")
     spec = InvariantSpec(X, 0, X.gen("lambda"), (Insertion(X.point),) * 2, ())
-    assert drop_tails(spec) is None
+    result = Evaluator(seed_table()).evaluate(spec)
+    labels = result.trace if result.known else result.blockers
+    assert labels
+    assert not any("drop-fundamental-tails" in label for label in labels)
 
 
 def test_drop_tails_skips_genus_one():

@@ -25,7 +25,7 @@ from operator import add, le, mul, sub
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         constraint_codim, expected_dimension)
-from .kbeval import Evaluator, KnowledgeBase, seed_table
+from .kbeval import Evaluator, KnowledgeBase, Value, seed_table
 from .lattice import HomologyClass, cls, gen
 from .spaces import EffectiveModel, FiberSumSetup, Space
 from .strata import (_compositions, _ExactSums, _relabelings, _union_find,
@@ -1215,7 +1215,7 @@ def _evaluate_term(components: _ComponentTable, term: DecompTerm,
                                          term.tails):
         result = evaluator.evaluate(components.entry(side, comp, tails)[0])
         tag = f"{side}{idx}"
-        if result.known:
+        if isinstance(result, Value):
             factors.append(f"{tag}={result.value}")
             values.append(result.value)
             if result.value == 0 and not zero_note:

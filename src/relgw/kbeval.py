@@ -13,9 +13,11 @@ exact `Fraction`.  A spec holds its insertions in key order and its key
 from construction, so the evaluator reads a bracket, a rule's child or an
 identity's side as it comes, and two brackets that differ only in the
 written order of their insertions are one count.  `Evaluator`
-orchestrates: knowledge-base lookup, vanishing verdict, rules in a fixed
-order, then the splitting solver, memoizing along the way.  Every value carries a trace naming the rules and
-entries it used.
+orchestrates: vanishing verdict, knowledge-base lookup, rules in a fixed
+order, then the splitting solver, memoizing along the way.  The verdict
+comes first, so a structurally zero count is zero whatever a base holds
+for it; `KnowledgeBase.load` refuses a nonzero value for one.  Every value
+carries a trace naming the rules and entries it used.
 
 The fixed tables (the seed entries, the hyperplane restrictions, the
 identities and each identity's side keys) are built once per process; an
@@ -71,10 +73,8 @@ class KnowledgeBase:
     up.
     """
 
-    def __init__(self, entries=()):
+    def __init__(self):
         self._entries: dict[str, KBEntry] = {}
-        for e in entries:
-            self.add(e.key, e.value, e.provenance)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -114,9 +114,12 @@ class KnowledgeBase:
         """Add the entries a text form holds.  A malformed line raises a
         ScenarioError at its line and at the column of what is wrong: the
         first tab (or the line's end) for a wrong field count, the value
-        field for a bad value or one that conflicts with an entry of this
-        base or an earlier line, and inside the key for a key that names
-        no count or not in its canonical form."""
+        field for a bad value, one that conflicts with an entry of this
+        base or an earlier line, or a nonzero value for a count that
+        `vanishing.decide` calls zero (the verdict outranks the base, so
+        such a value could never be read), inside the key for a key that
+        names no count or not in its canonical form, and at the first
+        entry of `rel=` for contact orders that do not add up."""
         for lineno, line in enumerate(split_lines(text), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -131,12 +134,22 @@ class KnowledgeBase:
             except (ValueError, ZeroDivisionError) as err:
                 raise ScenarioError(f"bad value {valtext!r}", lineno,
                                     len(key) + 2) from err
-            canonical = parse_key(key, lineno).key()
+            spec = parse_key(key, lineno)
+            canonical = spec.key()
             if canonical != key:
                 col = next((i for i, (a, b) in enumerate(zip(key, canonical))
                             if a != b), min(len(key), len(canonical))) + 1
                 raise ScenarioError(f"key {key} is not canonical; "
                                     f"write {canonical}", lineno, col)
+            try:
+                verdict = decide(spec)
+            except InvariantError as err:  # only a pair's contact orders
+                raise ScenarioError(str(err), lineno,
+                                    key.index(";rel=") + 6) from err
+            if verdict.is_zero and value != 0:
+                raise ScenarioError(
+                    f"the count is zero [{verdict.reason}], not {valtext}",
+                    lineno, len(key) + 2)
             try:
                 self.add(key, value, prov)
             except EvalError as err:
@@ -229,7 +242,7 @@ class Value:
 
 @dataclass(frozen=True)
 class Unknown:
-    blockers: tuple[str, ...] = ()
+    blockers: tuple[str, ...]
 
     @property
     def known(self) -> bool:
@@ -246,10 +259,10 @@ class SplitIdentity:
     the diagonal basis, and they are equal.  Equal extras are not told
     apart: a distribution is the number of copies of each distinct extra
     that goes to the first side, weighted by the ways of choosing them.
-    Both groupings' sides are built once per identity (`sides`), and sorted
-    there into the live terms, where no side is structurally zero by
-    `vanishing.decide`, and the keys of the sides that are; a term with a
-    zero side adds nothing to its sum.  `side_keys` reads them from there.
+    Both groupings' terms are built once per identity, and `sides` keeps
+    only the live ones, where no side is structurally zero by
+    `vanishing.decide`: the evaluator reads that verdict before any base,
+    so a term with a zero side adds nothing to its sum.
     """
 
     space: Space
@@ -265,23 +278,19 @@ class SplitIdentity:
 
     @cached_property
     def sides(self) -> dict:
-        """(left, right) grouping -> (terms, live, vanishing): its
-        (weight, side1, side2) terms, the terms with no structurally zero
-        side, and the keys of the sides that are zero."""
-        return {(left, right): _live(_sides(self, left, right))
+        """(left, right) grouping -> its live (weight, side1, side2)
+        terms, those with no structurally zero side."""
+        return {(left, right): tuple(
+                    term for term in _sides(self, left, right)
+                    if not any(decide(side).is_zero for side in term[1:]))
                 for left, right in self.groupings()}
 
     @cached_property
     def side_keys(self) -> frozenset[str]:
-        """Keys of the sides of the live terms and of the zero
-        sides: a solution of this identity can give a value only to a side
-        of a live term, and a zero side is what makes a term not live."""
-        keys = set()
-        for _, live, vanishing in self.sides.values():
-            keys |= vanishing
-            keys.update(side.key() for _, side1, side2 in live
-                        for side in (side1, side2))
-        return frozenset(keys)
+        """Keys of the sides of the live terms: the only counts a
+        solution of this identity can give a value."""
+        return frozenset(side.key() for terms in self.sides.values()
+                         for _, *pair in terms for side in pair)
 
 
 @dataclass(frozen=True)
@@ -308,15 +317,16 @@ def standard_identities() -> tuple[SplitIdentity, ...]:
 class Evaluator:
     """Fixed-point rewriting over a knowledge base.
 
-    The base is mutated only by the splitting solver (new derived entries);
-    everything else is read-only.  The solver runs only the identities whose
-    sides include the target (not every identity of the space jointly), and
-    it is held off while a boundary sum of an
-    identity evaluates its sides (`_grouping_sum`).  The tables the rules
-    read are built once per process, so a new evaluator costs no rebuild.
-    A count tries only the rules that serve its kind of target, in the
-    order of their tuple: `_SPACE_RULES` for a Space, `_PAIR_RULES` for a
-    DivisorPair.
+    A count asks, in order: the vanishing verdict, the base, the rules,
+    the solver; the first that answers gives its value.  The base is
+    mutated only by the splitting solver (new derived entries); everything
+    else is read-only.  The solver runs only the identities whose sides
+    include the target (not every identity of the space jointly), and it is
+    held off while a boundary sum of an identity evaluates its sides
+    (`_grouping_sum`).  The tables the rules read are built once per
+    process, so a new evaluator costs no rebuild.  A count tries only the
+    rules that serve its kind of target, in the order of their tuple:
+    `_SPACE_RULES` for a Space, `_PAIR_RULES` for a DivisorPair.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -347,12 +357,12 @@ class Evaluator:
     # -- core --------------------------------------------------------------
 
     def _compute(self, spec: InvariantSpec, key: str) -> Value | Unknown:
-        hit = self.kb.get(key)
-        if hit is not None:
-            return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         verdict = decide(spec)
         if verdict.is_zero:
             return Value(_ZERO_FRACTION, (f"vanishing: {verdict.reason}",))
+        hit = self.kb.get(key)
+        if hit is not None:
+            return Value(hit.value, (f"kb: {key} [{hit.provenance}]",))
         for rule in _SPACE_RULES if spec.pair is None else _PAIR_RULES:
             hitr = rule(self, spec)
             if hitr is None:
@@ -720,41 +730,19 @@ def _sides(si: SplitIdentity, left, right):
     return tuple(sides)
 
 
-def _live(terms):
-    """(terms, live, vanishing) of one grouping: the live terms are those
-    where no side is structurally zero by `decide`, which reads no
-    knowledge base; `vanishing` holds the keys of the zero sides.  A term
-    with a side whose verdict raises stays live, so the evaluator raises
-    on it as before."""
-    live, vanishing = [], set()
-    for term in terms:
-        try:
-            zero = {side.key() for side in term[1:] if decide(side).is_zero}
-        except InvariantError:
-            zero = set()
-        if zero:
-            vanishing |= zero
-        else:
-            live.append(term)
-    return terms, tuple(live), frozenset(vanishing)
-
-
 def _grouping_sum(ev: Evaluator, si: SplitIdentity, left, right):
     """Boundary sum for one grouping; returns (constant, unknown-coeffs, missing).
 
     Each live term of `si.sides` counts its weight times: its product goes
     into the constant, or its known factor into the coefficient of the
     unknown one, multiplied by the weight.  `missing` names each term with
-    two unknown factors once.  A term with a structurally zero side
-    evaluates to 0 times its other side and is skipped, unless the
-    evaluator's base holds a value for one of the zero sides: the base is
-    read before the verdict, so that evaluator walks every term.  The sides
-    evaluate with the solver held off: an unknown side is a coefficient of
-    the identity, not the start of another solve.
+    two unknown factors once.  The terms `sides` leaves out, those with a
+    structurally zero side, add 0 whatever the base holds: the evaluator
+    reads the verdict first.  The sides evaluate with the solver held off:
+    an unknown side is a coefficient of the identity, not the start of
+    another solve.
     """
-    terms, live, vanishing = si.sides[(left, right)]
-    if not any(key in ev.kb for key in vanishing):
-        terms = live
+    terms = si.sides[(left, right)]
     held, ev._solver_on = ev._solver_on, False
     try:
         values = [(ev.evaluate(side1), ev.evaluate(side2))

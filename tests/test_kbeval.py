@@ -47,7 +47,11 @@ def value_of(result):
 
 def seeds_without(key):
     """The seed table less one entry."""
-    return KnowledgeBase(e for e in seed_table().entries() if e.key != key)
+    kb = KnowledgeBase()
+    for e in seed_table().entries():
+        if e.key != key:
+            kb.add(e.key, e.value, e.provenance)
+    return kb
 
 
 FOUR_LINES = absolute(P3, LAM, LAM, LAM, LAM, LAM)
@@ -135,7 +139,7 @@ def test_kb_merge():
     """A text form loads into a base that already holds entries: a value
     it already holds is kept once, and a conflicting one is an error at
     its line's value field."""
-    x, y = absolute(P3, LAM, PT, PT).key(), absolute(P3, LAM, PT, LAM).key()
+    x, y = absolute(P3, LAM, PT, PT).key(), FOUR_LINES.key()
     a = KnowledgeBase()
     a.add(x, Fraction(1), "seed(a)")
     a.load(f"{x}\t1/1\tseed(a)\n{y}\t2/1\tseed(b)\n")
@@ -231,8 +235,19 @@ def test_parse_reads_back_every_kind_of_insertion():
                              (Insertion(D.point, order=1),))
     assert "abs=pb:pt;" in relative.key()
     primary = absolute(P3, LAM.scale(2), PT, LAM)
-    text = "".join(f"{spec.key()}\t1/1\tuser\n" for spec in (relative, primary))
+    # both counts are zero by their verdict, so 0/1 is their one value
+    text = "".join(f"{spec.key()}\t0/1\tuser\n" for spec in (relative, primary))
     assert loaded(text).dump() == text
+
+
+def test_the_verdict_outranks_a_held_value():
+    # a base that holds a nonzero value for a structurally zero count,
+    # written through `add`, which checks no verdict: the value is never read
+    spec = absolute(P3, LAM, PT, PT, PT)
+    kb = seed_table()
+    kb.add(spec.key(), Fraction(5), "user")
+    assert Evaluator(kb).evaluate(spec) == Value(
+        Fraction(0), ("vanishing: dimension-mismatch",))
 
 
 # -- single rules ------------------------------------------------------------
@@ -553,32 +568,37 @@ def test_solver_runs_only_the_identities_holding_the_target(monkeypatch):
 
 class _Recorder:
     """Stands in for an evaluator: records each side a boundary sum asks
-    for, by key, and knows none of them.  Its base is empty, so
-    the sums skip every term with a structurally zero side."""
+    for, by key, and knows none of them."""
 
     _solver_on = True
 
     def __init__(self):
-        self.kb = KnowledgeBase()
         self.sides = {}
 
     def evaluate(self, spec):
         self.sides[spec.key()] = spec
-        return Unknown()
+        return Unknown(())
+
+
+def every_term(si):
+    """(weight, side1, side2) of every term of both groupings, live or
+    not."""
+    return [term for left, right in si.groupings()
+            for term in kbeval._sides(si, left, right)]
 
 
 def every_side(si):
     """Key -> spec of every side of every term of both
     groupings, live or not."""
-    return {side.key(): side for terms, _, _ in si.sides.values()
-            for _, *pair in terms for side in pair}
+    return {side.key(): side for _, *pair in every_term(si) for side in pair}
 
 
 def live_and_vanishing(si):
     """(keys of the sides of the live terms, keys of the zero sides)."""
-    live = {side.key() for _, terms, _ in si.sides.values()
+    live = {side.key() for terms in si.sides.values()
             for _, *pair in terms for side in pair}
-    return live, set().union(*(zero for *_, zero in si.sides.values()))
+    return live, {side.key() for _, *pair in every_term(si) for side in pair
+                  if decide(side).is_zero}
 
 
 @pytest.mark.parametrize("si", standard_identities(), ids=lambda si: si.name)
@@ -589,14 +609,12 @@ def test_side_keys_are_the_sides_the_sums_evaluate(si):
     live, vanishing = live_and_vanishing(si)
     # the sums evaluate exactly the sides of the live terms
     assert set(rec.sides) == live
-    assert si.side_keys == live | vanishing
-    # each zero side is zero by the verdict alone, and today every side
-    # of a term that is not live is zero or a side of a live term, so the
-    # keys are those of every side the full walk evaluates
-    sides = every_side(si)
-    assert all(decide(sides[key]).is_zero for key in vanishing)
+    assert si.side_keys == live
+    # no live side is zero, and today every side of a term that is not
+    # live is zero or a side of a live term, so the two are every side of
+    # the full walk
     assert not live & vanishing
-    assert si.side_keys == set(sides)
+    assert live | vanishing == set(every_side(si))
 
 
 def test_identities_share_only_sides_the_rules_determine():
@@ -698,11 +716,14 @@ LINES_P2 = absolute(P2, P2.gen("lambda"), P2.point, P2.point)
 
 def held_term(si):
     """Both sides of the first term of the first grouping that is not
-    live.  Every such term here has two zero sides, so a value held for
-    one of them alone leaves the sum as it is; with both, the term adds
-    its weight."""
-    terms, live, _ = si.sides[si.groupings()[0]]
-    _, side1, side2 = next(t for t in terms if t not in live)
+    live.  Every such term here has two zero sides; had the base
+    outranked the verdict, values held for both would add the term's
+    weight to the sum."""
+    left, right = si.groupings()[0]
+    live = si.sides[(left, right)]
+    _, side1, side2 = next(t for t in kbeval._sides(si, left, right)
+                           if t not in live)
+    assert decide(side1).is_zero and decide(side2).is_zero
     return side1.key(), side2.key()
 
 
@@ -710,7 +731,7 @@ def oracle_base(si, kind):
     kb = seed_table()
     if kind == "n1":  # one line through two points: known P2 sides
         kb.add(LINES_P2.key(), Fraction(1), "test")
-    elif kind == "held-zero-sides":  # the sums walk every term
+    elif kind == "held-zero-sides":  # values the verdict outranks
         for key in held_term(si):
             kb.add(key, Fraction(1), "test")
     return kb
@@ -734,13 +755,13 @@ def test_grouped_sums_equal_the_subset_walk(si, kind):
 
 @pytest.mark.parametrize("si", ORACLE_IDENTITIES, ids=lambda si: si.name)
 def test_a_held_zero_side_is_read(si):
-    # the held values reach the sum only through the terms that are not
-    # live, so the walk over every term is what the oracle agrees with
-    left, right = si.groupings()[0]
-    fresh = _grouping_sum(Evaluator(seed_table()), si, left, right)
-    held = _grouping_sum(Evaluator(oracle_base(si, "held-zero-sides")), si,
-                         left, right)
-    assert held != fresh
+    # the evaluator reads a zero side's verdict before its base, so the
+    # values held for zero sides leave every grouping sum as it is
+    for left, right in si.groupings():
+        fresh = _grouping_sum(Evaluator(seed_table()), si, left, right)
+        held = _grouping_sum(Evaluator(oracle_base(si, "held-zero-sides")),
+                             si, left, right)
+        assert held == fresh
 
 
 @pytest.mark.parametrize("si,live,terms", [
@@ -755,23 +776,22 @@ def test_a_held_zero_side_is_read(si):
         "p2-d5", "p2-d6"])
 def test_live_term_counts(si, live, terms):
     # over both groupings: the terms the sums evaluate, of all the terms
-    groupings = si.sides.values()
-    assert sum(len(kept) for _, kept, _ in groupings) == live
-    assert sum(len(every) for every, _, _ in groupings) == terms
+    assert sum(len(kept) for kept in si.sides.values()) == live
+    assert len(every_term(si)) == terms
 
 
 @pytest.mark.parametrize("si,grouped,walked,keys", [
-    (standard_identities()[0], 48, 96, None),
-    (standard_identities()[1], 16, 16, None),
-    (p2_identity(2), 27, 36, 63),
-    (p2_identity(3), 72, 384, 168),
-    (p2_identity(4), 135, 3840, 315),
+    (standard_identities()[0], 48, 96, 10),
+    (standard_identities()[1], 16, 16, 6),
+    (p2_identity(2), 27, 36, 7),
+    (p2_identity(3), 72, 384, 14),
+    (p2_identity(4), 135, 3840, 21),
     (p2_identity(5), 216, None, None),
 ], ids=["conics-two-points", "lines-four-lines", "p2-d2", "p2-d3", "p2-d4",
         "p2-d5"])
 def test_grouped_side_counts(si, grouped, walked, keys):
     for left, right in si.groupings():
-        terms, _, _ = si.sides[(left, right)]
+        terms = kbeval._sides(si, left, right)
         assert len(terms) == grouped
         if walked is not None:
             walk = subset_sides(si, left, right)

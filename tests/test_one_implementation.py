@@ -60,7 +60,7 @@ ALLOWED = {
     "_sort_key": {("dimension.py", "InvariantSpec")},
 }
 # what the splitting ledger may import from the evaluator's module
-DECOMPOSE_FROM_KBEVAL = {"Evaluator", "KnowledgeBase", "seed_table"}
+DECOMPOSE_FROM_KBEVAL = {"Evaluator", "KnowledgeBase", "Value", "seed_table"}
 
 
 def references(source: str, names) -> list[tuple[str, str | None, int]]:

@@ -712,7 +712,13 @@ def test_exit_two_on_a_kb_key_that_is_not_canonical(tmp_path, capsys):
     ("space:p2;g=0;b=lambda;abs=pb:pt,pt\t1/1\tuser",
      "line 1, col 27: pulled-back constraint pb:pt needs a pair whose "
      "ambient is ruled"),
-], ids=["field-count", "bad-value", "not-canonical", "pulled-back-on-a-space"])
+    # the verdict outranks the base, so no value but 0 could be read
+    ("space:p3;g=0;b=lambda;abs=pt,pt,pt\t1/1\tuser",
+     "line 1, col 36: the count is zero [dimension-mismatch], not 1/1"),
+    ("pair:p2_hyperplane;g=0;b=lambda;abs=pt;rel=(2,pt)\t3/1\tuser",
+     "line 1, col 44: contact orders must sum to 1"),
+], ids=["field-count", "bad-value", "not-canonical", "pulled-back-on-a-space",
+        "zero-count", "contact-orders"])
 def test_kb_errors_exit_two_with_their_position(tmp_path, capsys, line,
                                                 message):
     path = tmp_path / "line.gw"
@@ -721,6 +727,27 @@ def test_kb_errors_exit_two_with_their_position(tmp_path, capsys, line,
     kb.write_text(line + "\n", encoding="utf-8")
     assert status("eval", path, "x", "--kb", kb) == 2
     assert capsys.readouterr() == ("", f"error: kb file {kb}: {message}\n")
+
+
+def test_eval_of_a_zero_count_held_as_zero_agrees_with_vanish(tmp_path,
+                                                             capsys):
+    # a 0/1 line for a structurally zero count loads, and eval reports the
+    # verdict's reason, not the line
+    path = tmp_path / "points.gw"
+    path.write_text(LINE_POINT_TWO_LINES.replace("pt, lambda, lambda",
+                                                 "pt, pt, pt"),
+                    encoding="utf-8")
+    kb = tmp_path / "extra.kb"
+    kb.write_text("space:p3;g=0;b=lambda;abs=pt,pt,pt\t0/1\tuser\n",
+                  encoding="utf-8")
+    assert status("vanish", path, "x") == 0
+    vanish = capsys.readouterr().out
+    assert status("eval", path, "x", "--kb", kb) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "verdict zero[dimension-mismatch]\n" in vanish
+    assert out == ("invariant x\nkey space:p3;g=0;b=lambda;abs=pt,pt,pt\n"
+                   "value 0\ntrace vanishing: dimension-mismatch\n")
 
 
 # -- any --kb text ends in a value or a positioned error ----------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "relgw"
 
-PIN = 66
+PIN = 64
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 

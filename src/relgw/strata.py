@@ -12,8 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
-from operator import sub
+from itertools import count, permutations, product
+from operator import attrgetter, sub
 
 from .dimension import (Insertion, InvariantError, InvariantSpec,
                         constraint_codim, raw_dimension)
@@ -53,6 +53,12 @@ class LevelComponent:
     `alpha` (a curve class of the divisor, possibly zero) and a fiber
     multiple.  `zero`/`inf` are the ends on the two divisor copies bounding
     the level; level 0 has no zero side.
+
+    Construction makes the facts `stratum_key` reads, as attributes that
+    equality, hashing and repr do not see: `_data` (level, genus, class
+    text, each side's slot labels (-multiplicity, constraint code) in
+    order), `_text` (its part of the key) and `_runs` (per side, each run
+    of equal slots as (label, nodes), in slot order).
     """
 
     level: int
@@ -64,18 +70,29 @@ class LevelComponent:
     inf: tuple[Contact, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "zero", tuple(self.zero))
-        object.__setattr__(self, "inf", tuple(self.inf))
+        put = object.__setattr__
+        put(self, "zero", tuple(self.zero))
+        put(self, "inf", tuple(self.inf))
         if self.level < 0 or self.genus < 0 or self.fiber < 0:
             raise InvariantError("level, genus and fiber degree must be >= 0")
         if self.level == 0:
             if self.cls is None or self.alpha is not None:
                 raise InvariantError("level-0 components carry an ambient class")
+            body = _enc(self.cls)
         else:
             if self.cls is not None or self.alpha is None:
                 raise InvariantError("positive-level components carry section data")
             if self.alpha.is_zero and self.fiber == 0:
                 raise InvariantError("empty component")
+            body = f"{_enc(self.alpha)}+{self.fiber}f"
+        runs = _slot_runs(self.zero), _slot_runs(self.inf)
+        zero, inf = (tuple(label for label, nodes in side for _ in nodes)
+                     for side in runs)
+        z, i = (",".join(f"{-m}" + (f":{code}" if code else "")
+                         for m, code in slots) for slots in (zero, inf))
+        put(self, "_data", (self.level, self.genus, body, zero, inf))
+        put(self, "_text", f"L{self.level}:g{self.genus}:{body}:z[{z}]:i[{i}]")
+        put(self, "_runs", runs)
 
     @property
     def pure_fiber(self) -> bool:
@@ -96,7 +113,9 @@ class StratumType:
     `matchings` pairs an infinity-side node of level i with a zero-side node
     of level i+1.  `insertions` are the interior constraints of the count the
     stratum belongs to; their distribution over components does not change
-    any total, so they are stored once.
+    any total, so they are stored once.  The component count of the
+    matching graph is kept on the instance, outside the fields, once
+    counted, so the genus check and `validate` share it.
     """
 
     pair: DivisorPair
@@ -117,6 +136,14 @@ class StratumType:
 
 def _enc(c: HomologyClass | None) -> str:
     return "" if c is None else c.encode()
+
+
+def _slot_runs(contacts) -> tuple:
+    """(slot label, nodes) for each run of equal slots, in slot order."""
+    runs = {}
+    for c in contacts:
+        runs.setdefault((-c.mult, _enc(c.constraint)), []).append(c.node)
+    return tuple((label, tuple(runs[label])) for label in sorted(runs))
 
 
 def _component_degrees(pair: DivisorPair, q: RuledSetup | None,
@@ -226,12 +253,15 @@ def _union_find(links):
 
 
 def _graph_components(s: StratumType) -> int:
-    """Connected components of the graph whose edges are the matchings."""
-    idx = {id(c): k for k, c in enumerate(s.components)}
-    table = _nodes(s)
-    find = _union_find((idx[id(table[a][0])], idx[id(table[b][0])])
-                       for a, b in s.matchings if a in table and b in table)
-    return len({find(k) for k in range(len(s.components))})
+    """Connected components of the graph whose edges are the matchings:
+    each end is joined to its component's number k, and to its partner."""
+    out = s.__dict__.get("_parts")
+    if out is None:
+        find = _union_find([*((c.node, k) for k, comp in enumerate(s.components)
+                              for c in comp.zero + comp.inf), *s.matchings])
+        out = len({find(k) for k in range(len(s.components))})
+        object.__setattr__(s, "_parts", out)
+    return out
 
 
 def assemble_class(s: StratumType) -> HomologyClass:
@@ -310,26 +340,6 @@ def stratum_flags(s: StratumType) -> tuple[str, ...]:
 # canonical encoding
 
 
-def _comp_data(comp: LevelComponent) -> tuple:
-    body = _enc(comp.cls) if comp.level == 0 else f"{_enc(comp.alpha)}+{comp.fiber}f"
-    zero = tuple(sorted((-c.mult, _enc(c.constraint)) for c in comp.zero))
-    inf = tuple(sorted((-c.mult, _enc(c.constraint)) for c in comp.inf))
-    return (comp.level, comp.genus, body, zero, inf)
-
-
-def _contacts_text(slots) -> str:
-    parts = []
-    for negm, enc in slots:
-        parts.append(f"{-negm}" + (f":{enc}" if enc else ""))
-    return ",".join(parts)
-
-
-def _comp_text(comp: LevelComponent) -> str:
-    d = _comp_data(comp)
-    return (f"L{d[0]}:g{d[1]}:{d[2]}"
-            f":z[{_contacts_text(d[3])}]:i[{_contacts_text(d[4])}]")
-
-
 def _relabelings(labels):
     """Every position map that moves an item only among adjacent equal
     labels: the product of the permutations of each run.  A map is a tuple
@@ -343,12 +353,12 @@ def _relabelings(labels):
         yield tuple(p for perm in choice for p in perm)
 
 
-def _slot_orders(contacts):
-    """All orderings of the contacts compatible with the sorted slot view."""
-    marked = sorted(contacts, key=lambda c: (-c.mult, _enc(c.constraint), c.node))
-    labels = [(c.mult, _enc(c.constraint)) for c in marked]
-    for moved in _relabelings(labels):
-        yield {c.node: pos for c, pos in zip(marked, moved)}
+def _slot_orders(runs):
+    """Each map of one side's nodes to slot positions that keeps every
+    node in its run (`LevelComponent._runs`)."""
+    nodes = [node for _, run in runs for node in run]
+    for moved in _relabelings([label for label, run in runs for _ in run]):
+        yield dict(zip(nodes, moved))
 
 
 def _searched_key(s: StratumType) -> str:
@@ -357,23 +367,19 @@ def _searched_key(s: StratumType) -> str:
     It is the key of any stratum, condition P of `stratum_key` or not."""
     if not s.components:
         return "empty"
-    comps = sorted(s.components, key=_comp_data)
-    body = "&".join(_comp_text(c) for c in comps)
-    slots = [(list(_slot_orders(c.zero)), list(_slot_orders(c.inf)))
-             for c in comps]
+    comps = sorted(s.components, key=attrgetter("_data"))
+    body = "&".join(c._text for c in comps)
+    slots = [[list(_slot_orders(runs)) for runs in c._runs] for c in comps]
     best = None
-    for placement in _relabelings([_comp_data(c) for c in comps]):
+    for placement in _relabelings([c._data for c in comps]):
         slot_sets = [None] * len(comps)
         for src, dst in enumerate(placement):
             slot_sets[dst] = slots[src]
         for zmaps in product(*[z for z, _ in slot_sets]):
             for imaps in product(*[i for _, i in slot_sets]):
-                pos = {}
-                for ci, (zm, im) in enumerate(zip(zmaps, imaps)):
-                    for node, p in zm.items():
-                        pos[node] = (ci, "z", p)
-                    for node, p in im.items():
-                        pos[node] = (ci, "i", p)
+                pos = {node: (ci, side, p)
+                       for ci, maps in enumerate(zip(zmaps, imaps))
+                       for side, m in zip("zi", maps) for node, p in m.items()}
                 edges = sorted((pos[a], pos[b]) for a, b in s.matchings)
                 text = ";".join(f"{a[0]}{a[1]}{a[2]}-{b[0]}{b[1]}{b[2]}"
                                 for a, b in edges)
@@ -396,17 +402,14 @@ def _matched_runs(s: StratumType, comps):
     side_of, inf_runs, zero_runs, run_of = {}, [], [], {}
     for ci, comp in enumerate(comps):
         runs = []
-        for side, contacts, matched in (("z", comp.zero, targets),
-                                        ("i", comp.inf, partner)):
-            groups = {}
-            for c in contacts:
-                if c.node in side_of:
-                    return None
-                side_of[c.node] = side
-                groups.setdefault((-c.mult, _enc(c.constraint)), []).append(c.node)
+        for side, side_runs, matched in zip("zi", comp._runs,
+                                            (targets, partner)):
             start = 0
-            for label in sorted(groups):
-                nodes = groups[label]
+            for _, nodes in side_runs:
+                for node in nodes:
+                    if node in side_of:
+                        return None
+                    side_of[node] = side
                 hits = sum(node in matched for node in nodes)
                 if hits not in (0, len(nodes)):
                     return None
@@ -462,14 +465,14 @@ def stratum_key(s: StratumType) -> str:
     """
     if not s.components:
         return "empty"
-    comps = sorted(s.components, key=_comp_data)
+    comps = sorted(s.components, key=attrgetter("_data"))
     found = _matched_runs(s, comps)
     if found is None:
         return _searched_key(s)
     inf_runs, zero_runs, run_of = found
-    body = "&".join(_comp_text(c) for c in comps)
+    body = "&".join(c._text for c in comps)
     best = None
-    for placement in _relabelings([_comp_data(c) for c in comps]):
+    for placement in _relabelings([c._data for c in comps]):
         given = [0] * len(zero_runs)
         parts = []
         for ci, at in sorted(enumerate(placement), key=lambda pair: pair[1]):
@@ -683,7 +686,9 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
 
     Components are drawn from the effectivity models of the ambient space
     and the divisor; results are deduplicated by canonical encoding and
-    returned sorted by it.
+    returned sorted by it.  Every level plan reads the call's one
+    `_StrataTable`, freed when it returns.  The genus check and `validate`
+    share each candidate's node table and component count.
     """
     pair = spec.pair
     if pair is None:
@@ -697,15 +702,9 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
     found = {}
 
     def add(s):
-        if total_genus(s) != spec.genus:
-            return
-        if assemble_class(s) != spec.beta:
-            return
-        if validate(s):
-            return
-        if not _position_filter(s):
-            return
-        found.setdefault(stratum_key(s), s)
+        if (total_genus(s) == spec.genus and assemble_class(s) == spec.beta
+                and not validate(s) and _position_filter(s)):
+            found.setdefault(stratum_key(s), s)
 
     main_inf = tuple(Contact(f"m{i}", ins.order, ins.cls)
                      for i, ins in enumerate(spec.relatives))
@@ -723,11 +722,10 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
               if pair.contact_count(c) > 0
               for gc in range(xmodel.min_genus(c), spec.genus + 1)]
     n = len(xcands)
-    table = _ExactSums(xcands, [()] * n, [X.area(c) for c, _ in xcands],
-                       [0] * n)
-    bottoms = [ms for b in range(budget + 1) for ms in table((), b, 0)]
-    # (lower degrees, upper degrees) -> the boundary's options
-    boundaries: dict[tuple, list] = {}
+    sums = _ExactSums(xcands, [()] * n, [X.area(c) for c, _ in xcands],
+                      [0] * n)
+    bottoms = [ms for b in range(budget + 1) for ms in sums((), b, 0)]
+    table = _StrataTable(spec.relatives)
     for k in range(1, max_levels + 1):
         for bottom in bottoms:
             if sum(g for _, g in bottom) > spec.genus:
@@ -738,15 +736,14 @@ def enumerate_strata(spec: InvariantSpec, max_levels: int):
             alpha_total = _solve_preimage(pair, spec.beta - used)
             if alpha_total is None:
                 continue
-            for s in _build_levels(spec, k, bottom, alpha_total,
-                                   boundaries):
+            for s in _build_levels(spec, k, bottom, alpha_total, table):
                 add(s)
     return [found[key] for key in sorted(found)]
 
 
-def _build_levels(spec, k, bottom, alpha_total, boundaries):
-    """Fill levels 1..k over the chosen level-0 components.  `boundaries`
-    is the call's table of boundary options (`_boundary_options`).
+def _build_levels(spec, k, bottom, alpha_total, table):
+    """Fill levels 1..k over the chosen level-0 components; `table` is
+    the call's `_StrataTable`, which only `_attach_contacts` reads.
 
     A level plan lists (alpha, fiber degree, genus) for the components of
     each level, and it comes with the end degrees of every component,
@@ -864,46 +861,71 @@ def _build_levels(spec, k, bottom, alpha_total, boundaries):
         below = [d for _, d in ends[-1]]
         for comps, degs, gamma, fewest_now, most_now in level_choices(
                 remaining_alpha, below, level, left, v, fewest, most):
-            plan.append(comps)
-            ends.append(degs)
             if level == k:
-                yield list(plan), list(ends)
+                yield [*plan, comps], [*ends, degs]
             else:
                 yield from rec(level + 1, remaining_alpha - gamma,
                                left - sum(g for _, _, g in comps),
-                               v + len(comps), fewest_now, most_now, plan,
-                               ends)
-            plan.pop()
-            ends.pop()
+                               v + len(comps), fewest_now, most_now,
+                               [*plan, comps], [*ends, degs])
 
     left = spec.genus - sum(g for _, g in bottom)
     for level_plan, ends in rec(1, alpha_total, left, len(bottom), 0, 0, [],
                                 [bottom_ends]):
-        yield from _attach_contacts(spec, bottom, level_plan, ends,
-                                    boundaries)
+        yield from _attach_contacts(spec, bottom, level_plan, ends, table)
 
 
-def _boundary_options(memo: dict, lower, upper):
-    """The (lower choice, upper choice) pairs of one boundary whose part
-    pools agree: a choice takes one partition per end.  They depend only
-    on the lower infinity-side and upper zero-side degrees, so they are
-    built on the first call for the two degree lists and kept in `memo`."""
-    out = memo.get((lower, upper))
-    if out is not None:
+class _StrataTable:
+    """What one `enumerate_strata` call builds once for all its level
+    plans: per (lower infinity-side, upper zero-side) degree lists, a
+    boundary's (lower, upper) partition choices whose part pools agree
+    (`boundaries`); per top-level degree tuple, the outer assignments
+    (`outers`); and each component `_materialize` builds (`components`)."""
+
+    def __init__(self, relatives):
+        self.relatives = relatives
+        self.boundaries: dict[tuple, list] = {}
+        self.outers: dict[tuple, list] = {}
+        self.components: dict[tuple, LevelComponent] = {}
+
+    def boundary_options(self, lower, upper):
+        out = self.boundaries.get((lower, upper))
+        if out is None:
+            out = self.boundaries[lower, upper] = []
+            ups = [_partitions(z) for z in upper]
+            for low in product(*map(_partitions, lower)):
+                pool = sorted(m for p in low for m in p)
+                for up in product(*ups):
+                    if sorted(m for p in up for m in p) == pool:
+                        out.append((low, up))
         return out
 
-    out = memo[lower, upper] = []
-    ups = [_partitions(z) for z in upper]
-    for low_choice in product(*map(_partitions, lower)):
-        low_pool = sorted(m for p in low_choice for m in p)
-        for up_choice in product(*ups):
-            if sorted(m for p in up_choice for m in p) == low_pool:
-                out.append((low_choice, up_choice))
-    return out
+    def outer_assignments(self, degs):
+        """Tuples with one sub-multiset of the relative insertions
+        (`_order_subsets`) per component of infinity-side degree degs[i]."""
+        out = self.outers.get(degs)
+        if out is not None:
+            return out
+
+        def rec(ci, remaining):
+            if ci == len(degs):
+                if not remaining:
+                    yield ()
+                return
+            for subset in _order_subsets(remaining, degs[ci]):
+                rest = list(remaining)
+                for ins in subset:
+                    rest.remove(ins)
+                for tail in rec(ci + 1, rest):
+                    yield (subset, *tail)
+
+        out = self.outers[degs] = list(rec(0, list(self.relatives)))
+        return out
 
 
-def _attach_contacts(spec, bottom, level_plan, ends, boundaries):
-    """Choose end partitions, matchings and outer assignments.
+def _attach_contacts(spec, bottom, level_plan, ends, table):
+    """Choose end partitions, matchings and outer assignments, read from
+    `table`, the call's `_StrataTable`.
 
     `ends` lists the (zero-side, infinity-side) degrees of each level's
     components, level 0 included.  A choice of boundary partitions fixes
@@ -913,7 +935,6 @@ def _attach_contacts(spec, bottom, level_plan, ends, boundaries):
     disconnected, so only boundary choices with G + e - v + 1 equal to the
     count's genus are kept; `_build_levels` has already checked that such
     an e lies in the plan's window.  The survivors keep their order.
-    Each boundary's options are read from the `boundaries` table.
 
     A (boundary choice, outer assignment) pair that leaves some level with
     only bare components (`LevelComponent.bare`: genus 0, pure fiber, one
@@ -922,36 +943,16 @@ def _attach_contacts(spec, bottom, level_plan, ends, boundaries):
     pairs keep their order.
     """
     k = len(level_plan)
-    comps_by_level = {0: list(bottom)}
-    for i, comps in enumerate(level_plan, start=1):
-        comps_by_level[i] = comps
-
-    def outer_assignments():
-        degs = [d for _, d in ends[k]]
-
-        def rec(ci, remaining):
-            if ci == len(degs):
-                if not remaining:
-                    yield []
-                return
-            for subset in _order_subsets(remaining, degs[ci]):
-                rest = list(remaining)
-                for ins in subset:
-                    rest.remove(ins)
-                for tail in rec(ci + 1, rest):
-                    yield [subset] + tail
-
-        yield from rec(0, list(spec.relatives))
-
-    vertices = [data for comps in comps_by_level.values() for data in comps]
+    comps_by_level = [list(bottom), *level_plan]
+    vertices = [data for comps in comps_by_level for data in comps]
     # the edge count that, on a connected graph, closes the count's genus
     need = spec.genus - graph_genus(sum(data[-1] for data in vertices), 0,
                                     len(vertices), 1)
-    outers = list(outer_assignments())
+    outers = table.outer_assignments(tuple(d for _, d in ends[k]))
     if not outers:
         return
-    options = [_boundary_options(boundaries, tuple(d for _, d in ends[i]),
-                                 tuple(z for z, _ in ends[i + 1]))
+    options = [table.boundary_options(tuple(d for _, d in ends[i]),
+                                      tuple(z for z, _ in ends[i + 1]))
                for i in range(k)]
     choices = [chosen for chosen in product(*options)
                if sum(len(p) for low, _ in chosen for p in low) == need]
@@ -961,7 +962,8 @@ def _attach_contacts(spec, bottom, level_plan, ends, boundaries):
             continue
         for outer in outers:
             if not _bare_level(comps_by_level[k], chosen[k - 1][1], outer):
-                yield from _materialize(spec, comps_by_level, chosen, outer, k)
+                yield from _materialize(spec, comps_by_level, chosen, outer,
+                                        k, table)
 
 
 def _bare_level(comps, zeros, infs) -> bool:
@@ -974,28 +976,20 @@ def _bare_level(comps, zeros, infs) -> bool:
 
 
 def _order_subsets(items, need):
-    """Sub-multisets of relative insertions with orders summing to `need`."""
-    out = []
+    """Sub-multisets of relative insertions with orders summing to `need`,
+    each as the first sub-sequence of `items` that makes it."""
+    out = {}
 
     def rec(i, acc, total):
         if total == need:
-            out.append(list(acc))
-            return
-        if i == len(items) or total > need:
-            return
-        rec(i + 1, acc, total)
-        acc.append(items[i])
-        rec(i + 1, acc, total + items[i].order)
-        acc.pop()
+            key = tuple(sorted((x.order, x.cls.encode()) for x in acc))
+            out.setdefault(key, acc)
+        elif i < len(items) and total < need:
+            rec(i + 1, acc, total)
+            rec(i + 1, (*acc, items[i]), total + items[i].order)
 
-    rec(0, [], 0)
-    seen, uniq = set(), []
-    for ms in out:
-        key = tuple(sorted((x.order, x.cls.encode()) for x in ms))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(ms)
-    return uniq
+    rec(0, (), 0)
+    return list(out.values())
 
 
 def _orbit_matchings(lower, upper):
@@ -1033,8 +1027,15 @@ def _orbit_matchings(lower, upper):
     yield from rec(0)
 
 
-def _materialize(spec, comps_by_level, chosen, outer, k):
+def _materialize(spec, comps_by_level, chosen, outer, k, table):
     """Build concrete stratum objects for one structural choice.
+
+    Nodes are numbered n1, n2, ... level by level, zero side first, so a
+    component is fixed by its level, plan entry, first node number and
+    the parts of its two sides (on the top level, the ids of the
+    insertions it carries).  Those, with its position so that no stratum
+    holds one object twice, are its key in `table.components`, and a
+    choice that meets the key again reads the component built before.
 
     Each boundary pairs its lower and upper nodes of equal multiplicity.
     Matched ends carry no constraint, so two nodes of one multiplicity on
@@ -1049,48 +1050,45 @@ def _materialize(spec, comps_by_level, chosen, outer, k):
     key, the representative it keeps, is the same as when every pairing
     was built.
     """
-    pair = spec.pair
-    counter = [0]
-
-    def fresh():
-        counter[0] += 1
-        return f"n{counter[0]}"
-
-    comps = {}
-    for level in range(0, k + 1):
+    built, first, levels = table.components, 0, []
+    for level in range(k + 1):
+        row = []
         for idx, data in enumerate(comps_by_level[level]):
-            zero_part = ()
-            inf_part = ()
-            if level == 0:
-                if k >= 1:
-                    inf_part = chosen[0][0][idx]
-            else:
-                zero_part = chosen[level - 1][1][idx]
-                if level < k:
-                    inf_part = chosen[level][0][idx]
-            zmarks = tuple(Contact(fresh(), m) for m in zero_part)
-            if level == k:
-                imarks = tuple(Contact(fresh(), ins.order, ins.cls)
-                               for ins in outer[idx])
-            else:
-                imarks = tuple(Contact(fresh(), m) for m in inf_part)
-            if level == 0:
-                c, g = data
-                comp = LevelComponent(0, g, cls=c, inf=imarks)
-            else:
-                a, d, g = data
-                comp = LevelComponent(level, g, alpha=a, fiber=d,
-                                      zero=zmarks, inf=imarks)
-            comps[(level, idx)] = comp
+            zero_part = chosen[level - 1][1][idx] if level else ()
+            top = outer[idx] if level == k else None
+            inf_part = chosen[level][0][idx] if top is None else \
+                tuple(map(id, top))
+            key = (level, idx, (data[0].vec, *data[1:]), first, zero_part,
+                   inf_part)
+            comp = built.get(key)
+            if comp is None:
+                node = count(first + 1)
+                zmarks = tuple(Contact(f"n{next(node)}", m) for m in zero_part)
+                if top is None:
+                    imarks = tuple(Contact(f"n{next(node)}", m)
+                                   for m in inf_part)
+                else:
+                    imarks = tuple(Contact(f"n{next(node)}", ins.order, ins.cls)
+                                   for ins in top)
+                if level == 0:
+                    comp = LevelComponent(0, data[1], cls=data[0], inf=imarks)
+                else:
+                    a, d, g = data
+                    comp = LevelComponent(level, g, alpha=a, fiber=d,
+                                          zero=zmarks, inf=imarks)
+                built[key] = comp
+            row.append(comp)
+            first += len(zero_part) + len(inf_part)
+        levels.append(row)
 
     per_boundary = []
-    for i in range(0, k):
+    for lower, upper in zip(levels, levels[1:]):
         by_mult_low, by_mult_up = {}, {}
-        for idx in range(len(comps_by_level[i])):
-            for c in comps[(i, idx)].inf:
+        for idx, comp in enumerate(lower):
+            for c in comp.inf:
                 by_mult_low.setdefault(c.mult, []).append((c.node, idx))
-        for idx in range(len(comps_by_level[i + 1])):
-            for c in comps[(i + 1, idx)].zero:
+        for idx, comp in enumerate(upper):
+            for c in comp.zero:
                 by_mult_up.setdefault(c.mult, []).append((c.node, idx))
         # boundary options pair equal multisets of multiplicities
         options = []
@@ -1102,8 +1100,8 @@ def _materialize(spec, comps_by_level, chosen, outer, k):
         per_boundary.append([[pairing for block in combo for pairing in block]
                              for combo in product(*options)])
 
-    all_comps = tuple(comps[key] for key in sorted(comps))
+    all_comps = tuple(comp for row in levels for comp in row)
     for match_choice in product(*per_boundary):
         matchings = tuple((a, b) for boundary in match_choice
                           for a, b in boundary)
-        yield StratumType(pair, all_comps, matchings, spec.absolutes)
+        yield StratumType(spec.pair, all_comps, matchings, spec.absolutes)

@@ -13,6 +13,12 @@ repr.
 The last tests count, for one bracket, how often each body runs and how
 many classes a parse builds, so a later change cannot quietly undo the
 stores or the generator table.
+
+A `LevelComponent` makes the facts `strata.stratum_key` reads when it is
+built, and a `StratumType` keeps its component count the first time it
+is asked.  Each must equal a fresh computation from the fields, must not
+show in equality, hashing, repr or the fields, and must be built again by
+`dataclasses.replace`.
 """
 
 import dataclasses
@@ -21,13 +27,15 @@ from pathlib import Path
 
 import pytest
 
-from relgw import cli, decompose, dimension, vanishing
+from relgw import cli, decompose, dimension, strata, vanishing
 from relgw.dimension import (DefinedZero, Insertion, InvariantError,
                              InvariantSpec, _sort_key, expected_dimension,
                              raw_dimension)
 from relgw.lattice import HomologyClass
 from relgw.scenario import parse_scenario
 from relgw.spaces import builtin
+from relgw.strata import (Contact, LevelComponent, StratumType,
+                          enumerate_strata, total_genus, validate)
 from relgw.vanishing import NEGATIVE_INTERSECTION, decide
 from test_shipped_outputs import BRACKETS, bracket_text
 
@@ -222,3 +230,120 @@ def test_parsing_generator_names_builds_no_class(monkeypatch):
     spec = parse_scenario(text).invariants["x"]
     assert built == []
     assert spec.key() == "space:p3;g=0;b=lambda;abs=pt,pt,lambda"
+
+
+# -- the key facts of a level component ---------------------------------------
+
+
+def fresh_facts(comp):
+    """`_data`, `_text` and `_runs` of a component, computed from its
+    fields: slot labels sorted, the key text made from them, and each
+    label's nodes in listed order."""
+    def label(c):
+        return -c.mult, "" if c.constraint is None else c.constraint.encode()
+
+    def text(slots):
+        return ",".join(f"{-m}" + (f":{code}" if code else "")
+                        for m, code in slots)
+
+    def runs(contacts):
+        return tuple((lab, tuple(c.node for c in contacts if label(c) == lab))
+                     for lab in sorted({label(c) for c in contacts}))
+
+    body = comp.cls.encode() if comp.level == 0 else \
+        f"{comp.alpha.encode()}+{comp.fiber}f"
+    zero = tuple(sorted(map(label, comp.zero)))
+    inf = tuple(sorted(map(label, comp.inf)))
+    return ((comp.level, comp.genus, body, zero, inf),
+            f"L{comp.level}:g{comp.genus}:{body}:z[{text(zero)}]"
+            f":i[{text(inf)}]",
+            (runs(comp.zero), runs(comp.inf)))
+
+
+def stored_facts(comp):
+    return comp._data, comp._text, comp._runs
+
+
+def assert_stored_facts_hold(comp):
+    assert stored_facts(comp) == fresh_facts(comp)
+    again = dataclasses.replace(comp)
+    assert again is not comp and again == comp
+    assert hash(again) == hash(comp) and repr(again) == repr(comp)
+    assert stored_facts(again) == fresh_facts(comp)
+
+
+def test_parsed_components_keep_fresh_facts():
+    text = (SCENARIOS / "conic_tangent.gw").read_text(encoding="utf-8")
+    comps = [comp for s in parse_scenario(text).strata.values()
+             for comp in s.components]
+    assert len(comps) == 15
+    for comp in comps:
+        assert_stored_facts_hold(comp)
+
+
+def test_torus_components_keep_fresh_facts(monkeypatch):
+    """Every component the torus cubic builds at depth 2, kept or not."""
+    built = []
+    post = LevelComponent.__post_init__
+
+    def recorded(self):
+        post(self)
+        built.append(self)
+
+    monkeypatch.setattr(LevelComponent, "__post_init__", recorded)
+    p2h = builtin("p2_hyperplane")
+    relative = [Insertion(p2h.divisor.gen("fund"), order=o) for o in (2, 1)]
+    spec = InvariantSpec(p2h, 1, p2h.ambient.gen("lambda", 3), (), relative)
+    assert len(enumerate_strata(spec, 2)) == 216
+    monkeypatch.undo()
+    assert len(built) == 243
+    assert {c.level for c in built} == {0, 1, 2}
+    for comp in built:
+        assert_stored_facts_hold(comp)
+
+
+def test_facts_sort_the_ends_they_read():
+    """Ends listed out of slot order: the slot labels and the key text
+    are sorted, and each run keeps its nodes in listed order."""
+    d = builtin("p2_hyperplane").divisor
+    comp = LevelComponent(1, 0, alpha=d.zero(), fiber=3,
+                          zero=(Contact("b1", 1), Contact("b2", 2)),
+                          inf=(Contact("c1", 1, d.point), Contact("c2", 2),
+                               Contact("c3", 1), Contact("c4", 1)))
+    assert_stored_facts_hold(comp)
+    assert comp._text == "L1:g0:0+3f:z[2,1]:i[2,1,1,1:pt]"
+    assert comp._runs[1] == (((-2, ""), ("c2",)), ((-1, ""), ("c3", "c4")),
+                             ((-1, "pt"), ("c1",)))
+
+
+def test_stored_facts_are_not_fields():
+    assert [f.name for f in dataclasses.fields(LevelComponent)] == [
+        "level", "genus", "cls", "alpha", "fiber", "zero", "inf"]
+    assert [f.name for f in dataclasses.fields(StratumType)] == [
+        "pair", "components", "matchings", "insertions"]
+    pair = builtin("p2_hyperplane")
+    x, d = pair.ambient, pair.divisor
+    conic = LevelComponent(0, 0, cls=x.gen("lambda", 2),
+                           inf=(Contact("a", 2),))
+    bubble = LevelComponent(1, 0, alpha=d.zero(), fiber=2,
+                            zero=(Contact("b", 2),),
+                            inf=(Contact("c1", 1), Contact("c2", 1, d.point)))
+    # a component whose stored facts were overwritten still equals,
+    # hashes and prints as one built anew
+    marked = dataclasses.replace(conic)
+    object.__setattr__(marked, "_text", "moved")
+    assert marked == conic and hash(marked) == hash(conic)
+    assert repr(marked) == repr(conic)
+    # replace builds the facts of the new fields
+    wider = dataclasses.replace(bubble, fiber=3)
+    assert stored_facts(wider) == fresh_facts(wider) != fresh_facts(bubble)
+    # a stratum keeps its component count once counted
+    s = StratumType(pair, (conic, bubble), (("a", "b"),))
+    before = repr(s), hash(s)
+    assert total_genus(s) == 0 and validate(s) == []
+    assert s.__dict__["_parts"] == 1
+    assert (repr(s), hash(s)) == before
+    assert s == StratumType(pair, (conic, bubble), (("a", "b"),))
+    apart = dataclasses.replace(s, matchings=())
+    assert "_parts" not in apart.__dict__
+    assert strata._graph_components(apart) == 2

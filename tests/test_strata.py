@@ -1,5 +1,6 @@
 import hashlib
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -338,9 +339,9 @@ def enumerate_with_plans(spec, k, mp):
     plans = []
     attach = strata_module._attach_contacts
 
-    def spy(spec_, bottom, level_plan, ends, boundaries):
+    def spy(spec_, bottom, level_plan, ends, table):
         plans.append((bottom, level_plan, ends))
-        return attach(spec_, bottom, level_plan, ends, boundaries)
+        return attach(spec_, bottom, level_plan, ends, table)
 
     mp.setattr(strata_module, "_attach_contacts", spy)
     return enumerate_strata(spec, k), plans
@@ -630,9 +631,9 @@ def test_level_zero_classes_all_meet_the_divisor():
         assert next(unmet_bottoms(spec), None)
         bottoms = []
 
-        def spy(spec_, k, bottom, alpha_total, boundaries):
+        def spy(spec_, k, bottom, alpha_total, table):
             bottoms.append(bottom)
-            return build(spec_, k, bottom, alpha_total, boundaries)
+            return build(spec_, k, bottom, alpha_total, table)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(strata_module, "_build_levels", spy)
@@ -648,10 +649,11 @@ def test_level_zero_classes_meeting_d_nowhere_leave_a_vertex_alone():
     built = 0
     for case in UNMET_CASES:
         spec = fund_contact_spec(*case)
+        table = strata_module._StrataTable(spec.relatives)
         for bottom, alpha in unmet_bottoms(spec):
             for k in (1, 2):
                 for s in strata_module._build_levels(spec, k, bottom, alpha,
-                                                     {}):
+                                                     table):
                     built += 1
                     assert "disconnected" in validate(s)
     assert built
@@ -711,9 +713,10 @@ def test_plans_reaching_attach_can_close(torus, torus_three,
     assert tight == {"fewest", "most"}
 
 
-def materialize_calls(spec, plans, cut):
+def materialize_calls(spec, plans, table, cut):
     """The arguments of every `_materialize` call that `_attach_contacts`
-    makes on the level plans, with the bare-level cut or without it."""
+    makes on the level plans, reading `table`, with the bare-level cut or
+    without it."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strata_module, "_materialize",
@@ -721,7 +724,7 @@ def materialize_calls(spec, plans, cut):
         if not cut:
             mp.setattr(strata_module, "_bare_level", lambda *_: False)
         for plan in plans:
-            list(strata_module._attach_contacts(spec, *plan, {}))
+            list(strata_module._attach_contacts(spec, *plan, table))
     return calls
 
 
@@ -731,9 +734,10 @@ def test_pairs_with_a_bare_level_build_only_unstable_strata(torus):
     with pytest.MonkeyPatch.context() as mp:
         cases.append((spec, enumerate_with_plans(spec, 2, mp)[1]))
     for spec, plans in cases:
-        kept = iter(materialize_calls(spec, plans, cut=True))
+        table = strata_module._StrataTable(spec.relatives)
+        kept = iter(materialize_calls(spec, plans, table, cut=True))
         want, skipped = next(kept, None), []
-        for args in materialize_calls(spec, plans, cut=False):
+        for args in materialize_calls(spec, plans, table, cut=False):
             if args == want:
                 want = next(kept, None)
             else:
@@ -763,29 +767,126 @@ def old_boundary_options(lower, upper):
 
 
 def test_boundary_options_are_built_once_per_degree_lists(monkeypatch):
-    """The torus cubic at depth 2 keeps one boundary table for its
+    """The torus cubic at depth 2 keeps one table for its
     `enumerate_strata` call, builds the options of each (lower, upper)
     degree-list pair once, and every read gives what a fresh build gives;
     the keys and representatives stay pinned."""
-    memos, reads, built = [], [], Counter()
-    original = strata_module._boundary_options
+    tables, reads, built = [], [], Counter()
+    original = strata_module._StrataTable.boundary_options
 
-    def recorded(memo, lower, upper):
-        if not memos or memos[-1] is not memo:
-            memos.append(memo)
-        built[lower, upper] += (lower, upper) not in memo
+    def recorded(table, lower, upper):
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+        built[lower, upper] += (lower, upper) not in table.boundaries
         reads.append((lower, upper))
-        out = original(memo, lower, upper)
+        out = original(table, lower, upper)
         assert out == old_boundary_options(lower, upper)
         return out
 
-    monkeypatch.setattr(strata_module, "_boundary_options", recorded)
+    monkeypatch.setattr(strata_module._StrataTable, "boundary_options",
+                        recorded)
     strata = enumerate_strata(cubic_torus_spec(), 2)
     assert key_digest(strata) == TORUS_KEYS
     assert representative_digest(strata) == TORUS_REPRESENTATIVES
-    memo, = memos
-    assert set(built.values()) == {1} and set(built) == set(memo)
-    assert len(reads) > 2 * len(memo)
+    table, = tables
+    assert set(built.values()) == {1} and set(built) == set(table.boundaries)
+    assert len(reads) > 2 * len(table.boundaries)
+
+
+def old_outer_assignments(relatives, degs):
+    """The outer assignments as `_attach_contacts` built them for every
+    level plan: one sub-multiset per top component, taken in turn from
+    what the earlier components left."""
+    def rec(ci, remaining):
+        if ci == len(degs):
+            if not remaining:
+                yield []
+            return
+        for subset in strata_module._order_subsets(remaining, degs[ci]):
+            rest = list(remaining)
+            for ins in subset:
+                rest.remove(ins)
+            for tail in rec(ci + 1, rest):
+                yield [list(subset)] + tail
+
+    return list(rec(0, list(relatives)))
+
+
+def test_outer_assignments_are_built_once_per_top_degrees(monkeypatch):
+    """One table per call builds the outer assignments of each tuple of
+    top-level degrees once, and every read gives what the old per-plan
+    build gave."""
+    spec = cubic_torus_spec()
+    tables, built, reads = [], Counter(), 0
+    original = strata_module._StrataTable.outer_assignments
+
+    def recorded(table, degs):
+        nonlocal reads
+        if not tables or tables[-1] is not table:
+            tables.append(table)
+        built[degs] += degs not in table.outers
+        reads += 1
+        out = original(table, degs)
+        assert [list(map(list, outer)) for outer in out] == \
+            old_outer_assignments(spec.relatives, degs)
+        return out
+
+    monkeypatch.setattr(strata_module._StrataTable, "outer_assignments",
+                        recorded)
+    strata = enumerate_strata(spec, 2)
+    assert key_digest(strata) == TORUS_KEYS
+    assert representative_digest(strata) == TORUS_REPRESENTATIVES
+    table, = tables
+    assert set(built.values()) == {1} and set(built) == set(table.outers)
+    assert reads > 10 * len(table.outers)
+
+
+def test_a_torus_enumeration_does_bounded_work(monkeypatch):
+    """The torus cubic at depth 2 builds at most 243 `LevelComponent`s
+    (1,071 when each structural choice built its own), calls
+    `_order_subsets` at most 7 times (542 when each level plan built its
+    outer assignments) and keys exactly 258 candidates for its 216
+    strata."""
+    counts = Counter()
+    post = LevelComponent.__post_init__
+    order_subsets = strata_module._order_subsets
+
+    def component(self):
+        counts["LevelComponent"] += 1
+        post(self)
+
+    def subsets(items, need):
+        counts["_order_subsets"] += 1
+        return order_subsets(items, need)
+
+    monkeypatch.setattr(LevelComponent, "__post_init__", component)
+    monkeypatch.setattr(strata_module, "_order_subsets", subsets)
+    keyed = spy_keys(monkeypatch)
+    strata = enumerate_strata(cubic_torus_spec(), 2)
+    assert key_digest(strata) == TORUS_KEYS
+    assert counts["LevelComponent"] <= 243
+    assert counts["_order_subsets"] <= 7
+    assert len(keyed) == 258
+
+
+def test_the_table_dies_with_its_call(monkeypatch):
+    """No component outlives the call unless a kept stratum holds it, and
+    none outlives the result."""
+    built = []
+    post = LevelComponent.__post_init__
+
+    def recorded(self):
+        post(self)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(LevelComponent, "__post_init__", recorded)
+    strata = enumerate_strata(cubic_torus_spec(), 2)
+    kept = {id(c) for s in strata for c in s.components}
+    alive = [ref for ref in built if ref() is not None]
+    assert alive and len(alive) < len(built)
+    assert all(id(ref()) in kept for ref in alive)
+    del strata
+    assert all(ref() is None for ref in built)
 
 
 def test_enumerate_rejects_missing_contact_data():
@@ -1011,7 +1112,7 @@ def test_partitions_are_weakly_decreasing_and_complete():
 
 
 def test_partitions_order_is_pinned():
-    """`_boundary_options` walks partitions in this order, so the stratum
+    """`_StrataTable.boundary_options` walks partitions in this order, so the stratum
     `enumerate_strata` keeps for a key depends on it: largest first part
     first, as reversed sorted tuples sort in reverse."""
     for n in range(9):
